@@ -444,6 +444,12 @@ def _scan_one_group(
     for x, r in ((0.0, psi[0]), (1.0, psi[-1])):
         if abs(r) <= config.fix_tol:
             roots.append(x)
+    if psi[0] == 0.0:
+        # The trivial root psi(0) = 0 carries no sign, which would hide a
+        # root inside the first grid step; a probe just above 0 (below it a
+        # rate counts as the trivial equilibrium anyway) supplies the sign.
+        xs[0] = _NONZERO_TOL
+        psi[0] = phi(_NONZERO_TOL)[0] - _NONZERO_TOL
     for i in range(grid - 1):
         if psi[i] == 0.0 and 0.0 < xs[i] < 1.0:
             roots.append(float(xs[i]))

@@ -10,11 +10,48 @@ group and label, parametric (Beta) or empirical.
 
 The solver contract: with a fixed grid, fixed refinement, and fixed
 tie-breaking, the institution's response is a deterministic function of the
-state, which is what makes the downstream dynamics reproducible.
+state, which is what makes the downstream dynamics reproducible. For the
+scalar models, in order:
+
+* Grid. Utility is evaluated on `grid_size` evenly spaced cut points over
+  [0, 1] (DEFAULT_GRID = 2001, step 5e-4). Each model caches its TPR/FPR
+  table per grid size, since the rates never depend on the state. Among
+  equal grid maxima `np.argmax` takes the first.
+* Reject-all. If no grid point earns a positive utility the answer is 1.0,
+  where utility is exactly 0.
+* Plateau. If neighbouring grid points tie the maximum within
+  _PLATEAU_RTOL * max(1, |max|), the flat stretch is resolved by the
+  response-preserving tie-break (the point whose induced population
+  response is closest to the state), so an indifference state maps to
+  itself.
+* Unique winner. Otherwise, with winner theta_i, the bracket is
+  [theta_(i-1), theta_(i+1)], cut at 0 and 1. On it the sign of
+  dU/dtheta = sum_a n_a (p pi_a TPR_a' - c (1 - pi_a) FPR_a') is bisected
+  down to adjacent floats, with exact rate slopes (the Beta density, the
+  empirical segment slope, the uniform family's piecewise-constant slopes,
+  right-hand at a kink). The result is the smallest float found where the
+  slope is <= 0, or the bracket end when the slope keeps one sign. It
+  replaces the grid point only if its utility beats the grid maximum by
+  more than 1e-15 * max(1, |max|); otherwise the grid point is returned.
+  A kink maximum (a threshold corner) therefore comes back exactly at the
+  kink, and one on the grid comes back as that grid point.
+
+The bound the equilibrium scan relies on: at a smooth interior maximum
+the cut point is the first-order root up to the rounding of dU/dtheta, a
+few ulps, so the one-group map Phi(pi) is continuous to rounding error and
+a bisected root of Phi(pi) - pi has a residual of order 1e-16, well below
+the default fix_tol = 1e-9 that a root must meet before its stability is
+probed.
+
+GaussianHalfspace responses lie on the geodesic arc between the two group
+boundaries. When the two angle weights tie within tie_tol the answer is the
+arc midpoint; otherwise utility is linear along the arc, the two endpoints
+are compared, and an exact tie goes to the first group's boundary.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -64,17 +101,26 @@ class BetaScore:
             raise ParameterError(
                 f"Beta parameters must be positive, got ({self.alpha}, {self.beta})"
             )
+        object.__setattr__(self, "_ln_b", float(special.betaln(self.alpha, self.beta)))
 
     def cdf(self, x):
+        if type(x) is float and 0.0 <= x <= 1.0:
+            return float(special.betainc(self.alpha, self.beta, x))
         return special.betainc(self.alpha, self.beta, np.clip(x, 0.0, 1.0))
 
     def pdf(self, x):
         a, b = self.alpha, self.beta
-        ln_b = special.betaln(a, b)
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - ln_b)
+            out = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - self._ln_b)
         return np.where((x < 0.0) | (x > 1.0), 0.0, out)
+
+    def slope(self, x: float) -> float:
+        """dF/dx at a scalar score: the density, by `math` inside (0, 1)."""
+        if 0.0 < x < 1.0:
+            a, b = self.alpha, self.beta
+            return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - self._ln_b)
+        return float(self.pdf(x))
 
     def to_config(self) -> dict:
         return {"alpha": self.alpha, "beta": self.beta}
@@ -85,7 +131,8 @@ class EmpiricalScore:
     """Piecewise-linear conditional score CDF with knots spanning [0, 1].
 
     The first knot must be (0, 0) and the last (1, 1) so the curve is a CDF
-    on the score range. Densities are obtained by central differences.
+    on the score range. `pdf` takes central differences (the likelihood
+    ratio uses it); `slope` is the exact slope of the segment holding x.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -106,15 +153,34 @@ class EmpiricalScore:
                 raise ParameterError(f"knot x values must strictly increase at index {i}")
             if ys[i] < ys[i - 1]:
                 raise ParameterError(f"knot CDF values decrease at index {i}")
+        object.__setattr__(self, "_xs", tuple(xs))
+        object.__setattr__(self, "_ys", tuple(ys))
+        object.__setattr__(
+            self, "_slopes",
+            tuple((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)),
+        )
 
     def cdf(self, x):
-        xs = np.array([k[0] for k in self.knots])
-        ys = np.array([k[1] for k in self.knots])
-        return np.interp(np.clip(x, 0.0, 1.0), xs, ys)
+        if type(x) is float and 0.0 <= x <= 1.0:
+            # np.interp's arithmetic, step for step, so both paths agree bitwise.
+            xs, ys = self._xs, self._ys
+            j = bisect.bisect_right(xs, x) - 1
+            if j < 0:
+                return ys[0]
+            if j == len(xs) - 1 or xs[j] == x:
+                return ys[j]
+            return self._slopes[j] * (x - xs[j]) + ys[j]
+        return np.interp(np.clip(x, 0.0, 1.0), self._xs, self._ys)
 
     def pdf(self, x, step: float = 1e-4):
         x = np.clip(np.asarray(x, dtype=float), step, 1.0 - step)
         return (self.cdf(x + step) - self.cdf(x - step)) / (2.0 * step)
+
+    def slope(self, x: float) -> float:
+        """dF/dx at a scalar score: the slope of the segment [x_j, x_j+1)
+        holding x (the last segment's at and beyond the last knot)."""
+        j = bisect.bisect_right(self._xs, x) - 1
+        return self._slopes[min(max(j, 0), len(self._slopes) - 1)]
 
     def to_config(self) -> dict:
         return {"knots": [[x, y] for x, y in self.knots]}
@@ -149,6 +215,7 @@ class UniformThreshold:
         for gid, h in items:
             if not 0.0 < h < 1.0:
                 raise ParameterError(f"threshold for group {gid!r} must lie in (0, 1), got {h}")
+        object.__setattr__(self, "_grid_cache", {})
 
     @property
     def group_ids(self) -> tuple[str, ...]:
@@ -172,6 +239,13 @@ class UniformThreshold:
         tpr = np.minimum(1.0, (1.0 - np.maximum(thetas, h)) / (1.0 - h))
         fpr = np.maximum(0.0, h - thetas) / h
         return tpr, fpr
+
+    def rate_slopes(self, group: str, theta: float) -> tuple[float, float]:
+        """(dTPR/dtheta, dFPR/dtheta), taking the right-hand slope at h."""
+        h = self.threshold(group)
+        if theta < h:
+            return 0.0, -1.0 / h
+        return -1.0 / (1.0 - h), 0.0
 
     def to_config(self) -> dict:
         return {"variant": "uniform_threshold", "thresholds": dict(self.thresholds)}
@@ -324,6 +398,7 @@ class ScoreModel:
         for gid, gs in items:
             if not isinstance(gs, GroupScores):
                 raise ParameterError(f"group {gid!r}: expected GroupScores, got {type(gs)}")
+        object.__setattr__(self, "_grid_cache", {})
 
     @property
     def group_ids(self) -> tuple[str, ...]:
@@ -343,6 +418,11 @@ class ScoreModel:
     def rates_grid(self, group: str, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gs = self.scores(group)
         return 1.0 - np.asarray(gs.y1.cdf(thetas)), 1.0 - np.asarray(gs.y0.cdf(thetas))
+
+    def rate_slopes(self, group: str, theta: float) -> tuple[float, float]:
+        """(dTPR/dtheta, dFPR/dtheta) = (-f1(theta), -f0(theta))."""
+        gs = self.scores(group)
+        return -gs.y1.slope(theta), -gs.y0.slope(theta)
 
     def likelihood_ratio(self, group: str, x):
         """phi(x) = f0(x) / f1(x); inf where the qualified density vanishes."""
@@ -381,20 +461,40 @@ def _check_unit_interval(theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _grid_rates(model, grid_size: int):
+    """The theta grid and each group's (TPR, FPR) on it, cached on the model.
+
+    The table depends on the model and the grid only, never on the state.
+    Filling it is idempotent: threads that race on a miss store equal tables.
+    """
+    table = model._grid_cache.get(grid_size)
+    if table is None:
+        thetas = np.linspace(0.0, 1.0, grid_size)
+        rates = {}
+        for gid in model.group_ids:
+            tpr, fpr = model.rates_grid(gid, thetas)
+            tpr.flags.writeable = fpr.flags.writeable = False
+            rates[gid] = (tpr, fpr)
+        thetas.flags.writeable = False
+        table = model._grid_cache.setdefault(grid_size, (thetas, rates))
+    return table
+
+
 def _utility_grid(
     model,
     economy: EconomyConfig,
     groups: tuple[GroupSpec, ...],
     state: QualificationState,
-    thetas: np.ndarray,
-) -> np.ndarray:
+    grid_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    thetas, rates = _grid_rates(model, grid_size)
     util = np.zeros_like(thetas)
     for g, pi in zip(groups, state.rates):
-        tpr, fpr = model.rates_grid(g.id, thetas)
+        tpr, fpr = rates[g.id]
         util += g.proportion * (
             economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
         )
-    return util
+    return thetas, util
 
 
 def _utility_at(model, economy, groups, state, theta: float) -> float:
@@ -407,16 +507,43 @@ def _utility_at(model, economy, groups, state, theta: float) -> float:
     return total
 
 
-def _ternary_argmax(f, a: float, b: float, iters: int = 90) -> float:
-    # Fixed iteration count keeps the refinement bit-reproducible.
-    for _ in range(iters):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if f(m1) < f(m2):
-            a = m1
+def _utility_slope(model, economy, groups, state):
+    """dU/dtheta = sum_a n_a (p pi_a TPR_a' - c (1 - pi_a) FPR_a'), as a function."""
+    terms = [
+        (g.id, g.proportion * economy.payoff_tp * pi, g.proportion * economy.cost_fp * (1.0 - pi))
+        for g, pi in zip(groups, state.rates)
+    ]
+
+    def slope(theta: float) -> float:
+        total = 0.0
+        for gid, w_tp, w_fp in terms:
+            dtpr, dfpr = model.rate_slopes(gid, theta)
+            total += w_tp * dtpr - w_fp * dfpr
+        return total
+
+    return slope
+
+
+def _bisect_slope(slope, a: float, b: float) -> float:
+    """Where slope turns from > 0 to <= 0 on [a, b], to adjacent floats.
+
+    Returns a when slope(a) <= 0 and b when slope(b) > 0; otherwise the
+    smallest float found with slope <= 0, so a kink maximum (where the
+    right-hand slope is the negative one) comes back exactly.
+    """
+    if slope(a) <= 0.0:
+        return a
+    if slope(b) > 0.0:
+        return b
+    lo, hi = a, b
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if slope(mid) > 0.0:
+            lo = mid
         else:
-            b = m2
-    return 0.5 * (a + b)
+            hi = mid
 
 
 def _ternary_argmin(f, a: float, b: float, iters: int = 120) -> float:
@@ -441,6 +568,22 @@ def _response_distance(
     return worst
 
 
+def _response_distances(
+    model, economy, groups, state: QualificationState, thetas: np.ndarray
+) -> np.ndarray:
+    """_response_distance at each of thetas, bit for bit, reading each
+    group's rates with one rates_grid call instead of one tpr_fpr per point."""
+    worst = np.zeros(len(thetas))
+    for g, pi in zip(groups, state.rates):
+        tprs, fprs = model.rates_grid(g.id, thetas)
+        gaps = [
+            abs(response_rate(g.cost, economy.wage, tpr, fpr) - pi)
+            for tpr, fpr in zip(tprs.tolist(), fprs.tolist())
+        ]
+        worst = np.maximum(worst, gaps)
+    return worst
+
+
 def _scalar_best_response(
     model,
     economy: EconomyConfig,
@@ -448,8 +591,7 @@ def _scalar_best_response(
     state: QualificationState,
     grid_size: int,
 ) -> float:
-    thetas = np.linspace(0.0, 1.0, grid_size)
-    util = _utility_grid(model, economy, groups, state, thetas)
+    thetas, util = _utility_grid(model, economy, groups, state, grid_size)
     i_best = int(np.argmax(util))
     u_max = float(util[i_best])
     if u_max <= 0.0:
@@ -466,14 +608,15 @@ def _scalar_best_response(
         hi_i += 1
 
     if hi_i == lo_i:
-        # Unique grid winner: one local refinement pass around it, snapping
-        # back to the grid point unless refinement strictly improves (keeps
-        # kink maxima that sit exactly on the grid, like threshold corners).
+        # Unique grid winner: bisect the sign change of dU/dtheta between its
+        # neighbours, snapping back to the grid point unless the refined point
+        # strictly improves (keeps kink maxima that sit exactly on the grid,
+        # like threshold corners).
         a = float(thetas[max(i_best - 1, 0)])
         b = float(thetas[min(i_best + 1, grid_size - 1)])
-        f = lambda th: _utility_at(model, economy, groups, state, th)
-        refined = _ternary_argmax(f, a, b)
-        if f(refined) - u_max > 1e-15 * max(1.0, abs(u_max)):
+        refined = _bisect_slope(_utility_slope(model, economy, groups, state), a, b)
+        gain = _utility_at(model, economy, groups, state, refined) - u_max
+        if gain > 1e-15 * max(1.0, abs(u_max)):
             return refined
         return float(thetas[i_best])
 
@@ -483,7 +626,7 @@ def _scalar_best_response(
     lo_t, hi_t = float(thetas[lo_i]), float(thetas[hi_i])
     sub = np.linspace(lo_t, hi_t, 1025)
     d = lambda th: _response_distance(model, economy, groups, state, th)
-    dists = np.array([d(th) for th in sub])
+    dists = _response_distances(model, economy, groups, state, sub)
     j = int(np.argmin(dists))
     a = float(sub[max(j - 1, 0)])
     b = float(sub[min(j + 1, len(sub) - 1)])
@@ -518,7 +661,6 @@ def _gaussian_best_response(
     economy: EconomyConfig,
     groups: tuple[GroupSpec, ...],
     state: QualificationState,
-    grid_size: int,
     tie_tol: float,
 ) -> np.ndarray:
     if len(groups) != 2:
@@ -532,21 +674,19 @@ def _gaussian_best_response(
     if tied:
         return gaussian_tiebreak(model, state)
     # The objective along the arc is linear in the arc fraction (the angles
-    # to the two boundaries are t*ang and (1-t)*ang), so the grid argmax
-    # lands on an endpoint; the grid keeps this path on the same contract
-    # as the scalar models.
-    ts = np.linspace(0.0, 1.0, grid_size)
+    # to the two boundaries are t*ang and (1-t)*ang), so its maximum sits at
+    # an endpoint; an exact tie goes to t=0.
     ang = model.pair_angle
-    ang1 = ts * ang
-    ang2 = (1.0 - ts) * ang
     p, c = economy.payoff_tp, economy.cost_fp
     pi1, pi2 = state.rates
     n1, n2 = groups[0].proportion, groups[1].proportion
-    util = n1 * (p * (1.0 - ang1) * pi1 - c * ang1 * (1.0 - pi1)) + n2 * (
-        p * (1.0 - ang2) * pi2 - c * ang2 * (1.0 - pi2)
-    )
-    t_best = float(ts[int(np.argmax(util))])
-    return model.arc_point(t_best)
+
+    def util(ang1: float, ang2: float) -> float:
+        return n1 * (p * (1.0 - ang1) * pi1 - c * ang1 * (1.0 - pi1)) + n2 * (
+            p * (1.0 - ang2) * pi2 - c * ang2 * (1.0 - pi2)
+        )
+
+    return model.arc_point(0.0 if util(0.0, ang) >= util(ang, 0.0) else 1.0)
 
 
 def institution_best_response(
@@ -561,15 +701,16 @@ def institution_best_response(
     """Utility-maximizing assessment parameter for the current state.
 
     Scalar models (UniformThreshold, ScoreModel) return a cut point in
-    [0, 1] found by grid argmax plus one local refinement pass; halfspace
-    models return a unit vector on the geodesic arc between the two group
-    boundaries. Ties are broken deterministically: reject-all when nothing
-    is profitable, the response-preserving point on interior plateaus, and
-    the arc midpoint for the halfspace indifference case.
+    [0, 1] found by grid argmax plus a bisection of dU/dtheta around the
+    winner; halfspace models return a unit vector on the geodesic arc
+    between the two group boundaries. Ties are broken deterministically:
+    reject-all when nothing is profitable, the response-preserving point on
+    interior plateaus, and the arc midpoint for the halfspace indifference
+    case. The module docstring states the precision contract.
     """
     _check_alignment(model, groups, state)
     if isinstance(model, GaussianHalfspace):
-        return _gaussian_best_response(model, economy, groups, state, grid_size, tie_tol)
+        return _gaussian_best_response(model, economy, groups, state, tie_tol)
     if isinstance(model, ScalarModel):
         return _scalar_best_response(model, economy, groups, state, grid_size)
     raise ConfigurationError(f"unknown feature model type {type(model).__name__}")

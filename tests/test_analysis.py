@@ -9,6 +9,7 @@ from qualdyn import (
     AssumptionError,
     BetaScore,
     ConfigurationError,
+    DynamicsConfig,
     EconomyConfig,
     GroupScores,
     GroupSpec,
@@ -311,3 +312,28 @@ def test_compare_equilibria_input_checks():
         compare_equilibria(
             (forms.records[0], forms.records[0]), economy, groups, model
         )
+
+
+def test_scan_finds_a_root_inside_the_first_grid_step():
+    # The trivial root psi(0) = 0 shares the first step of a 101-point grid
+    # with a root near 0.0098; the scan still brackets and reports it.
+    model = ScoreModel((("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),))
+    group = GroupSpec(id="g", proportion=1.0, cost=TruncatedNormal(mu=0.52, sigma=0.1))
+    records = find_equilibria_scan(EconomyConfig(wage=1.0), (group,), model, grid=101)
+    roots = sorted(r.state.rates[0] for r in records)
+    assert len(roots) == 3
+    assert roots[0] == 0.0
+    assert roots[1] == pytest.approx(0.00978, abs=1e-4)
+    assert roots[2] == pytest.approx(0.88265, abs=1e-4)
+
+
+@pytest.mark.parametrize("mu", [0.52, 0.6])
+def test_steep_cost_roots_meet_fix_tol_and_are_assessed(mu):
+    model = ScoreModel((("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),))
+    group = GroupSpec(id="g", proportion=1.0, cost=TruncatedNormal(mu=mu, sigma=0.1))
+    records = find_equilibria_scan(EconomyConfig(wage=1.0), (group,), model)
+    nonzero = [r for r in records if r.nonzero]
+    assert len(nonzero) == 2
+    for rec in nonzero:
+        assert rec.residual <= DynamicsConfig().fix_tol
+        assert rec.stability in ("Stable", "Unstable")

@@ -1,6 +1,8 @@
 """Feature models and the institution's best response."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -347,3 +349,164 @@ def test_normalized_angle_endpoints():
     assert normalized_angle(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 0.0
     assert normalized_angle(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 1.0
     assert normalized_angle(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Solver precision contract
+# ---------------------------------------------------------------------------
+
+
+def steep_scores():
+    return ScoreModel(
+        (("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),)
+    )
+
+
+def empirical_scores():
+    return ScoreModel(
+        (
+            (
+                "g",
+                GroupScores(
+                    y1=EmpiricalScore(((0, 0), (0.3, 0.05), (0.61, 0.3), (0.85, 0.6), (1, 1))),
+                    y0=EmpiricalScore(((0, 0), (0.2, 0.4), (0.5, 0.8), (0.8, 0.97), (1, 1))),
+                ),
+            ),
+        )
+    )
+
+
+@pytest.mark.parametrize("payoff_tp,cost_fp", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
+def test_one_group_beta_best_response_matches_likelihood_ratio_condition(payoff_tp, cost_fp):
+    model = steep_scores()
+    economy = EconomyConfig(wage=1.0, payoff_tp=payoff_tp, cost_fp=cost_fp)
+    group = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
+    for pi in np.linspace(0.02, 0.98, 25):
+        state = QualificationState(ids=("g",), rates=(float(pi),))
+        theta = institution_best_response(model, economy, group, state)
+        assert theta == pytest.approx(
+            coate_loury_threshold(model, economy, state), abs=1e-12
+        )
+
+
+def test_cached_grid_utility_equals_the_uncached_one_bit_for_bit():
+    economy, groups, uniform = uniform_reference()
+    cases = [
+        (uniform, groups, (0.6, 0.3)),
+        (steep_scores(), (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),), (0.37,)),
+        (empirical_scores(), (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),), (0.81,)),
+    ]
+    for model, grps, rates in cases:
+        state = QualificationState(ids=tuple(g.id for g in grps), rates=rates)
+        for grid_size in (101, 2001):
+            thetas = np.linspace(0.0, 1.0, grid_size)
+            expected = np.zeros_like(thetas)
+            for g, pi in zip(grps, rates):
+                tpr, fpr = model.rates_grid(g.id, thetas)
+                expected += g.proportion * (
+                    economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
+                )
+            for _ in range(2):  # the first call fills the cache, the second reads it
+                got_thetas, util = features._utility_grid(model, economy, grps, state, grid_size)
+                assert np.array_equal(got_thetas, thetas)
+                assert np.array_equal(util, expected)
+
+
+def test_grid_tables_are_per_model_and_per_grid_size():
+    model = steep_scores()
+    coarse_thetas, coarse = features._grid_rates(model, 101)
+    fine_thetas, fine = features._grid_rates(model, 2001)
+    assert coarse_thetas.shape == (101,) and fine_thetas.shape == (2001,)
+    assert coarse["g"][0].shape == (101,) and fine["g"][0].shape == (2001,)
+    assert features._grid_rates(model, 101)[1] is coarse
+    # an equal model built separately keeps its own table
+    twin = steep_scores()
+    assert twin == model
+    assert features._grid_rates(twin, 101)[1] is not coarse
+    # callers cannot corrupt a cached table
+    with pytest.raises(ValueError):
+        coarse["g"][0][0] = 2.0
+    # answers on either grid match a fresh model's
+    economy = EconomyConfig(wage=1.0)
+    group = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
+    state = QualificationState(ids=("g",), rates=(0.3,))
+    for grid_size in (101, 2001, 101):
+        assert institution_best_response(
+            model, economy, group, state, grid_size=grid_size
+        ) == institution_best_response(steep_scores(), economy, group, state, grid_size=grid_size)
+
+
+@pytest.mark.parametrize("h1", [0.4, 0.4123456789])
+def test_uniform_corner_state_returns_the_threshold_exactly(h1):
+    economy, groups, _ = uniform_reference()
+    model = UniformThreshold((("a1", h1), ("a2", 0.8)))
+    low = QualificationState(ids=("a1", "a2"), rates=(0.6, 0.3))
+    assert institution_best_response(model, economy, groups, low) == h1
+    high = QualificationState(ids=("a1", "a2"), rates=(0.2, 0.6))
+    assert institution_best_response(model, economy, groups, high) == 0.8
+
+
+def test_scalar_score_paths_agree_with_the_vector_paths():
+    beta = BetaScore(5.0, 2.0)
+    empirical = empirical_scores().scores("g").y1
+    xs = np.concatenate((np.linspace(0.0, 1.0, 257), np.random.default_rng(3).random(500)))
+    for x in xs.tolist():
+        assert beta.cdf(x) == beta.cdf(np.array([x]))[0]
+        assert empirical.cdf(x) == empirical.cdf(np.array([x]))[0]
+        if 0.0 < x < 1.0:
+            assert beta.slope(x) == pytest.approx(float(beta.pdf(x)), rel=1e-13)
+    # the segment slope is exact, and right-handed at a knot
+    assert empirical.slope(0.1) == pytest.approx(0.05 / 0.3, rel=1e-15)
+    assert empirical.slope(0.3) == pytest.approx(0.25 / 0.31, rel=1e-15)
+    assert empirical.slope(1.0) == pytest.approx(0.4 / 0.15, rel=1e-15)
+
+
+def test_plateau_distances_match_the_scalar_distance_bit_for_bit():
+    economy, groups, uniform = uniform_reference()
+    score_group = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
+    cases = [
+        (uniform, groups, (0.2, 0.3)),
+        (uniform, groups, (0.6, 0.3)),
+        (steep_scores(), score_group, (1.0,)),
+        (empirical_scores(), score_group, (0.4,)),
+    ]
+    for model, grps, rates in cases:
+        state = QualificationState(ids=tuple(g.id for g in grps), rates=rates)
+        sub = np.linspace(0.0005, 0.9, 1025)
+        scalar = np.array(
+            [features._response_distance(model, economy, grps, state, th) for th in sub]
+        )
+        assert np.array_equal(
+            features._response_distances(model, economy, grps, state, sub), scalar
+        )
+
+
+def test_grid_table_fill_is_safe_under_threads():
+    # More threads than cores race on an empty cache with a short switch
+    # interval; every one must get the single stored table and the same answer.
+    model = steep_scores()
+    economy = EconomyConfig(wage=1.0)
+    group = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
+    state = QualificationState(ids=("g",), rates=(0.42,))
+    tables, thetas = [], []
+    barrier = threading.Barrier(8)
+
+    def work():
+        barrier.wait(timeout=10)
+        tables.append(features._grid_rates(model, 2001)[1])
+        thetas.append(institution_best_response(model, economy, group, state))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(tables) == 8 and all(t is tables[0] for t in tables)
+    assert list(model._grid_cache) == [2001]
+    assert len(set(thetas)) == 1
