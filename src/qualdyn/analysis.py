@@ -22,6 +22,7 @@ from .core import (
     GroupSpec,
     QualificationState,
     balance as state_balance,
+    institutional_utility,
     normalize_groups,
     response_rate,
 )
@@ -62,8 +63,7 @@ class EquilibriumRecord:
     """One equilibrium (or limit cycle) with everything a report needs.
 
     stability is the basin-probe verdict (the authoritative label);
-    derivative_stable is the one-group |Phi'| < 1 test and slope_stable
-    the decomposed G'(w beta) < |beta'| probe, both recorded for
+    derivative_stable is the one-group |Phi'| < 1 test, recorded for
     comparison but never used to overrule the basin verdict.
     """
 
@@ -74,7 +74,6 @@ class EquilibriumRecord:
     stability: Stability = NOT_ASSESSED
     residual: float | None = None
     derivative_stable: bool | None = None
-    slope_stable: bool | None = None
     cycle: tuple[QualificationState, ...] | None = None
     period: int | None = None
 
@@ -486,7 +485,6 @@ def _scan_one_group(
     for idx, (x, residual, th) in enumerate(kept):
         state = QualificationState(ids=(group.id,), rates=(x,))
         d_stable = _derivative_stable(phi, x)
-        slope_ok = _slope_stable(phi, model, group, economy, x)
         if residual <= config.fix_tol:
             stability = classify_stability(
                 economy, (group,), model, state, config, seed=seed
@@ -509,7 +507,6 @@ def _scan_one_group(
                 stability=stability,
                 residual=residual,
                 derivative_stable=d_stable,
-                slope_stable=slope_ok,
             )
         )
     return tuple(records)
@@ -522,29 +519,6 @@ def _derivative_stable(phi, x: float, delta: float = 1e-6) -> bool | None:
         return None
     slope = (phi(hi)[0] - phi(lo)[0]) / (hi - lo)
     return abs(slope) < 1.0
-
-
-def _slope_stable(phi, model, group, economy, x: float, delta: float = 1e-5) -> bool | None:
-    """The decomposed local-stability test G'(w beta(pi)) < |beta'(pi)|,
-    recorded for reference only (see the derivative test for the standard
-    chain-rule criterion)."""
-
-    def beta_at(v: float) -> float:
-        _, th = phi(v)
-        tpr, fpr = model.tpr_fpr(group.id, th)
-        return tpr - fpr
-
-    lo = max(0.0, x - delta)
-    hi = min(1.0, x + delta)
-    if hi <= lo:
-        return None
-    beta_x = beta_at(x)
-    dbeta = (beta_at(hi) - beta_at(lo)) / (hi - lo)
-    arg = economy.wage * beta_x
-    g_lo = group.cost.cdf(arg - delta)
-    g_hi = group.cost.cdf(arg + delta)
-    g_prime = (g_hi - g_lo) / (2.0 * delta)
-    return g_prime < abs(dbeta)
 
 
 def _multi_starts(n_groups: int, grid: int) -> list[tuple[float, ...]]:
@@ -860,7 +834,7 @@ def compare_equilibria(
     util: dict[str, float] = {}
     for r in equilibria:
         if r.kind == "FixedPoint" and r.theta is not None:
-            util[r.label] = _utility_of(economy, groups, model, r.theta, r.state)
+            util[r.label] = institutional_utility(economy, groups, model, r.theta, r.state)
     values["utility"] = util
 
     rankings = {}
@@ -871,16 +845,6 @@ def compare_equilibria(
     report = RankingReport(rankings=rankings, values=values)
     _validate_uniform_lemmas(report, equilibria, economy, model, ids)
     return report
-
-
-def _utility_of(economy, groups, model, theta, state) -> float:
-    total = 0.0
-    for g, pi in zip(groups, state.rates):
-        tpr, fpr = model.tpr_fpr(g.id, theta)
-        total += g.proportion * (
-            economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
-        )
-    return total
 
 
 def _tiers(vals: Mapping[str, float], reverse: bool, tol: float):

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -34,13 +33,13 @@ from .costs import from_config as cost_from_config
 from .costs import subsidize
 from .dynamics import (
     DynamicsConfig,
-    DynamicsOutcome,
     FixedPoint,
     LimitCycle,
     NonConverged,
     cycle_average,
     dynamics_from_config,
     iterate,
+    settled_state,
     step,
     trace_lines,
 )
@@ -274,14 +273,18 @@ def scenario_to_config(scenario: Scenario) -> dict:
     return cfg
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_scenario(path) -> Scenario:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return scenario_from_config(obj)
 
@@ -310,15 +313,6 @@ def _parse_init(text: str, groups: tuple[GroupSpec, ...]) -> QualificationState:
     return QualificationState(
         ids=tuple(g.id for g in groups), rates=tuple(values)
     )
-
-
-def _settled_state(outcome: DynamicsOutcome) -> QualificationState:
-    verdict = outcome.verdict
-    if isinstance(verdict, FixedPoint):
-        return verdict.state
-    if isinstance(verdict, LimitCycle):
-        return cycle_average(outcome)
-    return verdict.last
 
 
 def _fmt_state(state: QualificationState) -> str:
@@ -429,24 +423,26 @@ def cmd_sweep(args) -> int:
         header += ["decoupled_verdict"]
         header += [f"delta_{gid}" for gid in ids]
 
+    def resting(outcome) -> QualificationState:
+        state = settled_state(outcome)
+        return outcome.verdict.last if state is None else state
+
     def one_row(start) -> list[str]:
         init_cells, state = start
         joint = iterate(economy, groups, model, state, joint_cfg)
-        joint_pi = _settled_state(joint)
+        joint_pi = resting(joint)
         row = [repr(v) for v in init_cells]
         row += [repr(r) for r in joint_pi.rates]
         row.append(joint.verdict.name)
         if want_decoupled:
             dec = iterate(economy, groups, model, state, dec_cfg)
-            dec_pi = _settled_state(dec)
+            dec_pi = resting(dec)
             row += [repr(r) for r in dec_pi.rates]
             row.append(dec.verdict.name)
             row += [repr(d - j) for d, j in zip(dec_pi.rates, joint_pi.rates)]
         return row
 
-    # Rows are independent; run them concurrently but emit in grid order.
-    with ThreadPoolExecutor(max_workers=min(8, len(starts))) as pool:
-        rows = list(pool.map(one_row, starts))
+    rows = [one_row(start) for start in starts]
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -159,6 +159,21 @@ def _check_group_index(groups: tuple[GroupSpec, ...], state: QualificationState)
         )
 
 
+def _utility_from_rates(economy: EconomyConfig, groups, rates, pis):
+    """Sum over groups of n_a * (payoff_tp * TPR_a * pi_a - cost_fp * FPR_a * (1 - pi_a)).
+
+    rates holds each group's (TPR, FPR) in group order, as floats or as equal
+    arrays over a grid of parameters; either way the sum starts at 0.0 and adds
+    the terms in group order, so scalar and grid utilities agree bit for bit.
+    """
+    total = 0.0
+    for g, (tpr, fpr), pi in zip(groups, rates, pis):
+        total = total + g.proportion * (
+            economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
+        )
+    return total
+
+
 def institutional_utility(
     economy: EconomyConfig,
     groups: tuple[GroupSpec, ...],
@@ -168,18 +183,17 @@ def institutional_utility(
 ) -> float:
     """Expected institution payoff at assessment parameter theta.
 
-    Sums, over groups, payoff_tp * TPR_a * pi_a * n_a minus
-    cost_fp * FPR_a * (1 - pi_a) * n_a. Linear in each rate with theta held
-    fixed.
+    theta is one parameter shared by all groups or a mapping group id ->
+    parameter for decoupled rules. Sums, over groups, payoff_tp * TPR_a *
+    pi_a * n_a minus cost_fp * FPR_a * (1 - pi_a) * n_a. Linear in each rate
+    with theta held fixed.
     """
     _check_group_index(groups, state)
-    total = 0.0
-    for g, pi in zip(groups, state.rates):
-        tpr, fpr = model.tpr_fpr(g.id, theta)
-        total += g.proportion * (
-            economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
-        )
-    return total
+    rates = [
+        model.tpr_fpr(g.id, theta[g.id] if isinstance(theta, Mapping) else theta)
+        for g in groups
+    ]
+    return _utility_from_rates(economy, groups, rates, state.rates)
 
 
 def balance(state: QualificationState) -> float:

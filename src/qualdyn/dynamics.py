@@ -21,6 +21,7 @@ from .core import (
     QualificationState,
     RATE_TOL,
     balance,
+    institutional_utility,
     normalize_groups,
     response_rate,
 )
@@ -192,17 +193,6 @@ def individual_best_response(
     return QualificationState(ids=tuple(g.id for g in groups), rates=tuple(rates))
 
 
-def _utility(economy, groups, model, theta, state: QualificationState) -> float:
-    total = 0.0
-    for g, pi in zip(groups, state.rates):
-        th = theta[g.id] if isinstance(theta, Mapping) else theta
-        tpr, fpr = model.tpr_fpr(g.id, th)
-        total += g.proportion * (
-            economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
-        )
-    return total
-
-
 def step(
     economy: EconomyConfig,
     groups: Sequence[GroupSpec],
@@ -269,7 +259,7 @@ def iterate(
                 t=t,
                 state=new_state,
                 theta=theta,
-                utility=_utility(economy, groups, model, theta, new_state),
+                utility=institutional_utility(economy, groups, model, theta, new_state),
                 balance=balance(new_state),
             )
         )
@@ -385,6 +375,16 @@ def cycle_average(outcome: DynamicsOutcome) -> QualificationState:
     states = outcome.verdict.states
     mean = np.mean([s.rates for s in states], axis=0)
     return QualificationState(ids=states[0].ids, rates=tuple(float(x) for x in mean))
+
+
+def settled_state(outcome: DynamicsOutcome) -> QualificationState | None:
+    """Resting state of a run: the fixed point, the cycle average, or None
+    when the run never settled."""
+    if isinstance(outcome.verdict, FixedPoint):
+        return outcome.verdict.state
+    if isinstance(outcome.verdict, LimitCycle):
+        return cycle_average(outcome)
+    return None
 
 
 # ---------------------------------------------------------------------------

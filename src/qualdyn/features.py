@@ -20,10 +20,13 @@ scalar models, in order:
 * Reject-all. If no grid point earns a positive utility the answer is 1.0,
   where utility is exactly 0.
 * Plateau. If neighbouring grid points tie the maximum within
-  _PLATEAU_RTOL * max(1, |max|), the flat stretch is resolved by the
+  _PLATEAU_RTOL * sum_a n_a (p TPR_a pi_a + c FPR_a (1 - pi_a)), the size
+  of the winner's utility terms, the flat stretch is resolved by the
   response-preserving tie-break (the point whose induced population
   response is closest to the state), so an indifference state maps to
-  itself.
+  itself. Since the slack scales with the terms rather than with U, a
+  utility that is tiny because pi is tiny (U ~ 1e-16 near pi = 0) is not
+  mistaken for a plateau.
 * Unique winner. Otherwise, with winner theta_i, the bracket is
   [theta_(i-1), theta_(i+1)], cut at 0 and 1. On it the sign of
   dU/dtheta = sum_a n_a (p pi_a TPR_a' - c (1 - pi_a) FPR_a') is bisected
@@ -65,15 +68,19 @@ from .core import (
     GroupSpec,
     QualificationState,
     RATE_TOL,
+    _check_group_index,
+    _utility_from_rates,
+    institutional_utility,
     response_rate,
 )
 from .errors import ConfigurationError, DomainError, ParameterError
 
 DEFAULT_GRID = 2001  # step 5e-4 over [0, 1]
 
-# Relative slack under the grid maximum within which utilities count as tied.
-# Exact indifference states evaluate with about one ulp of spread across the
-# flat stretch; genuinely sloped utilities clear this by many orders.
+# Slack under the grid maximum within which utilities count as tied, relative
+# to the size of the winner's utility terms. Exact indifference states
+# evaluate with about one ulp of spread across the flat stretch; genuinely
+# sloped utilities clear this by many orders.
 _PLATEAU_RTOL = 1e-15
 
 
@@ -111,8 +118,15 @@ class BetaScore:
     def pdf(self, x):
         a, b = self.alpha, self.beta
         x = np.asarray(x, dtype=float)
+        # A term whose exponent is 0 is skipped, not evaluated as 0 * log(0)
+        # (NaN at an endpoint); elsewhere adding it changes no bit.
+        log_f = 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - self._ln_b)
+            if a != 1.0:
+                log_f = (a - 1.0) * np.log(x)
+            if b != 1.0:
+                log_f = log_f + (b - 1.0) * np.log1p(-x)
+            out = np.exp(log_f - self._ln_b)
         return np.where((x < 0.0) | (x > 1.0), 0.0, out)
 
     def slope(self, x: float) -> float:
@@ -488,23 +502,7 @@ def _utility_grid(
     grid_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     thetas, rates = _grid_rates(model, grid_size)
-    util = np.zeros_like(thetas)
-    for g, pi in zip(groups, state.rates):
-        tpr, fpr = rates[g.id]
-        util += g.proportion * (
-            economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
-        )
-    return thetas, util
-
-
-def _utility_at(model, economy, groups, state, theta: float) -> float:
-    total = 0.0
-    for g, pi in zip(groups, state.rates):
-        tpr, fpr = model.tpr_fpr(g.id, theta)
-        total += g.proportion * (
-            economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
-        )
-    return total
+    return thetas, _utility_from_rates(economy, groups, [rates[g.id] for g in groups], state.rates)
 
 
 def _utility_slope(model, economy, groups, state):
@@ -598,8 +596,14 @@ def _scalar_best_response(
         # No cut point earns a positive payoff: reject everyone. theta=1
         # always attains utility exactly 0, so it is inside the argmax set.
         return 1.0
-    tol = _PLATEAU_RTOL * max(1.0, abs(u_max))
-    tied = util >= u_max - tol
+    # Rounding in U is relative to the size of its terms, not of U itself.
+    _, rates = _grid_rates(model, grid_size)
+    scale = sum(
+        g.proportion * (economy.payoff_tp * rates[g.id][0][i_best] * pi
+                        + economy.cost_fp * rates[g.id][1][i_best] * (1.0 - pi))
+        for g, pi in zip(groups, state.rates)
+    )
+    tied = util >= u_max - _PLATEAU_RTOL * scale
     lo_i = i_best
     while lo_i > 0 and tied[lo_i - 1]:
         lo_i -= 1
@@ -615,7 +619,7 @@ def _scalar_best_response(
         a = float(thetas[max(i_best - 1, 0)])
         b = float(thetas[min(i_best + 1, grid_size - 1)])
         refined = _bisect_slope(_utility_slope(model, economy, groups, state), a, b)
-        gain = _utility_at(model, economy, groups, state, refined) - u_max
+        gain = institutional_utility(economy, groups, model, refined, state) - u_max
         if gain > 1e-15 * max(1.0, abs(u_max)):
             return refined
         return float(thetas[i_best])
@@ -646,16 +650,6 @@ def _gaussian_weights(
     return w1, w2
 
 
-def gaussian_tiebreak(model: GaussianHalfspace, state: QualificationState) -> np.ndarray:
-    """Tie-breaking hyperplane when every point of the arc is optimal.
-
-    With equal group rates (and unequal institution payoffs) the whole
-    geodesic is utility-maximizing; the convention is the normalized
-    midpoint of the two group boundaries.
-    """
-    return model.midpoint
-
-
 def _gaussian_best_response(
     model: GaussianHalfspace,
     economy: EconomyConfig,
@@ -672,21 +666,15 @@ def _gaussian_best_response(
     else:
         tied = abs(w1 - w2) <= tie_tol * max(1.0, w1, w2)
     if tied:
-        return gaussian_tiebreak(model, state)
+        # The whole arc is optimal; the convention is the boundaries' midpoint.
+        return model.midpoint
     # The objective along the arc is linear in the arc fraction (the angles
     # to the two boundaries are t*ang and (1-t)*ang), so its maximum sits at
     # an endpoint; an exact tie goes to t=0.
     ang = model.pair_angle
-    p, c = economy.payoff_tp, economy.cost_fp
-    pi1, pi2 = state.rates
-    n1, n2 = groups[0].proportion, groups[1].proportion
-
-    def util(ang1: float, ang2: float) -> float:
-        return n1 * (p * (1.0 - ang1) * pi1 - c * ang1 * (1.0 - pi1)) + n2 * (
-            p * (1.0 - ang2) * pi2 - c * ang2 * (1.0 - pi2)
-        )
-
-    return model.arc_point(0.0 if util(0.0, ang) >= util(ang, 0.0) else 1.0)
+    at_first = _utility_from_rates(economy, groups, ((1.0, 0.0), (1.0 - ang, ang)), state.rates)
+    at_second = _utility_from_rates(economy, groups, ((1.0 - ang, ang), (1.0, 0.0)), state.rates)
+    return model.arc_point(0.0 if at_first >= at_second else 1.0)
 
 
 def institution_best_response(
@@ -741,15 +729,11 @@ def decoupled_best_response(
 
 
 def _check_alignment(model, groups: tuple[GroupSpec, ...], state: QualificationState) -> None:
-    group_ids = tuple(g.id for g in groups)
-    if group_ids != state.ids:
-        raise ConfigurationError(
-            f"state groups {state.ids} do not match economy groups {group_ids}"
-        )
+    _check_group_index(groups, state)
     model_ids = tuple(model.group_ids)
-    if model_ids != group_ids:
+    if model_ids != state.ids:
         raise ConfigurationError(
-            f"feature model groups {model_ids} do not match economy groups {group_ids}"
+            f"feature model groups {model_ids} do not match economy groups {state.ids}"
         )
 
 
@@ -853,6 +837,28 @@ def _score_dist_from_config(obj: Mapping, path: str) -> BetaScore | EmpiricalSco
     )
 
 
+def _score_model_from_config(groups: Mapping, path: str) -> ScoreModel:
+    curves = {}
+    for gid, spec in groups.items():
+        if not isinstance(spec, Mapping) or set(spec) != {"y1", "y0"}:
+            raise ConfigurationError(
+                f"{path}.groups.{gid}: expected exactly the fields y1 and y0"
+            )
+        curves[str(gid)] = GroupScores(
+            y1=_score_dist_from_config(spec["y1"], f"{path}.groups.{gid}.y1"),
+            y0=_score_dist_from_config(spec["y0"], f"{path}.groups.{gid}.y0"),
+        )
+    return ScoreModel(tuple(sorted(curves.items())))
+
+
+# variant -> (its one field, keyed by group id; builder from that field and the path)
+_VARIANTS = {
+    "uniform_threshold": ("thresholds", lambda value, _: UniformThreshold(value)),
+    "gaussian_halfspace": ("vectors", lambda value, _: GaussianHalfspace(value)),
+    "score": ("groups", _score_model_from_config),
+}
+
+
 def from_config(obj: Mapping, group_ids: Sequence[str], path: str = "features"):
     """Build a feature model from a scenario-config mapping.
 
@@ -864,53 +870,21 @@ def from_config(obj: Mapping, group_ids: Sequence[str], path: str = "features"):
     if "variant" not in obj:
         raise ConfigurationError(f"{path}.variant: missing required field")
     variant = obj["variant"]
+    if not isinstance(variant, str) or variant not in _VARIANTS:
+        raise ConfigurationError(f"{path}.variant: unknown variant {variant!r}")
+    field, build = _VARIANTS[variant]
+    extra = set(obj) - {"variant", field}
+    if extra:
+        raise ConfigurationError(f"{path}.{sorted(extra)[0]}: unknown field")
+    if field not in obj:
+        raise ConfigurationError(f"{path}.{field}: missing required field")
     expected = tuple(sorted(group_ids))
-
-    def check_cover(mapping: Mapping, field: str) -> None:
-        got = tuple(sorted(str(k) for k in mapping))
-        if got != expected:
-            raise ConfigurationError(
-                f"{path}.{field}: groups {list(got)} do not match economy groups {list(expected)}"
-            )
-
-    if variant == "uniform_threshold":
-        extra = set(obj) - {"variant", "thresholds"}
-        if extra:
-            raise ConfigurationError(f"{path}.{sorted(extra)[0]}: unknown field")
-        if "thresholds" not in obj:
-            raise ConfigurationError(f"{path}.thresholds: missing required field")
-        check_cover(obj["thresholds"], "thresholds")
-        try:
-            return UniformThreshold(obj["thresholds"])
-        except ParameterError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
-    if variant == "gaussian_halfspace":
-        extra = set(obj) - {"variant", "vectors"}
-        if extra:
-            raise ConfigurationError(f"{path}.{sorted(extra)[0]}: unknown field")
-        if "vectors" not in obj:
-            raise ConfigurationError(f"{path}.vectors: missing required field")
-        check_cover(obj["vectors"], "vectors")
-        try:
-            return GaussianHalfspace(obj["vectors"])
-        except ParameterError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
-    if variant == "score":
-        extra = set(obj) - {"variant", "groups"}
-        if extra:
-            raise ConfigurationError(f"{path}.{sorted(extra)[0]}: unknown field")
-        if "groups" not in obj:
-            raise ConfigurationError(f"{path}.groups: missing required field")
-        check_cover(obj["groups"], "groups")
-        curves = {}
-        for gid, spec in obj["groups"].items():
-            if not isinstance(spec, Mapping) or set(spec) != {"y1", "y0"}:
-                raise ConfigurationError(
-                    f"{path}.groups.{gid}: expected exactly the fields y1 and y0"
-                )
-            curves[str(gid)] = GroupScores(
-                y1=_score_dist_from_config(spec["y1"], f"{path}.groups.{gid}.y1"),
-                y0=_score_dist_from_config(spec["y0"], f"{path}.groups.{gid}.y0"),
-            )
-        return ScoreModel(tuple(sorted(curves.items())))
-    raise ConfigurationError(f"{path}.variant: unknown variant {variant!r}")
+    got = tuple(sorted(str(k) for k in obj[field]))
+    if got != expected:
+        raise ConfigurationError(
+            f"{path}.{field}: groups {list(got)} do not match economy groups {list(expected)}"
+        )
+    try:
+        return build(obj[field], path)
+    except ParameterError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc

@@ -32,8 +32,8 @@ from .dynamics import (
     FixedPoint,
     LimitCycle,
     classify_stability,
-    cycle_average,
     iterate,
+    settled_state,
     step,
 )
 from .errors import ConfigurationError
@@ -63,15 +63,6 @@ def _check(name: str, fn) -> CheckResult:
     except Exception as exc:  # noqa: BLE001
         return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
     return CheckResult(name, bool(passed), detail)
-
-
-def _settled(outcome) -> QualificationState | None:
-    """Resting state of a run: the fixed point or the cycle average."""
-    if isinstance(outcome.verdict, FixedPoint):
-        return outcome.verdict.state
-    if isinstance(outcome.verdict, LimitCycle):
-        return cycle_average(outcome)
-    return None
 
 
 def _fmt_rates(state: QualificationState) -> str:
@@ -178,7 +169,7 @@ def criterion_uniform_unstable() -> list[CheckResult]:
                 rates = dict(mid.state.as_mapping())
                 rates[gid] = min(1.0, max(0.0, rates[gid] + delta))
                 out = iterate(economy, groups, model, QualificationState.of(rates), config)
-                state = _settled(out)
+                state = settled_state(out)
                 if state is None or not isinstance(out.verdict, FixedPoint):
                     return False, f"{gid}{delta:+g} gave {out.verdict.name}"
                 dists = [state.sup_distance(c) for c in corners]
@@ -576,8 +567,8 @@ def criterion_decoupling() -> list[CheckResult]:
         deltas = []
         for r in np.linspace(0.0, 1.0, 11):
             start = QualificationState.of({"a": float(r), "b": float(r)})
-            joint = _settled(iterate(econ2, groups2, model2, start, joint_cfg))
-            dec = _settled(iterate(econ2, groups2, model2, start, dec_cfg))
+            joint = settled_state(iterate(econ2, groups2, model2, start, joint_cfg))
+            dec = settled_state(iterate(econ2, groups2, model2, start, dec_cfg))
             if joint is None or dec is None:
                 return False, f"run from {float(r):.1f} did not settle"
             deltas.append(dec.rate("b") - joint.rate("b"))

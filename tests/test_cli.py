@@ -128,6 +128,16 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
     assert "error:" in capsys.readouterr().err
+    # JSON has no NaN or Infinity; a cost mean of NaN must not run.
+    cfg = uniform_scenario()
+    cfg["groups"][0]["cost"] = {"kind": "truncated_normal", "mu": float("nan"), "sigma": 0.1}
+    path = write_scenario(tmp_path, cfg)
+    assert main(["run", "--config", path]) == 1
+    assert "NaN is not a JSON number" in capsys.readouterr().err
+    for constant in ("Infinity", "-Infinity"):
+        bad.write_text(json.dumps(uniform_scenario()).replace("0.6", constant, 1))
+        assert main(["run", "--config", str(bad)]) == 1
+        assert f"{constant} is not a JSON number" in capsys.readouterr().err
 
 
 def test_sweep_grid_output_and_determinism(tmp_path, capsys):

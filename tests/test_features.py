@@ -26,11 +26,12 @@ from qualdyn import (
     UniformThreshold,
     coate_loury_threshold,
     decoupled_best_response,
-    gaussian_tiebreak,
     institution_best_response,
+    institutional_utility,
     normalized_angle,
 )
-from qualdyn import features
+from qualdyn import core, features
+from qualdyn.analysis import uniform_closed_forms
 
 
 def uniform_reference():
@@ -83,6 +84,14 @@ def test_beta_score_matches_reference_distribution():
     assert dist.cdf(1.5) == 1.0
     with pytest.raises(ParameterError):
         BetaScore(alpha=0.0, beta=2.0)
+    # An exponent of 0 adds nothing, also at the endpoint where its log is
+    # -inf; inside (0, 1) the density keeps the full formula's bits.
+    for a, b, edge in ((1.0, 2.0, 0.0), (2.0, 1.0, 1.0)):
+        dist = BetaScore(a, b)
+        assert dist.pdf(edge) == pytest.approx(2.0, rel=1e-15)
+        assert dist.slope(edge) == pytest.approx(2.0, rel=1e-15)
+        full = np.exp((a - 1.0) * np.log(interior) + (b - 1.0) * np.log1p(-interior) - dist._ln_b)
+        assert np.array_equal(dist.pdf(interior), full)
 
 
 def test_empirical_score_interpolates_and_validates():
@@ -215,7 +224,6 @@ def test_halfspace_tie_goes_to_midpoint():
     state = QualificationState(ids=("g1", "g2"), rates=(0.4, 0.4))
     theta = institution_best_response(model, economy, groups, state)
     np.testing.assert_allclose(theta, model.midpoint, atol=1e-12)
-    np.testing.assert_allclose(gaussian_tiebreak(model, state), model.midpoint)
 
 
 def test_decoupled_best_response_scalar_and_halfspace():
@@ -390,6 +398,8 @@ def test_one_group_beta_best_response_matches_likelihood_ratio_condition(payoff_
 
 
 def test_cached_grid_utility_equals_the_uncached_one_bit_for_bit():
+    # One kernel serves the grid, a scalar theta, a group->theta mapping and
+    # the halfspace arc endpoints, so every path gives the same bits.
     economy, groups, uniform = uniform_reference()
     cases = [
         (uniform, groups, (0.6, 0.3)),
@@ -410,6 +420,33 @@ def test_cached_grid_utility_equals_the_uncached_one_bit_for_bit():
                 got_thetas, util = features._utility_grid(model, economy, grps, state, grid_size)
                 assert np.array_equal(got_thetas, thetas)
                 assert np.array_equal(util, expected)
+            for i in (0, grid_size // 3, grid_size // 2, grid_size - 1):
+                theta = float(thetas[i])
+                assert institutional_utility(economy, grps, model, theta, state) == util[i]
+                shared = {g.id: theta for g in grps}
+                assert institutional_utility(economy, grps, model, shared, state) == util[i]
+
+    state = QualificationState(ids=("a1", "a2"), rates=(0.6, 0.3))
+    per_group = {"a1": 0.3, "a2": 0.7}
+    expected = 0.0
+    for g, pi in zip(groups, state.rates):
+        tpr, fpr = uniform.tpr_fpr(g.id, per_group[g.id])
+        expected += g.proportion * (
+            economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
+        )
+    assert institutional_utility(economy, groups, uniform, per_group, state) == expected
+
+    halfspace = GaussianHalfspace((("a1", (1.0, 0.0)), ("a2", (0.0, 1.0))))
+    ang = halfspace.pair_angle
+    for t, rates in ((0.0, ((1.0, 0.0), (1.0 - ang, ang))), (1.0, ((1.0 - ang, ang), (1.0, 0.0)))):
+        expected = 0.0
+        for g, (tpr, fpr), pi in zip(groups, rates, state.rates):
+            expected += g.proportion * (
+                economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
+            )
+        assert core._utility_from_rates(economy, groups, rates, state.rates) == expected
+        theta = halfspace.arc_point(t)
+        assert institutional_utility(economy, groups, halfspace, theta, state) == expected
 
 
 def test_grid_tables_are_per_model_and_per_grid_size():
@@ -479,6 +516,31 @@ def test_plateau_distances_match_the_scalar_distance_bit_for_bit():
         assert np.array_equal(
             features._response_distances(model, economy, grps, state, sub), scalar
         )
+
+
+def test_plateau_tie_break_needs_a_tie_beyond_rounding(monkeypatch):
+    # Near pi = 0 the utility is ~1e-16 everywhere, so grid points can agree to
+    # within 1e-15 without tying; the tie slack scales with the utility's terms.
+    calls = []
+    real = features._response_distances
+    monkeypatch.setattr(
+        features, "_response_distances", lambda *args: calls.append(1) or real(*args)
+    )
+
+    def takes_plateau(model, economy, grps, state) -> bool:
+        calls.clear()
+        institution_best_response(model, economy, grps, state)
+        return bool(calls)
+
+    score_group = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
+    economy = EconomyConfig(wage=1.0)
+    for pi, tied in ((1e-10, False), (2.5e-10, False), (1.0, True)):
+        state = QualificationState(ids=("g",), rates=(pi,))
+        assert takes_plateau(steep_scores(), economy, score_group, state) is tied
+    economy, groups, uniform = uniform_reference()
+    table = uniform_closed_forms(0.4, 0.8, 0.6, economy, groups)
+    mid = next(r.state for r in table.records if r.label == "h_mid")
+    assert takes_plateau(uniform, economy, groups, mid)
 
 
 def test_grid_table_fill_is_safe_under_threads():
