@@ -701,14 +701,11 @@ def subsidy_equilibrium_shift(
         raise PreconditionError(
             "the subsidized cost CDF does not dominate the base CDF pointwise"
         )
-    base_cfg = base_cost.to_config()
-    switched = [g.id for g in groups if g.cost.to_config() == base_cfg]
+    switched = [g.id for g in groups if g.cost == base_cost]
     if not switched:
         raise ConfigurationError("no group uses the base cost model")
     groups_bar = tuple(
-        GroupSpec(id=g.id, proportion=g.proportion, cost=new_cost)
-        if g.cost.to_config() == base_cfg
-        else g
+        GroupSpec(id=g.id, proportion=g.proportion, cost=new_cost) if g.cost == base_cost else g
         for g in groups
     )
 

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,7 +28,15 @@ from .analysis import (
     gaussian_closed_forms,
     uniform_closed_forms,
 )
-from .core import EconomyConfig, GroupSpec, QualificationState, normalize_groups
+from .core import (
+    EconomyConfig,
+    GroupSpec,
+    QualificationState,
+    _check_fields,
+    _config_fields,
+    _number,
+    normalize_groups,
+)
 from .costs import from_config as cost_from_config
 from .costs import subsidize
 from .dynamics import (
@@ -58,8 +66,7 @@ from .ingest import fit_beta, fit_beta_resampled, load_histogram, to_score_model
 CONFIG_VERSION = 1
 
 _TOP_FIELDS = {"version", "economy", "groups", "features", "dynamics", "intervention", "seed"}
-_ECONOMY_FIELDS = {"wage", "payoff_tp", "cost_fp"}
-_GROUP_FIELDS = {"id", "proportion", "cost"}
+_TOP_REQUIRED = {"version", "economy", "groups", "features"}
 _INTERVENTION_FIELDS = {"decouple", "subsidy"}
 _SUBSIDY_FIELDS = {"group", "transform"}
 
@@ -108,40 +115,16 @@ class Scenario:
         return self.dynamics
 
 
-def _require_mapping(obj, path: str) -> Mapping:
-    if not isinstance(obj, Mapping):
-        raise ConfigurationError(f"{path}: expected a mapping, got {type(obj).__name__}")
-    return obj
-
-
-def _number(obj, path: str) -> float:
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-        raise ConfigurationError(f"{path}: expected a number, got {obj!r}")
-    return float(obj)
-
-
 def _economy_from_config(obj, path: str = "economy") -> EconomyConfig:
-    obj = _require_mapping(obj, path)
-    unknown = set(obj) - _ECONOMY_FIELDS
-    if unknown:
-        raise ConfigurationError(f"{path}.{sorted(unknown)[0]}: unknown field")
-    if "wage" not in obj:
-        raise ConfigurationError(f"{path}.wage: missing required field")
-    kwargs = {k: _number(v, f"{path}.{k}") for k, v in obj.items()}
+    _check_fields(obj, path, *_config_fields(EconomyConfig))
     try:
-        return EconomyConfig(**kwargs)
+        return EconomyConfig(**{k: _number(v, f"{path}.{k}") for k, v in obj.items()})
     except ParameterError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def _group_from_config(obj, path: str) -> GroupSpec:
-    obj = _require_mapping(obj, path)
-    unknown = set(obj) - _GROUP_FIELDS
-    if unknown:
-        raise ConfigurationError(f"{path}.{sorted(unknown)[0]}: unknown field")
-    missing = _GROUP_FIELDS - set(obj)
-    if missing:
-        raise ConfigurationError(f"{path}.{sorted(missing)[0]}: missing required field")
+    _check_fields(obj, path, *_config_fields(GroupSpec))
     if not isinstance(obj["id"], str):
         raise ConfigurationError(f"{path}.id: expected a string, got {obj['id']!r}")
     try:
@@ -155,26 +138,19 @@ def _group_from_config(obj, path: str) -> GroupSpec:
 
 
 def _subsidy_from_config(obj, group_ids: Sequence[str], path: str) -> SubsidySpec:
-    obj = _require_mapping(obj, path)
-    unknown = set(obj) - _SUBSIDY_FIELDS
-    if unknown:
-        raise ConfigurationError(f"{path}.{sorted(unknown)[0]}: unknown field")
-    missing = _SUBSIDY_FIELDS - set(obj)
-    if missing:
-        raise ConfigurationError(f"{path}.{sorted(missing)[0]}: missing required field")
+    _check_fields(obj, path, _SUBSIDY_FIELDS, _SUBSIDY_FIELDS)
     group = obj["group"]
     if group not in group_ids:
         raise ConfigurationError(
             f"{path}.group: {group!r} is not one of the declared groups {sorted(group_ids)}"
         )
-    transform = _require_mapping(obj["transform"], f"{path}.transform")
-    keys = set(transform)
-    if len(keys) != 1 or not keys <= {"shift", "scale"}:
+    transform = _check_fields(obj["transform"], f"{path}.transform", ("shift", "scale"))
+    if len(transform) != 1:
         raise ConfigurationError(
-            f"{path}.transform: expected exactly one of shift or scale, got {sorted(keys)}"
+            f"{path}.transform: expected exactly one of shift or scale, got {sorted(transform)}"
         )
-    method = next(iter(keys))
-    amount = _number(transform[method], f"{path}.transform.{method}")
+    ((method, amount),) = transform.items()
+    amount = _number(amount, f"{path}.transform.{method}")
     if method == "shift" and amount < 0.0:
         raise ConfigurationError(f"{path}.transform.shift: must be >= 0, got {amount}")
     if method == "scale" and amount < 1.0:
@@ -184,19 +160,11 @@ def _subsidy_from_config(obj, group_ids: Sequence[str], path: str) -> SubsidySpe
 
 def scenario_from_config(obj) -> Scenario:
     """Validate and build a scenario from a parsed config mapping."""
-    obj = _require_mapping(obj, "config")
-    unknown = set(obj) - _TOP_FIELDS
-    if unknown:
-        raise ConfigurationError(f"{sorted(unknown)[0]}: unknown field")
-    if "version" not in obj:
-        raise ConfigurationError("version: missing required field")
+    _check_fields(obj, "", _TOP_FIELDS, _TOP_REQUIRED)
     if obj["version"] != CONFIG_VERSION:
         raise ConfigurationError(
             f"version: unsupported config version {obj['version']!r}; expected {CONFIG_VERSION}"
         )
-    for field in ("economy", "groups", "features"):
-        if field not in obj:
-            raise ConfigurationError(f"{field}: missing required field")
 
     economy = _economy_from_config(obj["economy"])
     raw_groups = obj["groups"]
@@ -215,21 +183,13 @@ def scenario_from_config(obj) -> Scenario:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigurationError(f"seed: expected a non-negative integer, got {seed!r}")
 
-    decouple = False
+    inter = _check_fields(obj.get("intervention", {}), "intervention", _INTERVENTION_FIELDS)
+    decouple = inter.get("decouple", False)
+    if not isinstance(decouple, bool):
+        raise ConfigurationError(f"intervention.decouple: expected a boolean, got {decouple!r}")
     subsidy = None
-    if "intervention" in obj:
-        inter = _require_mapping(obj["intervention"], "intervention")
-        unknown = set(inter) - _INTERVENTION_FIELDS
-        if unknown:
-            raise ConfigurationError(f"intervention.{sorted(unknown)[0]}: unknown field")
-        if "decouple" in inter:
-            if not isinstance(inter["decouple"], bool):
-                raise ConfigurationError(
-                    f"intervention.decouple: expected a boolean, got {inter['decouple']!r}"
-                )
-            decouple = inter["decouple"]
-        if "subsidy" in inter:
-            subsidy = _subsidy_from_config(inter["subsidy"], group_ids, "intervention.subsidy")
+    if "subsidy" in inter:
+        subsidy = _subsidy_from_config(inter["subsidy"], group_ids, "intervention.subsidy")
 
     return Scenario(
         economy=economy,
@@ -244,14 +204,9 @@ def scenario_from_config(obj) -> Scenario:
 
 def scenario_to_config(scenario: Scenario) -> dict:
     """Serialize a scenario back to its canonical config mapping."""
-    economy = scenario.economy
     cfg: dict = {
         "version": CONFIG_VERSION,
-        "economy": {
-            "wage": economy.wage,
-            "payoff_tp": economy.payoff_tp,
-            "cost_fp": economy.cost_fp,
-        },
+        "economy": asdict(scenario.economy),
         "groups": [
             {"id": g.id, "proportion": g.proportion, "cost": g.cost.to_config()}
             for g in scenario.groups
@@ -463,8 +418,7 @@ def cmd_sweep(args) -> int:
 
 def _shared_cost(groups):
     first = groups[0].cost
-    cfg = first.to_config()
-    if all(g.cost.to_config() == cfg for g in groups[1:]):
+    if all(g.cost == first for g in groups[1:]):
         return first
     return None
 

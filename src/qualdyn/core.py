@@ -9,8 +9,10 @@ pure function, so the whole module is safe to use concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol
+import math
+from collections.abc import Collection, Iterable, Mapping
+from dataclasses import MISSING, dataclass, fields
+from typing import Protocol
 
 from .errors import ConfigurationError, ParameterError
 
@@ -34,6 +36,66 @@ class FeatureMap(Protocol):
     def tpr_fpr(self, group: str, theta) -> tuple[float, float]: ...
 
 
+def _is_finite_real(value) -> bool:
+    """A finite int or float that is not a bool: what a number may be in a
+    scenario file or a model parameter."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+# ---------------------------------------------------------------------------
+# Scenario-config reading, shared by every section's reader
+# ---------------------------------------------------------------------------
+
+
+def _check_fields(
+    obj, path: str, allowed: Collection[str] | None = None, required: Collection[str] = ()
+) -> Mapping:
+    """Return obj if it is a mapping with no field outside `allowed` (any
+    field when None) and every field in `required`; otherwise raise a
+    ConfigurationError naming the field as `path.field`, or as bare `field`
+    at the top level, where path is empty."""
+    if not isinstance(obj, Mapping):
+        raise ConfigurationError(
+            f"{path or 'config'}: expected a mapping, got {type(obj).__name__}"
+        )
+    prefix = f"{path}." if path else ""
+    unknown = [] if allowed is None else sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ConfigurationError(f"{prefix}{unknown[0]}: unknown field")
+    missing = sorted(set(required) - set(obj))
+    if missing:
+        raise ConfigurationError(f"{prefix}{missing[0]}: missing required field")
+    return obj
+
+
+def _config_fields(cls) -> tuple[set[str], set[str]]:
+    """A dataclass's config fields: all of them, and those with no default."""
+    found = fields(cls)
+    return {f.name for f in found}, {f.name for f in found if f.default is MISSING}
+
+
+def _number(value, path: str) -> float:
+    """A scenario number as a float; anything but a finite int or float
+    (a string, a bool, or a literal that overflowed to inf) is rejected."""
+    if not _is_finite_real(value):
+        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, path: str, length: int | None = None) -> tuple[float, ...]:
+    """The list form of _number: a list of finite numbers, exactly `length`
+    of them when given, with each entry named as `path[i]`."""
+    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+        size = "" if length is None else f"{length} "
+        raise ConfigurationError(f"{path}: expected a list of {size}numbers, got {values!r}")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(values))
+
+
 @dataclass(frozen=True)
 class EconomyConfig:
     """Institution-side payoffs and the individual-side wage.
@@ -50,8 +112,8 @@ class EconomyConfig:
     def __post_init__(self) -> None:
         for name in ("wage", "payoff_tp", "cost_fp"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ParameterError(f"{name} must be a positive real, got {value!r}")
+            if not (_is_finite_real(value) and value > 0):
+                raise ParameterError(f"{name} must be a positive finite real, got {value!r}")
 
     @property
     def ratio(self) -> float:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Mapping
 
+from .core import _check_fields, _config_fields, _number, _numbers
 from .errors import ConfigurationError, ParameterError, UnsupportedModelError
 
 _SQRT2 = math.sqrt(2.0)
@@ -72,7 +73,17 @@ class CostModel:
         return min(1.0, max(0.0, self._cdf_on_support(x)))
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """The scenario-config mapping: `kind` plus every dataclass field,
+        with a base model nested as its own mapping and knots as lists."""
+        cfg = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, CostModel):
+                value = value.to_config()
+            elif isinstance(value, tuple):
+                value = [list(knot) for knot in value]
+            cfg[f.name] = value
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -95,9 +106,6 @@ class Uniform01(CostModel):
 
     def _cdf_on_support(self, x: float) -> float:
         return x
-
-    def to_config(self) -> dict:
-        return {"kind": "uniform01"}
 
 
 @dataclass(frozen=True)
@@ -142,15 +150,6 @@ class TruncatedNormal(CostModel):
 
     def _cdf_on_support(self, x: float) -> float:
         return (_normal_cdf(self._z(x)) - _normal_cdf(self._z(self.lo))) / self._mass()
-
-    def to_config(self) -> dict:
-        return {
-            "kind": "truncated_normal",
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "lo": self.lo,
-            "hi": self.hi,
-        }
 
 
 @dataclass(frozen=True)
@@ -197,18 +196,6 @@ class BimodalNormal(CostModel):
     def _cdf_on_support(self, x: float) -> float:
         return self.mix * self._c1.cdf(x) + (1.0 - self.mix) * self._c2.cdf(x)
 
-    def to_config(self) -> dict:
-        return {
-            "kind": "bimodal_normal",
-            "mu1": self.mu1,
-            "sigma1": self.sigma1,
-            "mu2": self.mu2,
-            "sigma2": self.sigma2,
-            "mix": self.mix,
-            "lo": self.lo,
-            "hi": self.hi,
-        }
-
 
 @dataclass(frozen=True)
 class EmpiricalCdf(CostModel):
@@ -226,6 +213,8 @@ class EmpiricalCdf(CostModel):
         object.__setattr__(self, "knots", knots)
         if len(knots) < 2:
             raise ParameterError("empirical CDF needs at least 2 knots")
+        if not all(math.isfinite(v) for knot in knots for v in knot):
+            raise ParameterError(f"knots must be finite, got {knots}")
         xs = [x for x, _ in knots]
         ys = [y for _, y in knots]
         if xs[0] < 0.0:
@@ -262,9 +251,6 @@ class EmpiricalCdf(CostModel):
         (x0, y0), (x1, y1) = self.knots[i - 1], self.knots[i]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
-    def to_config(self) -> dict:
-        return {"kind": "empirical", "knots": [[x, y] for x, y in self.knots]}
-
 
 @dataclass(frozen=True)
 class Shifted(CostModel):
@@ -293,9 +279,6 @@ class Shifted(CostModel):
 
     def _cdf_on_support(self, x: float) -> float:
         return self.base.cdf(x + self.delta)
-
-    def to_config(self) -> dict:
-        return {"kind": "shifted", "base": self.base.to_config(), "delta": self.delta}
 
 
 @dataclass(frozen=True)
@@ -326,9 +309,6 @@ class Scaled(CostModel):
 
     def _cdf_on_support(self, x: float) -> float:
         return self.base.cdf(x * self.factor)
-
-    def to_config(self) -> dict:
-        return {"kind": "scaled", "base": self.base.to_config(), "factor": self.factor}
 
 
 def subsidize(
@@ -401,74 +381,40 @@ def dominates(candidate: CostModel, base: CostModel, points: int = 1001) -> bool
     return True
 
 
-_KIND_FIELDS: dict[str, set[str]] = {
-    "uniform01": set(),
-    "truncated_normal": {"mu", "sigma", "lo", "hi"},
-    "bimodal_normal": {"mu1", "sigma1", "mu2", "sigma2", "mix", "lo", "hi"},
-    "empirical": {"knots"},
-    "shifted": {"base", "delta"},
-    "scaled": {"base", "factor"},
+_KINDS = {
+    model.kind: model
+    for model in (Uniform01, TruncatedNormal, BimodalNormal, EmpiricalCdf, Shifted, Scaled)
 }
 
-_KIND_REQUIRED: dict[str, set[str]] = {
-    "uniform01": set(),
-    "truncated_normal": {"mu", "sigma"},
-    "bimodal_normal": {"mu1", "sigma1", "mu2", "sigma2", "mix"},
-    "empirical": {"knots"},
-    "shifted": {"base", "delta"},
-    "scaled": {"base", "factor"},
-}
+
+def _knots_from_config(value, path: str) -> tuple[tuple[float, float], ...]:
+    """A list of [x, F(x)] pairs of finite numbers."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{path}: expected a list of [x, F(x)] pairs, got {value!r}")
+    return tuple(_numbers(pair, f"{path}[{i}]", 2) for i, pair in enumerate(value))
 
 
 def from_config(obj: Mapping, path: str = "cost") -> CostModel:
     """Build a cost model from a scenario-config mapping.
 
-    The mapping needs a `kind` discriminator; unknown kinds and unknown or
-    missing fields are configuration errors naming the offending path.
+    The `kind` discriminator picks the class; its dataclass fields are the
+    allowed ones, and those without a default are required. Unknown kinds,
+    unknown or missing fields and bad values are configuration errors
+    naming the offending path.
     """
-    if not isinstance(obj, Mapping):
-        raise ConfigurationError(f"{path}: expected a mapping, got {type(obj).__name__}")
-    if "kind" not in obj:
-        raise ConfigurationError(f"{path}.kind: missing required field")
-    kind = obj["kind"]
-    if kind not in _KIND_FIELDS:
+    kind = _check_fields(obj, path, required=("kind",))["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigurationError(f"{path}.kind: unknown cost kind {kind!r}")
-    given = set(obj) - {"kind"}
-    unknown = given - _KIND_FIELDS[kind]
-    if unknown:
-        raise ConfigurationError(f"{path}.{sorted(unknown)[0]}: unknown field for kind {kind!r}")
-    missing = _KIND_REQUIRED[kind] - given
-    if missing:
-        raise ConfigurationError(f"{path}.{sorted(missing)[0]}: missing required field")
+    model = _KINDS[kind]
+    names, required = _config_fields(model)
+    _check_fields(obj, path, names | {"kind"}, required)
+    read = {"base": from_config, "knots": _knots_from_config}
+    kwargs = {
+        name: read.get(name, _number)(value, f"{path}.{name}")
+        for name, value in obj.items()
+        if name != "kind"
+    }
     try:
-        if kind == "uniform01":
-            return Uniform01()
-        if kind == "truncated_normal":
-            return TruncatedNormal(
-                mu=float(obj["mu"]),
-                sigma=float(obj["sigma"]),
-                lo=float(obj.get("lo", 0.0)),
-                hi=float(obj.get("hi", 1.0)),
-            )
-        if kind == "bimodal_normal":
-            return BimodalNormal(
-                mu1=float(obj["mu1"]),
-                sigma1=float(obj["sigma1"]),
-                mu2=float(obj["mu2"]),
-                sigma2=float(obj["sigma2"]),
-                mix=float(obj["mix"]),
-                lo=float(obj.get("lo", 0.0)),
-                hi=float(obj.get("hi", 1.0)),
-            )
-        if kind == "empirical":
-            knots = obj["knots"]
-            if not isinstance(knots, Sequence):
-                raise ParameterError("knots must be a sequence of [x, G(x)] pairs")
-            return EmpiricalCdf(tuple((float(x), float(y)) for x, y in knots))
-        if kind == "shifted":
-            return Shifted(from_config(obj["base"], f"{path}.base"), float(obj["delta"]))
-        if kind == "scaled":
-            return Scaled(from_config(obj["base"], f"{path}.base"), float(obj["factor"]))
+        return model(**kwargs)
     except ParameterError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    raise AssertionError("unreachable")

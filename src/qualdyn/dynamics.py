@@ -10,7 +10,7 @@ tie-breaking is fixed), so traces are reproducible bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
@@ -20,6 +20,10 @@ from .core import (
     GroupSpec,
     QualificationState,
     RATE_TOL,
+    _check_fields,
+    _config_fields,
+    _is_finite_real,
+    _number,
     balance,
     institutional_utility,
     normalize_groups,
@@ -62,55 +66,30 @@ class DynamicsConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("joint", "decoupled"):
             raise ParameterError(f"mode must be 'joint' or 'decoupled', got {self.mode!r}")
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise ParameterError(f"max_iters must be a positive integer, got {self.max_iters}")
-        if not self.fix_tol > 0:
-            raise ParameterError(f"fix_tol must be positive, got {self.fix_tol}")
-        if not isinstance(self.cycle_window, int) or self.cycle_window < 2:
-            raise ParameterError(f"cycle_window must be an integer >= 2, got {self.cycle_window}")
-        if not self.perturb_eps > 0:
-            raise ParameterError(f"perturb_eps must be positive, got {self.perturb_eps}")
-        if not isinstance(self.theta_grid, int) or self.theta_grid < 3:
-            raise ParameterError(f"theta_grid must be an integer >= 3, got {self.theta_grid}")
-        if not self.tie_tol > 0:
-            raise ParameterError(f"tie_tol must be positive, got {self.tie_tol}")
+        for name, least in (("max_iters", 1), ("cycle_window", 2), ("theta_grid", 3)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("fix_tol", "perturb_eps", "tie_tol"):
+            value = getattr(self, name)
+            if not (_is_finite_real(value) and value > 0):
+                raise ParameterError(f"{name} must be a positive finite real, got {value!r}")
 
     def to_config(self) -> dict:
-        return {
-            "mode": self.mode,
-            "max_iters": self.max_iters,
-            "fix_tol": self.fix_tol,
-            "cycle_window": self.cycle_window,
-            "perturb_eps": self.perturb_eps,
-            "theta_grid": self.theta_grid,
-            "tie_tol": self.tie_tol,
-        }
-
-
-_DYNAMICS_FIELDS = {
-    "mode", "max_iters", "fix_tol", "cycle_window", "perturb_eps", "theta_grid", "tie_tol",
-}
-_DYNAMICS_INTS = {"max_iters", "cycle_window", "theta_grid"}
+        return asdict(self)
 
 
 def dynamics_from_config(obj: Mapping, path: str = "dynamics") -> DynamicsConfig:
-    if not isinstance(obj, Mapping):
-        raise ConfigurationError(f"{path}: expected a mapping")
-    unknown = set(obj) - _DYNAMICS_FIELDS
-    if unknown:
-        raise ConfigurationError(f"{path}.{sorted(unknown)[0]}: unknown field")
+    """Build a DynamicsConfig from a scenario-config mapping. Every field is
+    optional, and each value must have the type of the field's default."""
     kwargs = {}
-    for key, value in obj.items():
-        if key == "mode":
-            kwargs[key] = value
-        elif key in _DYNAMICS_INTS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigurationError(f"{path}.{key}: expected an integer, got {value!r}")
-            kwargs[key] = value
-        else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigurationError(f"{path}.{key}: expected a number, got {value!r}")
-            kwargs[key] = float(value)
+    for key, value in _check_fields(obj, path, _config_fields(DynamicsConfig)[0]).items():
+        default = getattr(DynamicsConfig, key)
+        if isinstance(default, float):
+            value = _number(value, f"{path}.{key}")
+        elif isinstance(default, int) and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ConfigurationError(f"{path}.{key}: expected an integer, got {value!r}")
+        kwargs[key] = value
     try:
         return DynamicsConfig(**kwargs)
     except ParameterError as exc:
@@ -161,9 +140,6 @@ class DynamicsOutcome:
     @property
     def final_state(self) -> QualificationState:
         return self.trace[-1].state
-
-    def with_stability(self, stability: Stability) -> "DynamicsOutcome":
-        return replace(self, stability=stability)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,11 @@ scalar models, in order:
   right-hand at a kink). The result is the smallest float found where the
   slope is <= 0, or the bracket end when the slope keeps one sign. It
   replaces the grid point only if its utility beats the grid maximum by
-  more than 1e-15 * max(1, |max|); otherwise the grid point is returned.
-  A kink maximum (a threshold corner) therefore comes back exactly at the
-  kink, and one on the grid comes back as that grid point.
+  more than the plateau slack, _PLATEAU_RTOL times the winner's term size;
+  otherwise the grid point is returned. So near pi = 0, where U ~ 1e-16, a
+  better refined cut still wins. A kink maximum (a threshold corner) comes
+  back exactly at the kink, and one on the grid comes back as that grid
+  point.
 
 The bound the equilibrium scan relies on: at a smooth interior maximum
 the cut point is the first-order root up to the rounding of dU/dtheta, a
@@ -68,11 +70,15 @@ from .core import (
     GroupSpec,
     QualificationState,
     RATE_TOL,
+    _check_fields,
     _check_group_index,
+    _number,
+    _numbers,
     _utility_from_rates,
     institutional_utility,
     response_rate,
 )
+from .costs import Uniform01, _knots_from_config
 from .errors import ConfigurationError, DomainError, ParameterError
 
 DEFAULT_GRID = 2001  # step 5e-4 over [0, 1]
@@ -620,7 +626,7 @@ def _scalar_best_response(
         b = float(thetas[min(i_best + 1, grid_size - 1)])
         refined = _bisect_slope(_utility_slope(model, economy, groups, state), a, b)
         gain = institutional_utility(economy, groups, model, refined, state) - u_max
-        if gain > 1e-15 * max(1.0, abs(u_max)):
+        if gain > _PLATEAU_RTOL * scale:
             return refined
         return float(thetas[i_best])
 
@@ -777,7 +783,7 @@ def coate_loury_threshold(
             "likelihood ratio is not monotone decreasing; falling back to grid argmax",
             stacklevel=2,
         )
-        solo = (GroupSpec(id=group, proportion=1.0, cost=_UNIT_COST),)
+        solo = (GroupSpec(id=group, proportion=1.0, cost=Uniform01()),)
         return _scalar_best_response(model, economy, solo, state, grid_size)
 
     odds = (1.0 - pi) / pi
@@ -803,35 +809,20 @@ def coate_loury_threshold(
     return 0.5 * (lo + hi)
 
 
-class _UnitCost:
-    """Placeholder cost model for solver paths that never consult the CDF."""
-
-    def cdf(self, x: float) -> float:
-        return min(1.0, max(0.0, x))
-
-
-_UNIT_COST = _UnitCost()
-
-
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
 
 
 def _score_dist_from_config(obj: Mapping, path: str) -> BetaScore | EmpiricalScore:
-    if not isinstance(obj, Mapping):
-        raise ConfigurationError(f"{path}: expected a mapping")
-    keys = set(obj)
-    if keys == {"alpha", "beta"}:
-        try:
-            return BetaScore(float(obj["alpha"]), float(obj["beta"]))
-        except ParameterError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
-    if keys == {"knots"}:
-        try:
-            return EmpiricalScore(tuple((float(x), float(y)) for x, y in obj["knots"]))
-        except (ParameterError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
+    keys = set(_check_fields(obj, path))
+    try:
+        if keys == {"alpha", "beta"}:
+            return BetaScore(*(_number(obj[k], f"{path}.{k}") for k in ("alpha", "beta")))
+        if keys == {"knots"}:
+            return EmpiricalScore(_knots_from_config(obj["knots"], f"{path}.knots"))
+    except ParameterError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     raise ConfigurationError(
         f"{path}: expected either {{alpha, beta}} or {{knots}}, got {sorted(keys)}"
     )
@@ -841,20 +832,29 @@ def _score_model_from_config(groups: Mapping, path: str) -> ScoreModel:
     curves = {}
     for gid, spec in groups.items():
         if not isinstance(spec, Mapping) or set(spec) != {"y1", "y0"}:
-            raise ConfigurationError(
-                f"{path}.groups.{gid}: expected exactly the fields y1 and y0"
-            )
+            raise ConfigurationError(f"{path}.{gid}: expected exactly the fields y1 and y0")
         curves[str(gid)] = GroupScores(
-            y1=_score_dist_from_config(spec["y1"], f"{path}.groups.{gid}.y1"),
-            y0=_score_dist_from_config(spec["y0"], f"{path}.groups.{gid}.y0"),
+            y1=_score_dist_from_config(spec["y1"], f"{path}.{gid}.y1"),
+            y0=_score_dist_from_config(spec["y0"], f"{path}.{gid}.y0"),
         )
     return ScoreModel(tuple(sorted(curves.items())))
 
 
-# variant -> (its one field, keyed by group id; builder from that field and the path)
+# variant -> (its one field, a mapping keyed by group id; builder from that
+# mapping and its path)
 _VARIANTS = {
-    "uniform_threshold": ("thresholds", lambda value, _: UniformThreshold(value)),
-    "gaussian_halfspace": ("vectors", lambda value, _: GaussianHalfspace(value)),
+    "uniform_threshold": (
+        "thresholds",
+        lambda value, path: UniformThreshold(
+            {gid: _number(h, f"{path}.{gid}") for gid, h in value.items()}
+        ),
+    ),
+    "gaussian_halfspace": (
+        "vectors",
+        lambda value, path: GaussianHalfspace(
+            {gid: _numbers(v, f"{path}.{gid}") for gid, v in value.items()}
+        ),
+    ),
     "score": ("groups", _score_model_from_config),
 }
 
@@ -863,28 +863,23 @@ def from_config(obj: Mapping, group_ids: Sequence[str], path: str = "features"):
     """Build a feature model from a scenario-config mapping.
 
     The declared groups must exactly cover the economy's group ids; unknown
-    fields or variants are configuration errors naming the path.
+    fields or variants and bad values are configuration errors naming the
+    path.
     """
-    if not isinstance(obj, Mapping):
-        raise ConfigurationError(f"{path}: expected a mapping")
-    if "variant" not in obj:
-        raise ConfigurationError(f"{path}.variant: missing required field")
-    variant = obj["variant"]
+    variant = _check_fields(obj, path, required=("variant",))["variant"]
     if not isinstance(variant, str) or variant not in _VARIANTS:
         raise ConfigurationError(f"{path}.variant: unknown variant {variant!r}")
     field, build = _VARIANTS[variant]
-    extra = set(obj) - {"variant", field}
-    if extra:
-        raise ConfigurationError(f"{path}.{sorted(extra)[0]}: unknown field")
-    if field not in obj:
-        raise ConfigurationError(f"{path}.{field}: missing required field")
+    where = f"{path}.{field}"
+    _check_fields(obj, path, {"variant", field}, (field,))
+    value = _check_fields(obj[field], where)
     expected = tuple(sorted(group_ids))
-    got = tuple(sorted(str(k) for k in obj[field]))
+    got = tuple(sorted(str(k) for k in value))
     if got != expected:
         raise ConfigurationError(
-            f"{path}.{field}: groups {list(got)} do not match economy groups {list(expected)}"
+            f"{where}: groups {list(got)} do not match economy groups {list(expected)}"
         )
     try:
-        return build(obj[field], path)
+        return build(value, where)
     except ParameterError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc

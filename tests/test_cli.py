@@ -55,7 +55,7 @@ def test_scenario_round_trip(tmp_path):
     assert effective[0].cost.to_config()["kind"] == "uniform01"
 
 
-def test_scenario_error_paths(tmp_path):
+def test_scenario_error_paths(tmp_path, capsys):
     from qualdyn import ConfigurationError, ParseError
 
     bad_json = tmp_path / "bad.json"
@@ -78,6 +78,32 @@ def test_scenario_error_paths(tmp_path):
     cfg["intervention"] = {"subsidy": {"group": "a1", "transform": {"shift": -0.1}}}
     with pytest.raises(ConfigurationError, match="transform.shift"):
         scenario_from_config(cfg)
+    # Numbers must be finite JSON numbers. Each bad value is written into the
+    # file's text, where 1e999 overflows to inf, and is named by its path.
+    cfg = uniform_scenario(
+        economy={"wage": "WAGE", "payoff_tp": "PAYOFF"},
+        intervention={"subsidy": {"group": "a1", "transform": {"shift": "SHIFT"}}},
+    )
+    cfg["groups"][0]["proportion"] = "PROPORTION"
+    good = {"WAGE": "0.6", "PAYOFF": "1", "PROPORTION": "0.5", "SHIFT": "0.05"}
+    for name, bad, where in (
+        ("WAGE", "1e999", "economy.wage"),
+        ("WAGE", "1" + "0" * 400, "economy.wage"),  # an int beyond the float range
+        ("PAYOFF", "true", "economy.payoff_tp"),
+        ("PROPORTION", "1e999", r"groups\[0\].proportion"),
+        ("SHIFT", "1e999", "intervention.subsidy.transform.shift"),
+    ):
+        text = json.dumps(cfg)
+        for key, value in {**good, name: bad}.items():
+            text = text.replace(f'"{key}"', value)
+        path = tmp_path / "bad-number.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=f"{where}: expected a finite number"):
+            load_scenario(str(path))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "intervention.subsidy.transform.shift: expected a finite number" in (
+        capsys.readouterr().err
+    )
 
 
 def test_run_writes_trace_and_exits_zero(tmp_path, capsys):

@@ -109,6 +109,9 @@ def test_economy_validation():
         EconomyConfig(wage=0.0)
     with pytest.raises(ParameterError):
         EconomyConfig(wage=1.0, payoff_tp=-1.0)
+    for bad in (True, math.inf):
+        with pytest.raises(ParameterError):
+            EconomyConfig(wage=bad)
 
 
 def test_balance_is_max_gap():

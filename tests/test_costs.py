@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,6 +67,8 @@ def test_empirical_cdf_interpolates_and_validates():
         EmpiricalCdf(((0.0, 0.0), (0.5, 0.9), (1.0, 0.8)))
     with pytest.raises(ParameterError):
         EmpiricalCdf(((0.0, 0.0), (1.0, 0.9)))
+    with pytest.raises(ParameterError):
+        EmpiricalCdf(((0.0, 0.0), (math.inf, 1.0)))
 
 
 def test_shift_and_scale_semantics():
@@ -138,6 +143,25 @@ def test_from_config_errors_name_the_path():
         from_config({"kind": "truncated_normal", "mu": 0.5})
     with pytest.raises(ConfigurationError, match="cost.extra"):
         from_config({"kind": "uniform01", "extra": 1})
+    # Numbers must be finite JSON numbers: a string, a boolean or a literal
+    # that overflows to inf (1e999) is refused, naming its field.
+    for text, where in (
+        ('{"kind": "truncated_normal", "mu": "0.6", "sigma": 0.1}', "cost.mu"),
+        ('{"kind": "truncated_normal", "mu": true, "sigma": 0.1}', "cost.mu"),
+        (
+            '{"kind": "bimodal_normal", "mu1": 0.2, "sigma1": 0.1, "mu2": 0.7,'
+            ' "sigma2": 0.1, "mix": "0.5"}',
+            "cost.mix",
+        ),
+        ('{"kind": "empirical", "knots": [[0, 0], [1e999, 1]]}', r"cost.knots\[1\]\[0\]"),
+        ('{"kind": "shifted", "base": {"kind": "uniform01"}, "delta": true}', "cost.delta"),
+    ):
+        with pytest.raises(ConfigurationError, match=f"{where}: expected a finite number"):
+            from_config(json.loads(text))
+    with pytest.raises(ConfigurationError, match="cost.kind: unknown cost kind"):
+        from_config({"kind": ["uniform01"]})
+    with pytest.raises(ConfigurationError, match=r"cost.knots\[1\]: expected a list of 2"):
+        from_config({"kind": "empirical", "knots": [[0, 0], [0.5, 0.5, 1], [1, 1]]})
 
 
 @given(

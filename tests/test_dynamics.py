@@ -224,6 +224,10 @@ def test_dynamics_config_validation():
         DynamicsConfig(theta_grid=2)
     with pytest.raises(ParameterError):
         DynamicsConfig(perturb_eps=-1.0)
+    with pytest.raises(ParameterError):
+        DynamicsConfig(max_iters=True)
+    with pytest.raises(ParameterError):
+        DynamicsConfig(fix_tol=float("inf"))
 
 
 def test_dynamics_config_round_trip_and_errors():
@@ -235,6 +239,10 @@ def test_dynamics_config_round_trip_and_errors():
         dynamics_from_config({"max_iters": 2.5})
     with pytest.raises(ConfigurationError, match="dynamics.fix_tol"):
         dynamics_from_config({"fix_tol": "tiny"})
+    with pytest.raises(ConfigurationError, match="dynamics.fix_tol: expected a finite number"):
+        dynamics_from_config(json.loads('{"fix_tol": 1e999}'))
+    with pytest.raises(ConfigurationError, match="dynamics.max_iters: expected an integer"):
+        dynamics_from_config(json.loads('{"max_iters": true}'))
     with pytest.raises(ConfigurationError, match="dynamics"):
         dynamics_from_config({"mode": "sideways"})
 

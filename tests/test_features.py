@@ -1,5 +1,6 @@
 """Feature models and the institution's best response."""
 
+import json
 import math
 import sys
 import threading
@@ -323,6 +324,23 @@ def test_feature_config_errors_name_the_path():
             },
             ("a",),
         )
+    # Numbers must be finite JSON numbers: a string or a literal that
+    # overflows to inf (1e999) is refused, naming its field.
+    score = (
+        '{"variant": "score", "groups": {"a": {"y1": {"alpha": %s, "beta": 2},'
+        ' "y0": {"alpha": 2, "beta": 5}}}}'
+    )
+    for text, where in (
+        ('{"variant": "uniform_threshold", "thresholds": {"a": "0.4"}}', "features.thresholds.a"),
+        (
+            '{"variant": "gaussian_halfspace", "vectors": {"a": [1, "1"]}}',
+            r"features.vectors.a\[1\]",
+        ),
+        (score % '"5"', "features.groups.a.y1.alpha"),
+        (score % "1e999", "features.groups.a.y1.alpha"),
+    ):
+        with pytest.raises(ConfigurationError, match=f"{where}: expected a finite number"):
+            features.from_config(json.loads(text), ("a",))
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,7 +407,10 @@ def test_one_group_beta_best_response_matches_likelihood_ratio_condition(payoff_
     model = steep_scores()
     economy = EconomyConfig(wage=1.0, payoff_tp=payoff_tp, cost_fp=cost_fp)
     group = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
-    for pi in np.linspace(0.02, 0.98, 25):
+    # Near pi = 0 the refined cut must still beat the grid. (At payoffs (1, 3)
+    # no cut is profitable there, so the solver rejects everyone instead.)
+    tiny = [1e-10] if cost_fp == 1.0 else []
+    for pi in [*tiny, *np.linspace(0.02, 0.98, 25)]:
         state = QualificationState(ids=("g",), rates=(float(pi),))
         theta = institution_best_response(model, economy, group, state)
         assert theta == pytest.approx(
