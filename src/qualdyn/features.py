@@ -26,7 +26,14 @@ scalar models, in order:
   response is closest to the state), so an indifference state maps to
   itself. Since the slack scales with the terms rather than with U, a
   utility that is tiny because pi is tiny (U ~ 1e-16 near pi = 0) is not
-  mistaken for a plateau.
+  mistaken for a plateau. The tie-break scans 1025 evenly spaced points
+  of the stretch, reading each group's rates and population response once
+  over the whole array (bit for bit the per-point values); a ternary
+  search then refines around the scan's best point, for at most 120 steps,
+  stopping once a step leaves its bracket unchanged (every later step
+  would repeat it). Of four candidates, the refined point, the scan's
+  best point and the stretch's two ends, the closest response wins, the
+  first listed on a tie.
 * Unique winner. Otherwise, with winner theta_i, the bracket is
   [theta_(i-1), theta_(i+1)], cut at 0 and 1. On it the sign of
   dU/dtheta = sum_a n_a (p pi_a TPR_a' - c (1 - pi_a) FPR_a') is bisected
@@ -72,6 +79,7 @@ from .core import (
     RATE_TOL,
     _check_fields,
     _check_group_index,
+    _is_finite_real,
     _number,
     _numbers,
     _utility_from_rates,
@@ -110,9 +118,10 @@ class BetaScore:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta > 0):
+        if not all(_is_finite_real(v) and v > 0 for v in (self.alpha, self.beta)):
             raise ParameterError(
-                f"Beta parameters must be positive, got ({self.alpha}, {self.beta})"
+                "Beta parameters must be positive finite reals, "
+                f"got ({self.alpha!r}, {self.beta!r})"
             )
         object.__setattr__(self, "_ln_b", float(special.betaln(self.alpha, self.beta)))
 
@@ -551,12 +560,22 @@ def _bisect_slope(slope, a: float, b: float) -> float:
 
 
 def _ternary_argmin(f, a: float, b: float, iters: int = 120) -> float:
+    """Ternary search for a minimum of f on [a, b], for at most iters steps.
+
+    It stops early once a step leaves (a, b) unchanged: every later step
+    would repeat the same comparison, so the answer is the one all iters
+    steps give, bit for bit.
+    """
     for _ in range(iters):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
         if f(m1) > f(m2):
+            if m1 == a:
+                break
             a = m1
         else:
+            if m2 == b:
+                break
             b = m2
     return 0.5 * (a + b)
 
@@ -575,16 +594,12 @@ def _response_distance(
 def _response_distances(
     model, economy, groups, state: QualificationState, thetas: np.ndarray
 ) -> np.ndarray:
-    """_response_distance at each of thetas, bit for bit, reading each
-    group's rates with one rates_grid call instead of one tpr_fpr per point."""
+    """_response_distance at each of thetas, bit for bit, with one rates_grid
+    and one array response_rate call per group instead of a loop over points."""
     worst = np.zeros(len(thetas))
     for g, pi in zip(groups, state.rates):
         tprs, fprs = model.rates_grid(g.id, thetas)
-        gaps = [
-            abs(response_rate(g.cost, economy.wage, tpr, fpr) - pi)
-            for tpr, fpr in zip(tprs.tolist(), fprs.tolist())
-        ]
-        worst = np.maximum(worst, gaps)
+        worst = np.maximum(worst, np.abs(response_rate(g.cost, economy.wage, tprs, fprs) - pi))
     return worst
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,6 +104,73 @@ def test_dominates():
     assert dominates(subsidize(base, scale=1.2), base)
     assert dominates(base, base)
     assert not dominates(base, subsidize(base, shift=0.05))
+
+
+KNOTS = ((0.1, 0.0), (0.3, 0.2), (0.5, 0.5), (0.5001, 0.6), (1.2, 1.0))
+SCALE = 1.3
+
+
+def every_kind():
+    """One model of each cost kind, with knots and nested bases off 0 and 1."""
+    return [
+        Uniform01(),
+        TruncatedNormal(mu=0.4, sigma=0.15),
+        BimodalNormal(mu1=0.2, sigma1=0.05, mu2=0.7, sigma2=0.1, mix=0.3),
+        EmpiricalCdf(KNOTS),
+        Shifted(TruncatedNormal(mu=0.5, sigma=0.2, lo=0.1, hi=0.9), 0.07),
+        Scaled(EmpiricalCdf(KNOTS), SCALE),
+    ]
+
+
+def test_array_cdf_matches_the_float_cdf_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for model in every_kind():
+        lo, hi = model.support
+        xs = np.concatenate((
+            [-0.0, 0.0, lo, hi, math.nextafter(lo, -1.0), math.nextafter(hi, 2.0), -1.0, 5.0],
+            [x for x, _ in KNOTS],  # the empirical model's knots
+            [x / SCALE for x, _ in KNOTS],  # the scaled model's
+            np.linspace(lo, hi, 1025),
+            rng.uniform(lo - 0.2, hi + 0.2, 2000),
+        ))
+        got = model.cdf(xs)
+        want = [model.cdf(x) for x in xs.tolist()]
+        assert got.dtype == np.float64
+        # compare bits, so that -0.0 and 0.0 differ
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], model.kind
+        assert model.cdf(np.array([-0.0]))[0].hex() == model.cdf(-0.0).hex()
+
+
+def test_dominates_matches_the_pointwise_loop():
+    def loop(candidate, base, points=1001):
+        lo = min(candidate.support[0], base.support[0])
+        hi = max(candidate.support[1], base.support[1])
+        step = (hi - lo) / (points - 1)
+        return all(
+            candidate.cdf(lo + i * step) >= base.cdf(lo + i * step) - 1e-12
+            for i in range(points)
+        )
+
+    models = every_kind()
+    for a in models:
+        for b in models:
+            assert dominates(a, b) is loop(a, b)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, "0.1"])
+def test_constructors_reject_values_that_are_not_finite_reals(bad):
+    with pytest.raises(ParameterError):
+        Shifted(Uniform01(), bad)
+    with pytest.raises(ParameterError):
+        Scaled(Uniform01(), bad)
+    for field in ("mu", "sigma", "lo", "hi"):
+        kwargs = {"mu": 0.5, "sigma": 0.1, field: bad}
+        with pytest.raises(ParameterError):
+            TruncatedNormal(**kwargs)
+    for field in ("lo", "hi"):
+        kwargs = {"mu1": 0.2, "sigma1": 0.1, "mu2": 0.8, "sigma2": 0.1, "mix": 0.5, field: bad}
+        with pytest.raises(ParameterError):
+            BimodalNormal(**kwargs)
 
 
 def test_inverse_cdf_round_trip():

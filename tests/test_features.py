@@ -13,16 +13,21 @@ from scipy import stats
 
 from qualdyn import (
     BetaScore,
+    BimodalNormal,
     ConfigurationError,
     DomainError,
     EconomyConfig,
+    EmpiricalCdf,
     EmpiricalScore,
     GaussianHalfspace,
     GroupScores,
     GroupSpec,
     ParameterError,
     QualificationState,
+    Scaled,
     ScoreModel,
+    Shifted,
+    TruncatedNormal,
     Uniform01,
     UniformThreshold,
     coate_loury_threshold,
@@ -519,24 +524,73 @@ def test_scalar_score_paths_agree_with_the_vector_paths():
     assert empirical.slope(1.0) == pytest.approx(0.4 / 0.15, rel=1e-15)
 
 
+def test_beta_score_rejects_parameters_that_are_not_finite_reals():
+    for bad in (math.inf, math.nan, True, 0.0, "2"):
+        with pytest.raises(ParameterError):
+            BetaScore(bad, 2.0)
+        with pytest.raises(ParameterError):
+            BetaScore(2.0, bad)
+
+
+COST_KINDS = [
+    Uniform01(),
+    TruncatedNormal(mu=0.3, sigma=0.15),
+    BimodalNormal(mu1=0.1, sigma1=0.05, mu2=0.5, sigma2=0.1, mix=0.4),
+    EmpiricalCdf(((0.0, 0.0), (0.1, 0.05), (0.3, 0.5), (0.6, 1.0))),
+    Shifted(TruncatedNormal(mu=0.4, sigma=0.2), 0.05),
+    Scaled(EmpiricalCdf(((0.05, 0.0), (0.2, 0.4), (0.9, 1.0))), 1.5),
+]
+
+
 def test_plateau_distances_match_the_scalar_distance_bit_for_bit():
+    economy, _, uniform = uniform_reference()
+    for cost in COST_KINDS:
+        groups = (
+            GroupSpec(id="a1", proportion=0.5, cost=cost),
+            GroupSpec(id="a2", proportion=0.5, cost=Uniform01()),
+        )
+        score_group = (GroupSpec(id="g", proportion=1.0, cost=cost),)
+        cases = [
+            (uniform, groups, (0.2, 0.3)),
+            (uniform, groups, (0.6, 0.3)),
+            (steep_scores(), score_group, (1.0,)),
+            (empirical_scores(), score_group, (0.4,)),
+        ]
+        for model, grps, rates in cases:
+            state = QualificationState(ids=tuple(g.id for g in grps), rates=rates)
+            sub = np.linspace(0.0005, 0.9, 1025)
+            scalar = [features._response_distance(model, economy, grps, state, th) for th in sub]
+            vector = features._response_distances(model, economy, grps, state, sub)
+            assert [v.hex() for v in vector.tolist()] == [v.hex() for v in scalar], cost.kind
+
+
+def test_ternary_search_stops_early_with_the_full_search_bits():
+    def full_search(f, a, b):
+        # the search as it ran before stopping early: always 120 steps
+        for _ in range(120):
+            m1 = a + (b - a) / 3.0
+            m2 = b - (b - a) / 3.0
+            if f(m1) > f(m2):
+                a = m1
+            else:
+                b = m2
+        return 0.5 * (a + b)
+
     economy, groups, uniform = uniform_reference()
-    score_group = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
-    cases = [
-        (uniform, groups, (0.2, 0.3)),
-        (uniform, groups, (0.6, 0.3)),
-        (steep_scores(), score_group, (1.0,)),
-        (empirical_scores(), score_group, (0.4,)),
+    table = uniform_closed_forms(0.4, 0.8, 0.6, economy, groups)
+    mid = next(r.state for r in table.records if r.label == "h_mid")
+    fs = [
+        lambda th: features._response_distance(uniform, economy, groups, mid, th),
+        lambda th: (th - 0.3) ** 2,
+        lambda th: abs(th - 1.0 / 3.0),
+        lambda th: 0.0,
+        math.sin,
+        lambda th: -th,
     ]
-    for model, grps, rates in cases:
-        state = QualificationState(ids=tuple(g.id for g in grps), rates=rates)
-        sub = np.linspace(0.0005, 0.9, 1025)
-        scalar = np.array(
-            [features._response_distance(model, economy, grps, state, th) for th in sub]
-        )
-        assert np.array_equal(
-            features._response_distances(model, economy, grps, state, sub), scalar
-        )
+    brackets = [(0.0, 1.0), (0.55, 0.6), (0.3, 0.3 + 2e-15), (0.25, 0.25), (1e-300, 2e-300)]
+    for f in fs:
+        for a, b in brackets:
+            assert features._ternary_argmin(f, a, b).hex() == full_search(f, a, b).hex()
 
 
 def test_plateau_tie_break_needs_a_tie_beyond_rounding(monkeypatch):
