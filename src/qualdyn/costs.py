@@ -146,16 +146,18 @@ class TruncatedNormal(CostModel):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
         if not self.lo < self.hi:
             raise ParameterError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self._mass() <= 0.0:
+        # Normal CDF at lo and the mass on [lo, hi]: constants of the CDF,
+        # kept out of the fields so equality and to_config do not see them.
+        cdf_lo = _normal_cdf(self._z(self.lo))
+        object.__setattr__(self, "_cdf_lo", cdf_lo)
+        object.__setattr__(self, "_mass", _normal_cdf(self._z(self.hi)) - cdf_lo)
+        if self._mass <= 0.0:
             raise ParameterError(
                 f"normal({self.mu}, {self.sigma}) has no mass on [{self.lo}, {self.hi}]"
             )
 
     def _z(self, x: float) -> float:
         return (x - self.mu) / self.sigma
-
-    def _mass(self) -> float:
-        return _normal_cdf(self._z(self.hi)) - _normal_cdf(self._z(self.lo))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -169,10 +171,10 @@ class TruncatedNormal(CostModel):
     def lipschitz_bound(self) -> float:
         # Peak of the truncated density, attained at mu clamped into [lo, hi].
         peak = min(max(self.mu, self.lo), self.hi)
-        return _normal_pdf(self._z(peak)) / (self.sigma * self._mass())
+        return _normal_pdf(self._z(peak)) / (self.sigma * self._mass)
 
     def _cdf_on_support(self, x: float) -> float:
-        return (_normal_cdf(self._z(x)) - _normal_cdf(self._z(self.lo))) / self._mass()
+        return (_normal_cdf(self._z(x)) - self._cdf_lo) / self._mass
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -49,10 +49,12 @@ NOT_ASSESSED: Stability = "NotAssessed"
 class DynamicsConfig:
     """Iteration budget and detection tolerances for the dynamics loop.
 
-    fix_tol is a sup-norm tolerance on qualification rates, used both for
-    fixed-point/cycle detection and for "returned to the fixed point" in
-    stability probes. theta_grid and tie_tol are passed through to the
-    institution's solver.
+    fix_tol is a sup-norm tolerance on qualification rates, used for
+    fixed-point/cycle detection and as the floor of the return radius in
+    stability probes. perturb_eps is the size of a probe's kick and sets
+    both probe radii: a probe returns within perturb_eps / 1000 and escapes
+    beyond 1000 * perturb_eps (see classify_stability). theta_grid and
+    tie_tol are passed through to the institution's solver.
     """
 
     mode: Mode = "joint"
@@ -205,6 +207,8 @@ def iterate(
     model,
     initial: QualificationState,
     config: DynamicsConfig = DynamicsConfig(),
+    *,
+    stop: Callable[[QualificationState], bool] | None = None,
 ) -> DynamicsOutcome:
     """Run the dynamics from an initial state until a fixed point, a cycle,
     or the iteration budget.
@@ -214,6 +218,9 @@ def iterate(
     more. Cycles are detected by matching the newest state against the last
     cycle_window states (smallest lag wins) and verified by stepping one
     full period.
+
+    stop, if given, is asked about each new state before those tests; the
+    run ends NonConverged at the first state it accepts.
     """
     groups = normalize_groups(groups)
     state = initial
@@ -239,6 +246,8 @@ def iterate(
                 balance=balance(new_state),
             )
         )
+        if stop is not None and stop(new_state):
+            return DynamicsOutcome(trace=tuple(trace), verdict=NonConverged(last=new_state))
         if new_state.sup_distance(state) <= config.fix_tol:
             _, once_more = advance(new_state)
             residual = once_more.sup_distance(new_state)
@@ -301,11 +310,25 @@ def classify_stability(
 ) -> Stability:
     """Basin probe: perturb each coordinate by +/- perturb_eps (clamped to
     [0, 1]) plus one seeded joint random perturbation, iterate each start,
-    and report Stable only if every probe trajectory re-enters a small ball
-    around the fixed point. The ball radius is perturb_eps / 1000 (floored
-    at fix_tol): re-converging to a thousandth of the kick is attraction,
-    while demanding fix_tol itself would fail on maps whose best-response
-    refinement dithers a few ulps above it."""
+    and report Stable only if every probe re-enters the return ball around
+    the fixed point within max_iters steps without first leaving the escape
+    ball.
+
+    The return radius is perturb_eps / 1000 (floored at fix_tol):
+    re-converging to a thousandth of the kick is attraction, while demanding
+    fix_tol itself would fail on maps whose best-response refinement dithers
+    a few ulps above it. The escape radius is 1000 * perturb_eps: a probe
+    farther than that from the fixed point fails at once. Each probe stops
+    at its first state inside the return ball or outside the escape ball.
+
+    Only the escape can move a verdict against running every probe to the
+    end: a probe that leaves the escape ball and later comes back inside the
+    return ball is a pass for the full run but a fail here. That takes a
+    chaotic orbit that re-enters the ball, or a multi-group stable spiral
+    that amplifies the kick more than 1000 times. With perturb_eps >= 1e-3
+    the escape ball holds all of [0, 1]^n, so the escape never fires. The
+    one-group scan cross-checks each verdict against the derivative test
+    and warns when they disagree."""
     groups = normalize_groups(groups)
     _, mapped = step(
         economy, groups, model, fixed_point, config.mode,
@@ -330,14 +353,17 @@ def classify_stability(
     if np.max(np.abs(joint - base)) > 0.0:
         probes.append(joint)
 
-    return_tol = max(config.fix_tol, 1e-3 * config.perturb_eps)
+    return_tol = max(config.fix_tol, 1e-3 * eps)
+    escape = 1e3 * eps
+
+    def decided(state: QualificationState) -> bool:
+        distance = state.sup_distance(fixed_point)
+        return distance <= return_tol or distance > escape
+
     for cand in probes:
         start = QualificationState(ids=fixed_point.ids, rates=tuple(float(x) for x in cand))
-        outcome = iterate(economy, groups, model, start, config)
-        returned = any(
-            rec.state.sup_distance(fixed_point) <= return_tol for rec in outcome.trace[1:]
-        )
-        if not returned:
+        last = iterate(economy, groups, model, start, config, stop=decided).trace[-1].state
+        if last.sup_distance(fixed_point) > return_tol:
             return UNSTABLE
     return STABLE
 

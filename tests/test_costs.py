@@ -141,6 +141,48 @@ def test_array_cdf_matches_the_float_cdf_bit_for_bit():
         assert model.cdf(np.array([-0.0]))[0].hex() == model.cdf(-0.0).hex()
 
 
+def _uncached_truncated_cdf(g, x):
+    # The truncated-normal CDF with both constants recomputed at every call.
+    def phi(z):
+        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+    def z(t):
+        return (t - g.mu) / g.sigma
+
+    if x < g.lo:
+        return 0.0
+    if x > g.hi:
+        return 1.0
+    mass = phi(z(g.hi)) - phi(z(g.lo))
+    return min(1.0, max(0.0, (phi(z(x)) - phi(z(g.lo))) / mass))
+
+
+def test_cached_normal_constants_keep_every_bit():
+    tn = TruncatedNormal(mu=0.5, sigma=0.2, lo=0.1, hi=0.9)
+    steep = TruncatedNormal(mu=0.6, sigma=0.1)
+    c1, c2 = TruncatedNormal(0.2, 0.1), TruncatedNormal(0.7, 0.15)
+    bi = BimodalNormal(mu1=0.2, sigma1=0.1, mu2=0.7, sigma2=0.15, mix=0.3)
+
+    def bi_reference(x):
+        mixed = 0.3 * _uncached_truncated_cdf(c1, x) + 0.7 * _uncached_truncated_cdf(c2, x)
+        return min(1.0, max(0.0, mixed))
+
+    references = [
+        (tn, lambda x: _uncached_truncated_cdf(tn, x)),
+        (steep, lambda x: _uncached_truncated_cdf(steep, x)),
+        (bi, bi_reference),
+    ]
+    xs = np.concatenate(([-0.5, 0.0, 0.1, 0.9, 1.0, 1.5], np.linspace(0.0, 1.0, 513)))
+    for model, reference in references:
+        want = [reference(x).hex() for x in xs.tolist()]
+        assert [model.cdf(x).hex() for x in xs.tolist()] == want, model
+        assert [v.hex() for v in model.cdf(xs).tolist()] == want, model
+    # the cached constants are not fields: equality and the config ignore them
+    assert tn == TruncatedNormal(mu=0.5, sigma=0.2, lo=0.1, hi=0.9)
+    assert tn.to_config() == {"kind": "truncated_normal", "mu": 0.5, "sigma": 0.2,
+                              "lo": 0.1, "hi": 0.9}
+
+
 def test_dominates_matches_the_pointwise_loop():
     def loop(candidate, base, points=1001):
         lo = min(candidate.support[0], base.support[0])

@@ -29,6 +29,8 @@ from qualdyn import (
     step,
     trace_lines,
 )
+from qualdyn import dynamics, verification
+from qualdyn.analysis import find_equilibria_scan, gaussian_closed_forms, uniform_closed_forms
 
 
 def uniform_reference():
@@ -165,6 +167,140 @@ def test_classify_stability_labels_the_separating_points():
     not_fixed = QualificationState(ids=("a1", "a2"), rates=(0.9, 0.9))
     with pytest.raises(PreconditionError):
         classify_stability(economy, groups, model, not_fixed)
+
+
+def full_length_verdict(economy, groups, model, fixed_point, config, seed=0):
+    """Reference stability rule without early stops: run every probe through
+    a full iterate and pass it if any state after the start lies within the
+    return ball."""
+    eps = config.perturb_eps
+    base = np.array(fixed_point.rates)
+    probes = []
+    for i in range(len(base)):
+        for sign in (+1.0, -1.0):
+            cand = base.copy()
+            cand[i] = min(1.0, max(0.0, cand[i] + sign * eps))
+            if np.max(np.abs(cand - base)) > 0.0:
+                probes.append(cand)
+    rng = np.random.default_rng(seed)
+    joint = np.clip(base + rng.uniform(-eps, eps, size=base.size), 0.0, 1.0)
+    if np.max(np.abs(joint - base)) > 0.0:
+        probes.append(joint)
+    return_tol = max(config.fix_tol, 1e-3 * eps)
+    for cand in probes:
+        start = QualificationState(ids=fixed_point.ids, rates=tuple(float(x) for x in cand))
+        trace = iterate(economy, groups, model, start, config).trace
+        if not any(rec.state.sup_distance(fixed_point) <= return_tol for rec in trace[1:]):
+            return "Unstable"
+    return "Stable"
+
+
+def score_anchor_roots():
+    """The criterion-07 steep-cost score map and its three roots, in order."""
+    economy, groups, model = verification._steep_cost_scenario()
+    records = find_equilibria_scan(economy, groups, model)
+    roots = sorted((r.state for r in records), key=lambda s: s.rates[0])
+    return economy, groups, model, roots
+
+
+def stability_cases():
+    """(name, economy, groups, model, fixed point) for each reference root."""
+    cases = []
+    economy, groups, model = uniform_reference()
+    for rec in uniform_closed_forms(0.4, 0.8, 0.6, economy, groups).records:
+        cases.append((f"uniform {rec.label}", economy, groups, model, rec.state))
+    economy, groups, model, roots = score_anchor_roots()
+    for i, root in enumerate(roots):
+        cases.append((f"score root {i}", economy, groups, model, root))
+    economy = EconomyConfig(wage=0.8, payoff_tp=2.0, cost_fp=1.0)
+    groups = (
+        GroupSpec(id="a1", proportion=0.5, cost=Uniform01()),
+        GroupSpec(id="a2", proportion=0.5, cost=Uniform01()),
+    )
+    model = GaussianHalfspace((("a1", (1.0, 0.0)), ("a2", (0.0, 1.0))))
+    forms = gaussian_closed_forms((1.0, 0.0), (0.0, 1.0), 0.8, Uniform01(), economy)
+    for rec in forms.records:
+        cases.append((f"gaussian {rec.label}", economy, groups, model, rec.state))
+    return cases
+
+
+def test_early_stopped_probes_give_the_full_length_verdicts():
+    got, config = {}, DynamicsConfig()
+    for name, economy, groups, model, state in stability_cases():
+        want = full_length_verdict(economy, groups, model, state, config)
+        assert classify_stability(economy, groups, model, state, config) == want, name
+        got[name] = want
+    assert got == {
+        "uniform h1": "Stable", "uniform h2": "Stable", "uniform h_mid": "Unstable",
+        "score root 0": "Stable", "score root 1": "Unstable", "score root 2": "Unstable",
+        "gaussian h1": "Stable", "gaussian h2": "Stable", "gaussian h_mid": "Unstable",
+    }
+    # perturb_eps = 1e-3 puts the escape radius at 1, beyond every state,
+    # so only the return stop acts
+    economy, groups, model, roots = score_anchor_roots()
+    wide = DynamicsConfig(perturb_eps=1e-3)
+    for root in roots:
+        want = full_length_verdict(economy, groups, model, root, wide)
+        assert classify_stability(economy, groups, model, root, wide) == want
+
+
+def count_steps(monkeypatch):
+    calls = []
+    real = dynamics.step
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", counting)
+    return calls
+
+
+def test_stable_probes_stop_at_their_first_return(monkeypatch):
+    economy, groups, model = uniform_reference()
+    corner = QualificationState(ids=("a1", "a2"), rates=(0.6, 0.3))
+    calls = count_steps(monkeypatch)
+    assert classify_stability(economy, groups, model, corner) == "Stable"
+    # one step checks the fixed point, then one step for each of the five
+    # probes (+/- eps on each coordinate and one joint kick)
+    assert len(calls) == 1 + 5
+
+
+def test_unstable_probes_stop_once_they_escape(monkeypatch):
+    economy, groups, model, roots = score_anchor_roots()
+    calls = count_steps(monkeypatch)
+    # run to the end, the first probe of this root is chaotic for all
+    # max_iters = 500 steps; it leaves the escape ball within a few
+    assert classify_stability(economy, groups, model, roots[1]) == "Unstable"
+    assert len(calls) <= 20
+
+
+def test_escape_fails_a_stable_root_whose_probes_overshoot(monkeypatch):
+    # The stated risk of the escape radius, pinned: a stable linear map (both
+    # eigenvalues 0.5) whose shear turns a kick of 1e-4 along the second
+    # coordinate into a 0.2 move along the first, outside the 0.1 escape
+    # radius, before both coordinates decay back to the fixed point.
+    center = 0.5
+
+    def sheared_step(economy, groups, model, state, mode="joint", *, grid_size=2001, tie_tol=1e-9):
+        x, y = (r - center for r in state.rates)
+        rates = (center + 0.5 * x + 2000.0 * y, center + 0.5 * y)
+        return 0.0, QualificationState(ids=state.ids, rates=rates)
+
+    class Passive:
+        def tpr_fpr(self, group, theta):
+            return 1.0, 0.0
+
+    monkeypatch.setattr(dynamics, "step", sheared_step)
+    economy = EconomyConfig(wage=0.5)
+    groups = (
+        GroupSpec(id="a", proportion=0.5, cost=Uniform01()),
+        GroupSpec(id="b", proportion=0.5, cost=Uniform01()),
+    )
+    fixed = QualificationState(ids=("a", "b"), rates=(center, center))
+    config = DynamicsConfig()
+    assert full_length_verdict(economy, groups, Passive(), fixed, config) == "Stable"
+    assert classify_stability(economy, groups, Passive(), fixed, config) == "Unstable"
 
 
 def test_cycle_average_requires_a_cycle():
