@@ -10,8 +10,9 @@ tie-breaking is fixed), so traces are reproducible bit for bit.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -162,7 +163,13 @@ def individual_best_response(
     theta may be a single parameter shared by all groups or a mapping
     group id -> parameter for decoupled rules.
     """
-    groups = normalize_groups(groups)
+    return _population_response(economy, normalize_groups(groups), model, theta)
+
+
+def _population_response(
+    economy: EconomyConfig, groups: tuple[GroupSpec, ...], model, theta
+) -> QualificationState:
+    """individual_best_response for groups already in canonical order."""
     rates = []
     for g in groups:
         th = theta[g.id] if isinstance(theta, Mapping) else theta
@@ -198,7 +205,7 @@ def step(
         }
     else:
         raise ParameterError(f"mode must be 'joint' or 'decoupled', got {mode!r}")
-    return theta, individual_best_response(economy, groups, model, theta)
+    return theta, _population_response(economy, groups, model, theta)
 
 
 def iterate(

@@ -58,7 +58,12 @@ probed.
 GaussianHalfspace responses lie on the geodesic arc between the two group
 boundaries. When the two angle weights tie within tie_tol the answer is the
 arc midpoint; otherwise utility is linear along the arc, the two endpoints
-are compared, and an exact tie goes to the first group's boundary.
+are compared, and an exact tie goes to the first group's boundary. So a
+joint response is one of three unit vectors, arc_point(0.0), arc_point(1.0)
+or midpoint, and a decoupled one is the group's own boundary. The model
+builds these once, read-only, with each group's (TPR, FPR) at them, and
+the solvers return the table's own array objects: tpr_fpr answers such an
+object from the table, with the bits its checked path gives for a copy.
 """
 
 from __future__ import annotations
@@ -287,6 +292,15 @@ class GaussianHalfspace:
     For a decision hyperplane theta (also a unit vector), the classification
     rates depend only on the normalized angle between theta and h_a:
     TPR = 1 - angle, FPR = angle, with angle = arccos(theta . h_a) / pi.
+
+    Construction also builds the response table: each group's boundary, as
+    vector() gives it, and for two groups arc_point(0.0), arc_point(1.0),
+    midpoint and pair_angle, each computed once by those methods. The
+    vectors are read-only arrays, stored with every group's (TPR, FPR) at
+    them. The best responses return these very objects, and tpr_fpr answers
+    a theta that `is` one of them from the table, the same floats its
+    checked path gives for an equal copy; any other theta takes the checked
+    path.
     """
 
     vectors: tuple[tuple[str, tuple[float, ...]], ...]
@@ -322,6 +336,24 @@ class GaussianHalfspace:
                         f"groups {items[i][0]!r} and {items[j][0]!r} have identical or "
                         f"opposite boundaries (normalized angle {ang})"
                     )
+        # The response table (see the class docstring). _table_rates is keyed
+        # by id(); the ids stay unique because the table holds its vectors.
+        object.__setattr__(self, "_table_rates", {})
+        object.__setattr__(
+            self, "_boundaries", {gid: self._table_entry(self.vector(gid)) for gid, _ in items}
+        )
+        arc = None
+        if len(items) == 2:
+            ends = (self._table_entry(self.arc_point(0.0)), self._table_entry(self.arc_point(1.0)))
+            arc = (ends, self._table_entry(self.midpoint), normalized_angle(*self._pair()))
+        object.__setattr__(self, "_arc", arc)
+
+    def _table_entry(self, theta: np.ndarray) -> np.ndarray:
+        """Make theta read-only and store it with each group's checked rates."""
+        theta.flags.writeable = False
+        rates = {gid: self._checked_tpr_fpr(gid, theta) for gid, _ in self.vectors}
+        self._table_rates[id(theta)] = (theta, rates)
+        return theta
 
     @property
     def group_ids(self) -> tuple[str, ...]:
@@ -334,6 +366,12 @@ class GaussianHalfspace:
         raise ConfigurationError(f"no boundary vector for group {group!r}")
 
     def tpr_fpr(self, group: str, theta) -> tuple[float, float]:
+        hit = self._table_rates.get(id(theta))
+        if hit is not None and hit[0] is theta and group in hit[1]:
+            return hit[1][group]
+        return self._checked_tpr_fpr(group, theta)
+
+    def _checked_tpr_fpr(self, group: str, theta) -> tuple[float, float]:
         theta = self._check_theta(theta)
         ang = normalized_angle(theta, self.vector(group))
         return 1.0 - ang, ang
@@ -359,8 +397,9 @@ class GaussianHalfspace:
     @property
     def pair_angle(self) -> float:
         """Normalized angle between the two group boundaries."""
-        h1, h2 = self._pair()
-        return normalized_angle(h1, h2)
+        if self._arc is None:
+            self._pair()  # raises: arcs need exactly two groups
+        return self._arc[2]
 
     @property
     def midpoint(self) -> np.ndarray:
@@ -686,16 +725,16 @@ def _gaussian_best_response(
         tied = abs(state.rates[0] - state.rates[1]) <= tie_tol
     else:
         tied = abs(w1 - w2) <= tie_tol * max(1.0, w1, w2)
+    ends, midpoint, ang = model._arc
     if tied:
         # The whole arc is optimal; the convention is the boundaries' midpoint.
-        return model.midpoint
+        return midpoint
     # The objective along the arc is linear in the arc fraction (the angles
     # to the two boundaries are t*ang and (1-t)*ang), so its maximum sits at
     # an endpoint; an exact tie goes to t=0.
-    ang = model.pair_angle
     at_first = _utility_from_rates(economy, groups, ((1.0, 0.0), (1.0 - ang, ang)), state.rates)
     at_second = _utility_from_rates(economy, groups, ((1.0 - ang, ang), (1.0, 0.0)), state.rates)
-    return model.arc_point(0.0 if at_first >= at_second else 1.0)
+    return ends[0] if at_first >= at_second else ends[1]
 
 
 def institution_best_response(
@@ -738,10 +777,14 @@ def decoupled_best_response(
     Scalar models reuse the joint solver on a one-group economy. For the
     halfspace model the per-group optimum is always the group's own
     boundary: any other hyperplane trades true positives for false
-    positives at a strictly positive angle weight.
+    positives at a strictly positive angle weight. It is returned as the
+    model's read-only table copy of that boundary.
     """
     if isinstance(model, GaussianHalfspace):
-        return model.vector(group.id)
+        boundary = model._boundaries.get(group.id)
+        if boundary is None:
+            raise ConfigurationError(f"no boundary vector for group {group.id!r}")
+        return boundary
     if isinstance(model, ScalarModel):
         solo = (GroupSpec(id=group.id, proportion=1.0, cost=group.cost),)
         state = QualificationState(ids=(group.id,), rates=(float(pi),))

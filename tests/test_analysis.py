@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qualdyn import (
     AssumptionError,
@@ -11,6 +13,7 @@ from qualdyn import (
     ConfigurationError,
     DynamicsConfig,
     EconomyConfig,
+    GaussianHalfspace,
     GroupScores,
     GroupSpec,
     ParameterError,
@@ -337,3 +340,34 @@ def test_steep_cost_roots_meet_fix_tol_and_are_assessed(mu):
     for rec in nonzero:
         assert rec.residual <= DynamicsConfig().fix_tol
         assert rec.stability in ("Stable", "Unstable")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    angle_deg=st.floats(min_value=60.0, max_value=120.0, exclude_min=True, exclude_max=True),
+    wage=st.floats(min_value=0.6, max_value=0.9, exclude_min=True, exclude_max=True),
+    ratio=st.floats(min_value=1.3, max_value=2.0),
+    high_payoff=st.booleans(),
+)
+def test_halfspace_scan_meets_fix_tol_and_the_closed_forms(angle_deg, wage, ratio, high_payoff):
+    # The halfspace-find family: two equal groups with Uniform01 costs,
+    # payoff ratio on either side of 1.
+    phi = math.radians(angle_deg)
+    h1, h2 = (1.0, 0.0), (math.cos(phi), math.sin(phi))
+    payoff_tp, cost_fp = (ratio, 1.0) if high_payoff else (1.0, ratio)
+    economy = EconomyConfig(wage=wage, payoff_tp=payoff_tp, cost_fp=cost_fp)
+    groups = tuple(GroupSpec(id=g, proportion=0.5, cost=Uniform01()) for g in ("g1", "g2"))
+    model = GaussianHalfspace((("g1", h1), ("g2", h2)))
+    config = DynamicsConfig()
+    records = find_equilibria_scan(economy, groups, model, grid=7, config=config)
+    for rec in records:
+        if rec.kind == "FixedPoint":
+            assert rec.residual <= config.fix_tol
+    forms = gaussian_closed_forms(h1, h2, wage, Uniform01(), economy, group_ids=("g1", "g2"))
+    for want in forms.records:
+        assert any(
+            rec.kind == want.kind
+            and rec.period == want.period
+            and rec.state.sup_distance(want.state) <= 1e-9
+            for rec in records
+        ), want.label

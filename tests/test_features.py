@@ -1,5 +1,6 @@
 """Feature models and the institution's best response."""
 
+import copy
 import json
 import math
 import sys
@@ -244,6 +245,87 @@ def test_decoupled_best_response_scalar_and_halfspace():
     np.testing.assert_allclose(
         decoupled_best_response(halfspace, economy, group, 0.6), [1.0, 0.0]
     )
+
+
+def halfspace_at(angle_deg):
+    phi = math.radians(angle_deg)
+    return GaussianHalfspace((("g1", (1.0, 0.0)), ("g2", (math.cos(phi), math.sin(phi)))))
+
+
+def halfspace_table(model):
+    """Every vector the halfspace solvers return, each as they return it,
+    beside the public method that computes it afresh."""
+    economy = EconomyConfig(wage=0.8, payoff_tp=2.0, cost_fp=1.0)
+    groups = tuple(GroupSpec(id=g, proportion=0.5, cost=Uniform01()) for g in ("g1", "g2"))
+
+    def joint(r1, r2):
+        state = QualificationState(ids=("g1", "g2"), rates=(r1, r2))
+        return institution_best_response(model, economy, groups, state)
+
+    return [
+        (joint(0.8, 0.0), model.arc_point(0.0)),
+        (joint(0.1, 0.7), model.arc_point(1.0)),
+        (joint(0.4, 0.4), model.midpoint),
+    ] + [
+        (decoupled_best_response(model, economy, g, 0.5), model.vector(g.id)) for g in groups
+    ]
+
+
+@pytest.mark.parametrize("angle_deg", [60.0, 73.0, 90.0, 117.5])
+def test_halfspace_responses_are_read_only_table_entries(angle_deg):
+    model = halfspace_at(angle_deg)
+    first, again = halfspace_table(model), halfspace_table(model)
+    for (theta, fresh), (theta_again, _) in zip(first, again):
+        assert theta is theta_again
+        assert theta.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            theta[0] = 0.0
+        with pytest.raises(ValueError):
+            theta *= 1.0
+
+
+@pytest.mark.parametrize("angle_deg", [60.0, 73.0, 90.0, 117.5])
+def test_halfspace_table_rates_are_the_checked_rates(angle_deg):
+    model = halfspace_at(angle_deg)
+    twin = copy.deepcopy(model)  # its table holds copies, so it takes the checked path
+    for theta, _ in halfspace_table(model) + halfspace_table(twin):
+        for g in ("g1", "g2"):
+            got = [x.hex() for x in model.tpr_fpr(g, theta)]
+            assert got == [x.hex() for x in model.tpr_fpr(g, theta.copy())]
+            assert got == [x.hex() for x in twin.tpr_fpr(g, theta)]
+    h1, h2 = model.vector("g1"), model.vector("g2")
+    assert model.pair_angle.hex() == normalized_angle(h1, h2).hex()
+
+
+def test_halfspace_unknown_group_fails_on_both_paths():
+    model = halfspace_at(80.0)
+    for theta, _ in halfspace_table(model):
+        for probe in (theta, theta.copy()):
+            with pytest.raises(ConfigurationError, match="'zz'"):
+                model.tpr_fpr("zz", probe)
+    economy = EconomyConfig(wage=0.8)
+    stranger = GroupSpec(id="zz", proportion=1.0, cost=Uniform01())
+    with pytest.raises(ConfigurationError, match="'zz'"):
+        decoupled_best_response(model, economy, stranger, 0.5)
+
+
+def test_three_group_halfspace_still_answers():
+    s = math.sqrt(0.5)
+    model = GaussianHalfspace(
+        (("g1", (1.0, 0.0)), ("g2", (0.0, 1.0)), ("g3", (s, s)))
+    )
+    assert model.tpr_fpr("g3", (1.0, 0.0)) == (pytest.approx(0.75), pytest.approx(0.25))
+    assert model.tpr_fpr("g2", (s, s)) == (pytest.approx(0.75), pytest.approx(0.25))
+    economy = EconomyConfig(wage=0.8)
+    group = GroupSpec(id="g3", proportion=1.0, cost=Uniform01())
+    theta = decoupled_best_response(model, economy, group, 0.5)
+    assert theta.tobytes() == model.vector("g3").tobytes() and not theta.flags.writeable
+    for g in model.group_ids:
+        assert model.tpr_fpr(g, theta) == model.tpr_fpr(g, theta.copy())
+    with pytest.raises(ConfigurationError):
+        model.pair_angle
+    with pytest.raises(ConfigurationError):
+        model.midpoint
 
 
 def test_analytic_threshold_matches_odds_condition():
