@@ -419,7 +419,10 @@ def find_equilibria_scan(
 
     Several groups: run the dynamics from every grid start, cluster the
     verdicts within 10 * fix_tol, and keep each cluster's smallest-residual
-    member.
+    member. The runs share one iterate memo, so a state that any start has
+    reached is stepped only once. In the uniform and halfspace families the
+    rule takes only a few values, so after its first step nearly every run
+    is at a state another start has stepped already.
     """
     groups = normalize_groups(groups)
     if config is None:
@@ -542,10 +545,12 @@ def _scan_multi_group(
     fixed: list[tuple[QualificationState, float]] = []
     cycles: list[tuple[QualificationState, tuple[QualificationState, ...], int]] = []
     radius = _DEDUP_FACTOR * config.fix_tol
+    memo: dict = {}
 
     for start in _multi_starts(len(groups), grid):
         outcome = iterate(
-            economy, groups, model, QualificationState(ids=ids, rates=start), config
+            economy, groups, model, QualificationState(ids=ids, rates=start), config,
+            memo=memo,
         )
         v = outcome.verdict
         if isinstance(v, FixedPoint):

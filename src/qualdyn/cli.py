@@ -382,15 +382,18 @@ def cmd_sweep(args) -> int:
         state = settled_state(outcome)
         return outcome.verdict.last if state is None else state
 
+    joint_memo: dict = {}
+    dec_memo: dict = {}
+
     def one_row(start) -> list[str]:
         init_cells, state = start
-        joint = iterate(economy, groups, model, state, joint_cfg)
+        joint = iterate(economy, groups, model, state, joint_cfg, memo=joint_memo)
         joint_pi = resting(joint)
         row = [repr(v) for v in init_cells]
         row += [repr(r) for r in joint_pi.rates]
         row.append(joint.verdict.name)
         if want_decoupled:
-            dec = iterate(economy, groups, model, state, dec_cfg)
+            dec = iterate(economy, groups, model, state, dec_cfg, memo=dec_memo)
             dec_pi = resting(dec)
             row += [repr(r) for r in dec_pi.rates]
             row.append(dec.verdict.name)

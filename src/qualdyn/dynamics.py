@@ -216,6 +216,7 @@ def iterate(
     config: DynamicsConfig = DynamicsConfig(),
     *,
     stop: Callable[[QualificationState], bool] | None = None,
+    memo: dict | None = None,
 ) -> DynamicsOutcome:
     """Run the dynamics from an initial state until a fixed point, a cycle,
     or the iteration budget.
@@ -228,36 +229,59 @@ def iterate(
 
     stop, if given, is asked about each new state before those tests; the
     run ends NonConverged at the first state it accepts.
+
+    Each distinct state is stepped once: memo maps a state's rates to that
+    step's result, and the trace records and the fixed-point and cycle
+    checks read it. Without a memo the run keeps its own. Callers that run
+    many starts pass one dict to all of them, so a state any run has
+    reached is not stepped again. The contract:
+
+    - a memo is valid for one (economy, groups, model, config) only, and
+      its entries are private to this module;
+    - step must stay pure, a function of the state alone; a warning raised
+      inside it shows once per location under the default filter, so a
+      skipped repeat hides none;
+    - thetas, decoupled mappings included, are shared between the trace
+      records of every run that reaches the same state, and must not be
+      mutated;
+    - it grows by one entry per distinct state stepped: a grid-21 scan of
+      a two-group score model stores about 11300, some 6 MB.
     """
     groups = normalize_groups(groups)
+    if memo is None:
+        memo = {}
+
+    def advance(s: QualificationState):
+        """(theta, next state, utility, balance) for one step from s."""
+        entry = memo.get(s.rates)
+        if entry is None:
+            theta, new_state = step(
+                economy, groups, model, s, config.mode,
+                grid_size=config.theta_grid, tie_tol=config.tie_tol,
+            )
+            entry = memo[s.rates] = (
+                theta,
+                new_state,
+                institutional_utility(economy, groups, model, theta, new_state),
+                balance(new_state),
+            )
+        return entry
+
     state = initial
     trace: list[TraceRecord] = [
         TraceRecord(t=0, state=state, theta=None, utility=None, balance=balance(state))
     ]
     states: list[QualificationState] = [state]
 
-    def advance(s: QualificationState):
-        return step(
-            economy, groups, model, s, config.mode,
-            grid_size=config.theta_grid, tie_tol=config.tie_tol,
-        )
-
     for t in range(1, config.max_iters + 1):
-        theta, new_state = advance(state)
+        theta, new_state, utility, bal = advance(state)
         trace.append(
-            TraceRecord(
-                t=t,
-                state=new_state,
-                theta=theta,
-                utility=institutional_utility(economy, groups, model, theta, new_state),
-                balance=balance(new_state),
-            )
+            TraceRecord(t=t, state=new_state, theta=theta, utility=utility, balance=bal)
         )
         if stop is not None and stop(new_state):
             return DynamicsOutcome(trace=tuple(trace), verdict=NonConverged(last=new_state))
         if new_state.sup_distance(state) <= config.fix_tol:
-            _, once_more = advance(new_state)
-            residual = once_more.sup_distance(new_state)
+            residual = advance(new_state)[1].sup_distance(new_state)
             if residual <= config.fix_tol:
                 return DynamicsOutcome(
                     trace=tuple(trace),
@@ -299,7 +323,7 @@ def _verify_cycle(advance, start: QualificationState, period: int, tol: float):
     cycle = [start]
     s = start
     for _ in range(period):
-        _, s = advance(s)
+        s = advance(s)[1]
         cycle.append(s)
     if cycle[-1].sup_distance(start) <= tol:
         return tuple(cycle[:-1])
@@ -326,7 +350,8 @@ def classify_stability(
     fix_tol itself would fail on maps whose best-response refinement dithers
     a few ulps above it. The escape radius is 1000 * perturb_eps: a probe
     farther than that from the fixed point fails at once. Each probe stops
-    at its first state inside the return ball or outside the escape ball.
+    at its first state inside the return ball or outside the escape ball,
+    and the probes share one iterate memo.
 
     Only the escape can move a verdict against running every probe to the
     end: a probe that leaves the escape ball and later comes back inside the
@@ -367,9 +392,12 @@ def classify_stability(
         distance = state.sup_distance(fixed_point)
         return distance <= return_tol or distance > escape
 
+    memo: dict = {}
     for cand in probes:
         start = QualificationState(ids=fixed_point.ids, rates=tuple(float(x) for x in cand))
-        last = iterate(economy, groups, model, start, config, stop=decided).trace[-1].state
+        last = iterate(
+            economy, groups, model, start, config, stop=decided, memo=memo
+        ).trace[-1].state
         if last.sup_distance(fixed_point) > return_tol:
             return UNSTABLE
     return STABLE

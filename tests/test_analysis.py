@@ -28,6 +28,7 @@ from qualdyn import (
     find_equilibria_scan,
     gaussian_closed_forms,
     near_realizability_bound,
+    step,
     subsidy_equilibrium_shift,
     uniform_closed_forms,
 )
@@ -371,3 +372,28 @@ def test_halfspace_scan_meets_fix_tol_and_the_closed_forms(angle_deg, wage, rati
             and rec.state.sup_distance(want.state) <= 1e-9
             for rec in records
         ), want.label
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    h1=st.floats(min_value=0.3, max_value=0.5),
+    h2=st.floats(min_value=0.7, max_value=0.9),
+    wage=st.floats(min_value=0.5, max_value=0.7),
+    n1=st.floats(min_value=0.4, max_value=0.6),
+)
+def test_uniform_scan_fixed_points_meet_fix_tol(h1, h2, wage, n1):
+    # The uniform-plateau family: two groups with Uniform01 costs and a
+    # balanced economy, n1 * payoff_tp = (1 - n1) * cost_fp.
+    economy = EconomyConfig(wage=wage, payoff_tp=1.0, cost_fp=n1 / (1.0 - n1))
+    groups = (
+        GroupSpec(id="a1", proportion=n1, cost=Uniform01()),
+        GroupSpec(id="a2", proportion=1.0 - n1, cost=Uniform01()),
+    )
+    model = UniformThreshold((("a1", h1), ("a2", h2)))
+    config = DynamicsConfig()
+    records = find_equilibria_scan(economy, groups, model, grid=7, config=config)
+    assert records
+    for rec in records:
+        if rec.kind == "FixedPoint":
+            _, after = step(economy, groups, model, rec.state)
+            assert after.sup_distance(rec.state) <= config.fix_tol

@@ -275,6 +275,84 @@ def test_unstable_probes_stop_once_they_escape(monkeypatch):
     assert len(calls) <= 20
 
 
+def memo_cases():
+    """(name, economy, groups, model, config, two starts) for each family."""
+    criterion_10 = dict(max_iters=300, fix_tol=1e-6, theta_grid=401)
+    uniform = verification._uniform_reference()
+    score = verification._two_valley_scenario()
+    halfspace = verification._halfspace_scenario(1.0, 2.0)
+    return [
+        ("uniform joint", *uniform, DynamicsConfig(), (0.9, 0.9), (0.2, 0.7)),
+        ("score joint", *score, DynamicsConfig(**criterion_10), (0.3, 0.3), (0.5, 0.5)),
+        ("halfspace joint", *halfspace, DynamicsConfig(), (0.7, 0.2), (0.1, 0.9)),
+        ("uniform decoupled", *uniform, DynamicsConfig(mode="decoupled"),
+         (0.05, 0.05), (0.3, 0.8)),
+        ("score decoupled", *score, DynamicsConfig(mode="decoupled", **criterion_10),
+         (0.3, 0.3), (0.5, 0.5)),
+    ]
+
+
+@pytest.mark.parametrize("case", memo_cases(), ids=lambda case: case[0])
+def test_a_shared_memo_leaves_every_trace_unchanged(monkeypatch, case):
+    _, economy, groups, model, config, a, b = case
+    ids = tuple(g.id for g in groups)
+    first = QualificationState(ids=ids, rates=a)
+    # the third start lies on the first run's path, so its run is all memo hits
+    middle = iterate(economy, groups, model, first, config).trace
+    starts = [first, QualificationState(ids=ids, rates=b), middle[len(middle) // 2].state]
+    calls = count_steps(monkeypatch)
+    fresh = [trace_lines(iterate(economy, groups, model, s, config), model) for s in starts]
+    fresh_steps = len(calls)
+    calls.clear()
+    memo: dict = {}
+    shared = [
+        trace_lines(iterate(economy, groups, model, s, config, memo=memo), model)
+        for s in starts
+    ]
+    assert shared == fresh
+    assert len(calls) == len(memo) < fresh_steps
+
+
+def theta_bits(theta):
+    if isinstance(theta, dict):
+        return {gid: theta_bits(th) for gid, th in theta.items()}
+    return np.asarray(theta, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["joint", "decoupled"])
+@pytest.mark.parametrize("family", ["uniform", "score", "halfspace"])
+def test_step_gives_the_same_bits_at_zero_and_negative_zero(family, mode):
+    # 0.0 and -0.0 are one memo key, so step must not tell them apart
+    economy, groups, model = {
+        "uniform": verification._uniform_reference,
+        "score": verification._two_valley_scenario,
+        "halfspace": lambda: verification._halfspace_scenario(2.0, 1.0),
+    }[family]()
+    ids = tuple(g.id for g in groups)
+    for other in (0.0, 0.3, 0.8, 1.0):
+        for i in range(2):
+            plus, minus = [other, other], [other, other]
+            plus[i], minus[i] = 0.0, -0.0
+            theta_p, after_p = step(
+                economy, groups, model, QualificationState(ids, tuple(plus)), mode
+            )
+            theta_m, after_m = step(
+                economy, groups, model, QualificationState(ids, tuple(minus)), mode
+            )
+            assert theta_bits(theta_p) == theta_bits(theta_m)
+            assert [r.hex() for r in after_p.rates] == [r.hex() for r in after_m.rates]
+
+
+def test_the_multi_group_scan_steps_each_distinct_state_once(monkeypatch):
+    # criterion-05 anchor: after the first step of each of the 21 x 21
+    # starts, nearly every run is at a state another start has stepped
+    economy, groups, model = verification._halfspace_scenario(2.0, 1.0)
+    calls = count_steps(monkeypatch)
+    records = find_equilibria_scan(economy, groups, model)
+    assert sorted(r.stability for r in records) == ["Stable", "Stable", "Unstable"]
+    assert len(calls) <= 21 * 21 + 20
+
+
 def test_escape_fails_a_stable_root_whose_probes_overshoot(monkeypatch):
     # The stated risk of the escape radius, pinned: a stable linear map (both
     # eigenvalues 0.5) whose shear turns a kick of 1e-4 along the second
