@@ -1,7 +1,7 @@
 """Equilibrium analysis: closed-form tables for the two solvable feature
 families, equilibrium enumeration by scanning, the beta(pi) map behind
-multiple equilibria, near-realizability lower bounds, subsidy comparisons,
-and equilibrium ranking reports.
+multiple equilibria, near-realizability lower bounds and subsidy
+comparisons.
 
 Closed forms are hard-coded expressions, not symbolic derivations; every
 closed-form equilibrium can be cross-checked against the dynamics engine,
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from .core import (
     EconomyConfig,
     GroupSpec,
     QualificationState,
-    balance as state_balance,
-    institutional_utility,
     normalize_groups,
     response_rate,
 )
@@ -45,11 +43,9 @@ from .errors import (
     ConfigurationError,
     ParameterError,
     PreconditionError,
-    QualdynError,
 )
 from .features import (
     GaussianHalfspace,
-    UniformThreshold,
     institution_best_response,
     normalized_angle,
 )
@@ -419,7 +415,10 @@ def find_equilibria_scan(
 
     Several groups: run the dynamics from every grid start, cluster the
     verdicts within 10 * fix_tol, and keep each cluster's smallest-residual
-    member. The runs share one iterate memo, so a state that any start has
+    member. Two groups start from the full grid x grid mesh; three or more
+    start only from the diagonal and the lines through (0.5, ..., 0.5)
+    along each axis, so an equilibrium whose basin misses those lines is
+    not found. The runs share one iterate memo, so a state that any start has
     reached is stepped only once. In the uniform and halfspace families the
     rule takes only a few values, so after its first step nearly every run
     is at a state another start has stepped already.
@@ -780,124 +779,3 @@ def _gaussian_subsidy_check(
         post_rates=post_rates,
         own_boundary_equilibrium_found=found,
     )
-
-
-# ---------------------------------------------------------------------------
-# Equilibrium comparison
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RankingReport:
-    """Per-metric preference chains over a set of labeled equilibria.
-
-    rankings maps metric name -> tiers, best first; labels in one tier are
-    tied within tolerance. Balance prefers smaller values; qualification
-    rates and utility prefer larger.
-    """
-
-    rankings: Mapping[str, tuple[tuple[str, ...], ...]]
-    values: Mapping[str, Mapping[str, float]]
-
-    def chain(self, metric: str) -> str:
-        return " > ".join(" ~ ".join(tier) for tier in self.rankings[metric])
-
-
-def compare_equilibria(
-    equilibria: Sequence[EquilibriumRecord],
-    economy: EconomyConfig,
-    groups: Sequence[GroupSpec],
-    model,
-    *,
-    tie_tol: float = 1e-9,
-) -> RankingReport:
-    """Rank equilibria on per-group qualification rate, balance, and
-    institutional utility (utility from the engine's own evaluation, and
-    only for fixed points carrying a theta).
-
-    For a two-group uniform-threshold model with wage strictly inside the
-    closed-form w interval and equilibria labeled h1/h_mid/h2, the known
-    orderings are validated: group-1 rate h1 > h_mid > h2, group-2 rate
-    h2 > h_mid > h1, balance h_mid > h1 > h2 (smaller is better). A strict
-    inversion raises rather than silently emitting a wrong report.
-    """
-    if len(equilibria) < 2:
-        raise ParameterError(f"need at least 2 equilibria to compare, got {len(equilibria)}")
-    groups = normalize_groups(groups)
-    labels = [r.label for r in equilibria]
-    if len(set(labels)) != len(labels):
-        raise ParameterError(f"equilibrium labels must be unique, got {labels}")
-
-    values: dict[str, dict[str, float]] = {}
-    ids = tuple(g.id for g in groups)
-    for i, gid in enumerate(ids):
-        values[f"pi:{gid}"] = {r.label: r.state.rates[i] for r in equilibria}
-    values["balance"] = {r.label: state_balance(r.state) for r in equilibria}
-    util: dict[str, float] = {}
-    for r in equilibria:
-        if r.kind == "FixedPoint" and r.theta is not None:
-            util[r.label] = institutional_utility(economy, groups, model, r.theta, r.state)
-    values["utility"] = util
-
-    rankings = {}
-    for metric, vals in values.items():
-        reverse = metric != "balance"
-        rankings[metric] = _tiers(vals, reverse=reverse, tol=tie_tol)
-
-    report = RankingReport(rankings=rankings, values=values)
-    _validate_uniform_lemmas(report, equilibria, economy, model, ids)
-    return report
-
-
-def _tiers(vals: Mapping[str, float], reverse: bool, tol: float):
-    ordered = sorted(vals.items(), key=lambda kv: kv[1], reverse=reverse)
-    tiers: list[list[str]] = []
-    last: float | None = None
-    for label, v in ordered:
-        if last is not None and abs(v - last) <= tol:
-            tiers[-1].append(label)
-        else:
-            tiers.append([label])
-        last = v
-    return tuple(tuple(t) for t in tiers)
-
-
-_UNIFORM_LEMMA_CHAINS = {
-    # metric suffix -> expected strict order of the three labeled equilibria
-    0: ("h1", "h_mid", "h2"),  # first group's rate
-    1: ("h2", "h_mid", "h1"),  # second group's rate
-    "balance": ("h_mid", "h1", "h2"),
-}
-
-
-def _validate_uniform_lemmas(report, equilibria, economy, model, ids) -> None:
-    if not isinstance(model, UniformThreshold) or len(ids) != 2:
-        return
-    present = {r.label for r in equilibria}
-    if not {"h1", "h_mid", "h2"} <= present:
-        return
-    h1 = model.threshold(ids[0])
-    h2 = model.threshold(ids[1])
-    if not h1 < h2:
-        return
-    expr_a, expr_b = _uniform_bound_exprs(h1, h2)
-    w_lo, w_hi = sorted((expr_a, expr_b))
-    if not w_lo < economy.wage < w_hi:
-        return
-    checks = [
-        (f"pi:{ids[0]}", _UNIFORM_LEMMA_CHAINS[0]),
-        (f"pi:{ids[1]}", _UNIFORM_LEMMA_CHAINS[1]),
-        ("balance", _UNIFORM_LEMMA_CHAINS["balance"]),
-    ]
-    for metric, expected in checks:
-        order = [
-            label for tier in report.rankings[metric] for label in tier if label in expected
-        ]
-        tied = {
-            frozenset(tier) for tier in report.rankings[metric] if len(set(tier) & set(expected)) > 1
-        }
-        if tuple(order) != expected or tied:
-            raise QualdynError(
-                f"known ordering violated on {metric}: expected {' > '.join(expected)}, "
-                f"got {report.chain(metric)}"
-            )

@@ -497,8 +497,8 @@ def _print_record(model, rec: EquilibriumRecord, residual: float | None) -> None
 def cmd_find(args) -> int:
     scenario = load_scenario(args.config)
     groups = scenario.effective_groups()
-    mode = "decoupled" if (args.decoupled or scenario.decouple) else scenario.dynamics.mode
-    config = replace(scenario.dynamics, mode=mode)
+    config = scenario.run_config(args.decoupled)
+    mode = config.mode
     seed = args.seed if args.seed is not None else scenario.seed
 
     records = find_equilibria_scan(

@@ -206,15 +206,6 @@ class QualificationState:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Societal metrics at one (theta, state) point."""
-
-    qualification_rates: Mapping[str, float]
-    balance: float
-    institutional_utility: float
-
-
 def _check_group_index(groups: tuple[GroupSpec, ...], state: QualificationState) -> None:
     group_ids = tuple(g.id for g in groups)
     if group_ids != state.ids:
@@ -288,18 +279,3 @@ def response_rate(cost: CostDistribution, wage: float, tpr, fpr):
     if isinstance(benefit, np.ndarray):
         return _clamp01(cost.cdf(np.where(benefit < 0.0, 0.0, benefit)))
     return min(1.0, max(0.0, cost.cdf(0.0 if benefit < 0.0 else benefit)))
-
-
-def evaluate_metrics(
-    economy: EconomyConfig,
-    groups: tuple[GroupSpec, ...],
-    model: FeatureMap,
-    theta,
-    state: QualificationState,
-) -> Metrics:
-    """Bundle the per-group rates with balance and institution utility."""
-    return Metrics(
-        qualification_rates=state.as_mapping(),
-        balance=balance(state),
-        institutional_utility=institutional_utility(economy, groups, model, theta, state),
-    )

@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -91,7 +90,7 @@ from .core import (
     institutional_utility,
     response_rate,
 )
-from .costs import Uniform01, _knots_from_config
+from .costs import _knots_from_config
 from .errors import ConfigurationError, DomainError, ParameterError
 
 DEFAULT_GRID = 2001  # step 5e-4 over [0, 1]
@@ -165,8 +164,7 @@ class EmpiricalScore:
     """Piecewise-linear conditional score CDF with knots spanning [0, 1].
 
     The first knot must be (0, 0) and the last (1, 1) so the curve is a CDF
-    on the score range. `pdf` takes central differences (the likelihood
-    ratio uses it); `slope` is the exact slope of the segment holding x.
+    on the score range. `slope` is the exact slope of the segment holding x.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -206,10 +204,6 @@ class EmpiricalScore:
             return self._slopes[j] * (x - xs[j]) + ys[j]
         return np.interp(np.clip(x, 0.0, 1.0), self._xs, self._ys)
 
-    def pdf(self, x, step: float = 1e-4):
-        x = np.clip(np.asarray(x, dtype=float), step, 1.0 - step)
-        return (self.cdf(x + step) - self.cdf(x - step)) / (2.0 * step)
-
     def slope(self, x: float) -> float:
         """dF/dx at a scalar score: the slope of the segment [x_j, x_j+1)
         holding x (the last segment's at and beyond the last knot)."""
@@ -236,7 +230,6 @@ class UniformThreshold:
     """
 
     thresholds: tuple[tuple[str, float], ...]
-    theta_space = "interval [0, 1]"
 
     def __post_init__(self) -> None:
         if isinstance(self.thresholds, Mapping):
@@ -304,7 +297,6 @@ class GaussianHalfspace:
     """
 
     vectors: tuple[tuple[str, tuple[float, ...]], ...]
-    theta_space = "unit vectors"
 
     def __post_init__(self) -> None:
         if isinstance(self.vectors, Mapping):
@@ -453,7 +445,6 @@ class ScoreModel:
     """
 
     curves: tuple[tuple[str, GroupScores], ...]
-    theta_space = "interval [0, 1]"
 
     def __post_init__(self) -> None:
         if isinstance(self.curves, Mapping):
@@ -492,15 +483,6 @@ class ScoreModel:
         gs = self.scores(group)
         return -gs.y1.slope(theta), -gs.y0.slope(theta)
 
-    def likelihood_ratio(self, group: str, x):
-        """phi(x) = f0(x) / f1(x); inf where the qualified density vanishes."""
-        gs = self.scores(group)
-        f0 = np.asarray(gs.y0.pdf(x), dtype=float)
-        f1 = np.asarray(gs.y1.pdf(x), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(f1 > 0.0, f0 / np.where(f1 > 0.0, f1, 1.0), np.inf)
-        return out
-
     def to_config(self) -> dict:
         def dist_cfg(d):
             return d.to_config()
@@ -513,7 +495,6 @@ class ScoreModel:
         }
 
 
-FeatureModel = UniformThreshold | GaussianHalfspace | ScoreModel
 ScalarModel = (UniformThreshold, ScoreModel)
 
 
@@ -799,72 +780,6 @@ def _check_alignment(model, groups: tuple[GroupSpec, ...], state: QualificationS
         raise ConfigurationError(
             f"feature model groups {model_ids} do not match economy groups {state.ids}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Analytic single-group threshold (monotone likelihood ratio)
-# ---------------------------------------------------------------------------
-
-
-def coate_loury_threshold(
-    model: ScoreModel,
-    economy: EconomyConfig,
-    state: QualificationState,
-    *,
-    grid_size: int = DEFAULT_GRID,
-) -> float:
-    """Single-group threshold via the likelihood-ratio condition.
-
-    With phi = f0/f1 strictly decreasing, continuous, and positive, the
-    institution accepts exactly the scores x where payoff_tp * pi * f1(x)
-    beats cost_fp * (1 - pi) * f0(x), i.e. the smallest x with
-    ratio >= ((1 - pi) / pi) * phi(x); found here by bisection. When the
-    numerical monotonicity probe fails, falls back to the grid argmax and
-    warns.
-    """
-    if len(state) != 1:
-        raise ConfigurationError("analytic threshold applies to a single group")
-    group = state.ids[0]
-    pi = state.rates[0]
-    if pi <= 0.0:
-        return 1.0  # no qualified mass: accept no one
-
-    probe = np.linspace(1e-6, 1.0 - 1e-6, 512)
-    phi = model.likelihood_ratio(group, probe)
-    finite = np.isfinite(phi)
-    decreasing = bool(
-        np.all(np.diff(phi[finite]) <= 1e-9 * np.maximum(1.0, np.abs(phi[finite][:-1])))
-    )
-    positive = bool(np.all(phi[finite] >= 0.0))
-    if not (decreasing and positive and finite.any()):
-        warnings.warn(
-            "likelihood ratio is not monotone decreasing; falling back to grid argmax",
-            stacklevel=2,
-        )
-        solo = (GroupSpec(id=group, proportion=1.0, cost=Uniform01()),)
-        return _scalar_best_response(model, economy, solo, state, grid_size)
-
-    odds = (1.0 - pi) / pi
-
-    def short(x: float) -> float:
-        # Positive when x is still too low to accept (condition unmet).
-        val = float(model.likelihood_ratio(group, np.array([x]))[0])
-        if not math.isfinite(val):
-            return math.inf
-        return odds * val - economy.ratio
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-    if short(lo) <= 0.0:
-        return 0.0  # condition already holds at the bottom: accept everyone
-    if short(hi) > 0.0:
-        return 1.0  # condition never holds: accept no one
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if short(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,46 @@ def _moments_start(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> tuple[
     return alpha, beta
 
 
+def _damped_newton(objective, direction, alpha: float, beta: float):
+    """Maximize a log-likelihood over (alpha, beta) > 0 by damped Newton.
+
+    objective(a, b) returns (ll, grad), with grad None where the point is
+    unusable; direction(a, b, grad) returns a Newton step, or None to fall
+    back to a scaled gradient-ascent step. Each step is halved up to 60
+    times until the log-likelihood does not drop. Returns (alpha, beta,
+    ll, grad, iterations) once the gradient sup-norm is <= 1e-8; a stalled
+    line search or _MAX_ITERS steps without convergence raise FitError.
+    """
+    ll, grad = objective(alpha, beta)
+    if grad is None:
+        raise FitError("method-of-moments start has zero-mass bins with data")
+    for iteration in range(_MAX_ITERS):
+        if float(np.max(np.abs(grad))) <= _GRAD_TOL:
+            return alpha, beta, ll, grad, iteration
+        step = direction(alpha, beta, grad)
+        if step is None:
+            step = grad / max(1.0, float(np.max(np.abs(grad))))  # gradient ascent fallback
+        t = 1.0
+        for _ in range(60):
+            cand = (alpha + t * step[0], beta + t * step[1])
+            if cand[0] > 0.0 and cand[1] > 0.0:
+                cand_ll, cand_grad = objective(*cand)
+                # Non-decreasing up to rounding noise in a sum of ~1e6 terms.
+                if cand_grad is not None and cand_ll >= ll - 1e-12 * max(1.0, abs(ll)):
+                    alpha, beta, ll, grad = cand[0], cand[1], cand_ll, cand_grad
+                    break
+            t *= 0.5
+        else:
+            raise FitError(
+                f"line search stalled at alpha={alpha:.6g}, beta={beta:.6g}, "
+                f"gradient sup-norm {float(np.max(np.abs(grad))):.3g}"
+            )
+    raise FitError(
+        f"no convergence in {_MAX_ITERS} iterations; last gradient sup-norm "
+        f"{float(np.max(np.abs(grad))):.3g} at alpha={alpha:.6g}, beta={beta:.6g}"
+    )
+
+
 def fit_beta(hist: ScoreHistogram, group: str, label: int) -> BetaFit:
     """Fit Beta(alpha, beta) to one (group, label) series by maximizing the
     binned log-likelihood with damped Newton from a method-of-moments start.
@@ -248,21 +288,13 @@ def fit_beta(hist: ScoreHistogram, group: str, label: int) -> BetaFit:
     hi = lo + series.width
     counts = np.array(series.counts, dtype=float)[mask]
 
-    alpha, beta = _moments_start(lo, hi, counts)
-    ll, grad = _binned_objective(alpha, beta, lo, hi, counts)
-    if grad is None:
-        raise FitError("method-of-moments start has zero-mass bins with data")
+    def objective(a: float, b: float):
+        return _binned_objective(a, b, lo, hi, counts)
 
     def newton_direction(a: float, b: float, g: np.ndarray) -> np.ndarray | None:
         h = 1e-5
-        col_a = (
-            np.asarray(_binned_objective(a + h, b, lo, hi, counts)[1])
-            - np.asarray(_binned_objective(a - h, b, lo, hi, counts)[1])
-        ) / (2.0 * h)
-        col_b = (
-            np.asarray(_binned_objective(a, b + h, lo, hi, counts)[1])
-            - np.asarray(_binned_objective(a, b - h, lo, hi, counts)[1])
-        ) / (2.0 * h)
+        col_a = (np.asarray(objective(a + h, b)[1]) - np.asarray(objective(a - h, b)[1])) / (2 * h)
+        col_b = (np.asarray(objective(a, b + h)[1]) - np.asarray(objective(a, b - h)[1])) / (2 * h)
         hess = np.column_stack([col_a, col_b])
         hess = 0.5 * (hess + hess.T)
         try:
@@ -273,56 +305,23 @@ def fit_beta(hist: ScoreHistogram, group: str, label: int) -> BetaFit:
             return None
         return step
 
-    for iteration in range(1, _MAX_ITERS + 1):
-        if float(np.max(np.abs(grad))) <= _GRAD_TOL:
-            # One last undamped step: quadratic convergence parks the
-            # optimum at quadrature precision, making the fit insensitive
-            # to count rescaling.
-            step = newton_direction(alpha, beta, grad)
-            if step is not None:
-                cand = (alpha + step[0], beta + step[1])
-                if cand[0] > 0.0 and cand[1] > 0.0:
-                    cand_ll, cand_grad = _binned_objective(*cand, lo, hi, counts)
-                    if cand_grad is not None and cand_ll >= ll - 1e-9 * max(1.0, abs(ll)):
-                        alpha, beta, ll = cand[0], cand[1], cand_ll
-            report_ll = float(
-                np.dot(
-                    counts,
-                    np.log(
-                        special.betainc(alpha, beta, hi) - special.betainc(alpha, beta, lo)
-                    ),
-                )
-            )
-            return BetaFit(
-                alpha=alpha,
-                beta=beta,
-                log_likelihood=report_ll,
-                iterations=iteration - 1,
-                converged=True,
-            )
-        step = newton_direction(alpha, beta, grad)
-        if step is None:
-            step = grad / max(1.0, float(np.max(np.abs(grad))))  # gradient ascent fallback
-        t = 1.0
-        moved = False
-        for _ in range(60):
-            cand = (alpha + t * step[0], beta + t * step[1])
-            if cand[0] > 0.0 and cand[1] > 0.0:
-                cand_ll, cand_grad = _binned_objective(*cand, lo, hi, counts)
-                # Non-decreasing up to rounding noise in a sum of ~1e6 terms.
-                if cand_grad is not None and cand_ll >= ll - 1e-12 * max(1.0, abs(ll)):
-                    alpha, beta, ll, grad = cand[0], cand[1], cand_ll, cand_grad
-                    moved = True
-                    break
-            t *= 0.5
-        if not moved:
-            raise FitError(
-                f"line search stalled at alpha={alpha:.6g}, beta={beta:.6g}, "
-                f"gradient sup-norm {float(np.max(np.abs(grad))):.3g}"
-            )
-    raise FitError(
-        f"no convergence in {_MAX_ITERS} iterations; last gradient sup-norm "
-        f"{float(np.max(np.abs(grad))):.3g} at alpha={alpha:.6g}, beta={beta:.6g}"
+    alpha, beta, ll, grad, iterations = _damped_newton(
+        objective, newton_direction, *_moments_start(lo, hi, counts)
+    )
+    # One last undamped step: quadratic convergence parks the optimum at
+    # quadrature precision, making the fit insensitive to count rescaling.
+    step = newton_direction(alpha, beta, grad)
+    if step is not None:
+        cand = (alpha + step[0], beta + step[1])
+        if cand[0] > 0.0 and cand[1] > 0.0:
+            cand_ll, cand_grad = objective(*cand)
+            if cand_grad is not None and cand_ll >= ll - 1e-9 * max(1.0, abs(ll)):
+                alpha, beta = cand
+    report_ll = float(
+        np.dot(counts, np.log(special.betainc(alpha, beta, hi) - special.betainc(alpha, beta, lo)))
+    )
+    return BetaFit(
+        alpha=alpha, beta=beta, log_likelihood=report_ll, iterations=iterations, converged=True
     )
 
 
@@ -365,6 +364,9 @@ def fit_beta_resampled(
                 s_ln_1mx - n * (special.digamma(b) - special.digamma(a + b)),
             ]
         )
+        return float(ll), grad
+
+    def newton_direction(a: float, b: float, g: np.ndarray) -> np.ndarray | None:
         tri_ab = special.polygamma(1, a + b)
         hess = np.array(
             [
@@ -372,41 +374,15 @@ def fit_beta_resampled(
                 [n * tri_ab, -n * (special.polygamma(1, b) - tri_ab)],
             ]
         )
-        return float(ll), grad, hess
-
-    ll, grad, hess = objective(alpha, beta)
-    for iteration in range(1, _MAX_ITERS + 1):
-        if float(np.max(np.abs(grad))) <= _GRAD_TOL:
-            return BetaFit(
-                alpha=alpha,
-                beta=beta,
-                log_likelihood=ll,
-                iterations=iteration - 1,
-                converged=True,
-            )
         try:
-            step = np.linalg.solve(hess, -grad)
+            return np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:
-            step = grad / max(1.0, float(np.max(np.abs(grad))))
-        t = 1.0
-        moved = False
-        for _ in range(60):
-            cand = (alpha + t * step[0], beta + t * step[1])
-            if cand[0] > 0.0 and cand[1] > 0.0:
-                cand_ll, cand_grad, cand_hess = objective(*cand)
-                # Same rounding-noise allowance as the binned fitter.
-                if cand_ll >= ll - 1e-12 * max(1.0, abs(ll)):
-                    alpha, beta, ll, grad, hess = (
-                        cand[0], cand[1], cand_ll, cand_grad, cand_hess,
-                    )
-                    moved = True
-                    break
-            t *= 0.5
-        if not moved:
-            raise FitError(
-                f"line search stalled at alpha={alpha:.6g}, beta={beta:.6g}"
-            )
-    raise FitError(f"no convergence in {_MAX_ITERS} iterations")
+            return None
+
+    alpha, beta, ll, _, iterations = _damped_newton(objective, newton_direction, alpha, beta)
+    return BetaFit(
+        alpha=alpha, beta=beta, log_likelihood=ll, iterations=iterations, converged=True
+    )
 
 
 def to_score_model(fits: Mapping[str, Mapping[int, BetaFit]]) -> ScoreModel:

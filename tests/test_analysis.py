@@ -1,4 +1,4 @@
-"""Closed forms, equilibrium scans, subsidy reports, rankings."""
+"""Closed forms, equilibrium scans, subsidy reports."""
 
 import math
 
@@ -23,8 +23,8 @@ from qualdyn import (
     TruncatedNormal,
     Uniform01,
     UniformThreshold,
+    balance,
     beta_of_pi,
-    compare_equilibria,
     find_equilibria_scan,
     gaussian_closed_forms,
     near_realizability_bound,
@@ -287,35 +287,16 @@ def test_subsidy_shift_preconditions():
 
 
 def test_compare_equilibria_ranks_the_three_cut_points():
-    forms = uniform_closed_forms(0.4, 0.8, 0.6)
-    economy = EconomyConfig(wage=0.6)
-    groups = (
-        GroupSpec(id="a1", proportion=0.5, cost=Uniform01()),
-        GroupSpec(id="a2", proportion=0.5, cost=Uniform01()),
-    )
-    model = UniformThreshold((("a1", 0.4), ("a2", 0.8)))
-    report = compare_equilibria(forms.records, economy, groups, model)
-    assert report.chain("pi:a1") == "h1 > h_mid > h2"
-    assert report.chain("pi:a2") == "h2 > h_mid > h1"
-    assert report.chain("balance") == "h_mid > h1 > h2"
-    assert set(report.values["utility"]) == {"h1", "h2", "h_mid"}
-    assert report.values["balance"]["h_mid"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_compare_equilibria_input_checks():
-    forms = uniform_closed_forms(0.4, 0.8, 0.6)
-    economy = EconomyConfig(wage=0.6)
-    groups = (
-        GroupSpec(id="a1", proportion=0.5, cost=Uniform01()),
-        GroupSpec(id="a2", proportion=0.5, cost=Uniform01()),
-    )
-    model = UniformThreshold((("a1", 0.4), ("a2", 0.8)))
-    with pytest.raises(ParameterError):
-        compare_equilibria(forms.records[:1], economy, groups, model)
-    with pytest.raises(ParameterError):
-        compare_equilibria(
-            (forms.records[0], forms.records[0]), economy, groups, model
-        )
+    # The paper's ordering of the uniform family's three equilibria: each
+    # group does best at its own cut, and the interior point is balanced.
+    recs = {r.label: r.state for r in uniform_closed_forms(0.4, 0.8, 0.6).records}
+    a1 = {label: state.rates[0] for label, state in recs.items()}
+    a2 = {label: state.rates[1] for label, state in recs.items()}
+    gap = {label: balance(state) for label, state in recs.items()}
+    assert a1["h1"] > a1["h_mid"] > a1["h2"]
+    assert a2["h2"] > a2["h_mid"] > a2["h1"]
+    assert gap["h_mid"] < gap["h1"] < gap["h2"]
+    assert gap["h_mid"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_scan_finds_a_root_inside_the_first_grid_step():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qualdyn
 from qualdyn import (
     ConfigurationError,
     EconomyConfig,
@@ -13,7 +14,6 @@ from qualdyn import (
     QualificationState,
     Uniform01,
     balance,
-    evaluate_metrics,
     institutional_utility,
     normalize_groups,
     response_rate,
@@ -156,20 +156,6 @@ def test_utility_requires_matching_group_index():
         institutional_utility(econ, groups, _FixedRates({"b": (1.0, 0.0)}), 0.5, state)
 
 
-def test_evaluate_metrics_fields():
-    econ = EconomyConfig(wage=0.6)
-    groups = (
-        GroupSpec(id="a", proportion=0.5, cost=Uniform01()),
-        GroupSpec(id="b", proportion=0.5, cost=Uniform01()),
-    )
-    state = QualificationState.of({"a": 0.6, "b": 0.3})
-    model = _FixedRates({"a": (1.0, 0.0), "b": (0.5, 0.0)})
-    metrics = evaluate_metrics(econ, groups, model, 0.4, state)
-    assert metrics.qualification_rates == {"a": 0.6, "b": 0.3}
-    assert metrics.balance == pytest.approx(0.3)
-    assert metrics.institutional_utility == pytest.approx(0.5 * 0.6 + 0.5 * 0.5 * 0.3)
-
-
 @given(
     st.dictionaries(
         st.sampled_from(["a", "b", "c", "d"]),
@@ -195,3 +181,9 @@ def test_sup_distance_is_symmetric_and_exact(r1, r2):
     assert d == pytest.approx(s2.sup_distance(s1))
     assert d >= 0.0
     assert math.isclose(d, max(abs(r1[0] - r2[0]), abs(r1[1] - r2[1])), abs_tol=1e-15)
+
+
+def test_package_exports_resolve_without_duplicates():
+    # A stale entry would break only `from qualdyn import *`.
+    assert len(set(qualdyn.__all__)) == len(qualdyn.__all__)
+    assert [name for name in qualdyn.__all__ if not hasattr(qualdyn, name)] == []

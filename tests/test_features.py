@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from qualdyn import (
     TruncatedNormal,
     Uniform01,
     UniformThreshold,
-    coate_loury_threshold,
     decoupled_best_response,
     institution_best_response,
     institutional_utility,
@@ -170,12 +170,78 @@ def test_score_model_rates_are_survival_functions():
         model.scores("other")
 
 
+def likelihood_ratio(model, group, x):
+    """phi(x) = f0(x) / f1(x) from a score model's Beta densities; inf where
+    the qualified density vanishes."""
+    gs = model.scores(group)
+    f0 = np.asarray(gs.y0.pdf(x), dtype=float)
+    f1 = np.asarray(gs.y1.pdf(x), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(f1 > 0.0, f0 / np.where(f1 > 0.0, f1, 1.0), np.inf)
+
+
+def coate_loury_threshold(model, economy, state):
+    """Oracle for the one-group score best response: the likelihood-ratio
+    condition, solved independently of the solver.
+
+    With phi = f0/f1 strictly decreasing, continuous and positive, the
+    institution accepts exactly the scores x where payoff_tp * pi * f1(x)
+    beats cost_fp * (1 - pi) * f0(x), i.e. the smallest x with
+    ratio >= ((1 - pi) / pi) * phi(x); found here by bisection. When the
+    numerical monotonicity probe fails, it warns and falls back to the
+    solver itself.
+    """
+    if len(state) != 1:
+        raise ConfigurationError("analytic threshold applies to a single group")
+    group = state.ids[0]
+    pi = state.rates[0]
+    if pi <= 0.0:
+        return 1.0  # no qualified mass: accept no one
+
+    probe = np.linspace(1e-6, 1.0 - 1e-6, 512)
+    phi = likelihood_ratio(model, group, probe)
+    finite = np.isfinite(phi)
+    decreasing = bool(
+        np.all(np.diff(phi[finite]) <= 1e-9 * np.maximum(1.0, np.abs(phi[finite][:-1])))
+    )
+    positive = bool(np.all(phi[finite] >= 0.0))
+    if not (decreasing and positive and finite.any()):
+        warnings.warn(
+            "likelihood ratio is not monotone decreasing; falling back to grid argmax",
+            stacklevel=2,
+        )
+        solo = (GroupSpec(id=group, proportion=1.0, cost=Uniform01()),)
+        return institution_best_response(model, economy, solo, state)
+
+    odds = (1.0 - pi) / pi
+
+    def short(x: float) -> float:
+        # Positive when x is still too low to accept (condition unmet).
+        val = float(likelihood_ratio(model, group, np.array([x]))[0])
+        if not math.isfinite(val):
+            return math.inf
+        return odds * val - economy.ratio
+
+    lo, hi = 1e-12, 1.0 - 1e-12
+    if short(lo) <= 0.0:
+        return 0.0  # condition already holds at the bottom: accept everyone
+    if short(hi) > 0.0:
+        return 1.0  # condition never holds: accept no one
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if short(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_score_model_likelihood_ratio_decreasing():
     model = ScoreModel(
         (("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),)
     )
     xs = np.linspace(0.05, 0.95, 61)
-    phi = model.likelihood_ratio("g", xs)
+    phi = likelihood_ratio(model, "g", xs)
     # f0/f1 = ((1-x)/x)^3 for this pair, strictly decreasing
     np.testing.assert_allclose(phi, ((1.0 - xs) / xs) ** 3, rtol=1e-9)
     assert np.all(np.diff(phi) < 0)
