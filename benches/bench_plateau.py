@@ -1,9 +1,11 @@
 """Micro-benchmarks of the plateau tie-break and the steps around it.
 
 Times one `step` at the uniform reference indifference state (h_mid, where
-the institution's utility is flat and the plateau tie-break runs), one
-`step` at a corner state (a unique grid winner), and the tie-break's
-1025-point response-distance scan under each cost kind.
+the institution's utility is flat and a cut from a group's tent reproduces
+the state), one at the plateau state (1, 1), which is not a fixed point, so
+no cut reproduces it and the stretch is searched, one at a corner state (a
+unique kink winner), and that search's 1025-point response-distance pass
+under each cost kind.
 
 The file name keeps it out of the default `test_*.py` collection, so the
 tier-1 run does not time it. Run it with pytest-benchmark:
@@ -48,6 +50,7 @@ H_MID = next(
     if r.label == "h_mid"
 )
 CORNER = QualificationState(ids=("a1", "a2"), rates=(0.6, 0.3))
+FULL = QualificationState(ids=("a1", "a2"), rates=(1.0, 1.0))
 
 COST_KINDS = [
     Uniform01(),
@@ -63,6 +66,12 @@ def test_plateau_step(benchmark):
     _, after = benchmark(dynamics.step, ECONOMY, GROUPS, MODEL, H_MID)
     # the tie-break keeps the indifference state where it is
     assert after.sup_distance(H_MID) < 1e-9
+
+
+def test_non_fixed_plateau_step(benchmark):
+    theta, after = benchmark(dynamics.step, ECONOMY, GROUPS, MODEL, FULL)
+    # U is flat on [0, h1]; its response closest to (1, 1) is at the peak h1
+    assert theta == 0.4 and after.rates == (0.6, 0.3)
 
 
 def test_corner_step(benchmark):

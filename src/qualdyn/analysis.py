@@ -455,19 +455,9 @@ def _scan_one_group(
         if psi[i] == 0.0 and 0.0 < xs[i] < 1.0:
             roots.append(float(xs[i]))
         elif psi[i] * psi[i + 1] < 0.0:
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            flo = psi[i]
-            for _ in range(70):
-                mid = 0.5 * (lo + hi)
-                fm = phi(mid)[0] - mid
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (flo < 0.0) == (fm < 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
+            roots.append(
+                _bisect_root(lambda x: phi(x)[0] - x, float(xs[i]), float(xs[i + 1]), psi[i])
+            )
 
     # Deduplicate, then keep only candidates that really are fixed points.
     radius = _DEDUP_FACTOR * config.fix_tol
@@ -514,6 +504,26 @@ def _scan_one_group(
     return tuple(records)
 
 
+def _bisect_root(f, lo: float, hi: float, flo: float) -> float:
+    """A root of f in [lo, hi], where flo = f(lo) and f(hi) differ in sign: at
+    most 70 bisection steps, ending early at an exact zero, or once the
+    midpoint is no longer strictly inside (lo, hi). From there every step
+    would evaluate f at lo or hi again and keep both, so the result has the
+    bits of all 70 steps."""
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (flo < 0.0) == (fm < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _derivative_stable(phi, x: float, delta: float = 1e-6) -> bool | None:
     lo = max(0.0, x - delta)
     hi = min(1.0, x + delta)
@@ -543,6 +553,10 @@ def _scan_multi_group(
     ids = tuple(g.id for g in groups)
     fixed: list[tuple[QualificationState, float]] = []
     cycles: list[tuple[QualificationState, tuple[QualificationState, ...], int]] = []
+    # Period and sorted state rates of each stored cycle: a run whose cycle
+    # has both is a duplicate (its mean differs at most in summation order),
+    # so its mean is not taken.
+    stored: set[tuple] = set()
     radius = _DEDUP_FACTOR * config.fix_tol
     memo: dict = {}
 
@@ -561,12 +575,16 @@ def _scan_multi_group(
             else:
                 fixed.append((v.state, v.residual))
         elif isinstance(v, LimitCycle):
+            key = (v.period, *sorted(s.rates for s in v.states))
+            if key in stored:
+                continue
             avg = cycle_average(outcome)
             for st, cyc, period in cycles:
                 if period == v.period and avg.sup_distance(st) <= radius:
                     break
             else:
                 cycles.append((avg, v.states, v.period))
+                stored.add(key)
 
     records = []
     fixed.sort(key=lambda item: item[0].rates)

@@ -55,7 +55,9 @@ class DynamicsConfig:
     stability probes. perturb_eps is the size of a probe's kick and sets
     both probe radii: a probe returns within perturb_eps / 1000 and escapes
     beyond 1000 * perturb_eps (see classify_stability). theta_grid and
-    tie_tol are passed through to the institution's solver.
+    tie_tol are passed through to the institution's solver: theta_grid
+    applies to ScoreModel only (UniformThreshold is solved in closed form),
+    tie_tol to GaussianHalfspace only.
     """
 
     mode: Mode = "joint"

@@ -10,8 +10,25 @@ group and label, parametric (Beta) or empirical.
 
 The solver contract: with a fixed grid, fixed refinement, and fixed
 tie-breaking, the institution's response is a deterministic function of the
-state, which is what makes the downstream dynamics reproducible. For the
-scalar models, in order:
+state, which is what makes the downstream dynamics reproducible.
+
+UniformThreshold is solved in closed form, with no grid (grid_size does not
+apply to it), by the joint and the decoupled solver alike. U is linear in
+theta between the kinks {0, h_a, 1}, so it is evaluated at those alone; the
+first maximum wins, and a maximum U <= 0 means reject-all (1.0). A piece is
+flat when both its ends tie the maximum within the plateau slack below
+(_PLATEAU_RTOL times the size of U's terms at the winner), and the flat
+pieces around the winner form the stretch [L, R]; with none, the winner
+comes back as the exact kink. On a stretch, group a's benefit is the tent
+w min(theta / h_a, (1 - theta) / (1 - h_a)), so its response returns pi_a at
+the cuts h_a beta / w and 1 - (1 - h_a) beta / w, where beta is the smallest
+benefit with G_a(beta) >= pi_a, bisected on the cost CDF to adjacent floats.
+Of the cuts inside [L, R], then L and R, the closest response wins, the
+first listed on a tie. If none reproduces the state within _PLATEAU_RTOL
+(absolute), the state is not a fixed point of the stretch, such as a start
+at pi = (1, 1), and [L, R] is searched as a grid plateau is (below).
+
+ScoreModel is solved on a grid, in order:
 
 * Grid. Utility is evaluated on `grid_size` evenly spaced cut points over
   [0, 1] (DEFAULT_GRID = 2001, step 5e-4). Each model caches its TPR/FPR
@@ -38,15 +55,13 @@ scalar models, in order:
   [theta_(i-1), theta_(i+1)], cut at 0 and 1. On it the sign of
   dU/dtheta = sum_a n_a (p pi_a TPR_a' - c (1 - pi_a) FPR_a') is bisected
   down to adjacent floats, with exact rate slopes (the Beta density, the
-  empirical segment slope, the uniform family's piecewise-constant slopes,
-  right-hand at a kink). The result is the smallest float found where the
+  empirical segment slope). The result is the smallest float found where the
   slope is <= 0, or the bracket end when the slope keeps one sign. It
   replaces the grid point only if its utility beats the grid maximum by
   more than the plateau slack, _PLATEAU_RTOL times the winner's term size;
   otherwise the grid point is returned. So near pi = 0, where U ~ 1e-16, a
-  better refined cut still wins. A kink maximum (a threshold corner) comes
-  back exactly at the kink, and one on the grid comes back as that grid
-  point.
+  better refined cut still wins. A kink maximum comes back exactly at the
+  kink, and one on the grid comes back as that grid point.
 
 The bound the equilibrium scan relies on: at a smooth interior maximum
 the cut point is the first-order root up to the rounding of dU/dtheta, a
@@ -242,7 +257,6 @@ class UniformThreshold:
         for gid, h in items:
             if not 0.0 < h < 1.0:
                 raise ParameterError(f"threshold for group {gid!r} must lie in (0, 1), got {h}")
-        object.__setattr__(self, "_grid_cache", {})
 
     @property
     def group_ids(self) -> tuple[str, ...]:
@@ -266,13 +280,6 @@ class UniformThreshold:
         tpr = np.minimum(1.0, (1.0 - np.maximum(thetas, h)) / (1.0 - h))
         fpr = np.maximum(0.0, h - thetas) / h
         return tpr, fpr
-
-    def rate_slopes(self, group: str, theta: float) -> tuple[float, float]:
-        """(dTPR/dtheta, dFPR/dtheta), taking the right-hand slope at h."""
-        h = self.threshold(group)
-        if theta < h:
-            return 0.0, -1.0 / h
-        return -1.0 / (1.0 - h), 0.0
 
     def to_config(self) -> dict:
         return {"variant": "uniform_threshold", "thresholds": dict(self.thresholds)}
@@ -623,52 +630,30 @@ def _response_distances(
     return worst
 
 
-def _scalar_best_response(
-    model,
-    economy: EconomyConfig,
-    groups: tuple[GroupSpec, ...],
-    state: QualificationState,
-    grid_size: int,
-) -> float:
-    thetas, util = _utility_grid(model, economy, groups, state, grid_size)
-    i_best = int(np.argmax(util))
-    u_max = float(util[i_best])
-    if u_max <= 0.0:
-        # No cut point earns a positive payoff: reject everyone. theta=1
-        # always attains utility exactly 0, so it is inside the argmax set.
-        return 1.0
-    # Rounding in U is relative to the size of its terms, not of U itself.
-    _, rates = _grid_rates(model, grid_size)
-    scale = sum(
-        g.proportion * (economy.payoff_tp * rates[g.id][0][i_best] * pi
-                        + economy.cost_fp * rates[g.id][1][i_best] * (1.0 - pi))
-        for g, pi in zip(groups, state.rates)
+def _term_size(economy, groups, rates, pis):
+    """sum_a n_a (p TPR_a pi_a + c FPR_a (1 - pi_a)): the size of the utility's
+    terms, which its rounding is relative to (U itself may be far smaller)."""
+    return sum(
+        g.proportion * (economy.payoff_tp * tpr * pi + economy.cost_fp * fpr * (1.0 - pi))
+        for g, (tpr, fpr), pi in zip(groups, rates, pis)
     )
-    tied = util >= u_max - _PLATEAU_RTOL * scale
-    lo_i = i_best
-    while lo_i > 0 and tied[lo_i - 1]:
-        lo_i -= 1
-    hi_i = i_best
-    while hi_i < grid_size - 1 and tied[hi_i + 1]:
-        hi_i += 1
 
-    if hi_i == lo_i:
-        # Unique grid winner: bisect the sign change of dU/dtheta between its
-        # neighbours, snapping back to the grid point unless the refined point
-        # strictly improves (keeps kink maxima that sit exactly on the grid,
-        # like threshold corners).
-        a = float(thetas[max(i_best - 1, 0)])
-        b = float(thetas[min(i_best + 1, grid_size - 1)])
-        refined = _bisect_slope(_utility_slope(model, economy, groups, state), a, b)
-        gain = institutional_utility(economy, groups, model, refined, state) - u_max
-        if gain > _PLATEAU_RTOL * scale:
-            return refined
-        return float(thetas[i_best])
 
-    # A flat stretch of maximizers: the fixed tie-break selects the point
-    # whose induced response stays closest to the current state, so exact
-    # indifference states map to themselves instead of jumping to an edge.
-    lo_t, hi_t = float(thetas[lo_i]), float(thetas[hi_i])
+def _tied_run(util, i_best: int, floor: float) -> tuple[int, int]:
+    """The run of consecutive indices around i_best whose utility is >= floor."""
+    lo, hi = i_best, i_best
+    while lo > 0 and util[lo - 1] >= floor:
+        lo -= 1
+    while hi < len(util) - 1 and util[hi + 1] >= floor:
+        hi += 1
+    return lo, hi
+
+
+def _plateau_scan(model, economy, groups, state: QualificationState, lo_t: float, hi_t: float):
+    """The response-preserving point of the flat stretch [lo_t, hi_t], searched
+    for: a 1025-point scan, then a ternary search around the scan's best point;
+    of the refined point, that point and the two ends, the closest response
+    wins, the first listed on a tie."""
     sub = np.linspace(lo_t, hi_t, 1025)
     d = lambda th: _response_distance(model, economy, groups, state, th)
     dists = _response_distances(model, economy, groups, state, sub)
@@ -678,6 +663,99 @@ def _scalar_best_response(
     refined = _ternary_argmin(d, a, b)
     candidates = [refined, float(sub[j]), lo_t, hi_t]
     return min(candidates, key=d)
+
+
+def _scalar_best_response(
+    model,
+    economy: EconomyConfig,
+    groups: tuple[GroupSpec, ...],
+    state: QualificationState,
+    grid_size: int,
+) -> float:
+    if isinstance(model, UniformThreshold):
+        return _uniform_best_response(model, economy, groups, state)
+    thetas, util = _utility_grid(model, economy, groups, state, grid_size)
+    i_best = int(np.argmax(util))
+    u_max = float(util[i_best])
+    if u_max <= 0.0:
+        # No cut point earns a positive payoff: reject everyone. theta=1
+        # always attains utility exactly 0, so it is inside the argmax set.
+        return 1.0
+    _, rates = _grid_rates(model, grid_size)
+    slack = _PLATEAU_RTOL * _term_size(
+        economy, groups, [(rates[g.id][0][i_best], rates[g.id][1][i_best]) for g in groups],
+        state.rates,
+    )
+    lo_i, hi_i = _tied_run(util, i_best, u_max - slack)
+
+    if hi_i == lo_i:
+        # Unique grid winner: bisect the sign change of dU/dtheta between its
+        # neighbours, snapping back to the grid point unless the refined point
+        # strictly improves (keeps kink maxima that sit exactly on the grid).
+        a = float(thetas[max(i_best - 1, 0)])
+        b = float(thetas[min(i_best + 1, grid_size - 1)])
+        refined = _bisect_slope(_utility_slope(model, economy, groups, state), a, b)
+        gain = institutional_utility(economy, groups, model, refined, state) - u_max
+        if gain > slack:
+            return refined
+        return float(thetas[i_best])
+
+    # A flat stretch of maximizers: the fixed tie-break selects the point
+    # whose induced response stays closest to the current state, so exact
+    # indifference states map to themselves instead of jumping to an edge.
+    return _plateau_scan(model, economy, groups, state, float(thetas[lo_i]), float(thetas[hi_i]))
+
+
+def _uniform_best_response(
+    model: UniformThreshold,
+    economy: EconomyConfig,
+    groups: tuple[GroupSpec, ...],
+    state: QualificationState,
+) -> float:
+    """The uniform family's best response in closed form (see the module
+    docstring): U is linear between the kinks {0, h_a, 1}, so it is read at
+    those alone."""
+    kinks = sorted({0.0, 1.0, *(model.threshold(g.id) for g in groups)})
+    rates = [[model.tpr_fpr(g.id, k) for g in groups] for k in kinks]
+    util = [_utility_from_rates(economy, groups, r, state.rates) for r in rates]
+    i_best = util.index(max(util))
+    u_max = util[i_best]
+    if u_max <= 0.0:
+        return 1.0  # reject everyone; U(1) is exactly 0
+    slack = _PLATEAU_RTOL * _term_size(economy, groups, rates[i_best], state.rates)
+    lo_i, hi_i = _tied_run(util, i_best, u_max - slack)
+    if lo_i == hi_i:
+        return kinks[i_best]
+    return _uniform_plateau(model, economy, groups, state, kinks[lo_i], kinks[hi_i])
+
+
+def _uniform_plateau(
+    model: UniformThreshold,
+    economy: EconomyConfig,
+    groups: tuple[GroupSpec, ...],
+    state: QualificationState,
+    lo_t: float,
+    hi_t: float,
+) -> float:
+    """The response-preserving point of the uniform family's flat stretch
+    [lo_t, hi_t]. Group a's benefit is the tent w min(theta/h, (1-theta)/(1-h)),
+    so the cuts where its response returns pi_a are h beta/w and
+    1 - (1-h) beta/w, with beta the smallest benefit where G_a(beta) >= pi_a.
+    The closest response among the cuts inside the stretch and its two ends
+    wins, the first listed on a tie; when none reproduces the state within
+    _PLATEAU_RTOL (a plateau state that is not a fixed point), the stretch is
+    searched as the grid path searches its plateaus."""
+    w = economy.wage
+    candidates = []
+    for g, pi in zip(groups, state.rates):
+        h = model.threshold(g.id)
+        beta = _bisect_slope(lambda x: pi - g.cost.cdf(x), 0.0, w)
+        candidates += [c for c in (h * beta / w, 1.0 - (1.0 - h) * beta / w) if lo_t <= c <= hi_t]
+    d = lambda th: _response_distance(model, economy, groups, state, th)
+    best = min(candidates + [lo_t, hi_t], key=d)
+    if d(best) <= _PLATEAU_RTOL:
+        return best
+    return _plateau_scan(model, economy, groups, state, lo_t, hi_t)
 
 
 def _gaussian_weights(
@@ -729,13 +807,14 @@ def institution_best_response(
 ):
     """Utility-maximizing assessment parameter for the current state.
 
-    Scalar models (UniformThreshold, ScoreModel) return a cut point in
-    [0, 1] found by grid argmax plus a bisection of dU/dtheta around the
-    winner; halfspace models return a unit vector on the geodesic arc
-    between the two group boundaries. Ties are broken deterministically:
-    reject-all when nothing is profitable, the response-preserving point on
-    interior plateaus, and the arc midpoint for the halfspace indifference
-    case. The module docstring states the precision contract.
+    Scalar models return a cut point in [0, 1]: UniformThreshold in closed
+    form from the utility at its kinks, ScoreModel by grid argmax plus a
+    bisection of dU/dtheta around the winner. Halfspace models return a
+    unit vector on the geodesic arc between the two group boundaries. Ties
+    are broken deterministically: reject-all when nothing is profitable,
+    the response-preserving point on interior plateaus, and the arc
+    midpoint for the halfspace indifference case. The module docstring
+    states the precision contract.
     """
     _check_alignment(model, groups, state)
     if isinstance(model, GaussianHalfspace):

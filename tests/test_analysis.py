@@ -18,6 +18,7 @@ from qualdyn import (
     GroupSpec,
     ParameterError,
     PreconditionError,
+    QualificationState,
     ScoreModel,
     Shifted,
     TruncatedNormal,
@@ -27,11 +28,14 @@ from qualdyn import (
     beta_of_pi,
     find_equilibria_scan,
     gaussian_closed_forms,
+    iterate,
     near_realizability_bound,
     step,
     subsidy_equilibrium_shift,
     uniform_closed_forms,
 )
+from qualdyn import analysis
+from qualdyn.dynamics import settled_state
 
 
 def test_uniform_closed_forms_golden_values():
@@ -378,3 +382,70 @@ def test_uniform_scan_fixed_points_meet_fix_tol(h1, h2, wage, n1):
         if rec.kind == "FixedPoint":
             _, after = step(economy, groups, model, rec.state)
             assert after.sup_distance(rec.state) <= config.fix_tol
+
+
+def test_root_bisection_stops_early_with_the_full_bisection_bits():
+    def full_bisection(f, lo, hi, flo):
+        # the scan's bisection as it ran before stopping early: 70 steps
+        for _ in range(70):
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (flo < 0.0) == (fm < 0.0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    model = ScoreModel((("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),))
+    group = GroupSpec(id="g", proportion=1.0, cost=TruncatedNormal(mu=0.52, sigma=0.1))
+    phi = analysis._phi_single(EconomyConfig(wage=1.0), group, model, 2001)
+    fs = [
+        lambda x: phi(x)[0] - x,
+        lambda x: x - 0.3,
+        lambda x: x - 0.5,  # an exact zero at the first midpoint
+        lambda x: x ** 3 - 1e-3,
+        lambda x: 1.0 if x > 1.0 / 3.0 else -1.0,  # a jump, never zero
+        lambda x: 0.7 - x,
+    ]
+    third = 1.0 / 3.0
+    brackets = [(0.0, 1.0), (0.005, 0.015), (0.85, 0.9), (third, math.nextafter(third, 1.0))]
+    calls, full_calls = [], []
+    for f in fs:
+        for lo, hi in brackets:
+            flo = f(lo)
+            if flo * f(hi) >= 0.0:
+                continue
+            got = analysis._bisect_root(lambda x, f=f: calls.append(x) or f(x), lo, hi, flo)
+            want = full_bisection(lambda x, f=f: full_calls.append(x) or f(x), lo, hi, flo)
+            assert got.hex() == want.hex()
+    assert len(calls) < len(full_calls)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    h1=st.floats(min_value=0.3, max_value=0.5),
+    h2=st.floats(min_value=0.7, max_value=0.9),
+    wage=st.floats(min_value=0.5, max_value=0.7),
+    n1=st.floats(min_value=0.4, max_value=0.6),
+    start=st.tuples(*[st.floats(min_value=1e-3, max_value=1.0)] * 2),
+)
+def test_uniform_decoupled_rates_never_fall_below_joint_rates(h1, h2, wage, n1, start):
+    # The uniform-plateau family: per-group cuts give each group its best
+    # benefit w (TPR 1, FPR 0), which a shared cut can only match.
+    economy = EconomyConfig(wage=wage, payoff_tp=1.0, cost_fp=n1 / (1.0 - n1))
+    groups = (
+        GroupSpec(id="a1", proportion=n1, cost=Uniform01()),
+        GroupSpec(id="a2", proportion=1.0 - n1, cost=Uniform01()),
+    )
+    model = UniformThreshold((("a1", h1), ("a2", h2)))
+    state = QualificationState(ids=("a1", "a2"), rates=start)
+    settled = {
+        mode: settled_state(iterate(economy, groups, model, state, DynamicsConfig(mode=mode)))
+        for mode in ("joint", "decoupled")
+    }
+    assert settled["joint"] is not None and settled["decoupled"] is not None
+    for joint, decoupled in zip(settled["joint"].rates, settled["decoupled"].rates):
+        assert decoupled >= joint

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -37,7 +37,7 @@ from qualdyn import (
     institutional_utility,
     normalized_angle,
 )
-from qualdyn import core, features
+from qualdyn import core, dynamics, features
 from qualdyn.analysis import uniform_closed_forms
 
 
@@ -591,7 +591,16 @@ def test_cached_grid_utility_equals_the_uncached_one_bit_for_bit():
                     economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
                 )
             for _ in range(2):  # the first call fills the cache, the second reads it
-                got_thetas, util = features._utility_grid(model, economy, grps, state, grid_size)
+                if model is uniform:
+                    # The uniform solver reads U at its kinks and keeps no grid
+                    # table, so its grid runs through the kernel directly.
+                    got_thetas, util = thetas, core._utility_from_rates(
+                        economy, grps, [model.rates_grid(g.id, thetas) for g in grps], rates
+                    )
+                else:
+                    got_thetas, util = features._utility_grid(
+                        model, economy, grps, state, grid_size
+                    )
                 assert np.array_equal(got_thetas, thetas)
                 assert np.array_equal(util, expected)
             for i in (0, grid_size // 3, grid_size // 2, grid_size - 1):
@@ -690,6 +699,102 @@ COST_KINDS = [
 ]
 
 
+def _kink_utilities(model, economy, groups, state):
+    """The uniform family's kinks {0, h_a, 1}, U at each, and the plateau
+    slack: _PLATEAU_RTOL times the size of U's terms at the first maximum."""
+    kinks = sorted({0.0, 1.0, *(model.threshold(g.id) for g in groups)})
+    util = [institutional_utility(economy, groups, model, k, state) for k in kinks]
+    best = kinks[util.index(max(util))]
+    terms = 0.0
+    for g, pi in zip(groups, state.rates):
+        tpr, fpr = model.tpr_fpr(g.id, best)
+        terms += g.proportion * (
+            economy.payoff_tp * tpr * pi + economy.cost_fp * fpr * (1.0 - pi)
+        )
+    return kinks, util, features._PLATEAU_RTOL * terms
+
+
+def _uniform_groups(weights, costs):
+    # proportions summing to 1; the last takes the remainder
+    props = [w / sum(weights) for w in weights]
+    props[-1] = 1.0 - sum(props[:-1])
+    return tuple(
+        GroupSpec(id=f"a{i}", proportion=p, cost=COST_KINDS[c])
+        for i, (p, c) in enumerate(zip(props, costs))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    draw=st.integers(min_value=1, max_value=3).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.floats(0.05, 0.95), min_size=k, max_size=k),
+            st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k),
+            st.lists(st.integers(0, len(COST_KINDS) - 1), min_size=k, max_size=k),
+            st.lists(
+                st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                min_size=k, max_size=k,
+            ),
+        )
+    ),
+    wage=st.floats(0.2, 1.5),
+    payoff_tp=st.floats(0.5, 2.0),
+    cost_fp=st.floats(0.5, 2.0),
+)
+def test_uniform_closed_form_is_a_kink_or_on_the_flat_stretch(draw, wage, payoff_tp, cost_fp):
+    thresholds, weights, costs, rates = draw
+    groups = _uniform_groups(weights, costs)
+    ids = tuple(g.id for g in groups)
+    model = UniformThreshold(tuple(zip(ids, thresholds)))
+    economy = EconomyConfig(wage=wage, payoff_tp=payoff_tp, cost_fp=cost_fp)
+    state = QualificationState(ids=ids, rates=tuple(rates))
+    theta = institution_best_response(model, economy, groups, state)
+    kinks, util, slack = _kink_utilities(model, economy, groups, state)
+    # no better cut on a fine grid, beyond the slack
+    thetas = np.linspace(0.0, 1.0, 100001)
+    grid = core._utility_from_rates(
+        economy, groups, [model.rates_grid(g.id, thetas) for g in groups], state.rates
+    )
+    assert institutional_utility(economy, groups, model, theta, state) >= grid.max() - slack
+    # a kink, or inside a stretch whose ends both tie the kink maximum
+    if theta not in kinks:
+        j = np.searchsorted(kinks, theta)
+        assert util[j - 1] >= max(util) - slack and util[j] >= max(util) - slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.tuples(st.floats(0.1, 0.45), st.floats(0.55, 0.9)),
+    at=st.floats(0.05, 0.95),
+    costs=st.tuples(
+        st.integers(0, len(COST_KINDS) - 1), st.integers(0, len(COST_KINDS) - 1)
+    ),
+    wage=st.floats(0.2, 1.5),
+    n1=st.floats(0.3, 0.7),
+    payoff_tp=st.floats(0.5, 2.0),
+)
+def test_uniform_fixed_point_plateau_states_map_to_themselves(h, at, costs, wage, n1, payoff_tp):
+    # A state induced by a cut on [h1, h2], with cost_fp chosen to make U flat
+    # there: -n1 p pi1 / (1 - h1) + n2 c (1 - pi2) / h2 = 0.
+    groups = _uniform_groups((n1, 1.0 - n1), costs)
+    model = UniformThreshold((("a0", h[0]), ("a1", h[1])))
+    theta = h[0] + at * (h[1] - h[0])
+    pi = tuple(
+        core.response_rate(g.cost, wage, *model.tpr_fpr(g.id, theta)) for g in groups
+    )
+    assume(pi[0] > 0.0 and pi[1] < 1.0)
+    cost_fp = (groups[0].proportion * payoff_tp * pi[0] * h[1]) / (
+        groups[1].proportion * (1.0 - pi[1]) * (1.0 - h[0])
+    )
+    economy = EconomyConfig(wage=wage, payoff_tp=payoff_tp, cost_fp=cost_fp)
+    state = QualificationState(ids=("a0", "a1"), rates=pi)
+    _, util, slack = _kink_utilities(model, economy, groups, state)
+    # [h1, h2] is flat to the solver's slack when both its ends tie the maximum
+    assume(min(util[1], util[2]) >= max(util) - slack)
+    _, after = dynamics.step(economy, groups, model, state)
+    assert after.sup_distance(state) <= 1e-15
+
+
 def test_plateau_distances_match_the_scalar_distance_bit_for_bit():
     economy, _, uniform = uniform_reference()
     for cost in COST_KINDS:
@@ -744,11 +849,14 @@ def test_ternary_search_stops_early_with_the_full_search_bits():
 def test_plateau_tie_break_needs_a_tie_beyond_rounding(monkeypatch):
     # Near pi = 0 the utility is ~1e-16 everywhere, so grid points can agree to
     # within 1e-15 without tying; the tie slack scales with the utility's terms.
+    # The grid path's plateau scans with _response_distances; the uniform
+    # closed form's plateau branch is _uniform_plateau.
     calls = []
-    real = features._response_distances
-    monkeypatch.setattr(
-        features, "_response_distances", lambda *args: calls.append(1) or real(*args)
-    )
+    for name in ("_response_distances", "_uniform_plateau"):
+        real = getattr(features, name)
+        monkeypatch.setattr(
+            features, name, lambda *args, real=real: calls.append(1) or real(*args)
+        )
 
     def takes_plateau(model, economy, grps, state) -> bool:
         calls.clear()
