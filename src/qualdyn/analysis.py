@@ -46,6 +46,7 @@ from .errors import (
 )
 from .features import (
     GaussianHalfspace,
+    _sign_change,
     institution_best_response,
     normalized_angle,
 )
@@ -406,10 +407,11 @@ def find_equilibria_scan(
 ) -> tuple[EquilibriumRecord, ...]:
     """Enumerate equilibria by scanning initial conditions.
 
-    One group: locate sign changes of Phi(pi) - pi on a grid, refine each
-    by bisection, and drop any candidate whose fixed-point residual exceeds
-    1e-6 (bisection converges to jump points of the piecewise map as
-    readily as to true roots; the residual tells them apart). Both
+    One group: locate sign changes of Phi(pi) - pi on a grid, narrow each
+    to adjacent floats with the safeguarded secant search that the best
+    response uses (`features._sign_change`), and drop any candidate whose
+    fixed-point residual exceeds 1e-6 (a sign change is as often a jump of
+    the piecewise map as a true root; the residual tells them apart). Both
     stability tests are attached: the finite-difference |Phi'| < 1 check
     and basin probing, with basin probing authoritative.
 
@@ -456,7 +458,10 @@ def _scan_one_group(
             roots.append(float(xs[i]))
         elif psi[i] * psi[i + 1] < 0.0:
             roots.append(
-                _bisect_root(lambda x: phi(x)[0] - x, float(xs[i]), float(xs[i + 1]), psi[i])
+                _scan_root(
+                    lambda x: phi(x)[0] - x,
+                    float(xs[i]), float(xs[i + 1]), float(psi[i]), float(psi[i + 1]),
+                )
             )
 
     # Deduplicate, then keep only candidates that really are fixed points.
@@ -504,24 +509,28 @@ def _scan_one_group(
     return tuple(records)
 
 
-def _bisect_root(f, lo: float, hi: float, flo: float) -> float:
-    """A root of f in [lo, hi], where flo = f(lo) and f(hi) differ in sign: at
-    most 70 bisection steps, ending early at an exact zero, or once the
-    midpoint is no longer strictly inside (lo, hi). From there every step
-    would evaluate f at lo or hi again and keep both, so the result has the
-    bits of all 70 steps."""
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+class _ExactZero(Exception):
+    """Raised by _scan_root's search at a point where f is exactly 0."""
+
+
+def _scan_root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """A root of f in [lo, hi], where flo = f(lo) and fhi = f(hi) differ in
+    sign: the sign change that `features._sign_change` narrows to adjacent
+    floats, and of those the one 0.5 * (lo + hi) rounds to, or the first
+    point where f is exactly 0. Either way a Python float."""
+    sign = 1.0 if flo > 0.0 else -1.0
+
+    def g(x: float) -> float:
+        fx = f(x)
+        if fx == 0.0:
+            raise _ExactZero(x)
+        return sign * fx
+
+    try:
+        lo, hi = _sign_change(g, lo, hi, sign * flo, sign * fhi)
+    except _ExactZero as zero:
+        return float(zero.args[0])
+    return float(0.5 * (lo + hi))
 
 
 def _derivative_stable(phi, x: float, delta: float = 1e-6) -> bool | None:

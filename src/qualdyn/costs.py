@@ -365,7 +365,9 @@ def subsidize(
 
 
 def inverse_cdf(model: CostModel, p: float) -> float:
-    """Quantile of a strictly increasing cost CDF, by bisection on the support.
+    """Quantile of a strictly increasing cost CDF: the smallest float on the
+    support where the CDF reaches p, found to adjacent floats by the
+    package's sign-change search (`features._sign_change`).
 
     Returns x with |cdf(x) - p| <= 1e-10. Raises UnsupportedModelError for
     models with flat segments (the quantile there is ill-defined) and
@@ -386,20 +388,11 @@ def inverse_cdf(model: CostModel, p: float) -> float:
         )
     if abs(f_lo) <= QUANTILE_TOL:
         return lo
-    if abs(f_hi) <= QUANTILE_TOL and f_hi <= 0.0:
+    if f_hi <= 0.0:  # the CDF is 1 at the support's top, so p is 1 to rounding
         return hi
-    # 200 halvings shrink any bracket far below float resolution; the loop
-    # exits early once the CDF residual target is met.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = model.cdf(mid) - p
-        if abs(f_mid) <= QUANTILE_TOL:
-            return mid
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    from .features import _sign_change  # features imports this module
+
+    return _sign_change(lambda x: p - model.cdf(x), lo, hi, -f_lo, -f_hi)[1]
 
 
 def dominates(candidate: CostModel, base: CostModel, points: int = 1001) -> bool:

@@ -11,6 +11,10 @@ with per-bin Gauss-Legendre quadrature on shared nodes. Differencing the
 regularized incomplete beta function across narrow bins loses enough
 precision to stall the gradient below its convergence threshold; quadrature
 keeps the gradient smooth to roughly 1e-10.
+
+The functions that need scipy.special import it when called, so importing
+qualdyn and loading a scenario without Beta scores does not pay its import
+time.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigurationError, DegenerateDataError, FitError, ParseError
 from .features import BetaScore, GroupScores, ScoreModel
@@ -177,6 +180,8 @@ def load_histogram(path) -> ScoreHistogram:
 def _bin_quadrature(alpha: float, beta: float, lo: np.ndarray, hi: np.ndarray):
     """Per-bin Gauss-Legendre integrals of the Beta(alpha, beta) density:
     bin masses p, and the ln(x)- and ln(1-x)-weighted integrals a and b."""
+    from scipy import special
+
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
@@ -193,6 +198,8 @@ def _bin_quadrature(alpha: float, beta: float, lo: np.ndarray, hi: np.ndarray):
 
 
 def _binned_objective(alpha, beta, lo, hi, counts):
+    from scipy import special
+
     p, a, b = _bin_quadrature(alpha, beta, lo, hi)
     if np.any(p <= 0.0):
         return -math.inf, None
@@ -272,6 +279,8 @@ def fit_beta(hist: ScoreHistogram, group: str, label: int) -> BetaFit:
     the result sits at quadrature precision); 200 iterations without
     convergence raise rather than returning a half-fit.
     """
+    from scipy import special
+
     series = hist.series_for(group, label)
     if series.nonempty_bins < 3:
         raise DegenerateDataError(
@@ -334,6 +343,8 @@ def fit_beta_resampled(
     Noisier than the binned fit and dependent on the seed; provided for
     fidelity with pipelines that fit from resampled scores.
     """
+    from scipy import special
+
     series = hist.series_for(group, label)
     if n < 100:
         raise DegenerateDataError(f"resample size must be at least 100, got {n}")

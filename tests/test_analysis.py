@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qualdyn import (
@@ -20,6 +20,7 @@ from qualdyn import (
     PreconditionError,
     QualificationState,
     ScoreModel,
+    Scaled,
     Shifted,
     TruncatedNormal,
     Uniform01,
@@ -36,6 +37,7 @@ from qualdyn import (
 )
 from qualdyn import analysis
 from qualdyn.dynamics import settled_state
+from qualdyn.features import _sign_change
 
 
 def test_uniform_closed_forms_golden_values():
@@ -384,44 +386,165 @@ def test_uniform_scan_fixed_points_meet_fix_tol(h1, h2, wage, n1):
             assert after.sup_distance(rec.state) <= config.fix_tol
 
 
-def test_root_bisection_stops_early_with_the_full_bisection_bits():
-    def full_bisection(f, lo, hi, flo):
-        # the scan's bisection as it ran before stopping early: 70 steps
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (flo < 0.0) == (fm < 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+def _bisection(f, lo, hi):
+    """The bracket plain bisection ends on for f(lo) > 0 >= f(hi), and the
+    number of evaluations it takes."""
+    evals = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return (lo, hi), evals
+        evals += 1
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
+
+def _check_sign_change(f, lo, hi, monotone):
+    """_sign_change's contract on f(lo) > 0 >= f(hi): an adjacent-float sign
+    change inside [lo, hi], within 2 * n + 2 evaluations where bisection takes
+    n, and bisection's own bracket, bit for bit, when f is monotone. Returns
+    both evaluation counts."""
+    calls = []
+    a, b = _sign_change(lambda x: calls.append(x) or f(x), lo, hi, f(lo), f(hi))
+    assert lo <= a < b <= hi and math.nextafter(a, hi) == b
+    assert f(a) > 0.0 >= f(b)
+    want, n_bisect = _bisection(f, lo, hi)
+    if monotone:
+        assert (a.hex(), b.hex()) == (want[0].hex(), want[1].hex())
+    assert len(calls) <= 2 * n_bisect + 2
+    return len(calls), n_bisect
+
+
+def _reference_root(f, lo, hi, flo):
+    # the scan's root bisection without its step cap: an exact zero returns
+    # at once, otherwise it runs to adjacent floats
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (flo < 0.0) == (fm < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+
+
+def test_sign_change_on_the_root_scan_functions():
     model = ScoreModel((("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),))
     group = GroupSpec(id="g", proportion=1.0, cost=TruncatedNormal(mu=0.52, sigma=0.1))
     phi = analysis._phi_single(EconomyConfig(wage=1.0), group, model, 2001)
-    fs = [
-        lambda x: phi(x)[0] - x,
-        lambda x: x - 0.3,
-        lambda x: x - 0.5,  # an exact zero at the first midpoint
-        lambda x: x ** 3 - 1e-3,
-        lambda x: 1.0 if x > 1.0 / 3.0 else -1.0,  # a jump, never zero
-        lambda x: 0.7 - x,
+    fs = [  # (f, monotone, smooth)
+        (lambda x: phi(x)[0] - x, False, True),  # monotone only up to rounding
+        (lambda x: x - 0.3, True, True),
+        (lambda x: x - 0.5, True, True),  # an exact zero at the first midpoint
+        (lambda x: x ** 3 - 1e-3, True, True),
+        (lambda x: 1.0 if x > 1.0 / 3.0 else -1.0, True, False),  # a jump, never zero
+        (lambda x: 0.7 - x, True, True),
     ]
     third = 1.0 / 3.0
     brackets = [(0.0, 1.0), (0.005, 0.015), (0.85, 0.9), (third, math.nextafter(third, 1.0))]
-    calls, full_calls = [], []
-    for f in fs:
+    checked = 0
+    for f, monotone, smooth in fs:
         for lo, hi in brackets:
-            flo = f(lo)
-            if flo * f(hi) >= 0.0:
+            flo, fhi = f(lo), f(hi)
+            if flo * fhi >= 0.0:
                 continue
-            got = analysis._bisect_root(lambda x, f=f: calls.append(x) or f(x), lo, hi, flo)
-            want = full_bisection(lambda x, f=f: full_calls.append(x) or f(x), lo, hi, flo)
-            assert got.hex() == want.hex()
-    assert len(calls) < len(full_calls)
+            sign = 1.0 if flo > 0.0 else -1.0
+            evals, n_bisect = _check_sign_change(lambda x, f=f: sign * f(x), lo, hi, monotone)
+            if smooth and n_bisect > 2:
+                # the secant converges superlinearly where bisection halves
+                assert evals <= n_bisect // 2
+            root = analysis._scan_root(f, lo, hi, flo, fhi)
+            assert type(root) is float and lo <= root <= hi
+            if monotone:
+                assert root.hex() == _reference_root(f, lo, hi, flo).hex()
+            checked += 1
+    assert checked >= 8
+
+
+def test_sign_change_stays_within_twice_bisection_on_adversarial_functions():
+    # Regula falsi alone creeps along a bracket whose values differ by 300
+    # orders of magnitude, and its Illinois halving underflows on subnormal
+    # values (a zero denominator); both must stay within the bound.
+    for f in (
+        lambda x: 1e-300 if x < 0.7 else -5.0,
+        lambda x: 5.0 if x < 0.7 else -1e-300,
+        lambda x: 1e-310 * (0.3 - x),
+        lambda x: 1e-310 * (0.3 - x ** 3),
+        lambda x: 0.5 - min(1.0, 2.0 * x),  # exactly 0 on [0.25, 1]
+    ):
+        for lo, hi in ((0.0, 1.0), (0.1, 0.9), (1e-300, 1.0)):
+            _check_sign_change(f, lo, hi, monotone=True)
+
+
+def test_sign_change_inverts_cost_cdfs_as_bisection_does():
+    # The uniform plateau's beta: the smallest benefit where G(beta) >= pi.
+    rng = np.random.default_rng(11)
+    costs = [Uniform01()]
+    for _ in range(30):
+        normal = TruncatedNormal(mu=rng.uniform(0.2, 0.8), sigma=rng.uniform(0.05, 0.3))
+        costs += [
+            normal,
+            Shifted(Uniform01(), rng.uniform(0.0, 0.5)),
+            Scaled(Uniform01(), rng.uniform(1.0, 3.0)),
+            Shifted(normal, rng.uniform(0.0, 0.3)),
+            Scaled(normal, rng.uniform(1.0, 2.0)),
+        ]
+    inverted = 0
+    for cost in costs:
+        levels = (*rng.uniform(0.0, 1.0, 8), 1e-7 * rng.uniform(), 1.0 - 1e-9 * rng.uniform(), 1.0)
+        for pi in levels:
+            pi, w = float(pi), float(rng.uniform(0.3, 1.5))
+            f = lambda x: pi - cost.cdf(x)
+            if not f(0.0) > 0.0 >= f(w):
+                continue
+            _check_sign_change(f, 0.0, w, monotone=True)
+            inverted += 1
+    assert inverted >= 1000
+
+
+@st.composite
+def _decreasing_functions(draw):
+    """A drawn non-increasing f with f(lo) > 0 >= f(hi): a linear term plus
+    downward steps, times a scale from subnormal to huge. Each term is
+    non-increasing and float rounding keeps a sum of them so."""
+    slope = draw(st.sampled_from([0.0, 1.0, draw(st.floats(1e-3, 1e3))]))
+    cross = draw(st.floats(0.0, 1.0))
+    steps = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-300, 1e3)), max_size=4))
+    scale = 10.0 ** draw(st.integers(-320, 300))
+    lo, hi = sorted(draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+
+    def f(x):
+        total = slope * (cross - x)
+        for at, drop in steps:
+            if x < at:
+                total += drop
+        return scale * total
+
+    assume(lo < hi and f(lo) > 0.0 >= f(hi))
+    return f, lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(_decreasing_functions())
+def test_sign_change_matches_bisection_on_drawn_monotone_functions(drawn):
+    f, lo, hi = drawn
+    _check_sign_change(f, lo, hi, monotone=True)
+
+
+def test_score_scan_roots_are_python_floats():
+    model = ScoreModel((("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),))
+    group = GroupSpec(id="g", proportion=1.0, cost=TruncatedNormal(mu=0.6, sigma=0.1))
+    records = find_equilibria_scan(EconomyConfig(wage=1.0), [group], model, grid=101)
+    assert len(records) == 3
+    for rec in records:
+        assert type(rec.state.rates[0]) is float
+        assert type(rec.residual) is float
+        assert rec.derivative_stable is None or type(rec.derivative_stable) is bool
 
 
 @settings(max_examples=15, deadline=None)

@@ -291,3 +291,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "verify" in proc.stdout
+
+
+def test_loading_a_uniform_scenario_leaves_scipy_special_unimported(tmp_path):
+    # Only Beta scores and the fitters need scipy.special, and it is about
+    # half of the package's import time; a fresh process shows what loads it.
+    path = write_scenario(tmp_path, uniform_scenario())
+    code = (
+        "import sys, qualdyn.cli as cli; cli.load_scenario(sys.argv[1]); "
+        "print('scipy.special' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, path], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

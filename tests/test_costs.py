@@ -220,6 +220,8 @@ def test_inverse_cdf_round_trip():
         for p in (0.1, 0.5, 0.9):
             x = inverse_cdf(g, p)
             assert g.cdf(x) == pytest.approx(p, abs=1e-8)
+            # the smallest float where the CDF reaches p
+            assert g.cdf(math.nextafter(x, -math.inf)) < p <= g.cdf(x)
 
 
 def test_inverse_cdf_rejects_flat_cdf():

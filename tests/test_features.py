@@ -265,6 +265,33 @@ def test_best_response_rejects_everyone_without_qualified_mass():
     assert institution_best_response(model, economy, groups, empty) == pytest.approx(1.0)
 
 
+def test_score_best_response_near_pi_zero_keeps_its_known_limits():
+    # Beta(5,2)/Beta(2,5) scores, wage 1, Uniform01 costs. The first-order
+    # root solves (theta / (1 - theta))^3 = c (1 - pi) / (p pi). Near pi = 0
+    # U is about 1e-14, and rounding in the rates is about 1e-16 of it.
+    model = ScoreModel((("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),))
+    groups = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
+
+    def respond(payoff_tp, cost_fp, pi):
+        economy = EconomyConfig(wage=1.0, payoff_tp=payoff_tp, cost_fp=cost_fp)
+        state = QualificationState(ids=("g",), rates=(pi,))
+        answer = institution_best_response(model, economy, groups, state)
+        return answer, lambda th: institutional_utility(economy, groups, model, th, state)
+
+    # Payoffs (1, 1), pi = 1e-9: the root 1000/1001 does not compute as a
+    # strict improvement on the grid point, so the grid point comes back.
+    answer, utility = respond(1.0, 1.0, 1e-9)
+    root = 1000.0 / 1001.0
+    assert answer == 0.999 and root == pytest.approx(0.999000999, abs=1e-9)
+    assert utility(root) <= utility(0.999)
+    # Payoffs (1, 3), pi = 1e-10: U is positive only between the last two
+    # grid points, around 0.99968, so the grid finds no profitable cut and
+    # the answer is reject-all.
+    answer, utility = respond(1.0, 3.0, 1e-10)
+    assert answer == 1.0
+    assert utility(0.99968) > 0.0 >= max(utility(0.9995), utility(1.0))
+
+
 def test_best_response_checks_group_alignment():
     economy, groups, model = uniform_reference()
     wrong = QualificationState(ids=("a1", "zz"), rates=(0.5, 0.5))
