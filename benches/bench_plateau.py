@@ -3,9 +3,11 @@
 Times one `step` at the uniform reference indifference state (h_mid, where
 the institution's utility is flat and a cut from a group's tent reproduces
 the state), one at the plateau state (1, 1), which is not a fixed point, so
-no cut reproduces it and the stretch is searched, one at a corner state (a
-unique kink winner), and that search's 1025-point response-distance pass
-under each cost kind.
+no cut reproduces it and the closest response is found between the kinks,
+one at a corner state (a unique kink winner), and one score best response
+at pi = 1 on the score anchor (Beta(5,2)/Beta(2,5) scores, TruncatedNormal
+(0.6, 0.1) costs, wage 1), where U = p TPR is flat on the grid points at
+which F1 rounds to 0: score-find meets it once per task.
 
 The file name keeps it out of the default `test_*.py` collection, so the
 tier-1 run does not time it. Run it with pytest-benchmark:
@@ -15,36 +17,26 @@ tier-1 run does not time it. Run it with pytest-benchmark:
 or, to check only that every case still runs, with `--benchmark-disable`.
 """
 
-import numpy as np
-import pytest
-
 from qualdyn import (
-    BimodalNormal,
     EconomyConfig,
-    EmpiricalCdf,
     GroupSpec,
     QualificationState,
-    Scaled,
-    Shifted,
-    TruncatedNormal,
     Uniform01,
     UniformThreshold,
+    dynamics,
+    institution_best_response,
+    verification,
 )
-from qualdyn import dynamics, features
 from qualdyn.analysis import uniform_closed_forms
 
 ECONOMY = EconomyConfig(wage=0.6)
 MODEL = UniformThreshold((("a1", 0.4), ("a2", 0.8)))
 
 
-def uniform_groups(cost):
-    return (
-        GroupSpec(id="a1", proportion=0.5, cost=cost),
-        GroupSpec(id="a2", proportion=0.5, cost=cost),
-    )
-
-
-GROUPS = uniform_groups(Uniform01())
+GROUPS = (
+    GroupSpec(id="a1", proportion=0.5, cost=Uniform01()),
+    GroupSpec(id="a2", proportion=0.5, cost=Uniform01()),
+)
 H_MID = next(
     r.state for r in uniform_closed_forms(0.4, 0.8, 0.6, ECONOMY, GROUPS).records
     if r.label == "h_mid"
@@ -52,14 +44,7 @@ H_MID = next(
 CORNER = QualificationState(ids=("a1", "a2"), rates=(0.6, 0.3))
 FULL = QualificationState(ids=("a1", "a2"), rates=(1.0, 1.0))
 
-COST_KINDS = [
-    Uniform01(),
-    TruncatedNormal(mu=0.3, sigma=0.15),
-    BimodalNormal(mu1=0.1, sigma1=0.05, mu2=0.5, sigma2=0.1, mix=0.4),
-    EmpiricalCdf(((0.0, 0.0), (0.1, 0.05), (0.3, 0.5), (0.6, 1.0))),
-    Shifted(TruncatedNormal(mu=0.4, sigma=0.2), 0.05),
-    Scaled(EmpiricalCdf(((0.05, 0.0), (0.2, 0.4), (0.9, 1.0))), 1.5),
-]
+SCORE = verification._steep_cost_scenario()
 
 
 def test_plateau_step(benchmark):
@@ -79,9 +64,9 @@ def test_corner_step(benchmark):
     assert theta == 0.4
 
 
-@pytest.mark.parametrize("cost", COST_KINDS, ids=lambda c: c.kind)
-def test_response_distances(benchmark, cost):
-    groups = uniform_groups(cost)
-    thetas = np.linspace(0.4, 0.8, 1025)
-    dists = benchmark(features._response_distances, MODEL, ECONOMY, groups, H_MID, thetas)
-    assert dists.shape == thetas.shape and np.all(dists >= 0.0)
+def test_score_plateau_response(benchmark):
+    economy, groups, model = SCORE
+    state = QualificationState(ids=("g",), rates=(1.0,))
+    theta = benchmark(institution_best_response, model, economy, groups, state)
+    # the population responds least short of pi = 1 at the stretch's top
+    assert 0.0 < theta <= 0.0005

@@ -14,8 +14,6 @@ from collections.abc import Collection, Iterable, Mapping
 from dataclasses import MISSING, dataclass, fields
 from typing import Protocol
 
-import numpy as np
-
 from .errors import ConfigurationError, ParameterError
 
 # Default tolerance for comparing rates and probabilities. Exact float
@@ -29,7 +27,7 @@ PROPORTION_TOL = 1e-12
 class CostDistribution(Protocol):
     """The slice of a cost model the core types need: a CDF."""
 
-    def cdf(self, x): ...
+    def cdf(self, x: float) -> float: ...
 
 
 class FeatureMap(Protocol):
@@ -258,24 +256,13 @@ def balance(state: QualificationState) -> float:
     return max(state.rates) - min(state.rates)
 
 
-def _clamp01(values: np.ndarray) -> np.ndarray:
-    """min(1.0, max(0.0, v)) at each entry, with its bits: an entry is kept
-    only where 0.0 < v < 1.0, so -0.0 and NaN give 0.0 as max does."""
-    values = np.where(values > 0.0, values, 0.0)
-    return np.where(values < 1.0, values, 1.0)
-
-
-def response_rate(cost: CostDistribution, wage: float, tpr, fpr):
+def response_rate(cost: CostDistribution, wage: float, tpr: float, fpr: float) -> float:
     """Fraction of a group that invests when assessed at rates (tpr, fpr).
 
     The individual's expected benefit is wage * (tpr - fpr); everyone whose
     private cost falls below it invests, so the new rate is the cost CDF at
     that benefit. A negative net benefit is clamped to 0 before the CDF:
-    costs are strictly positive, so nobody invests at a loss. tpr and fpr
-    are floats, or equal arrays over a grid of parameters whose entries get
-    the bits the float path gives.
+    costs are strictly positive, so nobody invests at a loss.
     """
     benefit = wage * (tpr - fpr)
-    if isinstance(benefit, np.ndarray):
-        return _clamp01(cost.cdf(np.where(benefit < 0.0, 0.0, benefit)))
     return min(1.0, max(0.0, cost.cdf(0.0 if benefit < 0.0 else benefit)))

@@ -8,12 +8,6 @@ subsidy transforms, which act on the CDF itself: a shift makes G_bar(x) =
 G(x + delta), a scale makes G_bar(x) = G(x * factor). Both dominate the
 base CDF pointwise, which is what makes them subsidies.
 
-`cdf` takes a float or a NumPy array. The array path gives each entry the
-same bits as the float path gives that point: it repeats the float path's
-arithmetic elementwise (`math.erf` point by point for the normal models,
-the same interpolation formula for knots), and clamps with the same
-choices, so G(-0.0) is +0.0 either way.
-
 All models are immutable and evaluation is pure.
 """
 
@@ -24,9 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-import numpy as np
-
-from .core import _check_fields, _clamp01, _config_fields, _is_finite_real, _number, _numbers
+from .core import _check_fields, _config_fields, _is_finite_real, _number, _numbers
 from .errors import ConfigurationError, ParameterError, UnsupportedModelError
 
 _SQRT2 = math.sqrt(2.0)
@@ -36,15 +28,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 QUANTILE_TOL = 1e-10
 
 
-# math.erf at each entry of an array; scipy.special.erf differs by a few ulp.
-_erf = np.frompyfunc(math.erf, 1, 1)
-
-
-def _normal_cdf(z):
+def _normal_cdf(z: float) -> float:
     # erf is correctly rounded in libm; this is accurate to well under 1e-12.
-    if isinstance(z, float):
-        return 0.5 * (1.0 + math.erf(z / _SQRT2))
-    return 0.5 * (1.0 + np.asarray(_erf(z / _SQRT2), dtype=float))
+    return 0.5 * (1.0 + math.erf(z / _SQRT2))
 
 
 def _normal_pdf(z: float) -> float:
@@ -74,17 +60,12 @@ class CostModel:
     def lipschitz_bound(self) -> float | None:
         return None
 
-    def _cdf_on_support(self, x):
-        """G at points of the support: a float, or an array of them."""
+    def _cdf_on_support(self, x: float) -> float:
         raise NotImplementedError
 
-    def cdf(self, x):
-        """G(x), clamped to 0 below the support and 1 above it; at each
-        entry when x is an array, with the bits the float path gives."""
+    def cdf(self, x: float) -> float:
+        """G(x), clamped to 0 below the support and 1 above it."""
         lo, hi = self.support
-        if isinstance(x, np.ndarray):
-            inside = _clamp01(self._cdf_on_support(np.clip(x, lo, hi)))
-            return np.where(x < lo, 0.0, np.where(x > hi, 1.0, inside))
         if x < lo:
             return 0.0
         if x > hi:
@@ -266,15 +247,7 @@ class EmpiricalCdf(CostModel):
     def lipschitz_bound(self) -> float:
         return max((b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(self.knots, self.knots[1:]))
 
-    def _cdf_on_support(self, x):
-        if isinstance(x, np.ndarray):
-            # The float path below at each entry; np.interp rounds differently.
-            xs, ys = np.array(self.knots).T
-            i = np.searchsorted(xs, x, side="right")
-            j = np.clip(i, 1, len(xs) - 1)
-            x0, y0, x1, y1 = xs[j - 1], ys[j - 1], xs[j], ys[j]
-            inner = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-            return np.where(i == 0, ys[0], np.where(i == len(xs), ys[-1], inner))
+    def _cdf_on_support(self, x: float) -> float:
         xs = [k[0] for k in self.knots]
         i = bisect_right(xs, x)
         if i == 0:
@@ -400,8 +373,11 @@ def dominates(candidate: CostModel, base: CostModel, points: int = 1001) -> bool
     lo = min(candidate.support[0], base.support[0])
     hi = max(candidate.support[1], base.support[1])
     step = (hi - lo) / (points - 1)
-    xs = lo + np.arange(points) * step
-    return not np.any(candidate.cdf(xs) < base.cdf(xs) - 1e-12)
+    for i in range(points):
+        x = lo + i * step
+        if candidate.cdf(x) < base.cdf(x) - 1e-12:
+            return False
+    return True
 
 
 _KINDS = {

@@ -17,17 +17,12 @@ apply to it), by the joint and the decoupled solver alike. U is linear in
 theta between the kinks {0, h_a, 1}, so it is evaluated at those alone; the
 first maximum wins, and a maximum U <= 0 means reject-all (1.0). A piece is
 flat when both its ends tie the maximum within the plateau slack below
-(_PLATEAU_RTOL times the size of U's terms at the winner), and the flat
-pieces around the winner form the stretch [L, R]; with none, the winner
-comes back as the exact kink. On a stretch, group a's benefit is the tent
-w min(theta / h_a, (1 - theta) / (1 - h_a)), so its response returns pi_a at
-the cuts h_a beta / w and 1 - (1 - h_a) beta / w, where beta is the smallest
-benefit with G_a(beta) >= pi_a, found on the cost CDF to adjacent floats by
-the sign-change search below.
-Of the cuts inside [L, R], then L and R, the closest response wins, the
-first listed on a tie. If none reproduces the state within _PLATEAU_RTOL
-(absolute), the state is not a fixed point of the stretch, such as a start
-at pi = (1, 1), and [L, R] is searched as a grid plateau is (below).
+(_PLATEAU_RTOL times the size of U's terms at the winner). The flat pieces
+around the winner form a stretch [L, R], resolved by the plateau rule
+below, with the kinks in [L, R] as breakpoints; with none, the winner comes
+back as the exact kink. Group a's benefit w (TPR_a - FPR_a) is the tent
+w min(theta / h_a, (1 - theta) / (1 - h_a)), so its cuts, where the benefit
+is beta, are h_a beta / w and 1 - (1 - h_a) beta / w.
 
 ScoreModel is solved on a grid, in order:
 
@@ -39,19 +34,13 @@ ScoreModel is solved on a grid, in order:
   where utility is exactly 0.
 * Plateau. If neighbouring grid points tie the maximum within
   _PLATEAU_RTOL * sum_a n_a (p TPR_a pi_a + c FPR_a (1 - pi_a)), the size
-  of the winner's utility terms, the flat stretch is resolved by the
-  response-preserving tie-break (the point whose induced population
-  response is closest to the state), so an indifference state maps to
-  itself. Since the slack scales with the terms rather than with U, a
-  utility that is tiny because pi is tiny (U ~ 1e-16 near pi = 0) is not
-  mistaken for a plateau. The tie-break scans 1025 evenly spaced points
-  of the stretch, reading each group's rates and population response once
-  over the whole array (bit for bit the per-point values); a ternary
-  search then refines around the scan's best point, for at most 120 steps,
-  stopping once a step leaves its bracket unchanged (every later step
-  would repeat it). Of four candidates, the refined point, the scan's
-  best point and the stretch's two ends, the closest response wins, the
-  first listed on a tie.
+  of the winner's utility terms, the tied points form a stretch, resolved
+  by the plateau rule below. Since the slack scales with the terms rather
+  than with U, a utility that is tiny because pi is tiny (U ~ 1e-16 near
+  pi = 0) is not mistaken for a plateau. A group's cuts are where its
+  benefit, read from the grid table, crosses beta between neighbouring tied
+  points, narrowed by _sign_change. The breakpoints are the stretch's ends
+  and the tied points where some group's benefit turns.
 * Unique winner. Otherwise, with winner theta_i, the bracket is
   [theta_(i-1), theta_(i+1)], cut at 0 and 1. On it the sign change of
   dU/dtheta = sum_a n_a (p pi_a TPR_a' - c (1 - pi_a) FPR_a') is narrowed
@@ -79,6 +68,23 @@ a root of Phi(pi) - pi, narrowed by the same search to adjacent floats,
 has a residual of order 1e-16, well below the default fix_tol = 1e-9 that a
 root must meet before its stability is probed.
 
+The plateau rule, the response-preserving tie-break, picks the point of
+the stretch whose induced response is closest to the state in sup norm, so
+an indifference state maps to itself. Group a's beta is the smallest
+benefit with G_a(beta) >= pi_a (on the cost CDF, to adjacent floats, by
+_sign_change), so at a cut its response returns pi_a. Of the cuts inside
+[L, R], then L and R, the closest response wins, the first listed on a tie.
+A state that none reproduces within _PLATEAU_RTOL (absolute) is not a fixed
+point of the stretch (a start at pi = 1, say). It takes the closest
+response over the breakpoints, the cuts, and on each piece between
+neighbouring breakpoints the crossing, by _sign_change, of the farthest
+falling and the farthest rising group distance. This is exact when each
+group's response is monotone on each piece: its distance then falls to its
+cut and rises after it, so the sup-norm distance is least at a piece end or
+at that crossing. A uniform tent turns only at its kink h_a. A score
+group's benefit w (F0 - F1) is monotone on each piece when it is monotone
+on each grid step, that is when f0 and f1 cross only at grid points.
+
 GaussianHalfspace responses lie on the geodesic arc between the two group
 boundaries. When the two angle weights tie within tie_tol the answer is the
 arc midpoint; otherwise utility is linear along the arc, the two endpoints
@@ -93,6 +99,7 @@ object from the table, with the bits its checked path gives for a copy.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -643,48 +650,17 @@ def _slope_turn(slope, a: float, b: float) -> float:
     return _sign_change(slope, a, b, sa, sb)[1]
 
 
-def _ternary_argmin(f, a: float, b: float, iters: int = 120) -> float:
-    """Ternary search for a minimum of f on [a, b], for at most iters steps.
-
-    It stops early once a step leaves (a, b) unchanged: every later step
-    would repeat the same comparison, so the answer is the one all iters
-    steps give, bit for bit.
-    """
-    for _ in range(iters):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if f(m1) > f(m2):
-            if m1 == a:
-                break
-            a = m1
-        else:
-            if m2 == b:
-                break
-            b = m2
-    return 0.5 * (a + b)
+def _residuals(model, economy, groups, state: QualificationState, theta: float) -> list[float]:
+    """Each group's response to theta minus its rate in the state."""
+    return [
+        response_rate(g.cost, economy.wage, *model.tpr_fpr(g.id, theta)) - pi
+        for g, pi in zip(groups, state.rates)
+    ]
 
 
-def _response_distance(
-    model, economy, groups, state: QualificationState, theta: float
-) -> float:
+def _response_distance(model, economy, groups, state: QualificationState, theta: float) -> float:
     """Sup-norm gap between the population's response to theta and the state."""
-    worst = 0.0
-    for g, pi in zip(groups, state.rates):
-        tpr, fpr = model.tpr_fpr(g.id, theta)
-        worst = max(worst, abs(response_rate(g.cost, economy.wage, tpr, fpr) - pi))
-    return worst
-
-
-def _response_distances(
-    model, economy, groups, state: QualificationState, thetas: np.ndarray
-) -> np.ndarray:
-    """_response_distance at each of thetas, bit for bit, with one rates_grid
-    and one array response_rate call per group instead of a loop over points."""
-    worst = np.zeros(len(thetas))
-    for g, pi in zip(groups, state.rates):
-        tprs, fprs = model.rates_grid(g.id, thetas)
-        worst = np.maximum(worst, np.abs(response_rate(g.cost, economy.wage, tprs, fprs) - pi))
-    return worst
+    return max(map(abs, _residuals(model, economy, groups, state, theta)))
 
 
 def _term_size(economy, groups, rates, pis):
@@ -706,20 +682,37 @@ def _tied_run(util, i_best: int, floor: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _plateau_scan(model, economy, groups, state: QualificationState, lo_t: float, hi_t: float):
-    """The response-preserving point of the flat stretch [lo_t, hi_t], searched
-    for: a 1025-point scan, then a ternary search around the scan's best point;
-    of the refined point, that point and the two ends, the closest response
-    wins, the first listed on a tie."""
-    sub = np.linspace(lo_t, hi_t, 1025)
-    d = lambda th: _response_distance(model, economy, groups, state, th)
-    dists = _response_distances(model, economy, groups, state, sub)
-    j = int(np.argmin(dists))
-    a = float(sub[max(j - 1, 0)])
-    b = float(sub[min(j + 1, len(sub) - 1)])
-    refined = _ternary_argmin(d, a, b)
-    candidates = [refined, float(sub[j]), lo_t, hi_t]
-    return min(candidates, key=d)
+def _plateau_point(model, economy, groups, state: QualificationState, points, cuts) -> float:
+    """The plateau rule (module docstring) on the stretch [points[0], points[-1]]
+    with breakpoints `points`; cuts(g, beta) gives group g's cuts."""
+    w = economy.wage
+    lo_t, hi_t = points[0], points[-1]
+    found = []
+    for g, pi in zip(groups, state.rates):
+        # G is exactly 1 above its support, so the search needs go no higher.
+        top = min(w, math.nextafter(g.cost.support[1], math.inf))
+        beta = _slope_turn(lambda x: pi - g.cost.cdf(x), 0.0, top)
+        found += [c for c in cuts(g, beta) if lo_t <= c <= hi_t]
+    d = functools.cache(lambda th: _response_distance(model, economy, groups, state, th))
+    best = min(found + [lo_t, hi_t], key=d)
+    if d(best) <= _PLATEAU_RTOL:
+        return best
+
+    def envelope_gap(res, trend):
+        # farthest falling minus farthest rising distance; a group falls
+        # while its residual and its trend on the piece have opposite signs
+        fall = max((abs(r) for r, t in zip(res, trend) if r * t < 0.0), default=0.0)
+        rise = max((abs(r) for r, t in zip(res, trend) if r * t > 0.0), default=0.0)
+        return fall - rise
+
+    res = [_residuals(model, economy, groups, state, p) for p in points]
+    for a, b, ra, rb in zip(points, points[1:], res, res[1:]):
+        trend = [y - x for x, y in zip(ra, rb)]
+        fa, fb = envelope_gap(ra, trend), envelope_gap(rb, trend)
+        if fa > 0.0 >= fb:
+            f = lambda th: envelope_gap(_residuals(model, economy, groups, state, th), trend)
+            found += _sign_change(f, a, b, fa, fb)
+    return min(points + found, key=d)
 
 
 def _scalar_best_response(
@@ -760,7 +753,32 @@ def _scalar_best_response(
     # A flat stretch of maximizers: the fixed tie-break selects the point
     # whose induced response stays closest to the current state, so exact
     # indifference states map to themselves instead of jumping to an edge.
-    return _plateau_scan(model, economy, groups, state, float(thetas[lo_i]), float(thetas[hi_i]))
+    w = economy.wage
+    points = thetas[lo_i:hi_i + 1].tolist()
+    benefits = {g.id: w * (rates[g.id][0] - rates[g.id][1])[lo_i:hi_i + 1] for g in groups}
+    turns = {0, len(points) - 1}  # where some group's benefit turns
+    for b in benefits.values():
+        moves = np.flatnonzero(np.diff(b))
+        ups = b[moves + 1] > b[moves]
+        turns.update(moves[1:][ups[1:] != ups[:-1]].tolist())
+
+    def cuts(g, beta):
+        # where the benefit crosses beta between neighbouring tied points
+        gaps = (benefits[g.id] - beta).tolist()
+        found = []
+        for a, b, ga, gb in zip(points, points[1:], gaps, gaps[1:]):
+            sign = 1.0 if ga > gb else -1.0  # so the gap falls from a to b
+            if sign * ga > 0.0 >= sign * gb:
+
+                def gap(th):
+                    tpr, fpr = model.tpr_fpr(g.id, th)
+                    return sign * (w * (tpr - fpr) - beta)
+
+                found += _sign_change(gap, a, b, sign * ga, sign * gb)
+        return found
+
+    breakpoints = [points[i] for i in sorted(turns)]
+    return _plateau_point(model, economy, groups, state, breakpoints, cuts)
 
 
 def _uniform_best_response(
@@ -783,37 +801,15 @@ def _uniform_best_response(
     lo_i, hi_i = _tied_run(util, i_best, u_max - slack)
     if lo_i == hi_i:
         return kinks[i_best]
-    return _uniform_plateau(model, economy, groups, state, kinks[lo_i], kinks[hi_i])
-
-
-def _uniform_plateau(
-    model: UniformThreshold,
-    economy: EconomyConfig,
-    groups: tuple[GroupSpec, ...],
-    state: QualificationState,
-    lo_t: float,
-    hi_t: float,
-) -> float:
-    """The response-preserving point of the uniform family's flat stretch
-    [lo_t, hi_t]. Group a's benefit is the tent w min(theta/h, (1-theta)/(1-h)),
-    so the cuts where its response returns pi_a are h beta/w and
-    1 - (1-h) beta/w, with beta the smallest benefit where G_a(beta) >= pi_a
-    (to adjacent floats, by _sign_change on the cost CDF).
-    The closest response among the cuts inside the stretch and its two ends
-    wins, the first listed on a tie; when none reproduces the state within
-    _PLATEAU_RTOL (a plateau state that is not a fixed point), the stretch is
-    searched as the grid path searches its plateaus."""
+    # On the stretch, group a's benefit is the tent w min(theta / h_a,
+    # (1 - theta) / (1 - h_a)), which is beta at these two cuts.
     w = economy.wage
-    candidates = []
-    for g, pi in zip(groups, state.rates):
+
+    def cuts(g, beta):
         h = model.threshold(g.id)
-        beta = _slope_turn(lambda x: pi - g.cost.cdf(x), 0.0, w)
-        candidates += [c for c in (h * beta / w, 1.0 - (1.0 - h) * beta / w) if lo_t <= c <= hi_t]
-    d = lambda th: _response_distance(model, economy, groups, state, th)
-    best = min(candidates + [lo_t, hi_t], key=d)
-    if d(best) <= _PLATEAU_RTOL:
-        return best
-    return _plateau_scan(model, economy, groups, state, lo_t, hi_t)
+        return h * beta / w, 1.0 - (1.0 - h) * beta / w
+
+    return _plateau_point(model, economy, groups, state, kinks[lo_i:hi_i + 1], cuts)
 
 
 def _gaussian_weights(

@@ -186,6 +186,40 @@ def test_sweep_grid_output_and_determinism(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+# The README scenario's decoupled scans, byte for byte. `find --decoupled`
+# meets 42 plateau states that no cut reproduces (a group at pi = 1, say).
+README_FIND_DECOUPLED = """\
+equilibria (decoupled scan):
+  eq1        FixedPoint  Unstable     residual=0          theta=a1:1 a2:1        pi: a1=0 a2=0
+  eq2        FixedPoint  Unstable     residual=0          theta=a1:1 a2:0.8      pi: a1=0 a2=0.6
+  eq3        FixedPoint  Unstable     residual=0          theta=a1:0.4 a2:1      pi: a1=0.6 a2=0
+  eq4        FixedPoint  Stable       residual=0          theta=a1:0.4 a2:0.8    pi: a1=0.6 a2=0.6
+"""
+README_SWEEP_DECOUPLED = """\
+init,joint_pi_a1,joint_pi_a2,joint_verdict,decoupled_pi_a1,decoupled_pi_a2,decoupled_verdict,delta_a1,delta_a2
+0.0,0.0,0.0,FixedPoint,0.0,0.0,FixedPoint,0.0,0.0
+0.1,0.19999999999999996,0.6,FixedPoint,0.6,0.6,FixedPoint,0.4,0.0
+0.2,0.19999999999999996,0.6,FixedPoint,0.6,0.6,FixedPoint,0.4,0.0
+0.30000000000000004,0.19999999999999996,0.6,FixedPoint,0.6,0.6,FixedPoint,0.4,0.0
+0.4,0.19999999999999996,0.6,FixedPoint,0.6,0.6,FixedPoint,0.4,0.0
+0.5,0.6,0.3,FixedPoint,0.6,0.6,FixedPoint,0.0,0.3
+0.6000000000000001,0.6,0.3,FixedPoint,0.6,0.6,FixedPoint,0.0,0.3
+0.7000000000000001,0.6,0.3,FixedPoint,0.6,0.6,FixedPoint,0.0,0.3
+0.8,0.6,0.3,FixedPoint,0.6,0.6,FixedPoint,0.0,0.3
+0.9,0.6,0.3,FixedPoint,0.6,0.6,FixedPoint,0.0,0.3
+1.0,0.6,0.3,FixedPoint,0.6,0.6,FixedPoint,0.0,0.3
+"""
+
+
+def test_readme_scenario_decoupled_scans_keep_their_bytes(tmp_path, capsys):
+    cfg = uniform_scenario(dynamics={"max_iters": 500, "fix_tol": 1e-9})
+    path = write_scenario(tmp_path, cfg)
+    assert main(["find", "--config", path, "--decoupled"]) == 0
+    assert capsys.readouterr().out == README_FIND_DECOUPLED
+    assert main(["sweep", "--config", path, "--grid", "11", "--decoupled"]) == 0
+    assert capsys.readouterr().out == README_SWEEP_DECOUPLED
+
+
 def test_sweep_explicit_starts_use_per_group_columns(tmp_path, capsys):
     path = write_scenario(tmp_path, uniform_scenario())
     code = main(["sweep", "--config", path, "--init", "0.6,0.3;0.2,0.6"])

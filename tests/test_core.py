@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -127,12 +126,6 @@ def test_response_rate_floors_negative_margin():
     cost = Uniform01()
     assert response_rate(cost, wage=0.6, tpr=1.0, fpr=0.0) == pytest.approx(0.6)
     assert response_rate(cost, wage=0.6, tpr=0.2, fpr=0.7) == 0.0
-    # on arrays, each entry gets the float path's bits
-    tprs = np.linspace(0.0, 1.0, 101)
-    fprs = np.linspace(1.0, 0.0, 101) ** 2
-    got = response_rate(cost, 0.6, tprs, fprs)
-    want = [response_rate(cost, 0.6, t, f) for t, f in zip(tprs.tolist(), fprs.tolist())]
-    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 def test_institutional_utility_hand_value():

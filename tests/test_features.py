@@ -37,7 +37,7 @@ from qualdyn import (
     institutional_utility,
     normalized_angle,
 )
-from qualdyn import core, dynamics, features
+from qualdyn import core, costs, dynamics, features
 from qualdyn.analysis import uniform_closed_forms
 
 
@@ -822,68 +822,141 @@ def test_uniform_fixed_point_plateau_states_map_to_themselves(h, at, costs, wage
     assert after.sup_distance(state) <= 1e-15
 
 
-def test_plateau_distances_match_the_scalar_distance_bit_for_bit():
-    economy, _, uniform = uniform_reference()
-    for cost in COST_KINDS:
-        groups = (
-            GroupSpec(id="a1", proportion=0.5, cost=cost),
-            GroupSpec(id="a2", proportion=0.5, cost=Uniform01()),
+def _flat_stretch(model, economy, groups, state):
+    """The flat stretch (lo, hi) the scalar solver resolves, or None: the
+    tied run of kinks (uniform) or grid points (score) around the first
+    maximum, when that maximum is positive."""
+    if isinstance(model, UniformThreshold):
+        points, util, slack = _kink_utilities(model, economy, groups, state)
+    else:
+        points, util = features._utility_grid(
+            model, economy, groups, state, features.DEFAULT_GRID
         )
-        score_group = (GroupSpec(id="g", proportion=1.0, cost=cost),)
-        cases = [
-            (uniform, groups, (0.2, 0.3)),
-            (uniform, groups, (0.6, 0.3)),
-            (steep_scores(), score_group, (1.0,)),
-            (empirical_scores(), score_group, (0.4,)),
-        ]
-        for model, grps, rates in cases:
-            state = QualificationState(ids=tuple(g.id for g in grps), rates=rates)
-            sub = np.linspace(0.0005, 0.9, 1025)
-            scalar = [features._response_distance(model, economy, grps, state, th) for th in sub]
-            vector = features._response_distances(model, economy, grps, state, sub)
-            assert [v.hex() for v in vector.tolist()] == [v.hex() for v in scalar], cost.kind
+        points, util = points.tolist(), util.tolist()
+        rates = [model.tpr_fpr(g.id, points[util.index(max(util))]) for g in groups]
+        slack = features._PLATEAU_RTOL * features._term_size(economy, groups, rates, state.rates)
+    i = util.index(max(util))
+    lo, hi = features._tied_run(util, i, util[i] - slack)
+    return (points[lo], points[hi]) if util[i] > 0.0 and lo < hi else None
 
 
-def test_ternary_search_stops_early_with_the_full_search_bits():
-    def full_search(f, a, b):
-        # the search as it ran before stopping early: always 120 steps
-        for _ in range(120):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            if f(m1) > f(m2):
-                a = m1
-            else:
-                b = m2
-        return 0.5 * (a + b)
+@st.composite
+def uniform_plateau_states(draw):
+    """Uniform states on a flat stretch, with 1-3 groups. 'corners' puts
+    every group at pi = 0 or 1; 'line' and 'induced' make U flat on
+    [h_0, h_1] (cost_fp solves n_0 p pi_0 / (1 - h_0) = n_1 c (1 - pi_1) / h_1),
+    at any rates on that line or at rates induced by a cut there (a fixed
+    point), with a third group at pi = 1 flat across it."""
+    k = draw(st.integers(1, 3))
+    hs = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=k, max_size=k, unique=True)))
+    weights = draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k))
+    kinds = draw(st.lists(st.integers(0, len(COST_KINDS) - 1), min_size=k, max_size=k))
+    groups = _uniform_groups(weights, kinds)
+    ids = tuple(g.id for g in groups)
+    model = UniformThreshold(tuple(zip(ids, hs)))
+    wage, payoff_tp = draw(st.floats(0.2, 1.5)), draw(st.floats(0.5, 2.0))
+    kind = "corners" if k == 1 else draw(st.sampled_from(["corners", "line", "induced"]))
+    if kind == "corners":
+        rates = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=k, max_size=k))
+        cost_fp = draw(st.floats(0.5, 2.0))
+    else:
+        if kind == "line":
+            pair = (draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.95)))
+        else:
+            theta = hs[0] + draw(st.floats(0.0, 1.0)) * (hs[1] - hs[0])
+            pair = tuple(
+                core.response_rate(g.cost, wage, *model.tpr_fpr(g.id, theta)) for g in groups[:2]
+            )
+            assume(pair[0] > 0.0 and pair[1] < 1.0)
+        rates = [*pair, 1.0][:k]
+        n0, n1 = groups[0].proportion, groups[1].proportion
+        cost_fp = n0 * payoff_tp * pair[0] * hs[1] / (n1 * (1.0 - pair[1]) * (1.0 - hs[0]))
+        assume(0.05 <= cost_fp <= 20.0)
+    economy = EconomyConfig(wage=wage, payoff_tp=payoff_tp, cost_fp=cost_fp)
+    return model, economy, groups, QualificationState(ids=ids, rates=tuple(rates))
 
-    economy, groups, uniform = uniform_reference()
-    table = uniform_closed_forms(0.4, 0.8, 0.6, economy, groups)
-    mid = next(r.state for r in table.records if r.label == "h_mid")
-    fs = [
-        lambda th: features._response_distance(uniform, economy, groups, mid, th),
-        lambda th: (th - 0.3) ** 2,
-        lambda th: abs(th - 1.0 / 3.0),
-        lambda th: 0.0,
-        math.sin,
-        lambda th: -th,
-    ]
-    brackets = [(0.0, 1.0), (0.55, 0.6), (0.3, 0.3 + 2e-15), (0.25, 0.25), (1e-300, 2e-300)]
-    for f in fs:
-        for a, b in brackets:
-            assert features._ternary_argmin(f, a, b).hex() == full_search(f, a, b).hex()
+
+def indifferent_empirical_scores():
+    """Scores whose middle segment [0.3, 0.7] has F1 slope 1 and F0 slope
+    0.75, so U is flat there when p pi = 0.75 c (1 - pi); the likelihood ratio
+    falls across segments, so that stretch is the maximum."""
+    return ScoreModel(
+        (
+            (
+                "g",
+                GroupScores(
+                    y1=EmpiricalScore(((0, 0), (0.3, 0.05), (0.7, 0.45), (1, 1))),
+                    y0=EmpiricalScore(((0, 0), (0.3, 0.6), (0.7, 0.9), (1, 1))),
+                ),
+            ),
+        )
+    )
+
+
+def turning_empirical_scores():
+    """Two groups whose f0 - f1 are +0.5 and -0.5 on [0.4, 0.5] and swap
+    signs on [0.5, 0.6]: with p pi = c (1 - pi) for both, U is flat on
+    [0.4, 0.6] and each group's benefit turns at 0.5."""
+    def group(y1, y0):
+        return GroupScores(
+            y1=EmpiricalScore(((0, 0), (0.4, y1[0]), (0.5, y1[1]), (0.6, y1[2]), (1, 1))),
+            y0=EmpiricalScore(((0, 0), (0.4, y0[0]), (0.5, y0[1]), (0.6, y0[2]), (1, 1))),
+        )
+
+    return ScoreModel(
+        (
+            ("a", group((0.2, 0.25, 0.4), (0.5, 0.6, 0.65))),
+            ("b", group((0.1, 0.2, 0.25), (0.5, 0.55, 0.7))),
+        )
+    )
+
+
+@st.composite
+def score_plateau_states(draw):
+    """Score plateaus: steep scores at pi = 1, the one-group empirical
+    indifference state pi = 0.75 c / (p + 0.75 c), or the two-group one
+    pi = c / (p + c), whose benefits turn inside the stretch."""
+    pair_costs = draw(st.lists(st.sampled_from(COST_KINDS), min_size=2, max_size=2))
+    wage, payoff_tp = draw(st.floats(0.2, 1.5)), draw(st.floats(0.5, 2.0))
+    economy = EconomyConfig(wage=wage, payoff_tp=payoff_tp)
+    group = (GroupSpec(id="g", proportion=1.0, cost=pair_costs[0]),)
+    kind = draw(st.sampled_from(["steep", "one", "two"]))
+    if kind == "steep":
+        return steep_scores(), economy, group, QualificationState(ids=("g",), rates=(1.0,))
+    if kind == "one":
+        pi = 0.75 / (payoff_tp + 0.75)
+        return indifferent_empirical_scores(), economy, group, QualificationState(("g",), (pi,))
+    pair = tuple(GroupSpec(id=g, proportion=0.5, cost=c) for g, c in zip("ab", pair_costs))
+    pi = 1.0 / (payoff_tp + 1.0)
+    return turning_empirical_scores(), economy, pair, QualificationState(("a", "b"), (pi, pi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.one_of(uniform_plateau_states(), score_plateau_states()))
+def test_plateau_point_is_the_closest_response_on_the_stretch(case):
+    model, economy, groups, state = case
+    stretch = _flat_stretch(model, economy, groups, state)
+    assume(stretch is not None)
+    lo, hi = stretch
+    theta = institution_best_response(model, economy, groups, state)
+    assert lo <= theta <= hi
+    reference = min(
+        features._response_distance(model, economy, groups, state, th)
+        for th in np.linspace(lo, hi, 1025).tolist()
+    )
+    got = features._response_distance(model, economy, groups, state, theta)
+    assert got <= reference + 1e-15
 
 
 def test_plateau_tie_break_needs_a_tie_beyond_rounding(monkeypatch):
     # Near pi = 0 the utility is ~1e-16 everywhere, so grid points can agree to
     # within 1e-15 without tying; the tie slack scales with the utility's terms.
-    # The grid path's plateau scans with _response_distances; the uniform
-    # closed form's plateau branch is _uniform_plateau.
+    # Both scalar families resolve a flat stretch with _plateau_point.
     calls = []
-    for name in ("_response_distances", "_uniform_plateau"):
-        real = getattr(features, name)
-        monkeypatch.setattr(
-            features, name, lambda *args, real=real: calls.append(1) or real(*args)
-        )
+    real = features._plateau_point
+    monkeypatch.setattr(
+        features, "_plateau_point", lambda *args: calls.append(1) or real(*args)
+    )
 
     def takes_plateau(model, economy, grps, state) -> bool:
         calls.clear()
@@ -899,6 +972,25 @@ def test_plateau_tie_break_needs_a_tie_beyond_rounding(monkeypatch):
     table = uniform_closed_forms(0.4, 0.8, 0.6, economy, groups)
     mid = next(r.state for r in table.records if r.label == "h_mid")
     assert takes_plateau(uniform, economy, groups, mid)
+
+
+def test_plateau_cost_inversion_stops_just_above_the_cost_support(monkeypatch):
+    # pi = 1 with the wage above the costs' support: G is exactly 1 beyond
+    # the support, so beta's search ends there instead of halving a flat
+    # zero up to the wage (112 cdf calls for Uniform01 and wage 1.5). Its
+    # bits are those of the search up to the wage, also for Scaled(.., 49),
+    # whose G rounds to just below 1 at the support's top.
+    calls = []
+    real = costs.CostModel.cdf
+    monkeypatch.setattr(costs.CostModel, "cdf", lambda self, x: calls.append(x) or real(self, x))
+    model = UniformThreshold((("a", 0.4),))
+    for cost, most in ((Uniform01(), 8), (Scaled(Uniform01(), 49.0), 10)):
+        group = GroupSpec(id="a", proportion=1.0, cost=cost)
+        calls.clear()
+        theta = decoupled_best_response(model, EconomyConfig(wage=1.5), group, 1.0)
+        assert len(calls) <= most
+        beta = features._slope_turn(lambda x: 1.0 - real(cost, x), 0.0, 1.5)
+        assert theta.hex() == (0.4 * beta / 1.5).hex()
 
 
 def test_grid_table_fill_is_safe_under_threads():
