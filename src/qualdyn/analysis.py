@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .dynamics import (
     STABLE,
     Stability,
     UNSTABLE,
+    _population_response,
+    _rule,
     classify_stability,
     cycle_average,
     iterate,
@@ -420,10 +422,29 @@ def find_equilibria_scan(
     member. Two groups start from the full grid x grid mesh; three or more
     start only from the diagonal and the lines through (0.5, ..., 0.5)
     along each axis, so an equilibrium whose basin misses those lines is
-    not found. The runs share one iterate memo, so a state that any start has
-    reached is stepped only once. In the uniform and halfspace families the
-    rule takes only a few values, so after its first step nearly every run
-    is at a state another start has stepped already.
+    not found.
+
+    Scan runs start at images. Each start s is resolved from its first
+    image x1 = the population's response to the rule theta(s), and starts
+    with one rule share one image: the first of them runs iterate from x1,
+    and the others reuse that run. In the uniform and halfspace families the
+    rule takes only a few values, so a grid-21 scan makes a handful of runs,
+    not 441. A start inherits the image run's verdict only when s is
+    farther than fix_tol from every state on that run's trace and the run
+    ended within max_iters - 2 steps; any other start runs in full. The
+    verdict is then the one s's own run would reach, because that run is
+    the image run one step later and tests the same states:
+    - at t = 1 its fixed-point test compares x1 with s, which the distance
+      rule fails;
+    - after that, its fixed-point tests and cycle verifications are the
+      image run's, and its cycle matcher tries the image run's lags in the
+      same order plus one more, which compares the newest state with s and
+      so fails too (smallest lag wins, so an earlier match is unchanged);
+    - it has one step less budget for the image run's part, which the step
+      rule leaves spare.
+    Only verdicts are read, so the records are the ones full runs give.
+    All runs share one iterate memo, so a state that any run has reached is
+    stepped only once.
     """
     groups = normalize_groups(groups)
     if config is None:
@@ -559,7 +580,6 @@ def _multi_starts(n_groups: int, grid: int) -> list[tuple[float, ...]]:
 def _scan_multi_group(
     economy, groups, model, grid: int, config: DynamicsConfig, seed: int
 ) -> tuple[EquilibriumRecord, ...]:
-    ids = tuple(g.id for g in groups)
     fixed: list[tuple[QualificationState, float]] = []
     cycles: list[tuple[QualificationState, tuple[QualificationState, ...], int]] = []
     # Period and sorted state rates of each stored cycle: a run whose cycle
@@ -567,13 +587,10 @@ def _scan_multi_group(
     # so its mean is not taken.
     stored: set[tuple] = set()
     radius = _DEDUP_FACTOR * config.fix_tol
-    memo: dict = {}
 
-    for start in _multi_starts(len(groups), grid):
-        outcome = iterate(
-            economy, groups, model, QualificationState(ids=ids, rates=start), config,
-            memo=memo,
-        )
+    for outcome in _start_outcomes(
+        economy, groups, model, _multi_starts(len(groups), grid), config
+    ):
         v = outcome.verdict
         if isinstance(v, FixedPoint):
             for i, (st, res) in enumerate(fixed):
@@ -625,6 +642,46 @@ def _scan_multi_group(
             )
         )
     return tuple(records)
+
+
+def _start_outcomes(economy, groups, model, starts, config: DynamicsConfig):
+    """For each start in order, the outcome whose verdict is the start's: the
+    run from its first image when it may inherit that verdict, else its own
+    run (the rule and its argument are in find_equilibria_scan). Starts with
+    the same rule share one image and one image run, and every run shares
+    one iterate memo."""
+    ids = tuple(g.id for g in groups)
+    memo: dict = {}
+    images: dict = {}  # rule key -> (rule, image run, the states on its trace)
+    for rates in starts:
+        start = QualificationState(ids=ids, rates=rates)
+        theta = _rule(
+            economy, groups, model, start, config.mode, config.theta_grid, config.tie_tol
+        )
+        key = _rule_key(theta)
+        if key not in images:
+            image = _population_response(economy, groups, model, theta)
+            run = iterate(economy, groups, model, image, config, memo=memo)
+            images[key] = (theta, run, tuple(rec.state for rec in run.trace))
+        _, run, visited = images[key]
+        if len(run.trace) - 1 < config.max_iters - 1 and all(
+            start.sup_distance(s) > config.fix_tol for s in visited
+        ):
+            yield run
+        else:
+            yield iterate(economy, groups, model, start, config, memo=memo)
+
+
+def _rule_key(theta):
+    """Key under which equal rules meet in the scan's image table: scalars
+    by value and sign, so -0.0 and 0.0 stay apart; halfspace table vectors
+    by identity, which stays unique while the table holds the rule;
+    decoupled mappings by their items in group order."""
+    if isinstance(theta, Mapping):
+        return tuple((gid, _rule_key(th)) for gid, th in sorted(theta.items()))
+    if isinstance(theta, np.ndarray):
+        return id(theta)
+    return (theta, math.copysign(1.0, theta))
 
 
 def _theta_at(economy, groups, model, state, config: DynamicsConfig):

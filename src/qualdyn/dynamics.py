@@ -196,18 +196,32 @@ def step(
     group id -> per-group parameter.
     """
     groups = normalize_groups(groups)
+    theta = _rule(economy, groups, model, state, mode, grid_size, tie_tol)
+    return theta, _population_response(economy, groups, model, theta)
+
+
+def _rule(
+    economy: EconomyConfig,
+    groups: tuple[GroupSpec, ...],
+    model,
+    state: QualificationState,
+    mode: Mode,
+    grid_size: int,
+    tie_tol: float,
+):
+    """The institution's half of step, for groups already in canonical
+    order: its best response to state, or in decoupled mode the mapping
+    group id -> each group's own best response."""
     if mode == "joint":
-        theta = institution_best_response(
+        return institution_best_response(
             model, economy, groups, state, grid_size=grid_size, tie_tol=tie_tol
         )
-    elif mode == "decoupled":
-        theta = {
+    if mode == "decoupled":
+        return {
             g.id: decoupled_best_response(model, economy, g, pi, grid_size=grid_size)
             for g, pi in zip(groups, state.rates)
         }
-    else:
-        raise ParameterError(f"mode must be 'joint' or 'decoupled', got {mode!r}")
-    return theta, _population_response(economy, groups, model, theta)
+    raise ParameterError(f"mode must be 'joint' or 'decoupled', got {mode!r}")
 
 
 def iterate(

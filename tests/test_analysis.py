@@ -1,5 +1,6 @@
 """Closed forms, equilibrium scans, subsidy reports."""
 
+import copy
 import math
 
 import numpy as np
@@ -13,9 +14,12 @@ from qualdyn import (
     ConfigurationError,
     DynamicsConfig,
     EconomyConfig,
+    FixedPoint,
     GaussianHalfspace,
     GroupScores,
     GroupSpec,
+    LimitCycle,
+    NonConverged,
     ParameterError,
     PreconditionError,
     QualificationState,
@@ -35,7 +39,7 @@ from qualdyn import (
     subsidy_equilibrium_shift,
     uniform_closed_forms,
 )
-from qualdyn import analysis
+from qualdyn import analysis, verification
 from qualdyn.dynamics import settled_state
 from qualdyn.features import _sign_change
 
@@ -572,3 +576,185 @@ def test_uniform_decoupled_rates_never_fall_below_joint_rates(h1, h2, wage, n1, 
     assert settled["joint"] is not None and settled["decoupled"] is not None
     for joint, decoupled in zip(settled["joint"].rates, settled["decoupled"].rates):
         assert decoupled >= joint
+
+
+# ---------------------------------------------------------------------------
+# Multi-group scan: starts resolved from their first image
+# ---------------------------------------------------------------------------
+
+CRITERION_10 = DynamicsConfig(max_iters=300, fix_tol=1e-6, theta_grid=401)
+
+
+def full_run_verdicts(economy, groups, model, starts, config):
+    """Reference scan loop without images: every start runs in full, all on
+    one shared memo."""
+    ids = tuple(g.id for g in groups)
+    memo: dict = {}
+    return [
+        iterate(economy, groups, model, QualificationState(ids, s), config, memo=memo).verdict
+        for s in starts
+    ]
+
+
+def resolved(economy, groups, model, starts, config):
+    """Each start's verdict as the scan resolves it, and whether it ran in
+    full (its outcome's trace starts at the start itself)."""
+    outcomes = list(analysis._start_outcomes(economy, groups, model, starts, config))
+    return (
+        [o.verdict for o in outcomes],
+        [o.trace[0].state.rates == s for o, s in zip(outcomes, starts)],
+    )
+
+
+def scan_cases():
+    uniform = verification._uniform_reference()
+    return [
+        ("uniform joint", uniform, DynamicsConfig(), 21),
+        ("uniform decoupled", uniform, DynamicsConfig(mode="decoupled"), 21),
+        ("halfspace stable pair", verification._halfspace_scenario(2.0, 1.0), DynamicsConfig(), 21),
+        ("halfspace period 2", verification._halfspace_scenario(1.0, 2.0), DynamicsConfig(), 21),
+        ("two-valley score", verification._two_valley_scenario(), CRITERION_10, 5),
+    ]
+
+
+@pytest.mark.parametrize("case", scan_cases(), ids=lambda case: case[0])
+def test_inherited_verdicts_match_full_runs(case):
+    _, (economy, groups, model), config, grid = case
+    groups = tuple(sorted(groups, key=lambda g: g.id))
+    starts = analysis._multi_starts(len(groups), grid)
+    want = full_run_verdicts(economy, groups, model, starts, config)
+    got, full = resolved(economy, groups, model, starts, config)
+    # repr tells -0.0 from 0.0, so this is a match bit for bit
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    assert not all(full)  # some starts did inherit
+
+
+def test_a_start_at_a_fixed_point_runs_in_full():
+    economy, groups, model = verification._uniform_reference()
+    starts = [(0.6, 0.3)]  # the h1 corner: its image is itself
+    got, full = resolved(economy, groups, model, starts, DynamicsConfig())
+    assert full == [True]
+    assert got == full_run_verdicts(economy, groups, model, starts, DynamicsConfig())
+    assert isinstance(got[0], FixedPoint)
+
+
+def test_a_start_on_its_images_cycle_runs_in_full():
+    # Period-2 regime: the start is one corner of the cycle, so its image is
+    # the other corner and the image run's trace comes back to the start.
+    # The image run's cycle begins at the wrong corner, so inheriting would
+    # change the verdict.
+    economy, groups, model = verification._halfspace_scenario(1.0, 2.0)
+    corner = (float(Uniform01().cdf(0.8)), 0.0)
+    config = DynamicsConfig()
+    got, full = resolved(economy, groups, model, [corner], config)
+    want = full_run_verdicts(economy, groups, model, [corner], config)
+    assert full == [True]
+    assert got == want
+    assert isinstance(want[0], LimitCycle) and want[0].states[0].rates == corner
+    image = step(economy, groups, model, QualificationState(("g1", "g2"), corner))[1]
+    assert iterate(economy, groups, model, image, config).verdict != want[0]
+
+
+@pytest.mark.parametrize("max_iters, verdict", [(3, LimitCycle), (2, NonConverged)])
+def test_an_image_run_near_the_budget_is_not_inherited(max_iters, verdict):
+    # From (0.7, 0.2) the period-2 map goes to one corner; the run from that
+    # image closes its cycle at t = 2. That is max_iters - 1 steps at
+    # max_iters = 3, and the whole budget at max_iters = 2, where the
+    # start's own run ends NonConverged.
+    economy, groups, model = verification._halfspace_scenario(1.0, 2.0)
+    config = DynamicsConfig(max_iters=max_iters)
+    starts = [(0.7, 0.2)]
+    got, full = resolved(economy, groups, model, starts, config)
+    assert full == [True]
+    assert got == full_run_verdicts(economy, groups, model, starts, config)
+    assert isinstance(got[0], verdict)
+    # one more step of budget and the start inherits
+    roomy = DynamicsConfig(max_iters=max_iters + 2)
+    got, full = resolved(economy, groups, model, starts, roomy)
+    assert full == [False]
+    assert got == full_run_verdicts(economy, groups, model, starts, roomy)
+
+
+def test_rule_keys():
+    key = analysis._rule_key
+    assert key(0.0) != key(-0.0)
+    assert key(0.4) == key(0.4)
+    assert key({"a": 0.4, "b": 0.8}) == key({"b": 0.8, "a": 0.4})
+    assert key({"a": 0.0, "b": 0.8}) != key({"a": -0.0, "b": 0.8})
+    _, _, model = verification._halfspace_scenario(2.0, 1.0)
+    ends, midpoint, _ = model._arc
+    assert key(midpoint) == key(midpoint)
+    assert key(midpoint) != key(midpoint.copy())
+    assert key(ends[0]) != key(ends[1])
+
+
+def test_zero_and_negative_zero_rules_get_their_own_images(monkeypatch):
+    economy, groups, model = verification._uniform_reference()
+    images = []
+    real_response = analysis._population_response
+
+    def scripted_rule(economy, groups, model, state, *args):
+        return 0.0 if state.rates[0] < 0.5 else -0.0
+
+    def counting_response(economy, groups, model, theta):
+        images.append(theta)
+        return real_response(economy, groups, model, theta)
+
+    monkeypatch.setattr(analysis, "_rule", scripted_rule)
+    monkeypatch.setattr(analysis, "_population_response", counting_response)
+    starts = analysis._multi_starts(2, 5)
+    list(analysis._start_outcomes(economy, groups, model, starts, DynamicsConfig()))
+    assert [math.copysign(1.0, th) for th in images] == [1.0, -1.0]
+
+
+def test_a_deep_copied_halfspace_model_scans_to_the_same_records():
+    # The copy's table vectors are new objects, so its rules key apart from
+    # the original's and its rates take the checked path.
+    for payoff_tp, cost_fp in ((2.0, 1.0), (1.0, 2.0)):
+        economy, groups, model = verification._halfspace_scenario(payoff_tp, cost_fp)
+        twin = copy.deepcopy(model)
+        assert twin._arc[1] is not model._arc[1]
+        got = find_equilibria_scan(economy, groups, twin)
+        want = find_equilibria_scan(economy, groups, model)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.label, a.kind, a.state, a.stability, a.residual, a.cycle, a.period) == (
+                b.label, b.kind, b.state, b.stability, b.residual, b.cycle, b.period
+            )
+            assert np.array_equal(
+                np.asarray(a.theta, dtype=float), np.asarray(b.theta, dtype=float), equal_nan=True
+            )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_a=st.floats(min_value=0.3, max_value=0.7),
+    a=st.tuples(st.floats(min_value=3.5, max_value=5.5), st.floats(min_value=1.5, max_value=2.5)),
+    b=st.tuples(st.floats(min_value=3.5, max_value=5.5), st.floats(min_value=1.5, max_value=2.5)),
+    mu=st.floats(min_value=0.45, max_value=0.65),
+)
+def test_two_group_score_scan_fixed_points_meet_fix_tol(n_a, a, b, mu):
+    # Two score groups with mirrored Beta scores and one steep cost, scanned
+    # on the 5 x 5 grid with criterion 10's settings. Cheaper costs (mu near
+    # 0.3) make most starts chaotic: they run all 300 steps and end
+    # NonConverged, and one scan takes seconds.
+    economy = EconomyConfig(wage=1.0)
+    cost = TruncatedNormal(mu=mu, sigma=0.1)
+    groups = (
+        GroupSpec(id="a", proportion=n_a, cost=cost),
+        GroupSpec(id="b", proportion=1.0 - n_a, cost=cost),
+    )
+    model = ScoreModel(
+        {
+            "a": GroupScores(y1=BetaScore(*a), y0=BetaScore(a[1], a[0])),
+            "b": GroupScores(y1=BetaScore(*b), y0=BetaScore(b[1], b[0])),
+        }
+    )
+    records = find_equilibria_scan(economy, groups, model, grid=5, config=CRITERION_10)
+    for rec in records:
+        if rec.kind == "FixedPoint":
+            assert rec.residual <= CRITERION_10.fix_tol
+            _, after = step(
+                economy, groups, model, rec.state, grid_size=CRITERION_10.theta_grid
+            )
+            assert after.sup_distance(rec.state) <= CRITERION_10.fix_tol
