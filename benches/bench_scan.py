@@ -19,7 +19,8 @@ or, to check only that every case still runs, with `--benchmark-disable`.
 
 Run as a script, it prints the same scans' call counts as JSON, which do
 not depend on the machine: iterate runs, steps (memo misses), institution
-best responses and population responses per scan:
+best responses, rules resolved in the joint halfspace scan's array pass and
+population responses per scan:
 
     PYTHONPATH=src python benches/bench_scan.py
 """
@@ -56,28 +57,40 @@ def test_two_valley_scan(benchmark):
     assert sorted(r.kind for r in records) == ["FixedPoint", "LimitCycle"]
 
 
-# Each counted function, with the modules that hold a reference to it.
+def once(result) -> int:
+    return 1
+
+
+def array_rules(result) -> int:
+    # the scan's pass returns a list of rules; a one-state call, one rule
+    return len(result) if isinstance(result, list) else 0
+
+
+# Each counted function, with the modules that hold a reference to it, and
+# what one call adds to its count.
 COUNTED = {
-    "iterate_runs": ("iterate", (dynamics, analysis, cli)),
-    "steps": ("step", (dynamics, analysis, cli)),
-    "best_responses": ("institution_best_response", (features, dynamics, analysis)),
-    "decoupled_best_responses": ("decoupled_best_response", (features, dynamics)),
-    "population_responses": ("_population_response", (dynamics, analysis)),
+    "iterate_runs": ("iterate", (dynamics, analysis, cli), once),
+    "steps": ("step", (dynamics, analysis, cli), once),
+    "best_responses": ("institution_best_response", (features, dynamics, analysis), once),
+    "array_pass_rules": ("_halfspace_rule", (features, analysis), array_rules),
+    "decoupled_best_responses": ("decoupled_best_response", (features, dynamics), once),
+    "population_responses": ("_population_response", (dynamics, analysis), once),
 }
 
 
 def counts() -> dict[str, dict[str, int]]:
-    """Calls of each counted function during one scan of each anchor."""
+    """Each counted function's count during one scan of each anchor."""
     out = {}
     for case, (scenario, kwargs) in CASES.items():
         tally = dict.fromkeys(COUNTED, 0)
         saved = []
-        for key, (name, modules) in COUNTED.items():
-            real = getattr(dynamics, name)
+        for key, (name, modules, weight) in COUNTED.items():
+            real = getattr(modules[0], name)
 
-            def counting(*args, _key=key, _real=real, **kw):
-                tally[_key] += 1
-                return _real(*args, **kw)
+            def counting(*args, _key=key, _real=real, _weight=weight, **kw):
+                result = _real(*args, **kw)
+                tally[_key] += _weight(result)
+                return result
 
             for module in modules:
                 if getattr(module, name, None) is real:

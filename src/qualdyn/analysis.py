@@ -10,7 +10,9 @@ and the scan never trusts a root it cannot reproduce as a fixed point.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -48,6 +50,8 @@ from .errors import (
 )
 from .features import (
     GaussianHalfspace,
+    _check_alignment,
+    _halfspace_rule,
     _sign_change,
     institution_best_response,
     normalized_angle,
@@ -444,7 +448,10 @@ def find_equilibria_scan(
       rule leaves spare.
     Only verdicts are read, so the records are the ones full runs give.
     All runs share one iterate memo, so a state that any run has reached is
-    stepped only once.
+    stepped only once. A joint halfspace scan takes every start's rule from
+    one array pass over the start rates, through the kernel that the
+    one-state solver calls (`features._halfspace_rule`), so the rules are
+    the model's own table vectors, bit for bit.
     """
     groups = normalize_groups(groups)
     if config is None:
@@ -564,15 +571,14 @@ def _derivative_stable(phi, x: float, delta: float = 1e-6) -> bool | None:
 
 
 def _multi_starts(n_groups: int, grid: int) -> list[tuple[float, ...]]:
-    axis = np.linspace(0.0, 1.0, grid)
+    axis = np.linspace(0.0, 1.0, grid).tolist()
     if n_groups <= 2:
-        mesh = np.meshgrid(*([axis] * n_groups), indexing="ij")
-        return [tuple(float(m[idx]) for m in mesh) for idx in np.ndindex(mesh[0].shape)]
-    starts = [(float(v),) * n_groups for v in axis]  # diagonal
+        return list(itertools.product(axis, repeat=n_groups))
+    starts = [(v,) * n_groups for v in axis]  # diagonal
     for i in range(n_groups):
         for v in axis:
             point = [0.5] * n_groups
-            point[i] = float(v)
+            point[i] = v
             starts.append(tuple(point))
     return starts
 
@@ -652,24 +658,41 @@ def _start_outcomes(economy, groups, model, starts, config: DynamicsConfig):
     one iterate memo."""
     ids = tuple(g.id for g in groups)
     memo: dict = {}
-    images: dict = {}  # rule key -> (rule, image run, the states on its trace)
-    for rates in starts:
-        start = QualificationState(ids=ids, rates=rates)
-        theta = _rule(
-            economy, groups, model, start, config.mode, config.theta_grid, config.tie_tol
-        )
+    images: dict = {}  # rule key -> (rule, image run, the rates on its trace)
+    for rates, theta in zip(starts, _start_rules(economy, groups, model, starts, config)):
         key = _rule_key(theta)
         if key not in images:
             image = _population_response(economy, groups, model, theta)
             run = iterate(economy, groups, model, image, config, memo=memo)
-            images[key] = (theta, run, tuple(rec.state for rec in run.trace))
+            images[key] = (theta, run, tuple(rec.state.rates for rec in run.trace))
         _, run, visited = images[key]
+        # QualificationState.sup_distance on the raw rate tuples
         if len(run.trace) - 1 < config.max_iters - 1 and all(
-            start.sup_distance(s) > config.fix_tol for s in visited
+            max(map(abs, map(operator.sub, rates, v))) > config.fix_tol for v in visited
         ):
             yield run
         else:
-            yield iterate(economy, groups, model, start, config, memo=memo)
+            yield iterate(
+                economy, groups, model, QualificationState(ids, rates), config, memo=memo
+            )
+
+
+def _start_rules(economy, groups, model, starts, config: DynamicsConfig):
+    """Each start's rule, as dynamics._rule gives it: for joint halfspace
+    scans all at once, from columns of the start rates; otherwise by one
+    _rule call per start, made as the caller asks for it."""
+    ids = tuple(g.id for g in groups)
+    if starts and config.mode == "joint" and isinstance(model, GaussianHalfspace):
+        _check_alignment(model, groups, QualificationState(ids, starts[0]))
+        columns = tuple(np.array(starts, dtype=float).T)
+        return _halfspace_rule(model, economy, groups, columns, config.tie_tol)
+    return (
+        _rule(
+            economy, groups, model, QualificationState(ids, rates),
+            config.mode, config.theta_grid, config.tie_tol,
+        )
+        for rates in starts
+    )
 
 
 def _rule_key(theta):

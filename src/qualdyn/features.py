@@ -94,6 +94,9 @@ or midpoint, and a decoupled one is the group's own boundary. The model
 builds these once, read-only, with each group's (TPR, FPR) at them, and
 the solvers return the table's own array objects: tpr_fpr answers such an
 object from the table, with the bits its checked path gives for a copy.
+The tie test and the endpoint comparison are written once, in
+_halfspace_rule, which takes one state's rates or columns of many states'
+rates, so the multi-group scan resolves all its starts in one array pass.
 """
 
 from __future__ import annotations
@@ -605,16 +608,26 @@ def _sign_change(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float
       exceed twice the halvings by two, so where bisection takes n
       evaluations this takes at most about 2 n + 2;
     * a zero or non-finite denominator (values that underflowed, overflowed
-      or are NaN) falls back to the midpoint.
+      or are NaN) falls back to the midpoint;
+    * with f(hi) = 0 the secant point is hi itself, moved to the float below
+      it, which ends the search when the sign change is at hi. Once two such
+      points in a row have found f = 0 as well, f is flat at zero there and
+      the secant would move hi one float per step (a cost CDF that rounds to
+      1 below its support's top, inverted at pi = 1), so the search bisects
+      while f(hi) stays 0. Two, not one, because a CDF that reaches 1 just
+      at its support's top is also 1 on the float above it. A monotone f
+      that is 0 at hi so costs two points plus a bisection of the rest,
+      within n + 3 evaluations, where the secant alone took up to 2 n + 2.
     """
     kept = 0  # +1 after lo moved, -1 after hi moved
+    zeros = 0  # hi moves in a row from a zero of f to another zero
     limit = 2.0 * (hi - lo)  # the widest bracket that may take a secant step
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo, hi
         denom = flo - fhi
-        if hi - lo >= limit or not 0.0 < denom < math.inf:
+        if hi - lo >= limit or zeros >= 2 or not 0.0 < denom < math.inf:
             x = mid
         else:
             x = lo + (hi - lo) * (flo / denom)
@@ -627,6 +640,7 @@ def _sign_change(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float
                 fhi *= 0.5
             kept = 1
         else:
+            zeros = zeros + 1 if fx == 0.0 == fhi else 0
             hi, fhi = x, fx
             if kept < 0:
                 flo *= 0.5
@@ -812,42 +826,37 @@ def _uniform_best_response(
     return _plateau_point(model, economy, groups, state, kinks[lo_i:hi_i + 1], cuts)
 
 
-def _gaussian_weights(
-    economy: EconomyConfig, groups: tuple[GroupSpec, ...], state: QualificationState
-) -> tuple[float, float]:
-    # Angle weight per group: n_a * (c_FP + (p_TP - c_FP) * pi_a); always > 0.
-    (g1, g2) = groups
-    p, c = economy.payoff_tp, economy.cost_fp
-    w1 = g1.proportion * (c + (p - c) * state.rates[0])
-    w2 = g2.proportion * (c + (p - c) * state.rates[1])
-    return w1, w2
+def _halfspace_rule(model: GaussianHalfspace, economy: EconomyConfig, groups, pis, tie_tol: float):
+    """The joint halfspace response (module docstring) to pis, the two
+    groups' rates: floats for one state, or equal-length arrays for many
+    states at once. Returns the model's table vector, or a list of them.
 
-
-def _gaussian_best_response(
-    model: GaussianHalfspace,
-    economy: EconomyConfig,
-    groups: tuple[GroupSpec, ...],
-    state: QualificationState,
-    tie_tol: float,
-) -> np.ndarray:
+    Every operation is elementwise IEEE arithmetic in one order, so each
+    state gets the same vector whichever form its rates come in.
+    """
     if len(groups) != 2:
         raise ConfigurationError("halfspace best response supports exactly two groups")
-    w1, w2 = _gaussian_weights(economy, groups, state)
-    equal_sizes = abs(groups[0].proportion - groups[1].proportion) <= 1e-12
-    if equal_sizes and economy.payoff_tp != economy.cost_fp:
-        tied = abs(state.rates[0] - state.rates[1]) <= tie_tol
+    (g1, g2), (pi1, pi2) = groups, pis
+    p, c = economy.payoff_tp, economy.cost_fp
+    if abs(g1.proportion - g2.proportion) <= 1e-12 and p != c:
+        tied = abs(pi1 - pi2) <= tie_tol
     else:
-        tied = abs(w1 - w2) <= tie_tol * max(1.0, w1, w2)
+        # Angle weight per group: n_a * (c_FP + (p_TP - c_FP) * pi_a); always > 0.
+        w1 = g1.proportion * (c + (p - c) * pi1)
+        w2 = g2.proportion * (c + (p - c) * pi2)
+        tied = abs(w1 - w2) <= tie_tol * np.maximum(np.maximum(1.0, w1), w2)
     ends, midpoint, ang = model._arc
-    if tied:
-        # The whole arc is optimal; the convention is the boundaries' midpoint.
-        return midpoint
-    # The objective along the arc is linear in the arc fraction (the angles
-    # to the two boundaries are t*ang and (1-t)*ang), so its maximum sits at
-    # an endpoint; an exact tie goes to t=0.
-    at_first = _utility_from_rates(economy, groups, ((1.0, 0.0), (1.0 - ang, ang)), state.rates)
-    at_second = _utility_from_rates(economy, groups, ((1.0 - ang, ang), (1.0, 0.0)), state.rates)
-    return ends[0] if at_first >= at_second else ends[1]
+    # Off a tie the objective along the arc is linear in the arc fraction
+    # (the angles to the two boundaries are t*ang and (1-t)*ang), so its
+    # maximum sits at an endpoint; an exact tie goes to t=0. On a tie the
+    # whole arc is optimal, and the convention is the boundaries' midpoint.
+    at_first = _utility_from_rates(economy, groups, ((1.0, 0.0), (1.0 - ang, ang)), pis)
+    at_second = _utility_from_rates(economy, groups, ((1.0 - ang, ang), (1.0, 0.0)), pis)
+    first = at_first >= at_second
+    if isinstance(first, np.ndarray):
+        rules = (ends[0], ends[1], midpoint)
+        return [rules[i] for i in np.where(tied, 2, np.where(first, 0, 1)).tolist()]
+    return midpoint if tied else ends[0] if first else ends[1]
 
 
 def institution_best_response(
@@ -872,7 +881,7 @@ def institution_best_response(
     """
     _check_alignment(model, groups, state)
     if isinstance(model, GaussianHalfspace):
-        return _gaussian_best_response(model, economy, groups, state, tie_tol)
+        return _halfspace_rule(model, economy, groups, state.rates, tie_tol)
     if isinstance(model, ScalarModel):
         return _scalar_best_response(model, economy, groups, state, grid_size)
     raise ConfigurationError(f"unknown feature model type {type(model).__name__}")

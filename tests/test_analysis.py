@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qualdyn import (
@@ -39,7 +39,7 @@ from qualdyn import (
     subsidy_equilibrium_shift,
     uniform_closed_forms,
 )
-from qualdyn import analysis, verification
+from qualdyn import analysis, dynamics, verification
 from qualdyn.dynamics import settled_state
 from qualdyn.features import _sign_change
 
@@ -408,8 +408,9 @@ def _bisection(f, lo, hi):
 def _check_sign_change(f, lo, hi, monotone):
     """_sign_change's contract on f(lo) > 0 >= f(hi): an adjacent-float sign
     change inside [lo, hi], within 2 * n + 2 evaluations where bisection takes
-    n, and bisection's own bracket, bit for bit, when f is monotone. Returns
-    both evaluation counts."""
+    n, and bisection's own bracket, bit for bit, when f is monotone, within
+    n + 2 evaluations when it is also 0 at hi. Returns both evaluation
+    counts."""
     calls = []
     a, b = _sign_change(lambda x: calls.append(x) or f(x), lo, hi, f(lo), f(hi))
     assert lo <= a < b <= hi and math.nextafter(a, hi) == b
@@ -417,6 +418,8 @@ def _check_sign_change(f, lo, hi, monotone):
     want, n_bisect = _bisection(f, lo, hi)
     if monotone:
         assert (a.hex(), b.hex()) == (want[0].hex(), want[1].hex())
+        if f(hi) == 0.0:
+            assert len(calls) <= n_bisect + 3
     assert len(calls) <= 2 * n_bisect + 2
     return len(calls), n_bisect
 
@@ -515,21 +518,35 @@ def test_sign_change_inverts_cost_cdfs_as_bisection_does():
 def _decreasing_functions(draw):
     """A drawn non-increasing f with f(lo) > 0 >= f(hi): a linear term plus
     downward steps, times a scale from subnormal to huge. Each term is
-    non-increasing and float rounding keeps a sum of them so."""
-    slope = draw(st.sampled_from([0.0, 1.0, draw(st.floats(1e-3, 1e3))]))
-    cross = draw(st.floats(0.0, 1.0))
-    steps = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-300, 1e3)), max_size=4))
-    scale = 10.0 ** draw(st.integers(-320, 300))
-    lo, hi = sorted(draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+    non-increasing and float rounding keeps a sum of them so.
 
-    def f(x):
-        total = slope * (cross - x)
+    The bracket is drawn first and f is built around it: the linear term
+    crosses zero and the steps drop at or below hi, so f(hi) <= 0; when that
+    leaves f(lo) = 0, one more step drops at hi; and the scale is drawn
+    from the powers of ten that keep f(lo) from underflowing to 0."""
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
+    slope = draw(st.sampled_from([0.0, 1.0, draw(st.floats(1e-3, 1e3))]))
+    cross = draw(st.floats(0.0, hi))
+    steps = draw(st.lists(st.tuples(st.floats(0.0, hi), st.floats(1e-300, 1e3)), max_size=4))
+
+    def total(x):
+        value = slope * (cross - x)
         for at, drop in steps:
             if x < at:
-                total += drop
-        return scale * total
+                value += drop
+        return value
 
-    assume(lo < hi and f(lo) > 0.0 >= f(hi))
+    if not total(lo) > 0.0:
+        steps.append((hi, 2.0 * -total(lo) + draw(st.floats(1e-300, 1e3))))
+    assert total(lo) > 0.0 >= total(hi)
+    least = -320
+    while not 10.0 ** least * total(lo) > 0.0:
+        least += 1
+    scale = 10.0 ** draw(st.integers(least, 300))
+
+    def f(x):
+        return scale * total(x)
+
     return f, lo, hi
 
 
@@ -606,6 +623,18 @@ def resolved(economy, groups, model, starts, config):
     )
 
 
+def unequal_halfspace():
+    """The criterion-05 halfspace anchor with group sizes 0.4 and 0.6. Its
+    angle weights 0.4 (1 + pi_1) and 0.6 (1 + pi_2) tie on grid starts such
+    as (0.5, 0.0) and (0.65, 0.1), so the scan meets the weight-gap tie."""
+    economy, (g1, g2), model = verification._halfspace_scenario(2.0, 1.0)
+    groups = (
+        GroupSpec(id=g1.id, proportion=0.4, cost=g1.cost),
+        GroupSpec(id=g2.id, proportion=0.6, cost=g2.cost),
+    )
+    return economy, groups, model
+
+
 def scan_cases():
     uniform = verification._uniform_reference()
     return [
@@ -613,6 +642,7 @@ def scan_cases():
         ("uniform decoupled", uniform, DynamicsConfig(mode="decoupled"), 21),
         ("halfspace stable pair", verification._halfspace_scenario(2.0, 1.0), DynamicsConfig(), 21),
         ("halfspace period 2", verification._halfspace_scenario(1.0, 2.0), DynamicsConfig(), 21),
+        ("halfspace unequal sizes", unequal_halfspace(), DynamicsConfig(), 21),
         ("two-valley score", verification._two_valley_scenario(), CRITERION_10, 5),
     ]
 
@@ -673,6 +703,68 @@ def test_an_image_run_near_the_budget_is_not_inherited(max_iters, verdict):
     got, full = resolved(economy, groups, model, starts, roomy)
     assert full == [False]
     assert got == full_run_verdicts(economy, groups, model, starts, roomy)
+
+
+def test_the_unequal_halfspace_scan_meets_weight_ties():
+    economy, groups, model = unequal_halfspace()
+    starts = analysis._multi_starts(2, 21)
+    rules = analysis._start_rules(economy, groups, model, starts, DynamicsConfig())
+    ties = [s for s, rule in zip(starts, rules) if rule is model._arc[1]]
+    assert (0.5, 0.0) in ties and (0.65, 0.1) in ties
+    assert not any(a == b for a, b in ties)  # weight ties, off the diagonal
+
+
+_rates = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    angle=st.floats(min_value=0.05, max_value=0.95),
+    wage=st.floats(min_value=0.2, max_value=2.0),
+    payoff_tp=st.floats(min_value=0.2, max_value=3.0),
+    cost_fp=st.one_of(st.none(), st.floats(min_value=0.2, max_value=3.0)),  # None: = payoff_tp
+    n1=st.one_of(st.just(0.5), st.floats(min_value=0.1, max_value=0.9)),
+    starts=st.lists(
+        st.one_of(st.tuples(_rates, _rates), _rates.map(lambda r: (r, r))),  # diagonal: ties
+        min_size=1, max_size=20,
+    ),
+)
+def test_array_rules_are_the_per_start_rules(angle, wage, payoff_tp, cost_fp, n1, starts):
+    # The scan keys halfspace rules by identity, so the array pass must hand
+    # back the very table vectors a per-start best response returns.
+    cost_fp = payoff_tp if cost_fp is None else cost_fp
+    economy = EconomyConfig(wage=wage, payoff_tp=payoff_tp, cost_fp=cost_fp)
+    groups = (
+        GroupSpec(id="a", proportion=n1, cost=Uniform01()),
+        GroupSpec(id="b", proportion=1.0 - n1, cost=Uniform01()),
+    )
+    turn = math.pi * angle
+    model = GaussianHalfspace((("a", (1.0, 0.0)), ("b", (math.cos(turn), math.sin(turn)))))
+    if payoff_tp != cost_fp:
+        # each start's weight-tie partner: 0 = n1 (c + (p - c) pi_1) - n2 (c + (p - c) pi_2)
+        for pi1, _ in list(starts):
+            pi2 = (n1 * (cost_fp + (payoff_tp - cost_fp) * pi1) / (1.0 - n1) - cost_fp) / (
+                payoff_tp - cost_fp
+            )
+            if 0.0 <= pi2 <= 1.0:
+                starts.append((pi1, pi2))
+    config = DynamicsConfig()
+    rules = analysis._start_rules(economy, groups, model, starts, config)
+    assert len(rules) == len(starts)
+    for rates, rule in zip(starts, rules):
+        state = QualificationState(ids=("a", "b"), rates=rates)
+        want = dynamics._rule(
+            economy, groups, model, state, "joint", config.theta_grid, config.tie_tol
+        )
+        assert rule is want
+
+
+def test_array_rules_keep_the_two_group_error():
+    economy, _, _ = verification._halfspace_scenario(2.0, 1.0)
+    groups = tuple(GroupSpec(id=g, proportion=1.0 / 3.0, cost=Uniform01()) for g in "abc")
+    model = GaussianHalfspace({"a": (1.0, 0.0), "b": (0.0, 1.0), "c": (1.0, 1.0)})
+    with pytest.raises(ConfigurationError, match="supports exactly two groups"):
+        find_equilibria_scan(economy, groups, model, grid=3)
 
 
 def test_rule_keys():

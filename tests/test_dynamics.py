@@ -1,6 +1,7 @@
 """Best-response dynamics: stepping, verdicts, stability probes, traces."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,17 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qualdyn import (
+    BetaScore,
     ConfigurationError,
     DynamicsConfig,
     EconomyConfig,
     FixedPoint,
     GaussianHalfspace,
+    GroupScores,
     GroupSpec,
     LimitCycle,
     NonConverged,
     ParameterError,
     PreconditionError,
     QualificationState,
+    ScoreModel,
+    TruncatedNormal,
     Uniform01,
     UniformThreshold,
     classify_stability,
@@ -501,3 +506,55 @@ def test_one_step_stays_in_unit_box_and_is_deterministic(family, mode, rates):
     assert theta_bits(theta_a) == theta_bits(theta_b)
     assert after_a.rates == after_b.rates
     assert all(0.0 <= r <= 1.0 for r in after_a.rates)
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_costs = st.one_of(
+    st.just(Uniform01()),
+    st.builds(TruncatedNormal, mu=st.floats(0.1, 0.9), sigma=st.floats(0.05, 0.3)),
+)
+
+
+@st.composite
+def _drawn_models(draw):
+    """A drawn halfspace or score economy with its groups and model: any
+    boundary angle, payoffs and sizes; Beta scores without the likelihood
+    ratio order, for one or two groups."""
+    economy = EconomyConfig(
+        wage=draw(st.floats(0.2, 2.0)),
+        payoff_tp=draw(st.floats(0.2, 3.0)),
+        cost_fp=draw(st.floats(0.2, 3.0)),
+    )
+    if draw(st.booleans()):
+        n1 = draw(st.floats(0.1, 0.9))
+        groups = (
+            GroupSpec(id="a", proportion=n1, cost=draw(_costs)),
+            GroupSpec(id="b", proportion=1.0 - n1, cost=draw(_costs)),
+        )
+        turn = math.pi * draw(st.floats(0.05, 0.95))
+        model = GaussianHalfspace({"a": (1.0, 0.0), "b": (math.cos(turn), math.sin(turn))})
+        return economy, groups, model
+    ids = "ab"[: draw(st.integers(1, 2))]
+    sizes = (1.0,) if len(ids) == 1 else (0.5, 0.5)
+    groups = tuple(GroupSpec(id=g, proportion=n, cost=draw(_costs)) for g, n in zip(ids, sizes))
+    beta = st.builds(BetaScore, st.floats(1.0, 6.0), st.floats(1.0, 6.0))
+    model = ScoreModel({g: GroupScores(y1=draw(beta), y0=draw(beta)) for g in ids})
+    return economy, groups, model
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    drawn=_drawn_models(),
+    mode=st.sampled_from(["joint", "decoupled"]),
+    rates=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), _unit), min_size=2, max_size=2),
+)
+def test_a_step_of_a_drawn_model_stays_in_the_unit_box(drawn, mode, rates):
+    economy, groups, model = drawn
+    state = QualificationState(ids=tuple(g.id for g in groups), rates=tuple(rates[: len(groups)]))
+    theta, after = step(economy, groups, model, state, mode)
+    assert all(0.0 <= r <= 1.0 for r in after.rates)
+    for th in theta.values() if isinstance(theta, dict) else (theta,):
+        if isinstance(model, GaussianHalfspace):
+            assert abs(float(np.linalg.norm(th)) - 1.0) <= 1e-12
+        else:
+            assert 0.0 <= th <= 1.0

@@ -993,6 +993,27 @@ def test_plateau_cost_inversion_stops_just_above_the_cost_support(monkeypatch):
         assert theta.hex() == (0.4 * beta / 1.5).hex()
 
 
+def test_plateau_cost_inversion_bisects_where_the_cdf_rounds_to_one():
+    # The score anchor's cost, TruncatedNormal(0.6, 0.1) on [0, 1], rounds
+    # to exactly 1 about 1e-13 below its top, so at pi = 1 and wage 1 beta's
+    # search meets a flat zero at its upper end. The secant alone moved one
+    # float per step there (105 cdf calls); the search now bisects it, with
+    # bisection's bits, after two points below the end.
+    cost = TruncatedNormal(mu=0.6, sigma=0.1)
+    calls = []
+    beta = features._slope_turn(lambda x: calls.append(x) or 1.0 - cost.cdf(x), 0.0, 1.0)
+    lo, hi, halvings = 0.0, 1.0, 0
+    while lo < 0.5 * (lo + hi) < hi:
+        halvings += 1
+        if 1.0 - cost.cdf(0.5 * (lo + hi)) > 0.0:
+            lo = 0.5 * (lo + hi)
+        else:
+            hi = 0.5 * (lo + hi)
+    assert beta.hex() == hi.hex()
+    assert beta < 1.0 and cost.cdf(beta) == 1.0
+    assert len(calls) <= 2 + halvings + 2  # the ends, bisection, two points
+
+
 def test_grid_table_fill_is_safe_under_threads():
     # More threads than cores race on an empty cache with a short switch
     # interval; every one must get the single stored table and the same answer.
