@@ -15,7 +15,15 @@ tier-1 run does not time it. Run it with pytest-benchmark:
     PYTHONPATH=src python -m pytest benches/bench_plateau.py --benchmark-json=out.json
 
 or, to check only that every case still runs, with `--benchmark-disable`.
+
+Run as a script, it prints each case's call counts as JSON, which do not
+depend on the machine: `CostModel.cdf` calls (the population's responses
+included) and `features._plateau_point` calls:
+
+    PYTHONPATH=src python benches/bench_plateau.py
 """
+
+import json
 
 from qualdyn import (
     EconomyConfig,
@@ -23,7 +31,9 @@ from qualdyn import (
     QualificationState,
     Uniform01,
     UniformThreshold,
+    costs,
     dynamics,
+    features,
     institution_best_response,
     verification,
 )
@@ -44,29 +54,66 @@ H_MID = next(
 CORNER = QualificationState(ids=("a1", "a2"), rates=(0.6, 0.3))
 FULL = QualificationState(ids=("a1", "a2"), rates=(1.0, 1.0))
 
-SCORE = verification._steep_cost_scenario()
+SCORE_ECONOMY, SCORE_GROUPS, SCORE_MODEL = verification._steep_cost_scenario()
+SCORE_FULL = QualificationState(ids=("g",), rates=(1.0,))
+
+# Each case's call, shared by the timed tests and the count mode.
+CASES = {
+    "plateau_step": (dynamics.step, ECONOMY, GROUPS, MODEL, H_MID),
+    "non_fixed_plateau_step": (dynamics.step, ECONOMY, GROUPS, MODEL, FULL),
+    "corner_step": (dynamics.step, ECONOMY, GROUPS, MODEL, CORNER),
+    "score_plateau_response": (
+        institution_best_response, SCORE_MODEL, SCORE_ECONOMY, SCORE_GROUPS, SCORE_FULL,
+    ),
+}
 
 
 def test_plateau_step(benchmark):
-    _, after = benchmark(dynamics.step, ECONOMY, GROUPS, MODEL, H_MID)
+    _, after = benchmark(*CASES["plateau_step"])
     # the tie-break keeps the indifference state where it is
     assert after.sup_distance(H_MID) < 1e-9
 
 
 def test_non_fixed_plateau_step(benchmark):
-    theta, after = benchmark(dynamics.step, ECONOMY, GROUPS, MODEL, FULL)
+    theta, after = benchmark(*CASES["non_fixed_plateau_step"])
     # U is flat on [0, h1]; its response closest to (1, 1) is at the peak h1
     assert theta == 0.4 and after.rates == (0.6, 0.3)
 
 
 def test_corner_step(benchmark):
-    theta, _ = benchmark(dynamics.step, ECONOMY, GROUPS, MODEL, CORNER)
+    theta, _ = benchmark(*CASES["corner_step"])
     assert theta == 0.4
 
 
 def test_score_plateau_response(benchmark):
-    economy, groups, model = SCORE
-    state = QualificationState(ids=("g",), rates=(1.0,))
-    theta = benchmark(institution_best_response, model, economy, groups, state)
+    theta = benchmark(*CASES["score_plateau_response"])
     # the population responds least short of pi = 1 at the stretch's top
     assert 0.0 < theta <= 0.0005
+
+
+def counts() -> dict[str, dict[str, int]]:
+    """Each case's cost-CDF and plateau-rule calls, over one call."""
+    real_cdf, real_plateau = costs.CostModel.cdf, features._plateau_point
+    out = {}
+    for case, (fn, *args) in CASES.items():
+        tally = {"cdf_calls": 0, "plateau_point_calls": 0}
+
+        def cdf(self, x):
+            tally["cdf_calls"] += 1
+            return real_cdf(self, x)
+
+        def plateau_point(*a, **kw):
+            tally["plateau_point_calls"] += 1
+            return real_plateau(*a, **kw)
+
+        costs.CostModel.cdf, features._plateau_point = cdf, plateau_point
+        try:
+            fn(*args)
+        finally:
+            costs.CostModel.cdf, features._plateau_point = real_cdf, real_plateau
+        out[case] = tally
+    return out
+
+
+if __name__ == "__main__":
+    print(json.dumps(counts(), indent=1))

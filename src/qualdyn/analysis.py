@@ -121,37 +121,39 @@ def uniform_closed_forms(
 
     Valid under 0 < h1 < h2 < 1, h2 > 1 - h1, and the balanced-economy
     condition n1 * payoff_tp = n2 * cost_fp (checked when economy and
-    groups are supplied; otherwise the caller vouches for it). Qualification
-    rates default to a uniform cost distribution; pass cost to override.
+    groups are supplied; otherwise the caller vouches for it). groups is
+    taken in the caller's order: groups[0] is the group with threshold h1,
+    and the records use the groups' ids. Qualification rates default to a
+    uniform cost distribution; pass cost to override.
 
     The two w-bound expressions are reported sorted as (w_lo, w_hi); the
     stable corner equilibria exist for w above w_lo (at h1) and below w_hi
     (at h2) respectively, and the interior indifference equilibrium exists
     when the offset g lands inside (0, h2 - h1).
     """
+    if (economy is None) != (groups is None):
+        raise ParameterError("economy and groups must be supplied together")
+    if economy is not None and groups is not None:
+        groups = tuple(groups)
+        normalize_groups(groups)  # validates the set; the caller's order stays
+        if len(groups) != 2:
+            raise AssumptionError(f"the closed forms cover two groups, got {len(groups)}")
+        lhs = groups[0].proportion * economy.payoff_tp
+        rhs = groups[1].proportion * economy.cost_fp
+        if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs), abs(rhs)):
+            raise AssumptionError(
+                f"balanced-economy condition fails: n_lo*payoff_tp={lhs:.6g} "
+                f"differs from n_hi*cost_fp={rhs:.6g}"
+            )
+        group_ids = (groups[0].id, groups[1].id)
+        if abs(economy.wage - w) > 1e-12:
+            raise AssumptionError(f"wage mismatch: economy has {economy.wage}, w={w}")
     if not (0.0 < h1 < h2 < 1.0):
         raise AssumptionError(f"need 0 < h1 < h2 < 1, got h1={h1}, h2={h2}")
     if not h2 > 1.0 - h1:
         raise AssumptionError(f"need h2 > 1 - h1, got h2={h2}, 1-h1={1.0 - h1}")
     if not w > 0.0:
         raise AssumptionError(f"need a positive wage, got {w}")
-    if (economy is None) != (groups is None):
-        raise ParameterError("economy and groups must be supplied together")
-    if economy is not None and groups is not None:
-        groups = normalize_groups(groups)
-        if len(groups) != 2:
-            raise AssumptionError(f"the closed forms cover two groups, got {len(groups)}")
-        n1, n2 = groups[0].proportion, groups[1].proportion
-        lhs = n1 * economy.payoff_tp
-        rhs = n2 * economy.cost_fp
-        if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs), abs(rhs)):
-            raise AssumptionError(
-                f"balanced-economy condition violated: "
-                f"n1*payoff_tp={lhs} differs from n2*cost_fp={rhs}"
-            )
-        group_ids = (groups[0].id, groups[1].id)
-        if abs(economy.wage - w) > 1e-12:
-            raise AssumptionError(f"wage mismatch: economy has {economy.wage}, w={w}")
     if len(set(group_ids)) != 2:
         raise ParameterError(f"group_ids must name two distinct groups, got {group_ids}")
     G = (cost or Uniform01()).cdf

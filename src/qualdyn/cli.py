@@ -440,16 +440,9 @@ def _closed_form_records(scenario, groups):
     if isinstance(model, UniformThreshold):
         pairs = sorted(((model.threshold(g.id), g) for g in groups), key=lambda p: p[0])
         (h_lo, grp_lo), (h_hi, grp_hi) = pairs
-        lhs = grp_lo.proportion * economy.payoff_tp
-        rhs = grp_hi.proportion * economy.cost_fp
-        if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs), abs(rhs)):
-            return None, (
-                f"balanced-economy condition fails: n_lo*payoff_tp={lhs:.6g} "
-                f"differs from n_hi*cost_fp={rhs:.6g}"
-            )
         try:
             table = uniform_closed_forms(
-                h_lo, h_hi, economy.wage, cost=cost, group_ids=(grp_lo.id, grp_hi.id)
+                h_lo, h_hi, economy.wage, economy, (grp_lo, grp_hi), cost=cost
             )
         except (AssumptionError, PreconditionError, ParameterError) as exc:
             return None, str(exc)

@@ -234,6 +234,7 @@ class EmpiricalCdf(CostModel):
             raise ParameterError(f"CDF values must be nonnegative, got {ys[0]}")
         if abs(ys[-1] - 1.0) > 1e-12:
             raise ParameterError(f"last knot must have CDF value 1, got {ys[-1]}")
+        object.__setattr__(self, "_xs", tuple(xs))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -248,11 +249,9 @@ class EmpiricalCdf(CostModel):
         return max((b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(self.knots, self.knots[1:]))
 
     def _cdf_on_support(self, x: float) -> float:
-        xs = [k[0] for k in self.knots]
-        i = bisect_right(xs, x)
-        if i == 0:
-            return self.knots[0][1]
-        if i == len(xs):
+        # x >= the first knot (cdf clamps below it), so i >= 1
+        i = bisect_right(self._xs, x)
+        if i == len(self._xs):
             return self.knots[-1][1]
         (x0, y0), (x1, y1) = self.knots[i - 1], self.knots[i]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)

@@ -37,10 +37,9 @@ ScoreModel is solved on a grid, in order:
   of the winner's utility terms, the tied points form a stretch, resolved
   by the plateau rule below. Since the slack scales with the terms rather
   than with U, a utility that is tiny because pi is tiny (U ~ 1e-16 near
-  pi = 0) is not mistaken for a plateau. A group's cuts are where its
-  benefit, read from the grid table, crosses beta between neighbouring tied
-  points, narrowed by _sign_change. The breakpoints are the stretch's ends
-  and the tied points where some group's benefit turns.
+  pi = 0) is not mistaken for a plateau. The breakpoints are the stretch's
+  ends and the tied points where some group's benefit, read from the grid
+  table, turns.
 * Unique winner. Otherwise, with winner theta_i, the bracket is
   [theta_(i-1), theta_(i+1)], cut at 0 and 1. On it the sign change of
   dU/dtheta = sum_a n_a (p pi_a TPR_a' - c (1 - pi_a) FPR_a') is narrowed
@@ -68,22 +67,22 @@ a root of Phi(pi) - pi, narrowed by the same search to adjacent floats,
 has a residual of order 1e-16, well below the default fix_tol = 1e-9 that a
 root must meet before its stability is probed.
 
-The plateau rule, the response-preserving tie-break, picks the point of
-the stretch whose induced response is closest to the state in sup norm, so
-an indifference state maps to itself. Group a's beta is the smallest
-benefit with G_a(beta) >= pi_a (on the cost CDF, to adjacent floats, by
-_sign_change), so at a cut its response returns pi_a. Of the cuts inside
+The plateau rule, the response-preserving tie-break, picks the point of the
+stretch whose induced response is closest to the state in sup norm, so an
+indifference state maps to itself. Only uniform stretches have cuts: group
+a's beta is the smallest benefit with G_a(beta) >= pi_a (to adjacent floats
+on the cost CDF), so at a cut its response returns pi_a. Of the cuts inside
 [L, R], then L and R, the closest response wins, the first listed on a tie.
-A state that none reproduces within _PLATEAU_RTOL (absolute) is not a fixed
-point of the stretch (a start at pi = 1, say). It takes the closest
-response over the breakpoints, the cuts, and on each piece between
+A state that none reproduces within _PLATEAU_RTOL (absolute) takes the
+closest response over the breakpoints, the cuts, and on each piece between
 neighbouring breakpoints the crossing, by _sign_change, of the farthest
 falling and the farthest rising group distance. This is exact when each
 group's response is monotone on each piece: its distance then falls to its
 cut and rises after it, so the sup-norm distance is least at a piece end or
-at that crossing. A uniform tent turns only at its kink h_a. A score
-group's benefit w (F0 - F1) is monotone on each piece when it is monotone
-on each grid step, that is when f0 and f1 cross only at grid points.
+at that crossing, where a score indifference state maps to itself within
+_PLATEAU_RTOL. A uniform tent turns only at its kink h_a. A score group's
+benefit w (F0 - F1) is monotone on each piece when it is monotone on each
+grid step, that is when f0 and f1 cross only at grid points.
 
 GaussianHalfspace responses lie on the geodesic arc between the two group
 boundaries. When the two angle weights tie within tie_tol the answer is the
@@ -214,6 +213,8 @@ class EmpiricalScore:
         object.__setattr__(self, "knots", knots)
         if len(knots) < 2:
             raise ParameterError("empirical score CDF needs at least 2 knots")
+        if not all(math.isfinite(v) for knot in knots for v in knot):
+            raise ParameterError(f"knots must be finite, got {knots}")
         xs = [x for x, _ in knots]
         ys = [y for _, y in knots]
         if abs(xs[0]) > 1e-12 or abs(ys[0]) > 1e-12:
@@ -696,17 +697,11 @@ def _tied_run(util, i_best: int, floor: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _plateau_point(model, economy, groups, state: QualificationState, points, cuts) -> float:
+def _plateau_point(model, economy, groups, state: QualificationState, points, cuts=()) -> float:
     """The plateau rule (module docstring) on the stretch [points[0], points[-1]]
-    with breakpoints `points`; cuts(g, beta) gives group g's cuts."""
-    w = economy.wage
+    with breakpoints `points` and the family's cuts, if it has any."""
     lo_t, hi_t = points[0], points[-1]
-    found = []
-    for g, pi in zip(groups, state.rates):
-        # G is exactly 1 above its support, so the search needs go no higher.
-        top = min(w, math.nextafter(g.cost.support[1], math.inf))
-        beta = _slope_turn(lambda x: pi - g.cost.cdf(x), 0.0, top)
-        found += [c for c in cuts(g, beta) if lo_t <= c <= hi_t]
+    found = [c for c in cuts if lo_t <= c <= hi_t]
     d = functools.cache(lambda th: _response_distance(model, economy, groups, state, th))
     best = min(found + [lo_t, hi_t], key=d)
     if d(best) <= _PLATEAU_RTOL:
@@ -767,32 +762,14 @@ def _scalar_best_response(
     # A flat stretch of maximizers: the fixed tie-break selects the point
     # whose induced response stays closest to the current state, so exact
     # indifference states map to themselves instead of jumping to an edge.
-    w = economy.wage
     points = thetas[lo_i:hi_i + 1].tolist()
-    benefits = {g.id: w * (rates[g.id][0] - rates[g.id][1])[lo_i:hi_i + 1] for g in groups}
     turns = {0, len(points) - 1}  # where some group's benefit turns
-    for b in benefits.values():
+    for g in groups:
+        b = economy.wage * (rates[g.id][0] - rates[g.id][1])[lo_i:hi_i + 1]
         moves = np.flatnonzero(np.diff(b))
         ups = b[moves + 1] > b[moves]
         turns.update(moves[1:][ups[1:] != ups[:-1]].tolist())
-
-    def cuts(g, beta):
-        # where the benefit crosses beta between neighbouring tied points
-        gaps = (benefits[g.id] - beta).tolist()
-        found = []
-        for a, b, ga, gb in zip(points, points[1:], gaps, gaps[1:]):
-            sign = 1.0 if ga > gb else -1.0  # so the gap falls from a to b
-            if sign * ga > 0.0 >= sign * gb:
-
-                def gap(th):
-                    tpr, fpr = model.tpr_fpr(g.id, th)
-                    return sign * (w * (tpr - fpr) - beta)
-
-                found += _sign_change(gap, a, b, sign * ga, sign * gb)
-        return found
-
-    breakpoints = [points[i] for i in sorted(turns)]
-    return _plateau_point(model, economy, groups, state, breakpoints, cuts)
+    return _plateau_point(model, economy, groups, state, [points[i] for i in sorted(turns)])
 
 
 def _uniform_best_response(
@@ -816,13 +793,15 @@ def _uniform_best_response(
     if lo_i == hi_i:
         return kinks[i_best]
     # On the stretch, group a's benefit is the tent w min(theta / h_a,
-    # (1 - theta) / (1 - h_a)), which is beta at these two cuts.
+    # (1 - theta) / (1 - h_a)), which is beta at the two cuts made below.
     w = economy.wage
-
-    def cuts(g, beta):
+    cuts = []
+    for g, pi in zip(groups, state.rates):
+        # G is exactly 1 above its support, so the search need go no higher.
+        top = min(w, math.nextafter(g.cost.support[1], math.inf))
+        beta = _slope_turn(lambda x: pi - g.cost.cdf(x), 0.0, top)
         h = model.threshold(g.id)
-        return h * beta / w, 1.0 - (1.0 - h) * beta / w
-
+        cuts += [h * beta / w, 1.0 - (1.0 - h) * beta / w]
     return _plateau_point(model, economy, groups, state, kinks[lo_i:hi_i + 1], cuts)
 
 

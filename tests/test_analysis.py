@@ -14,6 +14,7 @@ from qualdyn import (
     ConfigurationError,
     DynamicsConfig,
     EconomyConfig,
+    EmpiricalScore,
     FixedPoint,
     GaussianHalfspace,
     GroupScores,
@@ -104,6 +105,19 @@ def test_uniform_closed_forms_assumption_checks():
     # satisfied checks pass through and adopt the group ids
     forms = uniform_closed_forms(0.4, 0.8, 0.6, economy=EconomyConfig(wage=0.6), groups=groups)
     assert {r.label for r in forms.records} == {"h1", "h2", "h_mid"}
+
+
+def test_uniform_closed_forms_take_the_groups_in_the_callers_order():
+    # Group b holds the lower threshold, though a sorts first by id: passed
+    # as (b, a), b is the h1 group and every record maps to itself.
+    model = UniformThreshold({"a": 0.8, "b": 0.4})
+    economy = EconomyConfig(wage=0.6, payoff_tp=1.0, cost_fp=1.0)
+    a, b = (GroupSpec(id=g, proportion=0.5, cost=Uniform01()) for g in "ab")
+    forms = uniform_closed_forms(0.4, 0.8, 0.6, economy, (b, a))
+    assert {r.label for r in forms.records} == {"h1", "h2", "h_mid"}
+    for rec in forms.records:
+        _, after = step(economy, (a, b), model, rec.state, "joint")
+        assert after.sup_distance(rec.state) <= 1e-12, rec.label
 
 
 def test_gaussian_closed_forms_stable_pair_regime():
@@ -332,6 +346,55 @@ def test_steep_cost_roots_meet_fix_tol_and_are_assessed(mu):
     for rec in nonzero:
         assert rec.residual <= DynamicsConfig().fix_tol
         assert rec.stability in ("Stable", "Unstable")
+
+
+def near_realizable_scenario():
+    """Criterion 04's model at wage 0.5. Below pi = 1/20 the utility rises
+    up to theta = 1, so the institution rejects everyone and Phi = 0; above
+    it the cut is 0.5, and Phi = G(0.5 (0.95 - 0.05)) = 0.45."""
+    model = ScoreModel(
+        {
+            "g": GroupScores(
+                y1=EmpiricalScore(((0.0, 0.0), (0.5, 0.05), (1.0, 1.0))),
+                y0=EmpiricalScore(((0.0, 0.0), (0.5, 0.95), (1.0, 1.0))),
+            )
+        }
+    )
+    group = GroupSpec(id="g", proportion=1.0, cost=Uniform01())
+    return EconomyConfig(wage=0.5), group, model
+
+
+def test_scan_rejects_the_jump_of_a_piecewise_map():
+    # Phi(pi) - pi changes sign at the jump, so the scan narrows a candidate
+    # there; its residual (about 0.4) marks it as no root.
+    economy, group, model = near_realizable_scenario()
+    records = find_equilibria_scan(economy, (group,), model)
+    assert [r.state.rates[0] for r in records] == [0.0, pytest.approx(0.45, abs=1e-12)]
+    assert all(r.residual <= 1e-12 for r in records)
+
+
+def test_scan_leaves_roots_above_fix_tol_not_assessed():
+    # The steep-cost roots have residuals of about 1e-16, above this fix_tol,
+    # so they are reported without a stability probe; root 0 is exact.
+    economy, group, model = steep_cost_scenario()
+    config = DynamicsConfig(fix_tol=1e-18)
+    records = find_equilibria_scan(economy, (group,), model, grid=101, config=config)
+    assert records[0].state.rates == (0.0,)
+    assert [r.stability for r in records] == ["Stable", "NotAssessed", "NotAssessed"]
+    assert all(0.0 < r.residual <= 1e-15 for r in records[1:])
+
+
+def test_scan_warns_when_its_stability_tests_disagree():
+    # A kick of 0.1 carries pi = 0 past the jump at 1/20, so the basin probe
+    # calls the trivial root Unstable, where Phi is flat and the derivative
+    # test calls it Stable.
+    economy, group, model = near_realizable_scenario()
+    config = DynamicsConfig(perturb_eps=0.1)
+    with pytest.warns(UserWarning, match="disagree at pi=0: derivative test says Stable"):
+        records = find_equilibria_scan(economy, (group,), model, config=config)
+    zero = records[0]
+    assert zero.state.rates == (0.0,)
+    assert zero.derivative_stable is True and zero.stability == "Unstable"
 
 
 @settings(max_examples=20, deadline=None)

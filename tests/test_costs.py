@@ -59,6 +59,7 @@ def test_bimodal_normal_is_a_mixture():
 
 def test_empirical_cdf_interpolates_and_validates():
     g = EmpiricalCdf(((0.0, 0.0), (0.5, 0.8), (1.0, 1.0)))
+    assert (g.cdf(0.0), g.cdf(0.5), g.cdf(1.0)) == (0.0, 0.8, 1.0)
     assert g.cdf(0.25) == pytest.approx(0.4)
     assert g.cdf(0.75) == pytest.approx(0.9)
     assert g.cdf(-1.0) == 0.0 and g.cdf(2.0) == 1.0

@@ -117,6 +117,9 @@ def test_empirical_score_interpolates_and_validates():
         EmpiricalScore(knots=((0.0, 0.0), (0.5, 0.8), (0.5, 0.9), (1.0, 1.0)))
     with pytest.raises(ParameterError):
         EmpiricalScore(knots=((0.0, 0.0), (0.4, 0.7), (0.6, 0.5), (1.0, 1.0)))
+    for bad in ((math.nan, 0.5), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(ParameterError, match="finite"):
+            EmpiricalScore(knots=((0.0, 0.0), bad, (1.0, 1.0)))
 
 
 def test_halfspace_geometry():
@@ -946,6 +949,30 @@ def test_plateau_point_is_the_closest_response_on_the_stretch(case):
     )
     got = features._response_distance(model, economy, groups, state, theta)
     assert got <= reference + 1e-15
+
+
+@pytest.mark.parametrize("cost", [Uniform01(), TruncatedNormal(mu=0.4, sigma=0.3)])
+@pytest.mark.parametrize("wage", [0.78, 0.85, 0.95])
+def test_score_indifference_state_with_an_inner_cut_maps_to_itself(cost, wage):
+    # On the stretch [0.3, 0.7] of indifferent_empirical_scores the benefit
+    # w (F0 - F1) falls from 0.55 w to 0.45 w, so pi = G(w b) with
+    # 0.45 < b < 0.55 is reproduced strictly inside the stretch. Made
+    # indifferent there (p pi = 0.75 c (1 - pi)), the state must map to
+    # itself within _PLATEAU_RTOL, far below what the 1025-point reference
+    # of the property above can resolve.
+    model = indifferent_empirical_scores()
+    group = (GroupSpec(id="g", proportion=1.0, cost=cost),)
+    for b in np.linspace(0.45, 0.55, 9)[1:-1].tolist():
+        pi = cost.cdf(wage * b)
+        assert cost.cdf(0.45 * wage) < pi < cost.cdf(0.55 * wage)
+        economy = EconomyConfig(wage=wage, payoff_tp=0.75 * (1.0 - pi) / pi)
+        state = QualificationState(ids=("g",), rates=(pi,))
+        lo, hi = _flat_stretch(model, economy, group, state)
+        assert lo == pytest.approx(0.3) and hi == pytest.approx(0.7)
+        theta = institution_best_response(model, economy, group, state)
+        assert 0.3 < theta < 0.7
+        distance = features._response_distance(model, economy, group, state, theta)
+        assert distance <= features._PLATEAU_RTOL
 
 
 def test_plateau_tie_break_needs_a_tie_beyond_rounding(monkeypatch):
