@@ -415,6 +415,9 @@ def find_equilibria_scan(
 ) -> tuple[EquilibriumRecord, ...]:
     """Enumerate equilibria by scanning initial conditions.
 
+    `grid` is the number of scan points per axis, at least 2; None takes
+    401 for one group and 21 for several.
+
     One group: locate sign changes of Phi(pi) - pi on a grid, narrow each
     to adjacent floats with the safeguarded secant search that the best
     response uses (`features._sign_change`), and drop any candidate whose
@@ -456,6 +459,8 @@ def find_equilibria_scan(
     the model's own table vectors, bit for bit.
     """
     groups = normalize_groups(groups)
+    if grid is not None and grid < 2:
+        raise ParameterError(f"grid must be at least 2, got {grid}")
     if config is None:
         config = DynamicsConfig(mode=mode)
     elif config.mode != mode:

@@ -487,7 +487,14 @@ def _print_record(model, rec: EquilibriumRecord, residual: float | None) -> None
     )
 
 
+def _check_seed(seed: int | None) -> None:
+    # the scenario's `seed` field refuses a negative seed too
+    if seed is not None and seed < 0:
+        raise ParameterError(f"--seed: expected a non-negative integer, got {seed}")
+
+
 def cmd_find(args) -> int:
+    _check_seed(args.seed)
     scenario = load_scenario(args.config)
     groups = scenario.effective_groups()
     config = scenario.run_config(args.decoupled)
@@ -526,6 +533,7 @@ def cmd_find(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _check_seed(args.seed)
     hist = load_histogram(args.histogram)
     fits: dict[str, dict[int, object]] = {}
     diagnostics: list[str] = []

@@ -319,14 +319,19 @@ class GaussianHalfspace:
     rates depend only on the normalized angle between theta and h_a:
     TPR = 1 - angle, FPR = angle, with angle = arccos(theta . h_a) / pi.
 
+    `vectors` keeps the caller's vectors, as floats, so that `to_config` and a
+    reload give the same model; the unit boundaries are computed from them
+    once, on construction (normalizing a computed unit vector again can move
+    its last bits).
+
     Construction also builds the response table: each group's boundary, as
     vector() gives it, and for two groups arc_point(0.0), arc_point(1.0),
     midpoint and pair_angle, each computed once by those methods. The
-    vectors are read-only arrays, stored with every group's (TPR, FPR) at
-    them. The best responses return these very objects, and tpr_fpr answers
-    a theta that `is` one of them from the table, the same floats its
-    checked path gives for an equal copy; any other theta takes the checked
-    path.
+    table's vectors are read-only arrays, stored with every group's
+    (TPR, FPR) at them. The best responses return these very objects, and
+    tpr_fpr answers a theta that `is` one of them from the table, the same
+    floats its checked path gives for an equal copy; any other theta takes
+    the checked path.
     """
 
     vectors: tuple[tuple[str, tuple[float, ...]], ...]
@@ -336,7 +341,7 @@ class GaussianHalfspace:
             raw = sorted((str(k), v) for k, v in self.vectors.items())
         else:
             raw = sorted((str(k), v) for k, v in self.vectors)
-        items = []
+        items, units = [], []
         dim = None
         for gid, vec in raw:
             arr = np.asarray(vec, dtype=float)
@@ -349,26 +354,28 @@ class GaussianHalfspace:
             norm = float(np.linalg.norm(arr))
             if norm <= 0.0 or not math.isfinite(norm):
                 raise ParameterError(f"group {gid!r}: vector has no direction")
-            items.append((gid, tuple((arr / norm).tolist())))
+            items.append((gid, tuple(arr.tolist())))
+            units.append((gid, tuple((arr / norm).tolist())))
         object.__setattr__(self, "vectors", tuple(items))
-        if len(items) < 2:
+        object.__setattr__(self, "_units", tuple(units))
+        if len(units) < 2:
             raise ParameterError("halfspace model needs at least 2 groups")
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                ang = normalized_angle(np.array(items[i][1]), np.array(items[j][1]))
+        for i in range(len(units)):
+            for j in range(i + 1, len(units)):
+                ang = normalized_angle(np.array(units[i][1]), np.array(units[j][1]))
                 if not 0.0 < ang < 1.0:
                     raise ParameterError(
-                        f"groups {items[i][0]!r} and {items[j][0]!r} have identical or "
+                        f"groups {units[i][0]!r} and {units[j][0]!r} have identical or "
                         f"opposite boundaries (normalized angle {ang})"
                     )
         # The response table (see the class docstring). _table_rates is keyed
         # by id(); the ids stay unique because the table holds its vectors.
         object.__setattr__(self, "_table_rates", {})
         object.__setattr__(
-            self, "_boundaries", {gid: self._table_entry(self.vector(gid)) for gid, _ in items}
+            self, "_boundaries", {gid: self._table_entry(self.vector(gid)) for gid, _ in units}
         )
         arc = None
-        if len(items) == 2:
+        if len(units) == 2:
             ends = (self._table_entry(self.arc_point(0.0)), self._table_entry(self.arc_point(1.0)))
             arc = (ends, self._table_entry(self.midpoint), normalized_angle(*self._pair()))
         object.__setattr__(self, "_arc", arc)
@@ -385,7 +392,7 @@ class GaussianHalfspace:
         return tuple(g for g, _ in self.vectors)
 
     def vector(self, group: str) -> np.ndarray:
-        for gid, vec in self.vectors:
+        for gid, vec in self._units:
             if gid == group:
                 return np.array(vec)
         raise ConfigurationError(f"no boundary vector for group {group!r}")
@@ -417,7 +424,7 @@ class GaussianHalfspace:
                 "geodesic-arc operations support exactly two groups; "
                 f"model has {len(self.vectors)}"
             )
-        return np.array(self.vectors[0][1]), np.array(self.vectors[1][1])
+        return np.array(self._units[0][1]), np.array(self._units[1][1])
 
     @property
     def pair_angle(self) -> float:
@@ -674,7 +681,8 @@ def _residuals(model, economy, groups, state: QualificationState, theta: float) 
 
 
 def _response_distance(model, economy, groups, state: QualificationState, theta: float) -> float:
-    """Sup-norm gap between the population's response to theta and the state."""
+    """Sup-norm gap between the population's response to theta and the state
+    (`_plateau_point` takes it from its cached residuals; tests use this)."""
     return max(map(abs, _residuals(model, economy, groups, state, theta)))
 
 
@@ -702,7 +710,9 @@ def _plateau_point(model, economy, groups, state: QualificationState, points, cu
     with breakpoints `points` and the family's cuts, if it has any."""
     lo_t, hi_t = points[0], points[-1]
     found = [c for c in cuts if lo_t <= c <= hi_t]
-    d = functools.cache(lambda th: _response_distance(model, economy, groups, state, th))
+    # each theta's residuals are read once, for d and for the crossing stage
+    residuals = functools.cache(lambda th: _residuals(model, economy, groups, state, th))
+    d = lambda th: max(map(abs, residuals(th)))
     best = min(found + [lo_t, hi_t], key=d)
     if d(best) <= _PLATEAU_RTOL:
         return best
@@ -714,12 +724,12 @@ def _plateau_point(model, economy, groups, state: QualificationState, points, cu
         rise = max((abs(r) for r, t in zip(res, trend) if r * t > 0.0), default=0.0)
         return fall - rise
 
-    res = [_residuals(model, economy, groups, state, p) for p in points]
+    res = [residuals(p) for p in points]
     for a, b, ra, rb in zip(points, points[1:], res, res[1:]):
         trend = [y - x for x, y in zip(ra, rb)]
         fa, fb = envelope_gap(ra, trend), envelope_gap(rb, trend)
         if fa > 0.0 >= fb:
-            f = lambda th: envelope_gap(_residuals(model, economy, groups, state, th), trend)
+            f = lambda th: envelope_gap(residuals(th), trend)
             found += _sign_change(f, a, b, fa, fb)
     return min(points + found, key=d)
 

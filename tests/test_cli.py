@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from qualdyn import features
+from qualdyn import ConfigurationError, features
 from qualdyn.cli import load_scenario, main, scenario_from_config, scenario_to_config
 
 
@@ -56,8 +58,145 @@ def test_scenario_round_trip(tmp_path):
     assert effective[0].cost.to_config()["kind"] == "uniform01"
 
 
+def _sorted_floats(lo, hi, min_size, max_size):
+    return st.lists(
+        st.floats(lo, hi), min_size=min_size, max_size=max_size, unique=True
+    ).map(sorted)
+
+
+_positive = st.floats(0.05, 3.0)
+
+
+@st.composite
+def _empirical_cost(draw):
+    xs = draw(_sorted_floats(0.0, 2.0, 2, 5))
+    ys = draw(st.lists(st.floats(0.0, 1.0), min_size=len(xs) - 1, max_size=len(xs) - 1))
+    return {"kind": "empirical", "knots": [[x, y] for x, y in zip(xs, sorted(ys) + [1.0])]}
+
+
+_bounds = {"lo": st.floats(0.0, 0.4), "hi": st.floats(0.6, 1.5)}
+_costs = st.recursive(
+    st.one_of(
+        st.just({"kind": "uniform01"}),
+        st.fixed_dictionaries(
+            {"kind": st.just("truncated_normal"), "mu": st.floats(0.0, 1.0), "sigma": _positive},
+            optional=_bounds,
+        ),
+        st.fixed_dictionaries(
+            {
+                "kind": st.just("bimodal_normal"), "mix": st.floats(0.0, 1.0),
+                "mu1": st.floats(0.0, 1.0), "sigma1": _positive,
+                "mu2": st.floats(0.0, 1.0), "sigma2": _positive,
+            },
+            optional=_bounds,
+        ),
+        _empirical_cost(),
+    ),
+    lambda base: st.one_of(
+        st.fixed_dictionaries(
+            {"kind": st.just("shifted"), "base": base, "delta": st.floats(0.0, 0.5)}
+        ),
+        st.fixed_dictionaries(
+            {"kind": st.just("scaled"), "base": base, "factor": st.floats(1.0, 3.0)}
+        ),
+    ),
+    max_leaves=3,
+)
+_score_curve = st.one_of(
+    st.fixed_dictionaries({"alpha": st.floats(0.5, 8.0), "beta": st.floats(0.5, 8.0)}),
+    st.tuples(_sorted_floats(0.01, 0.99, 0, 3), st.lists(st.floats(0.0, 1.0), max_size=3)).map(
+        lambda t: {
+            "knots": [[0.0, 0.0]]
+            + [[x, y] for x, y in zip(t[0], sorted(t[1]))]
+            + [[1.0, 1.0]]
+        }
+    ),
+)
+_dynamics = st.fixed_dictionaries(
+    {},
+    optional={
+        "mode": st.sampled_from(["joint", "decoupled"]),
+        "max_iters": st.integers(1, 1000),
+        "fix_tol": st.floats(1e-12, 1e-3),
+        "cycle_window": st.integers(2, 100),
+        "perturb_eps": st.floats(1e-8, 1e-2),
+        "theta_grid": st.integers(3, 2001),
+        "tie_tol": st.floats(1e-12, 1e-3),
+    },
+)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Valid scenario configs over every feature variant, every cost kind
+    (nested shifted/scaled ones included) and every optional field."""
+    ids = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(ids), max_size=len(ids)))
+    variant = draw(
+        st.sampled_from(
+            ["uniform_threshold", "score"] + (["gaussian_halfspace"] if len(ids) > 1 else [])
+        )
+    )
+    if variant == "uniform_threshold":
+        field = "thresholds"
+        per_group = st.floats(0.05, 0.95)
+    elif variant == "score":
+        field = "groups"
+        per_group = st.fixed_dictionaries({"y1": _score_curve, "y0": _score_curve})
+    else:
+        field = "vectors"
+        dim = draw(st.integers(2, 3))
+        per_group = st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)
+    cfg = {
+        "version": 1,
+        "economy": {k: draw(_positive) for k in ("wage", "payoff_tp", "cost_fp")},
+        "groups": [
+            {"id": gid, "proportion": w / sum(weights), "cost": draw(_costs)}
+            for gid, w in zip(ids, weights)
+        ],
+        "features": {"variant": variant, field: {gid: draw(per_group) for gid in ids}},
+        "dynamics": draw(_dynamics),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    intervention = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "decouple": st.booleans(),
+                "subsidy": st.fixed_dictionaries(
+                    {
+                        "group": st.sampled_from(ids),
+                        "transform": st.one_of(
+                            st.fixed_dictionaries({"shift": st.floats(0.0, 0.5)}),
+                            st.fixed_dictionaries({"scale": st.floats(1.0, 3.0)}),
+                        ),
+                    }
+                ),
+            },
+        )
+    )
+    if intervention:
+        cfg["intervention"] = intervention
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario_configs())
+def test_scenario_config_round_trips_over_drawn_configs(cfg):
+    try:
+        scenario = scenario_from_config(cfg)
+    except ConfigurationError:
+        # group proportions off by an ulp too many, or halfspace boundaries
+        # that are zero, identical or opposite
+        assume(False)
+    serialized = json.loads(json.dumps(scenario_to_config(scenario)))
+    again = scenario_from_config(serialized)
+    assert again == scenario
+    assert scenario_to_config(again) == serialized
+
+
 def test_scenario_error_paths(tmp_path, capsys):
-    from qualdyn import ConfigurationError, ParseError
+    from qualdyn import ParseError
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -236,6 +375,31 @@ def test_sweep_rejects_tiny_grid(tmp_path, capsys):
     path = write_scenario(tmp_path, uniform_scenario())
     assert main(["sweep", "--config", path, "--grid", "1"]) == 1
     assert "at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0", "1", "-3"])
+def test_find_rejects_tiny_grid(tmp_path, capsys, grid):
+    # 0 used to fall back to the default grid, 1 to scan the start (0, 0)
+    # alone, and -3 to end in numpy's traceback
+    path = write_scenario(tmp_path, uniform_scenario())
+    assert main(["find", "--config", path, "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: grid must be at least 2, got {grid}\n"
+
+
+def test_find_and_fit_reject_a_negative_seed(tmp_path, capsys):
+    path = write_scenario(tmp_path, uniform_scenario())
+    hist_path = tmp_path / "hist.csv"
+    hist_path.write_text("group,label,score,count\na,1,0.5,3\na,0,0.5,3\n")
+    for argv in (
+        ["find", "--config", path, "--seed", "-1"],
+        ["fit", str(hist_path), "--resample", "2000", "--seed", "-1"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed: expected a non-negative integer, got -1\n"
 
 
 def test_find_cross_checks_closed_forms(tmp_path, capsys):
