@@ -243,7 +243,8 @@ def gaussian_closed_forms(
     the midpoint equilibrium plus a period-2 cycle alternating between the
     two boundaries. The knife edge payoff_tp = cost_fp is refused; there
     the institution is indifferent along the whole arc and the closed
-    forms do not apply.
+    forms do not apply, and so is a wage w other than economy.wage (as in
+    uniform_closed_forms).
     """
     v1 = np.asarray(h1, dtype=float)
     v2 = np.asarray(h2, dtype=float)
@@ -260,6 +261,8 @@ def gaussian_closed_forms(
         )
     if len(set(group_ids)) != 2:
         raise ParameterError(f"group_ids must name two distinct groups, got {group_ids}")
+    if abs(economy.wage - w) > 1e-12:
+        raise AssumptionError(f"wage mismatch: economy has {economy.wage}, w={w}")
     p, c = economy.payoff_tp, economy.cost_fp
     if p == c:
         raise AssumptionError(

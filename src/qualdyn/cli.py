@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .dynamics import (
     FixedPoint,
     LimitCycle,
     NonConverged,
+    _theta_json,
     cycle_average,
     dynamics_from_config,
     iterate,
@@ -161,7 +162,7 @@ def _subsidy_from_config(obj, group_ids: Sequence[str], path: str) -> SubsidySpe
 def scenario_from_config(obj) -> Scenario:
     """Validate and build a scenario from a parsed config mapping."""
     _check_fields(obj, "", _TOP_FIELDS, _TOP_REQUIRED)
-    if obj["version"] != CONFIG_VERSION:
+    if type(obj["version"]) is not int or obj["version"] != CONFIG_VERSION:
         raise ConfigurationError(
             f"version: unsupported config version {obj['version']!r}; expected {CONFIG_VERSION}"
         )
@@ -275,22 +276,27 @@ def _fmt_state(state: QualificationState) -> str:
 
 
 def _fmt_theta(model, theta) -> str:
-    if theta is None:
-        return "-"
-    if isinstance(theta, Mapping):
-        return " ".join(f"{g}:{_fmt_theta(model, t)}" for g, t in sorted(theta.items()))
-    if isinstance(model, GaussianHalfspace) and not np.isscalar(theta):
-        try:
-            return f"arc={model.arc_fraction(theta):.6g}"
-        except QualdynError:
-            return "(" + ",".join(f"{float(x):.4g}" for x in np.asarray(theta)) + ")"
-    return f"{float(theta):.6g}"
+    """A rule as the trace writes it (dynamics._theta_json), in short form."""
+
+    def fmt(value) -> str:
+        if value is None:
+            return "-"
+        if isinstance(value, dict):
+            return " ".join(f"{g}:{fmt(t)}" for g, t in value.items())
+        if isinstance(value, list):
+            return "(" + ",".join(f"{x:.4g}" for x in value) + ")"
+        return f"arc={value:.6g}" if isinstance(model, GaussianHalfspace) else f"{value:.6g}"
+
+    return fmt(_theta_json(model, theta))
 
 
-def _write_lines(lines: Sequence[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_output(text: str, out: str | None, summary: Sequence[str]) -> None:
+    """Write a command's output to the file `out` and print `summary` to
+    stdout, or, with no `out`, write the output to stdout alone."""
     if out:
         Path(out).write_text(text)
+        for line in summary:
+            print(line)
     else:
         sys.stdout.write(text)
 
@@ -311,21 +317,18 @@ def cmd_run(args) -> int:
             ids=tuple(g.id for g in groups), rates=(0.5,) * len(groups)
         )
     outcome = iterate(scenario.economy, groups, scenario.model, initial, config)
-    lines = trace_lines(outcome, scenario.model)
-    _write_lines(lines, args.out)
-    if args.out:
-        verdict = outcome.verdict
-        print(f"verdict: {verdict.name}")
-        if isinstance(verdict, FixedPoint):
-            print(f"pi: {_fmt_state(verdict.state)}")
-            print(f"residual: {verdict.residual:.6g}")
-        elif isinstance(verdict, LimitCycle):
-            print(f"period: {verdict.period}")
-            print(f"cycle average: {_fmt_state(cycle_average(outcome))}")
-        else:
-            print(f"last: {_fmt_state(verdict.last)}")
-        print(f"trace: {len(outcome.trace)} records -> {args.out}")
-    return 2 if isinstance(outcome.verdict, NonConverged) else 0
+    verdict = outcome.verdict
+    summary = [f"verdict: {verdict.name}"]
+    if isinstance(verdict, FixedPoint):
+        summary += [f"pi: {_fmt_state(verdict.state)}", f"residual: {verdict.residual:.6g}"]
+    elif isinstance(verdict, LimitCycle):
+        summary.append(f"period: {verdict.period}")
+        summary.append(f"cycle average: {_fmt_state(cycle_average(outcome))}")
+    else:
+        summary.append(f"last: {_fmt_state(verdict.last)}")
+    summary.append(f"trace: {len(outcome.trace)} records -> {args.out}")
+    _write_output("\n".join(trace_lines(outcome, scenario.model)) + "\n", args.out, summary)
+    return 2 if isinstance(verdict, NonConverged) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +409,7 @@ def cmd_sweep(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    if args.out:
-        Path(args.out).write_text(buffer.getvalue())
-        print(f"sweep: {len(rows)} rows -> {args.out}")
-    else:
-        sys.stdout.write(buffer.getvalue())
+    _write_output(buffer.getvalue(), args.out, [f"sweep: {len(rows)} rows -> {args.out}"])
     return 0
 
 
@@ -550,16 +549,11 @@ def cmd_fit(args) -> int:
                 f"loglik={fit.log_likelihood:.6g} iterations={fit.iterations}"
             )
     model = to_score_model(fits)
-    snippet = json.dumps(model.to_config(), indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(snippet + "\n")
-        for line in diagnostics:
-            print(line)
-        print(f"feature block -> {args.out}")
-    else:
+    if not args.out:
         for line in diagnostics:
             print(line, file=sys.stderr)
-        print(snippet)
+    snippet = json.dumps(model.to_config(), indent=2, sort_keys=True) + "\n"
+    _write_output(snippet, args.out, [*diagnostics, f"feature block -> {args.out}"])
     return 0
 
 

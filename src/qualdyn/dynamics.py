@@ -446,24 +446,25 @@ def settled_state(outcome: DynamicsOutcome) -> QualificationState | None:
 
 
 def _theta_json(model, theta):
+    """A rule as JSON: None, a number, or a mapping group id -> rule in id
+    order. A halfspace vector is written as its arc fraction between the two
+    group boundaries, or as its list of entries when the model has more
+    groups and so no arc."""
     if theta is None:
         return None
     if isinstance(theta, Mapping):
         return {gid: _theta_json(model, th) for gid, th in sorted(theta.items())}
     if isinstance(model, GaussianHalfspace) and not np.isscalar(theta):
+        if len(model.group_ids) != 2:
+            return [float(x) for x in np.asarray(theta)]
         return float(model.arc_fraction(theta))
     return float(theta)
-
-
-def _state_json(state: QualificationState) -> dict:
-    return {gid: rate for gid, rate in zip(state.ids, state.rates)}
 
 
 def trace_lines(outcome: DynamicsOutcome, model) -> list[str]:
     """Line-delimited JSON trace: one record per step plus a final summary.
 
-    Halfspace thetas are written as the arc fraction between the two group
-    boundaries so records stay scalar-valued.
+    Thetas are written by _theta_json.
     """
     lines = []
     for rec in outcome.trace:
@@ -471,7 +472,7 @@ def trace_lines(outcome: DynamicsOutcome, model) -> list[str]:
             json.dumps(
                 {
                     "t": rec.t,
-                    "pi": _state_json(rec.state),
+                    "pi": rec.state.as_mapping(),
                     "theta": _theta_json(model, rec.theta),
                     "utility": rec.utility,
                     "balance": rec.balance,
@@ -481,13 +482,13 @@ def trace_lines(outcome: DynamicsOutcome, model) -> list[str]:
         )
     summary: dict = {"verdict": outcome.verdict.name, "stability": outcome.stability}
     if isinstance(outcome.verdict, FixedPoint):
-        summary["state"] = _state_json(outcome.verdict.state)
+        summary["state"] = outcome.verdict.state.as_mapping()
         summary["residual"] = outcome.verdict.residual
     elif isinstance(outcome.verdict, LimitCycle):
         summary["period"] = outcome.verdict.period
-        summary["states"] = [_state_json(s) for s in outcome.verdict.states]
-        summary["cycle_average"] = _state_json(cycle_average(outcome))
+        summary["states"] = [s.as_mapping() for s in outcome.verdict.states]
+        summary["cycle_average"] = cycle_average(outcome).as_mapping()
     else:
-        summary["last"] = _state_json(outcome.verdict.last)
+        summary["last"] = outcome.verdict.last.as_mapping()
     lines.append(json.dumps(summary, sort_keys=True))
     return lines

@@ -8,6 +8,11 @@ normalized angle between the chosen hyperplane and the group's own.
 ScoreModel is the general scalar case: explicit conditional score CDFs per
 group and label, parametric (Beta) or empirical.
 
+Each model holds one parameter per group (a threshold, a boundary vector,
+a pair of score curves), given as a mapping or as (id, parameter) pairs.
+_group_table builds, once, the id-ordered pairs, the id -> parameter dict
+that every lookup reads, and `group_ids`; it refuses an id given twice.
+
 The solver contract: with a fixed grid, fixed refinement, and fixed
 tie-breaking, the institution's response is a deterministic function of the
 state, which is what makes the downstream dynamics reproducible.
@@ -260,6 +265,30 @@ class EmpiricalScore:
 # ---------------------------------------------------------------------------
 
 
+def _group_table(model, field: str, parse) -> dict:
+    """Build a frozen model's per-group table (module docstring) from its
+    field `field`, passing each value through parse(id, value) in id order;
+    the field becomes the pairs. Returns the id -> parameter dict."""
+    given = getattr(model, field)
+    pairs = given.items() if isinstance(given, Mapping) else given
+    table = {}
+    for gid, value in sorted(((str(k), v) for k, v in pairs), key=lambda kv: kv[0]):
+        if gid in table:
+            raise ParameterError(f"group {gid!r} is given twice")
+        table[gid] = parse(gid, value)
+    object.__setattr__(model, field, tuple(table.items()))
+    object.__setattr__(model, "_table", table)
+    object.__setattr__(model, "group_ids", tuple(table))
+    return table
+
+
+def _lookup(table: dict, group: str, what: str):
+    try:
+        return table[group]
+    except KeyError:
+        raise ConfigurationError(f"no {what} for group {group!r}") from None
+
+
 @dataclass(frozen=True)
 class UniformThreshold:
     """Scores uniform on [0, 1]; group a is qualified above its threshold h_a.
@@ -273,26 +302,17 @@ class UniformThreshold:
     thresholds: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.thresholds, Mapping):
-            items = tuple(sorted((str(k), float(v)) for k, v in self.thresholds.items()))
-        else:
-            items = tuple(sorted((str(k), float(v)) for k, v in self.thresholds))
-        object.__setattr__(self, "thresholds", items)
-        if not items:
-            raise ParameterError("at least one group threshold is required")
-        for gid, h in items:
+        def threshold(gid, h):
+            h = float(h)
             if not 0.0 < h < 1.0:
                 raise ParameterError(f"threshold for group {gid!r} must lie in (0, 1), got {h}")
+            return h
 
-    @property
-    def group_ids(self) -> tuple[str, ...]:
-        return tuple(g for g, _ in self.thresholds)
+        if not _group_table(self, "thresholds", threshold):
+            raise ParameterError("at least one group threshold is required")
 
     def threshold(self, group: str) -> float:
-        for gid, h in self.thresholds:
-            if gid == group:
-                return h
-        raise ConfigurationError(f"no threshold for group {group!r}")
+        return _lookup(self._table, group, "threshold")
 
     def tpr_fpr(self, group: str, theta: float) -> tuple[float, float]:
         theta = _check_unit_interval(theta)
@@ -337,42 +357,38 @@ class GaussianHalfspace:
     vectors: tuple[tuple[str, tuple[float, ...]], ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.vectors, Mapping):
-            raw = sorted((str(k), v) for k, v in self.vectors.items())
-        else:
-            raw = sorted((str(k), v) for k, v in self.vectors)
-        items, units = [], []
-        dim = None
-        for gid, vec in raw:
+        units = {}
+
+        def vector(gid, vec):
             arr = np.asarray(vec, dtype=float)
             if arr.ndim != 1 or arr.size < 2:
                 raise ParameterError(f"group {gid!r}: vector must be 1-d with >= 2 entries")
-            if dim is None:
-                dim = arr.size
-            elif arr.size != dim:
+            if any(len(unit) != arr.size for unit in units.values()):
                 raise ParameterError("all group vectors must share one dimension")
             norm = float(np.linalg.norm(arr))
             if norm <= 0.0 or not math.isfinite(norm):
                 raise ParameterError(f"group {gid!r}: vector has no direction")
-            items.append((gid, tuple(arr.tolist())))
-            units.append((gid, tuple((arr / norm).tolist())))
-        object.__setattr__(self, "vectors", tuple(items))
-        object.__setattr__(self, "_units", tuple(units))
+            units[gid] = tuple((arr / norm).tolist())
+            return tuple(arr.tolist())
+
+        _group_table(self, "vectors", vector)
+        object.__setattr__(self, "_units", units)
         if len(units) < 2:
             raise ParameterError("halfspace model needs at least 2 groups")
-        for i in range(len(units)):
-            for j in range(i + 1, len(units)):
-                ang = normalized_angle(np.array(units[i][1]), np.array(units[j][1]))
+        pairs = list(units.items())
+        for i, (gi, ui) in enumerate(pairs):
+            for gj, uj in pairs[i + 1:]:
+                ang = normalized_angle(np.array(ui), np.array(uj))
                 if not 0.0 < ang < 1.0:
                     raise ParameterError(
-                        f"groups {units[i][0]!r} and {units[j][0]!r} have identical or "
+                        f"groups {gi!r} and {gj!r} have identical or "
                         f"opposite boundaries (normalized angle {ang})"
                     )
         # The response table (see the class docstring). _table_rates is keyed
         # by id(); the ids stay unique because the table holds its vectors.
         object.__setattr__(self, "_table_rates", {})
         object.__setattr__(
-            self, "_boundaries", {gid: self._table_entry(self.vector(gid)) for gid, _ in units}
+            self, "_boundaries", {gid: self._table_entry(self.vector(gid)) for gid in units}
         )
         arc = None
         if len(units) == 2:
@@ -383,19 +399,12 @@ class GaussianHalfspace:
     def _table_entry(self, theta: np.ndarray) -> np.ndarray:
         """Make theta read-only and store it with each group's checked rates."""
         theta.flags.writeable = False
-        rates = {gid: self._checked_tpr_fpr(gid, theta) for gid, _ in self.vectors}
+        rates = {gid: self._checked_tpr_fpr(gid, theta) for gid in self.group_ids}
         self._table_rates[id(theta)] = (theta, rates)
         return theta
 
-    @property
-    def group_ids(self) -> tuple[str, ...]:
-        return tuple(g for g, _ in self.vectors)
-
     def vector(self, group: str) -> np.ndarray:
-        for gid, vec in self._units:
-            if gid == group:
-                return np.array(vec)
-        raise ConfigurationError(f"no boundary vector for group {group!r}")
+        return np.array(_lookup(self._units, group, "boundary vector"))
 
     def tpr_fpr(self, group: str, theta) -> tuple[float, float]:
         hit = self._table_rates.get(id(theta))
@@ -424,7 +433,7 @@ class GaussianHalfspace:
                 "geodesic-arc operations support exactly two groups; "
                 f"model has {len(self.vectors)}"
             )
-        return np.array(self._units[0][1]), np.array(self._units[1][1])
+        return tuple(np.array(unit) for unit in self._units.values())
 
     @property
     def pair_angle(self) -> float:
@@ -487,27 +496,17 @@ class ScoreModel:
     curves: tuple[tuple[str, GroupScores], ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.curves, Mapping):
-            items = tuple(sorted((str(k), v) for k, v in self.curves.items()))
-        else:
-            items = tuple(sorted((str(k), v) for k, v in self.curves))
-        object.__setattr__(self, "curves", items)
-        if not items:
-            raise ParameterError("at least one group is required")
-        for gid, gs in items:
+        def scores(gid, gs):
             if not isinstance(gs, GroupScores):
                 raise ParameterError(f"group {gid!r}: expected GroupScores, got {type(gs)}")
+            return gs
+
+        if not _group_table(self, "curves", scores):
+            raise ParameterError("at least one group is required")
         object.__setattr__(self, "_grid_cache", {})
 
-    @property
-    def group_ids(self) -> tuple[str, ...]:
-        return tuple(g for g, _ in self.curves)
-
     def scores(self, group: str) -> GroupScores:
-        for gid, gs in self.curves:
-            if gid == group:
-                return gs
-        raise ConfigurationError(f"no score curves for group {group!r}")
+        return _lookup(self._table, group, "score curves")
 
     def tpr_fpr(self, group: str, theta: float) -> tuple[float, float]:
         theta = _check_unit_interval(theta)
@@ -524,15 +523,8 @@ class ScoreModel:
         return -gs.y1.slope(theta), -gs.y0.slope(theta)
 
     def to_config(self) -> dict:
-        def dist_cfg(d):
-            return d.to_config()
-
-        return {
-            "variant": "score",
-            "groups": {
-                g: {"y1": dist_cfg(gs.y1), "y0": dist_cfg(gs.y0)} for g, gs in self.curves
-            },
-        }
+        groups = {g: {"y1": gs.y1.to_config(), "y0": gs.y0.to_config()} for g, gs in self.curves}
+        return {"variant": "score", "groups": groups}
 
 
 ScalarModel = (UniformThreshold, ScoreModel)
@@ -554,7 +546,6 @@ def _grid_rates(model, grid_size: int):
     """The theta grid and each group's (TPR, FPR) on it, cached on the model.
 
     The table depends on the model and the grid only, never on the state.
-    Filling it is idempotent: threads that race on a miss store equal tables.
     """
     table = model._grid_cache.get(grid_size)
     if table is None:
@@ -567,17 +558,6 @@ def _grid_rates(model, grid_size: int):
         thetas.flags.writeable = False
         table = model._grid_cache.setdefault(grid_size, (thetas, rates))
     return table
-
-
-def _utility_grid(
-    model,
-    economy: EconomyConfig,
-    groups: tuple[GroupSpec, ...],
-    state: QualificationState,
-    grid_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    thetas, rates = _grid_rates(model, grid_size)
-    return thetas, _utility_from_rates(economy, groups, [rates[g.id] for g in groups], state.rates)
 
 
 def _utility_slope(model, economy, groups, state):
@@ -743,14 +723,14 @@ def _scalar_best_response(
 ) -> float:
     if isinstance(model, UniformThreshold):
         return _uniform_best_response(model, economy, groups, state)
-    thetas, util = _utility_grid(model, economy, groups, state, grid_size)
+    thetas, rates = _grid_rates(model, grid_size)
+    util = _utility_from_rates(economy, groups, [rates[g.id] for g in groups], state.rates)
     i_best = int(np.argmax(util))
     u_max = float(util[i_best])
     if u_max <= 0.0:
         # No cut point earns a positive payoff: reject everyone. theta=1
         # always attains utility exactly 0, so it is inside the argmax set.
         return 1.0
-    _, rates = _grid_rates(model, grid_size)
     slack = _PLATEAU_RTOL * _term_size(
         economy, groups, [(rates[g.id][0][i_best], rates[g.id][1][i_best]) for g in groups],
         state.rates,
@@ -941,7 +921,7 @@ def _score_model_from_config(groups: Mapping, path: str) -> ScoreModel:
             y1=_score_dist_from_config(spec["y1"], f"{path}.{gid}.y1"),
             y0=_score_dist_from_config(spec["y0"], f"{path}.{gid}.y0"),
         )
-    return ScoreModel(tuple(sorted(curves.items())))
+    return ScoreModel(curves)
 
 
 # variant -> (its one field, a mapping keyed by group id; builder from that

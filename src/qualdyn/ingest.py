@@ -216,15 +216,12 @@ def _binned_objective(alpha, beta, lo, hi, counts):
     return ll, grad
 
 
-def _moments_start(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
-    mids = 0.5 * (lo + hi)
-    total = counts.sum()
-    mean = float(np.dot(counts, mids)) / total
-    var = float(np.dot(counts, (mids - mean) ** 2)) / total
+def _moments_start(mean: float, var: float, degenerate: str) -> tuple[float, float]:
+    """The method-of-moments Beta(alpha, beta) with this mean and variance,
+    each floored at 0.05; a variance <= 1e-12 raises DegenerateDataError
+    with the caller's message."""
     if var <= 1e-12:
-        raise DegenerateDataError(
-            f"histogram mass is concentrated at {mean:.4g}; no Beta fit is identifiable"
-        )
+        raise DegenerateDataError(degenerate)
     kappa = mean * (1.0 - mean) / var - 1.0
     alpha = max(mean * kappa, 0.05)
     beta = max((1.0 - mean) * kappa, 0.05)
@@ -314,9 +311,13 @@ def fit_beta(hist: ScoreHistogram, group: str, label: int) -> BetaFit:
             return None
         return step
 
-    alpha, beta, ll, grad, iterations = _damped_newton(
-        objective, newton_direction, *_moments_start(lo, hi, counts)
+    mids = 0.5 * (lo + hi)
+    mean = float(np.dot(counts, mids)) / counts.sum()
+    var = float(np.dot(counts, (mids - mean) ** 2)) / counts.sum()
+    start = _moments_start(
+        mean, var, f"histogram mass is concentrated at {mean:.4g}; no Beta fit is identifiable"
     )
+    alpha, beta, ll, grad, iterations = _damped_newton(objective, newton_direction, *start)
     # One last undamped step: quadratic convergence parks the optimum at
     # quadrature precision, making the fit insensitive to count rescaling.
     step = newton_direction(alpha, beta, grad)
@@ -356,14 +357,10 @@ def fit_beta_resampled(
     xs = np.array(series.edges)[bins] + series.width * rng.random(n)
     xs = np.clip(xs, 1e-12, 1.0 - 1e-12)
 
-    mean = float(xs.mean())
-    var = float(xs.var())
-    if var <= 1e-12:
-        raise DegenerateDataError("resampled scores are constant; no Beta fit is identifiable")
-    kappa = mean * (1.0 - mean) / var - 1.0
-    alpha = max(mean * kappa, 0.05)
-    beta = max((1.0 - mean) * kappa, 0.05)
-
+    start = _moments_start(
+        float(xs.mean()), float(xs.var()),
+        "resampled scores are constant; no Beta fit is identifiable",
+    )
     s_ln_x = float(np.log(xs).sum())
     s_ln_1mx = float(np.log1p(-xs).sum())
 
@@ -390,7 +387,7 @@ def fit_beta_resampled(
         except np.linalg.LinAlgError:
             return None
 
-    alpha, beta, ll, _, iterations = _damped_newton(objective, newton_direction, alpha, beta)
+    alpha, beta, ll, _, iterations = _damped_newton(objective, newton_direction, *start)
     return BetaFit(
         alpha=alpha, beta=beta, log_likelihood=ll, iterations=iterations, converged=True
     )
@@ -411,4 +408,4 @@ def to_score_model(fits: Mapping[str, Mapping[int, BetaFit]]) -> ScoreModel:
             y1=BetaScore(by_label[1].alpha, by_label[1].beta),
             y0=BetaScore(by_label[0].alpha, by_label[0].beta),
         )
-    return ScoreModel(tuple(sorted(curves.items())))
+    return ScoreModel(curves)

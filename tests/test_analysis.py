@@ -167,6 +167,13 @@ def test_gaussian_closed_forms_refuses_the_knife_edge():
         )
 
 
+def test_gaussian_closed_forms_refuse_a_wage_mismatch():
+    # as uniform_closed_forms does: w and economy.wage are one wage
+    economy = EconomyConfig(wage=0.8, payoff_tp=2.0, cost_fp=1.0)
+    with pytest.raises(AssumptionError, match="wage mismatch"):
+        gaussian_closed_forms((1.0, 0.0), (0.0, 1.0), 0.5, Uniform01(), economy)
+
+
 def steep_cost_scenario():
     model = ScoreModel((("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),))
     group = GroupSpec(id="g", proportion=1.0, cost=TruncatedNormal(mu=0.6, sigma=0.1))
@@ -698,9 +705,20 @@ def unequal_halfspace():
     return economy, groups, model
 
 
+def three_group_uniform():
+    """tests/golden/uniform_three.json: with three groups the scan starts on
+    the diagonal and on the axis lines through 0.5."""
+    groups = tuple(
+        GroupSpec(id=g, proportion=n, cost=Uniform01())
+        for g, n in (("a1", 0.4), ("a2", 0.3), ("a3", 0.3))
+    )
+    return EconomyConfig(wage=0.6), groups, UniformThreshold({"a1": 0.4, "a2": 0.6, "a3": 0.8})
+
+
 def scan_cases():
     uniform = verification._uniform_reference()
     return [
+        ("uniform three groups", three_group_uniform(), DynamicsConfig(), 21),
         ("uniform joint", uniform, DynamicsConfig(), 21),
         ("uniform decoupled", uniform, DynamicsConfig(mode="decoupled"), 21),
         ("halfspace stable pair", verification._halfspace_scenario(2.0, 1.0), DynamicsConfig(), 21),

@@ -202,8 +202,9 @@ def test_scenario_error_paths(tmp_path, capsys):
     bad_json.write_text("{not json")
     with pytest.raises(ParseError, match="invalid JSON"):
         load_scenario(str(bad_json))
-    with pytest.raises(ConfigurationError, match="version"):
-        scenario_from_config(uniform_scenario(version=99))
+    for version in (99, True, 1.0):  # True == 1 == 1.0 in Python
+        with pytest.raises(ConfigurationError, match="version"):
+            scenario_from_config(uniform_scenario(version=version))
     with pytest.raises(ConfigurationError, match="bogus: unknown field"):
         scenario_from_config(uniform_scenario(bogus=1))
     cfg = uniform_scenario()
@@ -515,6 +516,7 @@ GOLDEN_FINDS = [
     ("halfspace_pair.json", [], "halfspace_pair.find.txt"),
     ("halfspace_cycle.json", [], "halfspace_cycle.find.txt"),
     ("two_valley.json", ["--grid", "5"], "two_valley.find-grid5.txt"),
+    ("uniform_three.json", [], "uniform_three.find.txt"),
 ]
 
 
@@ -524,3 +526,44 @@ GOLDEN_FINDS = [
 def test_find_prints_the_golden_output(capsys, scenario, extra, expected):
     assert main(["find", "--config", str(GOLDEN / scenario), *extra]) == 0
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
+# `run` on reference scenarios, byte for byte: the JSONL trace and its summary.
+GOLDEN_RUNS = [
+    ("uniform.json", [], "uniform.run.jsonl"),
+    ("halfspace_cycle.json", ["--init", "0.7,0.2"], "halfspace_cycle.run-init.jsonl"),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, extra, expected", GOLDEN_RUNS, ids=[case[2] for case in GOLDEN_RUNS]
+)
+def test_run_prints_the_golden_trace(capsys, scenario, extra, expected):
+    assert main(["run", "--config", str(GOLDEN / scenario), *extra]) == 0
+    assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
+def test_run_writes_halfspace_rules_of_three_groups_as_vectors(tmp_path, capsys):
+    # Three boundaries have no arc between two of them, so a decoupled rule
+    # is written as the group's unit boundary itself.
+    cfg = {
+        "version": 1,
+        "economy": {"wage": 0.8, "payoff_tp": 2.0, "cost_fp": 1.0},
+        "groups": [
+            {"id": g, "proportion": n, "cost": {"kind": "uniform01"}}
+            for g, n in (("g1", 0.4), ("g2", 0.3), ("g3", 0.3))
+        ],
+        "features": {
+            "variant": "gaussian_halfspace",
+            "vectors": {"g1": [1, 0, 0], "g2": [0, 2, 0], "g3": [0, 3, 4]},
+        },
+        "intervention": {"decouple": True},
+    }
+    path = write_scenario(tmp_path, cfg)
+    assert main(["run", "--config", path]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    boundaries = {"g1": [1.0, 0.0, 0.0], "g2": [0.0, 1.0, 0.0], "g3": [0.0, 0.6, 0.8]}
+    assert [r["theta"] for r in records[1:-1]] == [boundaries] * (len(records) - 2)
+    assert records[-1]["verdict"] == "FixedPoint"
+    assert main(["find", "--config", path, "--grid", "3"]) == 0
+    assert "theta=g1:(1,0,0) g2:(0,1,0) g3:(0,0.6,0.8)" in capsys.readouterr().out

@@ -78,6 +78,20 @@ def test_uniform_threshold_validation():
         model.threshold("missing")
 
 
+def test_every_feature_model_refuses_a_group_given_twice():
+    scores = GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))
+    for build, first, second in (
+        (UniformThreshold, 0.4, 0.6),
+        (GaussianHalfspace, (1.0, 0.0), (0.0, 1.0)),
+        (ScoreModel, scores, scores),
+    ):
+        with pytest.raises(ParameterError, match="'a' is given twice"):
+            build((("a", first), ("b", second), ("a", second)))
+        # ids are read as strings, so a key 1 repeats "1"
+        with pytest.raises(ParameterError, match="'1' is given twice"):
+            build({1: first, "1": second})
+
+
 def test_beta_score_matches_reference_distribution():
     dist = BetaScore(alpha=5.0, beta=2.0)
     xs = np.linspace(0.0, 1.0, 23)
@@ -628,8 +642,9 @@ def test_cached_grid_utility_equals_the_uncached_one_bit_for_bit():
                         economy, grps, [model.rates_grid(g.id, thetas) for g in grps], rates
                     )
                 else:
-                    got_thetas, util = features._utility_grid(
-                        model, economy, grps, state, grid_size
+                    got_thetas, table = features._grid_rates(model, grid_size)
+                    util = core._utility_from_rates(
+                        economy, grps, [table[g.id] for g in grps], rates
                     )
                 assert np.array_equal(got_thetas, thetas)
                 assert np.array_equal(util, expected)
@@ -832,8 +847,9 @@ def _flat_stretch(model, economy, groups, state):
     if isinstance(model, UniformThreshold):
         points, util, slack = _kink_utilities(model, economy, groups, state)
     else:
-        points, util = features._utility_grid(
-            model, economy, groups, state, features.DEFAULT_GRID
+        points, table = features._grid_rates(model, features.DEFAULT_GRID)
+        util = core._utility_from_rates(
+            economy, groups, [table[g.id] for g in groups], state.rates
         )
         points, util = points.tolist(), util.tolist()
         rates = [model.tpr_fpr(g.id, points[util.index(max(util))]) for g in groups]
