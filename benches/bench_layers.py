@@ -253,6 +253,7 @@ def test_layer(benchmark, case):
 HOLDERS = (
     qualdyn, core, costs, features, dynamics, analysis, cli, ingest, verification,
     costs.CostModel, features.UniformThreshold, features.ScoreModel, features.GaussianHalfspace,
+    core.QualificationState,
 )
 
 
@@ -311,6 +312,7 @@ COUNTS = {
     "steps": "step",
     "iterate_runs": "iterate",
     "stability_probes": "classify_stability",
+    "sup_distance_calls": "sup_distance",
 }
 
 

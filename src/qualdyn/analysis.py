@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -459,7 +458,20 @@ def find_equilibria_scan(
     stepped only once. A joint halfspace scan takes every start's rule from
     one array pass over the start rates, through the kernel that the
     one-state solver calls (`features._halfspace_rule`), so the rules are
-    the model's own table vectors, bit for bit.
+    the model's own table vectors, bit for bit. Every family takes all the
+    rules first and tests each rule's starts against its image run's trace
+    in one array pass, with the subtraction, abs and max of
+    QualificationState.sup_distance, so each start is decided as it would
+    be alone.
+
+    The clustering visits each outcome once, unless a repeat could change
+    the clusters (an inherited run is the outcome of many starts). A
+    repeated LimitCycle outcome is skipped: cycle entries are only
+    appended. A repeated FixedPoint outcome is skipped when no cluster's
+    representative has been replaced since its last visit: the clusters
+    before its cluster still fail the distance test, its cluster holds its
+    own state or a member whose residual it did not beat, and clusters
+    added since sit after it.
     """
     groups = normalize_groups(groups)
     if grid is not None and grid < 2:
@@ -603,30 +615,38 @@ def _scan_multi_group(
     # so its mean is not taken.
     stored: set[tuple] = set()
     radius = _DEDUP_FACTOR * config.fix_tol
+    # Outcomes already visited, by id, each with the replacement count its
+    # last visit left; the entry holds the outcome, so its id is not reused.
+    seen: dict[int, tuple[object, int]] = {}
+    replaced = 0
 
     for outcome in _start_outcomes(
         economy, groups, model, _multi_starts(len(groups), grid), config
     ):
         v = outcome.verdict
+        last = seen.get(id(outcome))
+        if last is not None and (last[1] == replaced or not isinstance(v, FixedPoint)):
+            continue  # a repeat that cannot change the clusters
         if isinstance(v, FixedPoint):
             for i, (st, res) in enumerate(fixed):
                 if v.state.sup_distance(st) <= radius:
                     if v.residual < res:
                         fixed[i] = (v.state, v.residual)
+                        replaced += 1
                     break
             else:
                 fixed.append((v.state, v.residual))
         elif isinstance(v, LimitCycle):
             key = (v.period, *sorted(s.rates for s in v.states))
-            if key in stored:
-                continue
-            avg = cycle_average(outcome)
-            for st, cyc, period in cycles:
-                if period == v.period and avg.sup_distance(st) <= radius:
-                    break
-            else:
-                cycles.append((avg, v.states, v.period))
-                stored.add(key)
+            if key not in stored:
+                avg = cycle_average(outcome)
+                for st, cyc, period in cycles:
+                    if period == v.period and avg.sup_distance(st) <= radius:
+                        break
+                else:
+                    cycles.append((avg, v.states, v.period))
+                    stored.add(key)
+        seen[id(outcome)] = (outcome, replaced)
 
     records = []
     fixed.sort(key=lambda item: item[0].rates)
@@ -665,44 +685,49 @@ def _start_outcomes(economy, groups, model, starts, config: DynamicsConfig):
     run from its first image when it may inherit that verdict, else its own
     run (the rule and its argument are in find_equilibria_scan). Starts with
     the same rule share one image and one image run, and every run shares
-    one iterate memo."""
+    one iterate memo. Each rule's starts are tested against its run's trace
+    in one array pass, by QualificationState.sup_distance's arithmetic."""
     ids = tuple(g.id for g in groups)
     memo: dict = {}
-    images: dict = {}  # rule key -> (rule, image run, the rates on its trace)
-    for rates, theta in zip(starts, _start_rules(economy, groups, model, starts, config)):
-        key = _rule_key(theta)
-        if key not in images:
-            image = _population_response(economy, groups, model, theta)
-            run = iterate(economy, groups, model, image, config, memo=memo)
-            images[key] = (theta, run, tuple(rec.state.rates for rec in run.trace))
-        _, run, visited = images[key]
-        # QualificationState.sup_distance on the raw rate tuples
-        if len(run.trace) - 1 < config.max_iters - 1 and all(
-            max(map(abs, map(operator.sub, rates, v))) > config.fix_tol for v in visited
-        ):
-            yield run
-        else:
-            yield iterate(
-                economy, groups, model, QualificationState(ids, rates), config, memo=memo
+    rules = _start_rules(economy, groups, model, starts, config)
+    members: dict = {}  # rule key -> indices of its starts, keys in first-seen order
+    for i, theta in enumerate(rules):
+        members.setdefault(_rule_key(theta), []).append(i)
+    rates = np.array(starts, dtype=float)
+    inherited: list = [None] * len(starts)
+    for indices in members.values():
+        image = _population_response(economy, groups, model, rules[indices[0]])
+        run = iterate(economy, groups, model, image, config, memo=memo)
+        if len(run.trace) - 1 < config.max_iters - 1:
+            visited = np.array([rec.state.rates for rec in run.trace])
+            far = np.abs(rates[indices][:, None, :] - visited[None, :, :]).max(axis=2)
+            for i, inherit in zip(indices, (far > config.fix_tol).all(axis=1)):
+                if inherit:
+                    inherited[i] = run
+    for start, run in zip(starts, inherited):
+        if run is None:
+            run = iterate(
+                economy, groups, model, QualificationState(ids, start), config, memo=memo
             )
+        yield run
 
 
-def _start_rules(economy, groups, model, starts, config: DynamicsConfig):
+def _start_rules(economy, groups, model, starts, config: DynamicsConfig) -> list:
     """Each start's rule, as dynamics._rule gives it: for joint halfspace
     scans all at once, from columns of the start rates; otherwise by one
-    _rule call per start, made as the caller asks for it."""
+    _rule call per start."""
     ids = tuple(g.id for g in groups)
     if starts and config.mode == "joint" and isinstance(model, GaussianHalfspace):
         _check_alignment(model, groups, QualificationState(ids, starts[0]))
         columns = tuple(np.array(starts, dtype=float).T)
         return _halfspace_rule(model, economy, groups, columns, config.tie_tol)
-    return (
+    return [
         _rule(
             economy, groups, model, QualificationState(ids, rates),
             config.mode, config.theta_grid, config.tie_tol,
         )
         for rates in starts
-    )
+    ]
 
 
 def _rule_key(theta):

@@ -804,7 +804,11 @@ def _halfspace_rule(model: GaussianHalfspace, economy: EconomyConfig, groups, pi
     state gets the same vector whichever form its rates come in.
     """
     if len(groups) != 2:
-        raise ConfigurationError("halfspace best response supports exactly two groups")
+        raise ConfigurationError(
+            "halfspace best response supports exactly two groups; run a scenario "
+            "with more groups decoupled: pass --decoupled, or set "
+            '"intervention": {"decouple": true} in the scenario'
+        )
     (g1, g2), (pi1, pi2) = groups, pis
     p, c = economy.payoff_tp, economy.cost_fp
     if abs(g1.proportion - g2.proportion) <= 1e-12 and p != c:

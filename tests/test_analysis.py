@@ -716,28 +716,137 @@ def three_group_uniform():
 
 
 def scan_cases():
+    """(name, scenario, config, grid, edge): with edge, some start at exactly
+    fix_tol from a traced state shares that trace's rule, so the scan meets
+    its guard's boundary. A power-of-two fix_tol makes that distance exact
+    from a nonzero rate, not only from a rate of 0."""
     uniform = verification._uniform_reference()
+    pair = verification._halfspace_scenario(2.0, 1.0)
+    cycle = verification._halfspace_scenario(1.0, 2.0)
+    exact = DynamicsConfig(fix_tol=2.0**-30)
     return [
-        ("uniform three groups", three_group_uniform(), DynamicsConfig(), 21),
-        ("uniform joint", uniform, DynamicsConfig(), 21),
-        ("uniform decoupled", uniform, DynamicsConfig(mode="decoupled"), 21),
-        ("halfspace stable pair", verification._halfspace_scenario(2.0, 1.0), DynamicsConfig(), 21),
-        ("halfspace period 2", verification._halfspace_scenario(1.0, 2.0), DynamicsConfig(), 21),
-        ("halfspace unequal sizes", unequal_halfspace(), DynamicsConfig(), 21),
-        ("two-valley score", verification._two_valley_scenario(), CRITERION_10, 5),
+        ("uniform three groups", three_group_uniform(), DynamicsConfig(), 21, False),
+        ("uniform joint", uniform, DynamicsConfig(), 21, False),
+        ("uniform joint, fix_tol 2^-30", uniform, exact, 21, True),
+        ("uniform decoupled", uniform, DynamicsConfig(mode="decoupled"), 21, False),
+        ("halfspace stable pair", pair, DynamicsConfig(), 21, True),
+        ("halfspace period 2", cycle, DynamicsConfig(), 21, True),
+        ("halfspace period 2, fix_tol 2^-30", cycle, exact, 21, True),
+        ("halfspace unequal sizes", unequal_halfspace(), DynamicsConfig(), 21, True),
+        ("two-valley score", verification._two_valley_scenario(), CRITERION_10, 5, True),
     ]
+
+
+def edge_starts(verdicts, fix_tol):
+    """For each fixed point and cycle state t in verdicts, and each rate of t
+    that can move by exactly fix_tol inside [0, 1]: (t, t with that rate
+    moved fix_tol, t with it moved one float farther)."""
+    traced = []
+    for v in verdicts:
+        if isinstance(v, FixedPoint):
+            states = (v.state,)
+        else:
+            states = v.states if isinstance(v, LimitCycle) else ()
+        for state in states:
+            if state.rates not in traced:
+                traced.append(state.rates)
+    edges = []
+    for t in traced:
+        for j, rate in enumerate(t):
+            for sign in (1.0, -1.0):
+                at = rate + sign * fix_tol
+                if 0.0 <= at <= 1.0 and abs(at - rate) == fix_tol:
+                    past = math.nextafter(at, sign * math.inf)
+                    edges.append((t, t[:j] + (at,) + t[j + 1:], t[:j] + (past,) + t[j + 1:]))
+    return edges
 
 
 @pytest.mark.parametrize("case", scan_cases(), ids=lambda case: case[0])
 def test_inherited_verdicts_match_full_runs(case):
-    _, (economy, groups, model), config, grid = case
+    _, (economy, groups, model), config, grid, edge = case
     groups = tuple(sorted(groups, key=lambda g: g.id))
     starts = analysis._multi_starts(len(groups), grid)
     want = full_run_verdicts(economy, groups, model, starts, config)
-    got, full = resolved(economy, groups, model, starts, config)
+    edges = edge_starts(want, config.fix_tol)
+    extra = [s for triple in edges for s in triple]
+    want += full_run_verdicts(economy, groups, model, extra, config)
+    got, full = resolved(economy, groups, model, starts + extra, config)
     # repr tells -0.0 from 0.0, so this is a match bit for bit
     assert [repr(v) for v in got] == [repr(v) for v in want]
     assert not all(full)  # some starts did inherit
+    met = [full[i:i + 3] for i in range(len(starts), len(full), 3)]
+    assert all(at_trace for at_trace, _, _ in met)  # a traced state runs in full
+    if edge:
+        # the guard tests > fix_tol: the start at fix_tol runs in full, the
+        # one a float farther inherits
+        assert [True, True, False] in met
+
+
+def reference_clusters(outcomes, radius):
+    """The scan's fixed-point clustering, visiting every verdict: each
+    cluster's (state, residual), sorted by rates."""
+    fixed = []
+    for outcome in outcomes:
+        v = outcome.verdict
+        if isinstance(v, FixedPoint):
+            for i, (state, residual) in enumerate(fixed):
+                if v.state.sup_distance(state) <= radius:
+                    if v.residual < residual:
+                        fixed[i] = (v.state, v.residual)
+                    break
+            else:
+                fixed.append((v.state, v.residual))
+    return sorted(fixed, key=lambda item: item[0].rates)
+
+
+def scripted_scan(monkeypatch, script):
+    """The records _scan_multi_group makes of a scripted outcome sequence on
+    the uniform reference; a callable entry makes a fresh outcome, held by
+    nothing but the scan once it is yielded."""
+
+    def outcomes(*args):
+        for entry in script:
+            yield entry() if callable(entry) else entry
+
+    monkeypatch.setattr(analysis, "_start_outcomes", outcomes)
+    return analysis._scan_multi_group(
+        *verification._uniform_reference(), 2, DynamicsConfig(), 0
+    )
+
+
+def fixed_at(rate, residual):
+    state = QualificationState(("a1", "a2"), (rate, 0.3))
+    return dynamics.DynamicsOutcome(trace=(), verdict=FixedPoint(state, residual))
+
+
+def fixed_records(records):
+    return [(r.state, r.residual) for r in records if r.kind == "FixedPoint"]
+
+
+def test_the_scan_revisits_an_outcome_after_a_replacement(monkeypatch):
+    # The cluster radius is 10 fix_tol = 1e-8. A starts its own cluster next
+    # to X's; B then replaces X's representative with a state within 1e-8
+    # of A, so A's second visit falls in X's cluster and, with the smaller
+    # residual, replaces B there. Skipping that visit would keep B.
+    x, a, b = fixed_at(0.3, 5e-10), fixed_at(0.3 + 1.5e-8, 1e-10), fixed_at(0.3 + 0.8e-8, 3e-10)
+    corners = tuple(QualificationState(("a1", "a2"), rates) for rates in ((0.8, 0.0), (0.0, 0.8)))
+    cycle = dynamics.DynamicsOutcome(trace=(), verdict=LimitCycle(corners, 2))
+    script = [x, a, cycle, b, a, a, cycle]
+    records = scripted_scan(monkeypatch, script)
+    want = reference_clusters(script, 1e-8)
+    assert want == [(a.verdict.state, 1e-10)] * 2
+    assert fixed_records(records) == want
+    assert [r.kind for r in records].count("LimitCycle") == 1
+
+
+def test_the_scan_keys_no_freed_outcome(monkeypatch):
+    # Fresh outcome objects, each freed once the scan has read it unless the
+    # scan keeps it: a freed outcome's id can come back for the next one,
+    # which must still be visited.
+    script = [lambda k=k: fixed_at(0.05 * k, 0.0) for k in range(20)]
+    records = scripted_scan(monkeypatch, script)
+    assert fixed_records(records) == reference_clusters([f() for f in script], 1e-8)
+    assert len(records) == 20
 
 
 def test_a_start_at_a_fixed_point_runs_in_full():

@@ -543,9 +543,7 @@ def test_run_prints_the_golden_trace(capsys, scenario, extra, expected):
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
 
 
-def test_run_writes_halfspace_rules_of_three_groups_as_vectors(tmp_path, capsys):
-    # Three boundaries have no arc between two of them, so a decoupled rule
-    # is written as the group's unit boundary itself.
+def three_halfspace_scenario(**overrides):
     cfg = {
         "version": 1,
         "economy": {"wage": 0.8, "payoff_tp": 2.0, "cost_fp": 1.0},
@@ -557,8 +555,15 @@ def test_run_writes_halfspace_rules_of_three_groups_as_vectors(tmp_path, capsys)
             "variant": "gaussian_halfspace",
             "vectors": {"g1": [1, 0, 0], "g2": [0, 2, 0], "g3": [0, 3, 4]},
         },
-        "intervention": {"decouple": True},
     }
+    cfg.update(overrides)
+    return cfg
+
+
+def test_run_writes_halfspace_rules_of_three_groups_as_vectors(tmp_path, capsys):
+    # Three boundaries have no arc between two of them, so a decoupled rule
+    # is written as the group's unit boundary itself.
+    cfg = three_halfspace_scenario(intervention={"decouple": True})
     path = write_scenario(tmp_path, cfg)
     assert main(["run", "--config", path]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -567,3 +572,24 @@ def test_run_writes_halfspace_rules_of_three_groups_as_vectors(tmp_path, capsys)
     assert records[-1]["verdict"] == "FixedPoint"
     assert main(["find", "--config", path, "--grid", "3"]) == 0
     assert "theta=g1:(1,0,0) g2:(0,1,0) g3:(0,0.6,0.8)" in capsys.readouterr().out
+
+
+def test_three_halfspace_groups_run_only_decoupled_and_say_how(tmp_path, capsys):
+    # The joint halfspace rule covers two groups; the error names both ways
+    # to run the scenario decoupled.
+    hint = '--decoupled, or set "intervention": {"decouple": true}'
+    joint = write_scenario(tmp_path, three_halfspace_scenario(), "joint.json")
+    decoupled = write_scenario(
+        tmp_path, three_halfspace_scenario(intervention={"decouple": True}), "decoupled.json"
+    )
+    for command in (["find", "--grid", "3"], ["run"]):
+        assert main([*command, "--config", joint]) == 1
+        err = capsys.readouterr().err
+        assert "supports exactly two groups" in err and hint in err
+        assert main([*command, "--config", joint, "--decoupled"]) == 0
+        assert main([*command, "--config", decoupled]) == 0
+        capsys.readouterr()
+    # sweep runs the joint rule beside the decoupled one, so it always fails
+    for path, extra in ((joint, []), (joint, ["--decoupled"]), (decoupled, [])):
+        assert main(["sweep", "--config", path, "--grid", "2", *extra]) == 1
+        assert hint in capsys.readouterr().err
