@@ -259,11 +259,20 @@ HOLDERS = (
 
 def _weight(name: str, result) -> int:
     """What one call adds to a count: 1, except that the array pass of a
-    joint halfspace scan adds the number of start rules it resolves (a
-    one-state call of that kernel returns one rule and adds nothing)."""
-    if name == "_halfspace_rule":
-        return len(result) if isinstance(result, list) else 0
-    return 1
+    joint halfspace scan adds the number of start rules it resolves: the
+    length of the index in its (index, table) pair, or of the list of rules
+    that versions before the pair return. A one-state call of that kernel
+    returns one rule vector and adds nothing; any other result is an error,
+    so a new return shape cannot make the count read 0."""
+    if name != "_halfspace_rule":
+        return 1
+    if isinstance(result, np.ndarray):
+        return 0
+    if isinstance(result, tuple):
+        return len(result[0])
+    if isinstance(result, list):
+        return len(result)
+    raise TypeError(f"_halfspace_rule returned a {type(result).__name__}")
 
 
 @contextlib.contextmanager
@@ -313,6 +322,7 @@ COUNTS = {
     "iterate_runs": "iterate",
     "stability_probes": "classify_stability",
     "sup_distance_calls": "sup_distance",
+    "rule_key_calls": "_rule_key",
 }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .dynamics import (
     FixedPoint,
     LimitCycle,
     NOT_ASSESSED,
+    NonConverged,
     STABLE,
     Stability,
     UNSTABLE,
@@ -455,14 +457,20 @@ def find_equilibria_scan(
       rule leaves spare.
     Only verdicts are read, so the records are the ones full runs give.
     All runs share one iterate memo, so a state that any run has reached is
-    stepped only once. A joint halfspace scan takes every start's rule from
-    one array pass over the start rates, through the kernel that the
-    one-state solver calls (`features._halfspace_rule`), so the rules are
-    the model's own table vectors, bit for bit. Every family takes all the
-    rules first and tests each rule's starts against its image run's trace
-    in one array pass, with the subtraction, abs and max of
-    QualificationState.sup_distance, so each start is decided as it would
-    be alone.
+    stepped only once.
+
+    The starts meet their rules by index: every family takes all the rules
+    first, as a table of distinct rules and each start's index into it, and
+    the starts are grouped by that index with numpy, in first-seen order. A
+    joint halfspace scan takes the pair from one array pass over the start
+    rates, through the kernel that the one-state solver calls
+    (`features._halfspace_rule`), whose index already says which of the
+    model's three table vectors each start gets, bit for bit; the other
+    families build the table through one _rule_key per start. Each rule's
+    starts are tested against its image run's trace in one array pass, with
+    the subtraction, abs and max of QualificationState.sup_distance, so
+    each start is decided as it would be alone, and the starts that inherit
+    are marked in one masked assignment.
 
     The clustering visits each outcome once, unless a repeat could change
     the clusters (an inherited run is the outcome of many starts). A
@@ -471,7 +479,11 @@ def find_equilibria_scan(
     representative has been replaced since its last visit: the clusters
     before its cluster still fail the distance test, its cluster holds its
     own state or a member whose residual it did not beat, and clusters
-    added since sit after it.
+    added since sit after it. An outcome that is the one visited just
+    before is skipped first, without its table lookup. That is exact: the
+    visit just before stored the outcome with the replacement count that
+    visit left, which is still the current count, so the rule above would
+    skip it too.
     """
     groups = normalize_groups(groups)
     if grid is not None and grid < 2:
@@ -620,9 +632,15 @@ def _scan_multi_group(
     seen: dict[int, tuple[object, int]] = {}
     replaced = 0
 
+    previous = None
     for outcome in _start_outcomes(
         economy, groups, model, _multi_starts(len(groups), grid), config
     ):
+        if outcome is previous:
+            # the visit just before stored this outcome with the current
+            # replaced count, so the seen rule below would skip it too
+            continue
+        previous = outcome
         v = outcome.verdict
         last = seen.get(id(outcome))
         if last is not None and (last[1] == replaced or not isinstance(v, FixedPoint)):
@@ -680,58 +698,99 @@ def _scan_multi_group(
     return tuple(records)
 
 
+def _debug_log():
+    """The "qualdyn.analysis" logger when it takes DEBUG records, else None.
+    Until the logging module is imported no level or handler can be set, so
+    nothing is enabled; it is not imported here, which would add its import
+    time to every process that imports qualdyn."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger(__name__)
+    return log if log.isEnabledFor(logging.DEBUG) else None
+
+
 def _start_outcomes(economy, groups, model, starts, config: DynamicsConfig):
     """For each start in order, the outcome whose verdict is the start's: the
     run from its first image when it may inherit that verdict, else its own
     run (the rule and its argument are in find_equilibria_scan). Starts with
     the same rule share one image and one image run, and every run shares
     one iterate memo. Each rule's starts are tested against its run's trace
-    in one array pass, by QualificationState.sup_distance's arithmetic."""
+    in one array pass, by QualificationState.sup_distance's arithmetic.
+
+    Once every start is resolved, one DEBUG record on the "qualdyn.analysis"
+    logger counts the starts, rules, image runs and full runs, and names the
+    starts dropped as NonConverged: only full runs can be, since an image
+    run is inherited only when it ended within its budget."""
     ids = tuple(g.id for g in groups)
     memo: dict = {}
-    rules = _start_rules(economy, groups, model, starts, config)
-    members: dict = {}  # rule key -> indices of its starts, keys in first-seen order
-    for i, theta in enumerate(rules):
-        members.setdefault(_rule_key(theta), []).append(i)
+    index, table = _start_rules(economy, groups, model, starts, config)
     rates = np.array(starts, dtype=float)
-    inherited: list = [None] * len(starts)
-    for indices in members.values():
-        image = _population_response(economy, groups, model, rules[indices[0]])
+    # the image run each start inherits, by position in runs; -1: a full run
+    source = np.full(len(starts), -1)
+    order = np.argsort(index, kind="stable")
+    members = np.split(order, np.flatnonzero(np.diff(index[order])) + 1)
+    runs = []
+    for starts_of_rule in sorted(members, key=lambda m: m[0]):  # rules in first-seen order
+        image = _population_response(economy, groups, model, table[index[starts_of_rule[0]]])
         run = iterate(economy, groups, model, image, config, memo=memo)
         if len(run.trace) - 1 < config.max_iters - 1:
             visited = np.array([rec.state.rates for rec in run.trace])
-            far = np.abs(rates[indices][:, None, :] - visited[None, :, :]).max(axis=2)
-            for i, inherit in zip(indices, (far > config.fix_tol).all(axis=1)):
-                if inherit:
-                    inherited[i] = run
-    for start, run in zip(starts, inherited):
-        if run is None:
-            run = iterate(
-                economy, groups, model, QualificationState(ids, start), config, memo=memo
-            )
+            far = np.abs(rates[starts_of_rule][:, None, :] - visited[None, :, :]).max(axis=2)
+            source[starts_of_rule[(far > config.fix_tol).all(axis=1)]] = len(runs)
+        runs.append(run)
+    dropped = []
+    for start, k in zip(starts, source.tolist()):
+        if k >= 0:
+            yield runs[k]
+            continue
+        run = iterate(
+            economy, groups, model, QualificationState(ids, start), config, memo=memo
+        )
+        if isinstance(run.verdict, NonConverged):
+            dropped.append(start)
         yield run
+    log = _debug_log()
+    if log is not None:
+        log.debug(
+            "multi-group scan: %d starts, %d distinct rules, %d image runs, %d full runs; "
+            "%d starts dropped as NonConverged, first %s",
+            len(starts), len(members), len(runs), int(np.count_nonzero(source < 0)),
+            len(dropped), dropped[:5],
+        )
 
 
-def _start_rules(economy, groups, model, starts, config: DynamicsConfig) -> list:
-    """Each start's rule, as dynamics._rule gives it: for joint halfspace
-    scans all at once, from columns of the start rates; otherwise by one
-    _rule call per start."""
+def _start_rules(
+    economy, groups, model, starts, config: DynamicsConfig
+) -> tuple[np.ndarray, Sequence]:
+    """Each start's rule, as dynamics._rule gives it, as a pair (index,
+    table): start i's rule is table[index[i]]. A joint halfspace scan takes
+    the pair from one array pass over columns of the start rates, and its
+    table is the model's three response vectors. Otherwise each start makes
+    one _rule call, and the table holds each distinct rule (by _rule_key)
+    once, in first-seen order."""
     ids = tuple(g.id for g in groups)
     if starts and config.mode == "joint" and isinstance(model, GaussianHalfspace):
         _check_alignment(model, groups, QualificationState(ids, starts[0]))
         columns = tuple(np.array(starts, dtype=float).T)
         return _halfspace_rule(model, economy, groups, columns, config.tie_tol)
-    return [
-        _rule(
+    positions: dict = {}  # rule key -> position in table
+    table: list = []
+    index = []
+    for rates in starts:
+        theta = _rule(
             economy, groups, model, QualificationState(ids, rates),
             config.mode, config.theta_grid, config.tie_tol,
         )
-        for rates in starts
-    ]
+        k = positions.setdefault(_rule_key(theta), len(table))
+        if k == len(table):
+            table.append(theta)
+        index.append(k)
+    return np.array(index, dtype=int), table
 
 
 def _rule_key(theta):
-    """Key under which equal rules meet in the scan's image table: scalars
+    """Key under which equal rules meet in the scan's rule table: scalars
     by value and sign, so -0.0 and 0.0 stay apart; halfspace table vectors
     by identity, which stays unique while the table holds the rule;
     decoupled mappings by their items in group order."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -590,7 +591,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qualdyn argument parser, built on the first call and shared by
+    every later one: parsing keeps no state in it, so main may run many
+    commands in one process. Callers must not modify it."""
     parser = _Parser(prog="qualdyn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -100,7 +100,8 @@ the solvers return the table's own array objects: tpr_fpr answers such an
 object from the table, with the bits its checked path gives for a copy.
 The tie test and the endpoint comparison are written once, in
 _halfspace_rule, which takes one state's rates or columns of many states'
-rates, so the multi-group scan resolves all its starts in one array pass.
+rates, so the multi-group scan resolves all its starts in one array pass
+and groups them by the table index that pass returns.
 """
 
 from __future__ import annotations
@@ -798,7 +799,9 @@ def _uniform_best_response(
 def _halfspace_rule(model: GaussianHalfspace, economy: EconomyConfig, groups, pis, tie_tol: float):
     """The joint halfspace response (module docstring) to pis, the two
     groups' rates: floats for one state, or equal-length arrays for many
-    states at once. Returns the model's table vector, or a list of them.
+    states at once. Returns the model's table vector; for arrays, the pair
+    (index, table), where table holds the three response vectors and state
+    i's response is table[index[i]].
 
     Every operation is elementwise IEEE arithmetic in one order, so each
     state gets the same vector whichever form its rates come in.
@@ -827,8 +830,7 @@ def _halfspace_rule(model: GaussianHalfspace, economy: EconomyConfig, groups, pi
     at_second = _utility_from_rates(economy, groups, ((1.0 - ang, ang), (1.0, 0.0)), pis)
     first = at_first >= at_second
     if isinstance(first, np.ndarray):
-        rules = (ends[0], ends[1], midpoint)
-        return [rules[i] for i in np.where(tied, 2, np.where(first, 0, 1)).tolist()]
+        return np.where(tied, 2, np.where(first, 0, 1)), (ends[0], ends[1], midpoint)
     return midpoint if tied else ends[0] if first else ends[1]
 
 

@@ -1,6 +1,7 @@
 """Closed forms, equilibrium scans, subsidy reports."""
 
 import copy
+import logging
 import math
 
 import numpy as np
@@ -895,10 +896,40 @@ def test_an_image_run_near_the_budget_is_not_inherited(max_iters, verdict):
     assert got == full_run_verdicts(economy, groups, model, starts, roomy)
 
 
+def start_rules(economy, groups, model, starts, config):
+    """Each start's rule, read from the scan's (index, table) pair."""
+    index, table = analysis._start_rules(economy, groups, model, starts, config)
+    assert len(index) == len(starts)
+    return [table[i] for i in index]
+
+
+def test_the_scan_logs_its_starts_and_the_ones_it_drops(caplog):
+    # Period-2 regime with a budget of 2 steps: no image run may be
+    # inherited, and every start off the cycle's corners runs out of steps.
+    economy, groups, model = verification._halfspace_scenario(1.0, 2.0)
+    config = DynamicsConfig(max_iters=2)
+    starts = analysis._multi_starts(2, 5)
+    want = full_run_verdicts(economy, groups, model, starts, config)
+    dropped = [s for s, v in zip(starts, want) if isinstance(v, NonConverged)]
+    assert len(dropped) == 20
+    quiet = find_equilibria_scan(economy, groups, model, grid=5, config=config)
+    assert not caplog.records  # silent at the default level
+    caplog.set_level(logging.DEBUG, logger="qualdyn.analysis")
+    assert find_equilibria_scan(economy, groups, model, grid=5, config=config) == quiet
+    (logged,) = caplog.records
+    assert logged.name == "qualdyn.analysis" and logged.levelno == logging.DEBUG
+    # starts, distinct rules, image runs, full runs, dropped, the first five
+    assert logged.args == (25, 3, 3, 25, 20, dropped[:5])
+    caplog.clear()
+    assert find_equilibria_scan(*verification._halfspace_scenario(2.0, 1.0), grid=5)
+    (logged,) = caplog.records
+    assert logged.args == (25, 3, 3, 0, 0, [])
+
+
 def test_the_unequal_halfspace_scan_meets_weight_ties():
     economy, groups, model = unequal_halfspace()
     starts = analysis._multi_starts(2, 21)
-    rules = analysis._start_rules(economy, groups, model, starts, DynamicsConfig())
+    rules = start_rules(economy, groups, model, starts, DynamicsConfig())
     ties = [s for s, rule in zip(starts, rules) if rule is model._arc[1]]
     assert (0.5, 0.0) in ties and (0.65, 0.1) in ties
     assert not any(a == b for a, b in ties)  # weight ties, off the diagonal
@@ -939,8 +970,7 @@ def test_array_rules_are_the_per_start_rules(angle, wage, payoff_tp, cost_fp, n1
             if 0.0 <= pi2 <= 1.0:
                 starts.append((pi1, pi2))
     config = DynamicsConfig()
-    rules = analysis._start_rules(economy, groups, model, starts, config)
-    assert len(rules) == len(starts)
+    rules = start_rules(economy, groups, model, starts, config)
     for rates, rule in zip(starts, rules):
         state = QualificationState(ids=("a", "b"), rates=rates)
         want = dynamics._rule(

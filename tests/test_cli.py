@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qualdyn import ConfigurationError, features
-from qualdyn.cli import load_scenario, main, scenario_from_config, scenario_to_config
+from qualdyn.cli import build_parser, load_scenario, main, scenario_from_config, scenario_to_config
 
 
 def uniform_scenario(**overrides):
@@ -541,6 +541,35 @@ GOLDEN_RUNS = [
 def test_run_prints_the_golden_trace(capsys, scenario, extra, expected):
     assert main(["run", "--config", str(GOLDEN / scenario), *extra]) == 0
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
+def test_repeated_main_calls_carry_no_state(capsys):
+    # main reuses one parser for every call in a process; no parse may leave
+    # an error, an option value or a subcommand behind for the next one.
+    assert build_parser() is build_parser()
+    assert main(["find", "--grid", "5"]) == 1
+    assert "qualdyn find: error:" in capsys.readouterr().err
+    assert main(["find", "--config", str(GOLDEN / "two_valley.json"), "--grid", "5"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "two_valley.find-grid5.txt").read_text()
+    # the default grid (21), not the 5 of the call before
+    assert main(["find", "--config", str(GOLDEN / "halfspace_pair.json")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "halfspace_pair.find.txt").read_text()
+    assert main(["run", "--config", str(GOLDEN / "uniform.json")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "uniform.run.jsonl").read_text()
+
+
+def test_find_logs_nothing_under_the_default_logging_config():
+    # The scan's DEBUG record stays off unless a caller enables it, whether
+    # or not the process has imported logging.
+    path = str(GOLDEN / "halfspace_cycle.json")
+    for prelude in ("", "import logging; "):
+        code = f"{prelude}import sys, qualdyn.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "find", "--config", path],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (GOLDEN / "halfspace_cycle.find.txt").read_text()
 
 
 def three_halfspace_scenario(**overrides):
