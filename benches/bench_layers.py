@@ -7,8 +7,9 @@ tie-break) -> population response -> `step` -> `iterate` ->
 of CASES names its layer, the call and a check on the call's result. The
 scenarios are the `verification` anchors of acceptance criteria 01
 (uniform thresholds), 05 (halfspaces), 07 (a score model) and 10 (two
-valleys); the CLI case runs `find` on tests/golden/uniform.json and checks
-its stdout against uniform.find.txt.
+valleys); the CLI cases run `find` on tests/golden/uniform.json and on
+tests/golden/score_anchor.json (at grid 101) and check their stdout against
+the golden files.
 
 The file name keeps it out of the default `test_*.py` collection, so the
 tier-1 run does not time it. Under pytest-benchmark it times every case
@@ -128,8 +129,10 @@ CASES = [
         lambda g: g[0] == 0.0 and g[-1] == 1.0 and g == sorted(g),
     ),
     Case(
+        # two cuts in turn, so that each call evaluates both and none is
+        # answered by the model's last-answer memo
         "score_tpr_fpr", "feature rates",
-        lambda: SCORE[2].tpr_fpr("g", 0.5),
+        lambda: [SCORE[2].tpr_fpr("g", theta) for theta in (0.25, 0.5)][-1],
         # 1 - I_0.5(5, 2) and 1 - I_0.5(2, 5)
         lambda r: abs(r[0] - 57 / 64) < 1e-12 and abs(r[1] - 7 / 64) < 1e-12,
     ),
@@ -240,6 +243,11 @@ CASES = [
         lambda: _cli("find", "--config", str(GOLDEN / "uniform.json")),
         lambda r: r == (0, (GOLDEN / "uniform.find.txt").read_text()),
     ),
+    Case(
+        "score_find", "cli",
+        lambda: _cli("find", "--config", str(GOLDEN / "score_anchor.json"), "--grid", "101"),
+        lambda r: r == (0, (GOLDEN / "score_anchor.find-grid101.txt").read_text()),
+    ),
 ]
 
 
@@ -279,9 +287,12 @@ def _weight(name: str, result) -> int:
 def counting(name: str, inner=False, during=None):
     """Count the calls of the function `name`, wrapped in every holder that
     has it, while the block runs; yields a one-item list with the count.
+    A dotted name, `Class.name`, counts that class of `features` alone.
     With `inner`, the function returns a function, whose calls are counted
     instead; with `during`, a call adds the growth of that other count
     while it runs."""
+    owner, _, name = name.rpartition(".")
+    holders = (getattr(features, owner),) if owner else HOLDERS
     tally = [0]
 
     def wrap(real):
@@ -298,7 +309,7 @@ def counting(name: str, inner=False, during=None):
 
         return counted
 
-    saved = [(holder, vars(holder)[name]) for holder in HOLDERS if name in vars(holder)]
+    saved = [(holder, vars(holder)[name]) for holder in holders if name in vars(holder)]
     for holder, real in saved:
         setattr(holder, name, wrap(real))
     try:
@@ -311,6 +322,7 @@ def counting(name: str, inner=False, during=None):
 # Each count in a case's record, and the function it counts.
 COUNTS = {
     "cdf_calls": "cdf",
+    "beta_cdf_calls": "BetaScore.cdf",
     "tpr_fpr_calls": "tpr_fpr",
     "rates_grid_calls": "rates_grid",
     "best_responses": "institution_best_response",

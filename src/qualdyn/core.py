@@ -176,7 +176,7 @@ class QualificationState:
         if tuple(sorted(self.ids)) != self.ids:
             raise ParameterError("ids must be in canonical sorted order; use .of()")
         for gid, rate in zip(self.ids, self.rates):
-            if not (isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0):
+            if not (_is_finite_real(rate) and 0.0 <= rate <= 1.0):
                 raise ParameterError(f"rate for group {gid!r} outside [0, 1]: {rate!r}")
 
     @classmethod
@@ -219,11 +219,17 @@ def _utility_from_rates(economy: EconomyConfig, groups, rates, pis):
     arrays over a grid of parameters; either way the sum starts at 0.0 and adds
     the terms in group order, so scalar and grid utilities agree bit for bit.
     """
+    p, c = economy.payoff_tp, economy.cost_fp
+    return _weighted_utility(groups, [(p * tpr, c * fpr) for tpr, fpr in rates], pis)
+
+
+def _weighted_utility(groups, weighted, pis):
+    """_utility_from_rates from each group's (payoff_tp * TPR, cost_fp * FPR),
+    for callers that keep those products: the same operations in the same
+    order, so the same bits."""
     total = 0.0
-    for g, (tpr, fpr), pi in zip(groups, rates, pis):
-        total = total + g.proportion * (
-            economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
-        )
+    for g, (p_tpr, c_fpr), pi in zip(groups, weighted, pis):
+        total = total + g.proportion * (p_tpr * pi - c_fpr * (1.0 - pi))
     return total
 
 

@@ -19,9 +19,10 @@ state, which is what makes the downstream dynamics reproducible.
 
 UniformThreshold is solved in closed form, with no grid (grid_size does not
 apply to it), by the joint and the decoupled solver alike. U is linear in
-theta between the kinks {0, h_a, 1}, so it is evaluated at those alone; the
-first maximum wins, and a maximum U <= 0 means reject-all (1.0). A piece is
-flat when both its ends tie the maximum within the plateau slack below
+theta between the kinks {0, h_a, 1}, so it is evaluated at those alone,
+from rates the model reads once (see Caches below); the first maximum
+wins, and a maximum U <= 0 means reject-all (1.0). A piece is flat when
+both its ends tie the maximum within the plateau slack below
 (_PLATEAU_RTOL times the size of U's terms at the winner). The flat pieces
 around the winner form a stretch [L, R], resolved by the plateau rule
 below, with the kinks in [L, R] as breakpoints; with none, the winner comes
@@ -32,9 +33,8 @@ is beta, are h_a beta / w and 1 - (1 - h_a) beta / w.
 ScoreModel is solved on a grid, in order:
 
 * Grid. Utility is evaluated on `grid_size` evenly spaced cut points over
-  [0, 1] (DEFAULT_GRID = 2001, step 5e-4). Each model caches its TPR/FPR
-  table per grid size, since the rates never depend on the state. Among
-  equal grid maxima `np.argmax` takes the first.
+  [0, 1] (DEFAULT_GRID = 2001, step 5e-4), from the weighted grid table
+  (see Caches below). Among equal grid maxima `np.argmax` takes the first.
 * Reject-all. If no grid point earns a positive utility the answer is 1.0,
   where utility is exactly 0.
 * Plateau. If neighbouring grid points tie the maximum within
@@ -64,6 +64,32 @@ is then within the rates' rounding of its own changes: the first-order root
 can compute no higher than the grid point and lose the strict-improvement
 test, and a maximum that is positive only between grid points is never
 seen, so the answer is reject-all (tests/test_features.py pins both).
+
+Caches. Rates that never depend on the state are read once per model, and
+a cut's rates once per answer. Each cache is a dict on the frozen model,
+filled on the first solve that needs it (never at construction). The
+tables are filled with `setdefault`, so threads that race on one all read
+the one stored entry, and their arrays are read-only; the memo replaces
+one immutable tuple whole, so a racing thread reads a whole entry. Every
+answer is the bits the uncached computation gives.
+
+* ScoreModel's grid table, per grid size: the theta grid and each group's
+  (TPR, FPR) on it. Beside it, per (grid size, payoff_tp, cost_fp), each
+  group's weighted rates (payoff_tp * TPR, cost_fp * FPR), from which the
+  grid utility is formed by core._weighted_utility with the products
+  _utility_from_rates would form, in the same order.
+* ScoreModel's last-answer memo: tpr_fpr keeps, per group, the last cut
+  it computed and that cut's rates, as one (theta, sign of theta, rates)
+  tuple. A call with the same float, sign of zero included, is answered
+  from it. So the best response's gain check, the population response, the
+  trace utility and Phi's response, which all read the returned cut, share
+  one pair of score-CDF evaluations.
+* UniformThreshold's kink table, per tuple of group ids (the joint
+  groups, or one group for a decoupled call): the sorted kinks {0, h_a, 1}
+  and each group's (TPR, FPR) at each of them.
+
+The refinement also binds each group's two score densities once per best
+response (_utility_slope).
 
 The bound the equilibrium scan relies on: at a smooth interior maximum
 the cut point is the first-order root up to the rounding of dU/dtheta, a
@@ -125,7 +151,7 @@ from .core import (
     _number,
     _numbers,
     _utility_from_rates,
-    institutional_utility,
+    _weighted_utility,
     response_rate,
 )
 from .costs import _knots_from_config
@@ -173,6 +199,9 @@ class BetaScore:
 
         object.__setattr__(self, "_ln_b", float(special.betaln(self.alpha, self.beta)))
         object.__setattr__(self, "_betainc", special.betainc)
+        # the density's exponents, alpha - 1 and beta - 1, formed once
+        object.__setattr__(self, "_am1", self.alpha - 1.0)
+        object.__setattr__(self, "_bm1", self.beta - 1.0)
 
     def cdf(self, x):
         if type(x) is float and 0.0 <= x <= 1.0:
@@ -187,17 +216,16 @@ class BetaScore:
         log_f = 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             if a != 1.0:
-                log_f = (a - 1.0) * np.log(x)
+                log_f = self._am1 * np.log(x)
             if b != 1.0:
-                log_f = log_f + (b - 1.0) * np.log1p(-x)
+                log_f = log_f + self._bm1 * np.log1p(-x)
             out = np.exp(log_f - self._ln_b)
         return np.where((x < 0.0) | (x > 1.0), 0.0, out)
 
     def slope(self, x: float) -> float:
         """dF/dx at a scalar score: the density, by `math` inside (0, 1)."""
         if 0.0 < x < 1.0:
-            a, b = self.alpha, self.beta
-            return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - self._ln_b)
+            return math.exp(self._am1 * math.log(x) + self._bm1 * math.log1p(-x) - self._ln_b)
         return float(self.pdf(x))
 
     def to_config(self) -> dict:
@@ -311,6 +339,7 @@ class UniformThreshold:
 
         if not _group_table(self, "thresholds", threshold):
             raise ParameterError("at least one group threshold is required")
+        object.__setattr__(self, "_kink_cache", {})
 
     def threshold(self, group: str) -> float:
         return _lookup(self._table, group, "threshold")
@@ -505,23 +534,26 @@ class ScoreModel:
         if not _group_table(self, "curves", scores):
             raise ParameterError("at least one group is required")
         object.__setattr__(self, "_grid_cache", {})
+        object.__setattr__(self, "_weighted_cache", {})
+        object.__setattr__(self, "_last", {})
 
     def scores(self, group: str) -> GroupScores:
         return _lookup(self._table, group, "score curves")
 
     def tpr_fpr(self, group: str, theta: float) -> tuple[float, float]:
         theta = _check_unit_interval(theta)
+        sign = math.copysign(1.0, theta)
+        last = self._last.get(group)
+        if last is not None and last[0] == theta and last[1] == sign:
+            return last[2]
         gs = self.scores(group)
-        return 1.0 - float(gs.y1.cdf(theta)), 1.0 - float(gs.y0.cdf(theta))
+        rates = 1.0 - float(gs.y1.cdf(theta)), 1.0 - float(gs.y0.cdf(theta))
+        self._last[group] = (theta, sign, rates)
+        return rates
 
     def rates_grid(self, group: str, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gs = self.scores(group)
         return 1.0 - np.asarray(gs.y1.cdf(thetas)), 1.0 - np.asarray(gs.y0.cdf(thetas))
-
-    def rate_slopes(self, group: str, theta: float) -> tuple[float, float]:
-        """(dTPR/dtheta, dFPR/dtheta) = (-f1(theta), -f0(theta))."""
-        gs = self.scores(group)
-        return -gs.y1.slope(theta), -gs.y0.slope(theta)
 
     def to_config(self) -> dict:
         groups = {g: {"y1": gs.y1.to_config(), "y0": gs.y0.to_config()} for g, gs in self.curves}
@@ -561,18 +593,47 @@ def _grid_rates(model, grid_size: int):
     return table
 
 
+def _weighted_grid_rates(model, economy: EconomyConfig, grid_size: int) -> dict:
+    """Each group's (payoff_tp * TPR, cost_fp * FPR) on the grid of
+    _grid_rates, cached on the model per grid size and payoff pair."""
+    key = (grid_size, economy.payoff_tp, economy.cost_fp)
+    table = model._weighted_cache.get(key)
+    if table is None:
+        weighted = {}
+        for gid, (tpr, fpr) in _grid_rates(model, grid_size)[1].items():
+            p_tpr, c_fpr = economy.payoff_tp * tpr, economy.cost_fp * fpr
+            p_tpr.flags.writeable = c_fpr.flags.writeable = False
+            weighted[gid] = (p_tpr, c_fpr)
+        table = model._weighted_cache.setdefault(key, weighted)
+    return table
+
+
+def _kink_rates(model: UniformThreshold, ids: tuple[str, ...]):
+    """The sorted kinks {0, h_a, 1} of the groups `ids` and, at each kink,
+    each group's (TPR, FPR) in ids order, cached on the model per ids."""
+    table = model._kink_cache.get(ids)
+    if table is None:
+        kinks = tuple(sorted({0.0, 1.0, *(model.threshold(gid) for gid in ids)}))
+        rates = tuple(tuple(model.tpr_fpr(gid, k) for gid in ids) for k in kinks)
+        table = model._kink_cache.setdefault(ids, (kinks, rates))
+    return table
+
+
 def _utility_slope(model, economy, groups, state):
-    """dU/dtheta = sum_a n_a (p pi_a TPR_a' - c (1 - pi_a) FPR_a'), as a function."""
-    terms = [
-        (g.id, g.proportion * economy.payoff_tp * pi, g.proportion * economy.cost_fp * (1.0 - pi))
-        for g, pi in zip(groups, state.rates)
-    ]
+    """dU/dtheta = sum_a n_a (p pi_a TPR_a' - c (1 - pi_a) FPR_a'), as a
+    function, where TPR_a' = -f1_a and FPR_a' = -f0_a are the score
+    densities, each group's bound once."""
+    terms = []
+    for g, pi in zip(groups, state.rates):
+        gs = model.scores(g.id)
+        w_tp = g.proportion * economy.payoff_tp * pi
+        w_fp = g.proportion * economy.cost_fp * (1.0 - pi)
+        terms.append((gs.y1.slope, gs.y0.slope, w_tp, w_fp))
 
     def slope(theta: float) -> float:
         total = 0.0
-        for gid, w_tp, w_fp in terms:
-            dtpr, dfpr = model.rate_slopes(gid, theta)
-            total += w_tp * dtpr - w_fp * dfpr
+        for f1, f0, w_tp, w_fp in terms:
+            total += w_tp * -f1(theta) - w_fp * -f0(theta)
         return total
 
     return slope
@@ -725,7 +786,8 @@ def _scalar_best_response(
     if isinstance(model, UniformThreshold):
         return _uniform_best_response(model, economy, groups, state)
     thetas, rates = _grid_rates(model, grid_size)
-    util = _utility_from_rates(economy, groups, [rates[g.id] for g in groups], state.rates)
+    weighted = _weighted_grid_rates(model, economy, grid_size)
+    util = _weighted_utility(groups, [weighted[g.id] for g in groups], state.rates)
     i_best = int(np.argmax(util))
     u_max = float(util[i_best])
     if u_max <= 0.0:
@@ -745,7 +807,8 @@ def _scalar_best_response(
         a = float(thetas[max(i_best - 1, 0)])
         b = float(thetas[min(i_best + 1, grid_size - 1)])
         refined = _slope_turn(_utility_slope(model, economy, groups, state), a, b)
-        gain = institutional_utility(economy, groups, model, refined, state) - u_max
+        at_refined = [model.tpr_fpr(g.id, refined) for g in groups]
+        gain = _utility_from_rates(economy, groups, at_refined, state.rates) - u_max
         if gain > slack:
             return refined
         return float(thetas[i_best])
@@ -772,8 +835,7 @@ def _uniform_best_response(
     """The uniform family's best response in closed form (see the module
     docstring): U is linear between the kinks {0, h_a, 1}, so it is read at
     those alone."""
-    kinks = sorted({0.0, 1.0, *(model.threshold(g.id) for g in groups)})
-    rates = [[model.tpr_fpr(g.id, k) for g in groups] for k in kinks]
+    kinks, rates = _kink_rates(model, tuple(g.id for g in groups))
     util = [_utility_from_rates(economy, groups, r, state.rates) for r in rates]
     i_best = util.index(max(util))
     u_max = util[i_best]
@@ -793,7 +855,7 @@ def _uniform_best_response(
         beta = _slope_turn(lambda x: pi - g.cost.cdf(x), 0.0, top)
         h = model.threshold(g.id)
         cuts += [h * beta / w, 1.0 - (1.0 - h) * beta / w]
-    return _plateau_point(model, economy, groups, state, kinks[lo_i:hi_i + 1], cuts)
+    return _plateau_point(model, economy, groups, state, list(kinks[lo_i:hi_i + 1]), cuts)
 
 
 def _halfspace_rule(model: GaussianHalfspace, economy: EconomyConfig, groups, pis, tie_tol: float):

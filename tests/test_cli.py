@@ -517,6 +517,7 @@ GOLDEN_FINDS = [
     ("halfspace_cycle.json", [], "halfspace_cycle.find.txt"),
     ("two_valley.json", ["--grid", "5"], "two_valley.find-grid5.txt"),
     ("uniform_three.json", [], "uniform_three.find.txt"),
+    ("score_anchor.json", ["--grid", "101"], "score_anchor.find-grid101.txt"),
 ]
 
 
@@ -528,18 +529,21 @@ def test_find_prints_the_golden_output(capsys, scenario, extra, expected):
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
 
 
-# `run` on reference scenarios, byte for byte: the JSONL trace and its summary.
+# `run` on reference scenarios, byte for byte: the JSONL trace, its summary
+# and the exit code. The score anchor's run from 0.5 is a 500-step
+# NonConverged orbit (exit code 2), so any moved ulp in the solver shows.
 GOLDEN_RUNS = [
-    ("uniform.json", [], "uniform.run.jsonl"),
-    ("halfspace_cycle.json", ["--init", "0.7,0.2"], "halfspace_cycle.run-init.jsonl"),
+    ("uniform.json", [], "uniform.run.jsonl", 0),
+    ("halfspace_cycle.json", ["--init", "0.7,0.2"], "halfspace_cycle.run-init.jsonl", 0),
+    ("score_anchor.json", [], "score_anchor.run.jsonl", 2),
 ]
 
 
 @pytest.mark.parametrize(
-    "scenario, extra, expected", GOLDEN_RUNS, ids=[case[2] for case in GOLDEN_RUNS]
+    "scenario, extra, expected, code", GOLDEN_RUNS, ids=[case[2] for case in GOLDEN_RUNS]
 )
-def test_run_prints_the_golden_trace(capsys, scenario, extra, expected):
-    assert main(["run", "--config", str(GOLDEN / scenario), *extra]) == 0
+def test_run_prints_the_golden_trace(capsys, scenario, extra, expected, code):
+    assert main(["run", "--config", str(GOLDEN / scenario), *extra]) == code
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
 
 

@@ -49,6 +49,15 @@ def test_state_rejects_out_of_range_rates():
         QualificationState.of({"a": -0.01})
 
 
+def test_state_rejects_bool_and_non_numeric_rates():
+    # isinstance takes a bool for an int, so a True rate used to pass and
+    # reach the trace as `"pi": {"g": true}`.
+    for bad in (True, False, "0.5", None, math.nan):
+        with pytest.raises(ParameterError):
+            QualificationState(ids=("g",), rates=(bad,))
+    assert QualificationState(ids=("g",), rates=(1,)).rates == (1,)
+
+
 def test_state_unknown_group():
     state = QualificationState.of({"a": 0.5})
     with pytest.raises(ConfigurationError):

@@ -1,6 +1,7 @@
 """Feature models and the institution's best response."""
 
 import copy
+import itertools
 import json
 import math
 import sys
@@ -616,15 +617,19 @@ def test_one_group_beta_best_response_matches_likelihood_ratio_condition(payoff_
 
 
 def test_cached_grid_utility_equals_the_uncached_one_bit_for_bit():
-    # One kernel serves the grid, a scalar theta, a group->theta mapping and
-    # the halfspace arc endpoints, so every path gives the same bits.
+    # One kernel serves the grid, the grid from the model's cached weighted
+    # rates, a scalar theta, a group->theta mapping and the halfspace arc
+    # endpoints, so every path gives the same bits. The second economy's
+    # payoffs are not powers of two, so a weighted product formed in another
+    # order would round differently.
     economy, groups, uniform = uniform_reference()
     cases = [
         (uniform, groups, (0.6, 0.3)),
         (steep_scores(), (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),), (0.37,)),
         (empirical_scores(), (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),), (0.81,)),
     ]
-    for model, grps, rates in cases:
+    economies = (economy, EconomyConfig(wage=0.6, payoff_tp=1.3, cost_fp=0.7))
+    for (model, grps, rates), econ in itertools.product(cases, economies):
         state = QualificationState(ids=tuple(g.id for g in grps), rates=rates)
         for grid_size in (101, 2001):
             thetas = np.linspace(0.0, 1.0, grid_size)
@@ -632,27 +637,32 @@ def test_cached_grid_utility_equals_the_uncached_one_bit_for_bit():
             for g, pi in zip(grps, rates):
                 tpr, fpr = model.rates_grid(g.id, thetas)
                 expected += g.proportion * (
-                    economy.payoff_tp * tpr * pi - economy.cost_fp * fpr * (1.0 - pi)
+                    econ.payoff_tp * tpr * pi - econ.cost_fp * fpr * (1.0 - pi)
                 )
             for _ in range(2):  # the first call fills the cache, the second reads it
                 if model is uniform:
                     # The uniform solver reads U at its kinks and keeps no grid
                     # table, so its grid runs through the kernel directly.
                     got_thetas, util = thetas, core._utility_from_rates(
-                        economy, grps, [model.rates_grid(g.id, thetas) for g in grps], rates
+                        econ, grps, [model.rates_grid(g.id, thetas) for g in grps], rates
                     )
                 else:
                     got_thetas, table = features._grid_rates(model, grid_size)
                     util = core._utility_from_rates(
-                        economy, grps, [table[g.id] for g in grps], rates
+                        econ, grps, [table[g.id] for g in grps], rates
+                    )
+                    weighted = features._weighted_grid_rates(model, econ, grid_size)
+                    assert np.array_equal(
+                        core._weighted_utility(grps, [weighted[g.id] for g in grps], rates),
+                        expected,
                     )
                 assert np.array_equal(got_thetas, thetas)
                 assert np.array_equal(util, expected)
             for i in (0, grid_size // 3, grid_size // 2, grid_size - 1):
                 theta = float(thetas[i])
-                assert institutional_utility(economy, grps, model, theta, state) == util[i]
+                assert institutional_utility(econ, grps, model, theta, state) == util[i]
                 shared = {g.id: theta for g in grps}
-                assert institutional_utility(economy, grps, model, shared, state) == util[i]
+                assert institutional_utility(econ, grps, model, shared, state) == util[i]
 
     state = QualificationState(ids=("a1", "a2"), rates=(0.6, 0.3))
     per_group = {"a1": 0.3, "a2": 0.7}
@@ -699,6 +709,78 @@ def test_grid_tables_are_per_model_and_per_grid_size():
         assert institution_best_response(
             model, economy, group, state, grid_size=grid_size
         ) == institution_best_response(steep_scores(), economy, group, state, grid_size=grid_size)
+
+
+def test_kink_table_equals_per_call_rates():
+    # The uniform solver reads its kinks and their rates from a table built
+    # once per group-id tuple, for joint (several ids) and decoupled (one
+    # id) calls alike; each entry must carry a fresh tpr_fpr's bits.
+    thresholds = (("a1", 0.4123456789), ("a2", 0.8), ("a3", 0.4123456789))
+    model = UniformThreshold(thresholds)
+    fresh = UniformThreshold(thresholds)
+    for ids in (("a1", "a2", "a3"), ("a1", "a2"), ("a2", "a3"), ("a1",), ("a2",), ("a3",)):
+        table = features._kink_rates(model, ids)
+        assert features._kink_rates(model, ids) is table  # built once
+        kinks, rates = table
+        assert kinks == tuple(sorted({0.0, 1.0, *(fresh.threshold(g) for g in ids)}))
+        assert len(rates) == len(kinks)
+        for kink, row in zip(kinks, rates):
+            assert [x.hex() for r in row for x in r] == [
+                x.hex() for g in ids for x in fresh.tpr_fpr(g, kink)
+            ]
+    # and a best response from the table is the one from a fresh model
+    economy, groups, _ = uniform_reference()
+    two = UniformThreshold((("a1", 0.4123456789), ("a2", 0.8)))
+    for rates in ((0.6, 0.3), (0.2, 0.6), (0.0, 0.0), (1.0, 1.0)):
+        state = QualificationState(ids=("a1", "a2"), rates=rates)
+        for _ in range(2):
+            assert institution_best_response(two, economy, groups, state).hex() == (
+                institution_best_response(
+                    UniformThreshold(two.thresholds), economy, groups, state
+                ).hex()
+            )
+
+
+class _SignedScore:
+    """A score curve whose CDF tells -0.0 from 0.0, so an answer read from
+    the wrong side of zero shows in the rates."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def cdf(self, x):
+        return self.scale * x if math.copysign(1.0, x) > 0 else 0.5 * self.scale
+
+
+_MEMO_CURVES = (
+    ("a", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),
+    ("b", GroupScores(y1=_SignedScore(0.9), y0=_SignedScore(0.3))),
+    ("c", empirical_scores().scores("g")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("a", "b", "c")),
+            st.one_of(
+                st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0)),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+        ),
+        min_size=1,
+        max_size=40,
+    ).flatmap(lambda calls: st.permutations(calls + calls))
+)
+def test_rates_memo_matches_a_fresh_model(calls):
+    # Every call, repeated or not, interleaved across groups, gives the bits
+    # of the same call on a model that has answered nothing before.
+    model = ScoreModel(_MEMO_CURVES)
+    for gid, theta in calls:
+        got = model.tpr_fpr(gid, theta)
+        want = ScoreModel(_MEMO_CURVES).tpr_fpr(gid, theta)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (gid, theta)
 
 
 @pytest.mark.parametrize("h1", [0.4, 0.4123456789])
@@ -1058,19 +1140,30 @@ def test_plateau_cost_inversion_bisects_where_the_cdf_rounds_to_one():
 
 
 def test_grid_table_fill_is_safe_under_threads():
-    # More threads than cores race on an empty cache with a short switch
-    # interval; every one must get the single stored table and the same answer.
+    # More threads than cores race on empty caches with a short switch
+    # interval; every one must get the single stored table and the same
+    # answer, and the last-answer memo, read and replaced by all of them at
+    # cuts of their own, must give each the bits a fresh model gives.
     model = steep_scores()
-    economy = EconomyConfig(wage=1.0)
+    uniform = UniformThreshold((("a1", 0.4), ("a2", 0.8)))
+    economy = EconomyConfig(wage=1.0, payoff_tp=1.3, cost_fp=0.7)
     group = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
     state = QualificationState(ids=("g",), rates=(0.42,))
-    tables, thetas = [], []
+    cuts = [i / 16 for i in range(17)]
+    fresh = {cut: steep_scores().tpr_fpr("g", cut) for cut in cuts}
+    tables, weighted, kinks, thetas, wrong = [], [], [], [], []
     barrier = threading.Barrier(8)
 
     def work():
         barrier.wait(timeout=10)
         tables.append(features._grid_rates(model, 2001)[1])
+        weighted.append(features._weighted_grid_rates(model, economy, 2001))
+        kinks.append(features._kink_rates(uniform, ("a1", "a2")))
         thetas.append(institution_best_response(model, economy, group, state))
+        mine = cuts[len(thetas) % 4::4]
+        for cut in mine * 3:
+            if model.tpr_fpr("g", cut) != fresh[cut]:
+                wrong.append(cut)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1084,5 +1177,9 @@ def test_grid_table_fill_is_safe_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(tables) == 8 and all(t is tables[0] for t in tables)
+    assert all(w is weighted[0] for w in weighted) and all(k is kinks[0] for k in kinks)
     assert list(model._grid_cache) == [2001]
+    assert list(model._weighted_cache) == [(2001, 1.3, 0.7)]
+    assert list(uniform._kink_cache) == [("a1", "a2")]
     assert len(set(thetas)) == 1
+    assert wrong == []
