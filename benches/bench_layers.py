@@ -21,10 +21,13 @@ Run as a script, it runs every case once under the call counters, prints
 the counts as JSON, and exits non-zero if a check fails. The counts do not
 depend on the machine. Three distributions follow the cases' counts: slope
 calls per refinement over 2000 seeded states on the score and two-valley
-anchors, Phi evaluations per one-group scan of the score anchor at grid
-101 and per root inside it, and cost-CDF calls per best response at the
-h_mid states of 200 seeded uniform scenarios. Point PYTHONPATH at another
-checkout's src to count that version:
+anchors; for the one-group scan of the score anchor at grid 101, its Phi
+evaluations, its root searches on Phi and the Phi evaluations in each, and
+its root searches on the theta-curve's h (after the curve's one array pass
+over the grid's interior) and the h evaluations in each; and cost-CDF
+calls per best response at the h_mid states of 200 seeded uniform
+scenarios. Point PYTHONPATH at another checkout's src to count that version
+(a version without the theta-curve makes no curve searches):
 
     PYTHONPATH=src python benches/bench_layers.py
 """
@@ -382,6 +385,35 @@ def _plateau_responses(draws=200, seed=0):
             yield lambda s=(model, economy, groups, mid): features.institution_best_response(*s)
 
 
+@contextlib.contextmanager
+def root_searches(phi):
+    """Each `analysis._scan_root` search made while the block runs, as a
+    pair: the evaluations of the function it narrows, and how many of them
+    were Phi evaluations (phi is the tally of a `_phi_single` count). A
+    search on the theta-curve's scalar h makes none."""
+    searches = []
+    real = analysis._scan_root
+
+    def counted(f, *args):
+        record = [0, phi[0]]
+        searches.append(record)
+
+        def evaluated(x):
+            record[0] += 1
+            return f(x)
+
+        try:
+            return real(evaluated, *args)
+        finally:
+            record[1] = phi[0] - record[1]
+
+    analysis._scan_root = counted
+    try:
+        yield searches
+    finally:
+        analysis._scan_root = real
+
+
 def distributions() -> dict:
     rng = random.Random(0)
     score = [_at(SCORE, rng.random()) for _ in range(2000)]
@@ -390,16 +422,21 @@ def distributions() -> dict:
         "score_anchor": [lambda s=s: _best_response(SCORE, s) for s in score],
         "sweep_anchor": [lambda s=s: _best_response(TWO_VALLEY, s, grid_size=401) for s in sweep],
     }
-    with counting("_phi_single", inner=True) as phi, counting("_scan_root") as searches:
-        with counting("_scan_root", during=phi) as in_root:
-            analysis.find_equilibria_scan(*SCORE, grid=101)
+    with counting("_phi_single", inner=True) as phi, root_searches(phi) as searches:
+        analysis.find_equilibria_scan(*SCORE, grid=101)
+    on_phi = [evals for evals, phi_evals in searches if phi_evals]
+    on_curve = [evals for evals, phi_evals in searches if not phi_evals]
     return {
         "slope_calls_per_refinement": {
             anchor: _summary(_per_call("_utility_slope", calls, inner=True))
             for anchor, calls in slope.items()
         },
         "phi_evals": {
-            "per_scan": phi[0], "searches": searches[0], "per_root": in_root[0] / searches[0],
+            "per_scan": phi[0],
+            "searches": len(on_phi),
+            "per_root": statistics.fmean(on_phi) if on_phi else None,
+            "curve_searches": len(on_curve),
+            "curve_evals_per_root": statistics.fmean(on_curve) if on_curve else None,
         },
         "cdf_calls_per_plateau_response": _summary(_per_call("cdf", _plateau_responses())),
     }

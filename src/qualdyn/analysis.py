@@ -50,7 +50,9 @@ from .errors import (
     PreconditionError,
 )
 from .features import (
+    BetaScore,
     GaussianHalfspace,
+    ScoreModel,
     _check_alignment,
     _halfspace_rule,
     _sign_change,
@@ -354,8 +356,11 @@ def beta_of_pi(
 ) -> BetaOfPi:
     """Sample beta(pi) for a single-group scalar feature model.
 
-    The institution's best response needs a cost model only to break exact
-    utility ties; the default uniform cost is used when none is given.
+    grid_size is the number of pi samples, evenly spaced over [0, 1]; each
+    sample's best response is solved on the solver's own theta grid,
+    features.DEFAULT_GRID points, whatever grid_size is. The institution's
+    best response needs a cost model only to break exact utility ties; the
+    default uniform cost is used when none is given.
     """
     ids = tuple(model.group_ids)
     if len(ids) != 1:
@@ -422,13 +427,58 @@ def find_equilibria_scan(
     `grid` is the number of scan points per axis, at least 2; None takes
     401 for one group and 21 for several.
 
-    One group: locate sign changes of Phi(pi) - pi on a grid, narrow each
-    to adjacent floats with the safeguarded secant search that the best
-    response uses (`features._sign_change`), and drop any candidate whose
-    fixed-point residual exceeds 1e-6 (a sign change is as often a jump of
-    the piecewise map as a true root; the residual tells them apart). Both
+    One group: the equilibria are the roots of Phi(pi) - pi, where Phi(pi)
+    is the population's response to the institution's best response at pi.
+    Their candidates come from one of two paths:
+    - The theta-curve serves a ScoreModel whose group's two score classes
+      are both BetaScore with y1.alpha > y0.alpha and y1.beta < y0.beta
+      (a strict monotone likelihood ratio, MLR). There the best response to
+      pi is the root of the first-order condition, which inverts to
+      pi_inst(theta) = c f0 / (p f1 + c f0), so Phi(pi) - pi = h(theta) =
+      G(w (TPR - FPR)(theta)) - pi_inst(theta) at pi = pi_inst(theta). h is
+      read on the interior points of `grid` evenly spaced cuts in one array
+      pass, and no best response is solved for them: `grid` counts theta
+      points here. Each sign change is narrowed on the scalar h, and its
+      candidate is the population's response at the root. pi_inst falls
+      from 1 to 0 across (0, 1) only when both inequalities are strict (with
+      y1.alpha = y0.alpha, say, a fixed point at a corner such as pi = G(0)
+      under a subsidy shift is off the curve), and it is 0/0 where both
+      densities underflow; such models take the Phi grid, as does grid = 2.
+      The two end steps of the curve, where the densities vanish, are
+      searched on Phi itself over the span of pi they cover, as the Phi grid
+      searches its steps, since near pi = 0 the solver's grid may see no
+      positive utility and reject everyone, off the curve.
+    - The Phi grid serves every other model (empirical scores, non-MLR or
+      weakly MLR Beta pairs, uniform thresholds): Phi(pi) - pi is read at
+      `grid` evenly spaced rates, so `grid` counts pi points here, and each
+      sign change is narrowed on Phi.
+    Narrowing is to adjacent floats, by the safeguarded secant search that
+    the best response uses (`features._sign_change`). On both paths pi = 0
+    and pi = 1 are candidates when |Phi(pi) - pi| <= fix_tol; when Phi(0) =
+    0 gives no sign, the search starts from a probe at pi = 1e-6 and looks
+    no lower. From the candidates on, both paths are one: any candidate
+    whose residual |Phi(pi) - pi| exceeds 1e-6 is dropped (a sign change is
+    as often a jump of the piecewise map as a true root; the residual tells
+    them apart), candidates within 10 * fix_tol are merged, and both
     stability tests are attached: the finite-difference |Phi'| < 1 check
     and basin probing, with basin probing authoritative.
+
+    The precision contract between the two paths, which
+    tests/test_analysis.py checks over drawn strict-MLR scenarios: wherever
+    both grids see every root, the theta-curve's records match the Phi
+    grid's in count, labels and stability, with states within fix_tol of
+    each other, and each assessed record's one-step residual |Phi(pi) - pi|
+    is at most fix_tol. It is of order 1e-15: the candidate is the
+    population's response at the curve's root, and the solver's answer
+    there is that root up to the rounding of its first-order condition (see
+    `features`). Neither grid sees two roots inside one of its steps, and
+    the other may. A record's theta is the solver's answer at its pi, so it
+    agrees within fix_tol too, except near pi = 0, where between states
+    closer than fix_tol the solver may swing from reject-all to an interior
+    cut or snap to its own grid. A near-root whose residual lies between
+    fix_tol and 1e-6 (a jump of the solver's map) is reported NotAssessed by
+    both paths. On the score anchor the two paths print the same records
+    but for the residual column.
 
     Several groups: run the dynamics from every grid start, cluster the
     verdicts within 10 * fix_tol, and keep each cluster's smallest-residual
@@ -501,35 +551,26 @@ def _scan_one_group(
     economy, group, model, grid: int, config: DynamicsConfig, seed: int
 ) -> tuple[EquilibriumRecord, ...]:
     phi = _phi_single(economy, group, model, config.theta_grid)
-    xs = np.linspace(0.0, 1.0, grid)
-    resp = np.array([phi(x)[0] for x in xs])
-    psi = resp - xs
 
-    roots: list[float] = []
-    for x, r in ((0.0, psi[0]), (1.0, psi[-1])):
-        if abs(r) <= config.fix_tol:
-            roots.append(x)
-    if psi[0] == 0.0:
-        # The trivial root psi(0) = 0 carries no sign, which would hide a
-        # root inside the first grid step; a probe just above 0 (below it a
-        # rate counts as the trivial equilibrium anyway) supplies the sign.
-        xs[0] = _NONZERO_TOL
-        psi[0] = phi(_NONZERO_TOL)[0] - _NONZERO_TOL
-    for i in range(grid - 1):
-        if psi[i] == 0.0 and 0.0 < xs[i] < 1.0:
-            roots.append(float(xs[i]))
-        elif psi[i] * psi[i + 1] < 0.0:
-            roots.append(
-                _scan_root(
-                    lambda x: phi(x)[0] - x,
-                    float(xs[i]), float(xs[i + 1]), float(psi[i]), float(psi[i + 1]),
-                )
-            )
+    def psi(x: float) -> float:
+        return phi(x)[0] - x
 
-    # Deduplicate, then keep only candidates that really are fixed points.
+    ends = (psi(0.0), psi(1.0))
+    roots = [x for x, r in zip((0.0, 1.0), ends) if abs(r) <= config.fix_tol]
+    # The trivial root psi(0) = 0 carries no sign, which would hide a root
+    # just above it; a probe just above 0 (below it a rate counts as the
+    # trivial equilibrium anyway) supplies the sign, and neither path looks
+    # lower.
+    low = (0.0, ends[0]) if ends[0] != 0.0 else (_NONZERO_TOL, psi(_NONZERO_TOL))
+    inner = _theta_curve_roots(economy, group, model, grid, psi, low, ends[1])
+    if inner is None:
+        inner = _phi_grid_roots(psi, grid, low, ends[1])
+
+    # From here on both paths are one. Deduplicate, then keep only
+    # candidates that really are fixed points.
     radius = _DEDUP_FACTOR * config.fix_tol
     kept: list[tuple[float, float, float]] = []  # (x, residual, theta)
-    for x in sorted(roots):
+    for x in sorted(roots + inner):
         fx, th = phi(x)
         residual = abs(fx - x)
         if residual > _NONZERO_TOL:
@@ -569,6 +610,88 @@ def _scan_one_group(
             )
         )
     return tuple(records)
+
+
+def _phi_grid_roots(psi, grid: int, low, top: float) -> list[float]:
+    """The Phi grid's interior candidates: each sign change of psi(pi) =
+    Phi(pi) - pi on the grid narrowed by _scan_root, and the interior grid
+    points where it is exactly 0. low is the grid's first point and psi
+    there, 0 or the probe; top is psi(1)."""
+    xs = np.linspace(0.0, 1.0, grid)
+    xs[0] = low[0]
+    values = np.array([low[1], *(psi(x) for x in xs[1:-1].tolist()), top])
+    roots: list[float] = []
+    for i in range(grid - 1):
+        if values[i] == 0.0 and 0.0 < xs[i] < 1.0:
+            roots.append(float(xs[i]))
+        elif values[i] * values[i + 1] < 0.0:
+            roots.append(
+                _scan_root(
+                    psi, float(xs[i]), float(xs[i + 1]), float(values[i]), float(values[i + 1])
+                )
+            )
+    return roots
+
+
+def _theta_curve_roots(
+    economy, group, model, grid: int, psi, low, top: float
+) -> list[float] | None:
+    """The one-group scan's interior candidates from the theta-curve
+    (find_equilibria_scan), or None where the curve does not serve. psi is
+    Phi(pi) - pi, low the lowest rate searched and psi there, 0 or the
+    probe, and top is psi(1); psi(0) and psi(1) are h's limits at theta = 1
+    and 0.
+
+    The curve's points are its grid's interior cuts, those with pi_inst
+    above low, read in one array pass. Each sign change between them is
+    narrowed by _scan_root on the scalar h, and its candidate is the
+    population's response at the root; a point where h is exactly 0 gives
+    its own. The end spans, pi from low up to the last point's pi_inst and
+    from the first point's up to 1, are searched by _scan_root on psi, with
+    h at the point as that end's value.
+    """
+    if not isinstance(model, ScoreModel) or grid < 3:
+        return None
+    scores = model.scores(group.id)
+    y1, y0 = scores.y1, scores.y0
+    if not (
+        isinstance(y1, BetaScore) and isinstance(y0, BetaScore)
+        and y1.alpha > y0.alpha and y1.beta < y0.beta
+    ):
+        return None
+    p, c, w = economy.payoff_tp, economy.cost_fp, economy.wage
+    f1, f0 = y1.slope, y0.slope
+
+    def response(theta: float) -> float:
+        return response_rate(group.cost, w, *model.tpr_fpr(group.id, theta))
+
+    def h(theta: float) -> float:
+        d0 = f0(theta)
+        return response(theta) - c * d0 / (p * f1(theta) + c * d0)
+
+    thetas = np.linspace(0.0, 1.0, grid)[1:-1]
+    tpr, fpr = model.rates_grid(group.id, thetas)
+    d1, d0 = y1.pdf(thetas), y0.pdf(thetas)
+    with np.errstate(invalid="ignore"):
+        pis = c * d0 / (p * d1 + c * d0)
+    hs = [response_rate(group.cost, w, t, f) for t, f in zip(tpr.tolist(), fpr.tolist())]
+    hs = np.array(hs) - pis
+    if not np.isfinite(hs).all():
+        return None  # both densities underflow somewhere: pi_inst is 0/0
+    n = int(np.count_nonzero(pis > low[0]))  # pis falls along the curve
+    if n == 0:
+        return None  # the whole curve lies below the probe
+    thetas, hs, pis = thetas[:n].tolist(), hs[:n].tolist(), pis[:n].tolist()
+
+    roots = [response(t) for t, v in zip(thetas, hs) if v == 0.0]
+    for i in range(n - 1):
+        if hs[i] * hs[i + 1] < 0.0:
+            roots.append(response(_scan_root(h, thetas[i], thetas[i + 1], hs[i], hs[i + 1])))
+    # the end spans, searched on Phi as the Phi grid searches its steps
+    for a, fa, b, fb in ((*low, pis[-1], hs[-1]), (pis[0], hs[0], 1.0, top)):
+        if a < b and fa * fb < 0.0:
+            roots.append(_scan_root(psi, a, b, fa, fb))
+    return roots
 
 
 class _ExactZero(Exception):

@@ -164,7 +164,8 @@ class QualificationState:
     """Per-group qualification rates, held in canonical group order.
 
     Construct via QualificationState.of({"a1": 0.6, "a2": 0.3}); entries are
-    validated to lie in [0, 1].
+    validated to lie in [0, 1]. A rate given as another number type (an
+    int, a numpy float) is stored as a float, as .of() stores it.
     """
 
     ids: tuple[str, ...]
@@ -175,9 +176,15 @@ class QualificationState:
             raise ParameterError("ids and rates must have equal length")
         if tuple(sorted(self.ids)) != self.ids:
             raise ParameterError("ids must be in canonical sorted order; use .of()")
+        floats = True
         for gid, rate in zip(self.ids, self.rates):
+            if type(rate) is float and 0.0 <= rate <= 1.0:
+                continue  # finite, since it is in range
             if not (_is_finite_real(rate) and 0.0 <= rate <= 1.0):
                 raise ParameterError(f"rate for group {gid!r} outside [0, 1]: {rate!r}")
+            floats = False
+        if not floats:
+            object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
 
     @classmethod
     def of(cls, rates: Mapping[str, float]) -> "QualificationState":

@@ -1,8 +1,10 @@
 """Closed forms, equilibrium scans, subsidy reports."""
 
+import bisect
 import copy
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +39,9 @@ from qualdyn import (
     gaussian_closed_forms,
     iterate,
     near_realizability_bound,
+    response_rate,
     step,
+    subsidize,
     subsidy_equilibrium_shift,
     uniform_closed_forms,
 )
@@ -434,6 +438,136 @@ def test_halfspace_scan_meets_fix_tol_and_the_closed_forms(angle_deg, wage, rati
             and rec.state.sup_distance(want.state) <= 1e-9
             for rec in records
         ), want.label
+
+
+def _phi_grid_scan(economy, group, model, grid):
+    """find_equilibria_scan on the Phi grid, the path every one-group model
+    took before the theta-curve."""
+    with mock.patch.object(analysis, "_theta_curve_roots", lambda *args: None):
+        return find_equilibria_scan(economy, (group,), model, grid=grid)
+
+
+@st.composite
+def _mlr_beta_scans(draw):
+    """A one-group scan that the theta-curve serves: a strict-MLR Beta pair,
+    a truncated-normal cost, shifted by a subsidy in some draws, and a wage."""
+    a0, b1 = draw(st.floats(1.5, 4.0)), draw(st.floats(1.5, 4.0))
+    a1, b0 = a0 + draw(st.floats(0.5, 4.0)), b1 + draw(st.floats(0.5, 4.0))
+    cost = TruncatedNormal(mu=draw(st.floats(0.3, 0.8)), sigma=draw(st.floats(0.05, 0.25)))
+    shift = draw(st.none() | st.floats(0.0, 0.2))
+    if shift is not None:
+        cost = subsidize(cost, shift=shift)
+    model = ScoreModel({"g": GroupScores(y1=BetaScore(a1, b1), y0=BetaScore(a0, b0))})
+    group = GroupSpec(id="g", proportion=1.0, cost=cost)
+    return EconomyConfig(wage=draw(st.floats(0.6, 1.4))), group, model
+
+
+@pytest.mark.filterwarnings("ignore:stability tests disagree")
+@settings(max_examples=25, deadline=None)
+@given(_mlr_beta_scans())
+def test_theta_curve_records_match_the_phi_grid(scan):
+    # The precision contract in find_equilibria_scan's docstring. Each path
+    # brackets the sign changes on its own grid, so neither sees two roots
+    # inside one of its steps, where the other may: a record that only one
+    # path reports must sit in such a step of the other path's grid. Every
+    # other record matches: pi within fix_tol, the same stability, and theta,
+    # the solver's answer at pi, within fix_tol, or within one step of the
+    # solver's grid when one of the two is a grid point (where the
+    # refinement's gain test flips between states closer than fix_tol). A
+    # trivial record (pi <= 1e-6) has no theta bound: there the solver's
+    # answer swings from reject-all at pi = 0 to interior cuts within fix_tol
+    # of it. A record whose residual exceeds fix_tol is a near-root where the
+    # solver's map jumps by less than 1e-6; both paths report it NotAssessed,
+    # with pi within 1e-6.
+    economy, group, model = scan
+    grid, config = 101, DynamicsConfig()
+    tol, step_size = config.fix_tol, 1.0 / (config.theta_grid - 1)
+    curve = find_equilibria_scan(economy, (group,), model, grid=grid)
+    reference = _phi_grid_scan(economy, group, model, grid)
+
+    points = np.linspace(0.0, 1.0, grid).tolist()
+    phi = analysis._phi_single(economy, group, model, config.theta_grid)
+    y1, y0 = model.scores("g").y1, model.scores("g").y0
+
+    def psi(x):
+        return phi(x)[0] - x
+
+    def h(theta):  # Phi(pi) - pi at pi = pi_inst(theta), with p = c = 1
+        benefit = response_rate(group.cost, economy.wage, *model.tpr_fpr("g", theta))
+        return benefit - y0.slope(theta) / (y1.slope(theta) + y0.slope(theta))
+
+    def unseen_by_phi_grid(x):
+        i = min(bisect.bisect_right(points, x), grid - 1)
+        lo = points[i - 1]
+        if lo == 0.0 and psi(0.0) == 0.0:
+            lo = analysis._NONZERO_TOL  # the Phi grid's probe
+        return psi(lo) * psi(points[i]) > 0.0
+
+    def unseen_by_curve(theta):
+        i = bisect.bisect_right(points, theta)
+        return 1 < i < grid - 1 and h(points[i - 1]) * h(points[i]) > 0.0
+
+    def on_solver_grid(theta):
+        return (theta * (config.theta_grid - 1)).is_integer()
+
+    def twin_in(records, rec):
+        radius = tol if rec.residual <= tol else analysis._NONZERO_TOL
+        pi = rec.state.rates[0]
+        return next((q for q in records if abs(q.state.rates[0] - pi) <= radius), None)
+
+    matched = 0
+    for rec in curve:
+        assert rec.residual <= tol or rec.stability == "NotAssessed"
+        twin = twin_in(reference, rec)
+        if twin is None:
+            assert unseen_by_phi_grid(rec.state.rates[0]), rec
+            continue
+        matched += 1
+        assert rec.stability == twin.stability, (rec, twin)
+        gap = abs(rec.theta - twin.theta)
+        assert not rec.nonzero or gap <= tol or (
+            gap <= step_size and (on_solver_grid(rec.theta) or on_solver_grid(twin.theta))
+        ), (rec, twin)
+    for rec in reference:
+        if twin_in(curve, rec) is None:
+            assert unseen_by_curve(rec.theta), rec
+    if matched == len(curve) == len(reference):
+        assert [r.label for r in curve] == [q.label for q in reference]
+
+
+@pytest.mark.parametrize(
+    "y1, y0, grid, payoff_tp",
+    [
+        ((5.0, 2.0), (2.0, 2.0), 101, 1.0),  # weak MLR: b1 = b0
+        ((2.0, 5.0), (5.0, 2.0), 101, 1.0),  # the likelihood ratio falls
+        ((5.0, 2.0), (2.0, 5.0), 2, 1.0),  # no interior theta point
+        ((400.0, 2.0), (300.0, 5.0), 101, 1.0),  # both densities underflow
+        ((5.0, 2.0), (2.0, 5.0), 101, 1e15),  # pi_inst below the probe everywhere
+    ],
+)
+def test_models_off_the_theta_curve_take_the_phi_grid(y1, y0, grid, payoff_tp):
+    economy = EconomyConfig(wage=1.0, payoff_tp=payoff_tp)
+    group = GroupSpec(id="g", proportion=1.0, cost=TruncatedNormal(mu=0.6, sigma=0.1))
+    model = ScoreModel({"g": GroupScores(y1=BetaScore(*y1), y0=BetaScore(*y0))})
+    phi = analysis._phi_single(economy, group, model, DynamicsConfig().theta_grid)
+    psi = lambda x: phi(x)[0] - x
+    low = (analysis._NONZERO_TOL, psi(analysis._NONZERO_TOL))
+    assert analysis._theta_curve_roots(economy, group, model, grid, psi, low, psi(1.0)) is None
+
+
+def test_theta_curve_and_phi_grid_agree_on_the_score_anchor():
+    economy, group, model = steep_cost_scenario()
+    tol = DynamicsConfig().fix_tol
+    for grid in (101, 401):
+        curve = find_equilibria_scan(economy, (group,), model, grid=grid)
+        reference = _phi_grid_scan(economy, group, model, grid)
+        assert [(r.label, r.stability) for r in curve] == [
+            (q.label, q.stability) for q in reference
+        ]
+        for rec, twin in zip(curve, reference):
+            assert rec.residual <= tol
+            assert abs(rec.state.rates[0] - twin.state.rates[0]) <= tol
+            assert abs(rec.theta - twin.theta) <= tol
 
 
 @settings(max_examples=15, deadline=None)

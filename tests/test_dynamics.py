@@ -420,6 +420,23 @@ def test_trace_lines_are_deterministic_json():
     assert set(summary["cycle_average"]) == {"g1", "g2"}
 
 
+def test_trace_of_an_int_state_writes_floats():
+    # A state built with an int rate stores it as a float, so a run from it
+    # writes the trace a run from the float state writes.
+    economy = EconomyConfig(wage=0.6)
+    groups = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
+    model = UniformThreshold({"g": 0.5})
+    traces = [
+        trace_lines(
+            iterate(economy, groups, model, QualificationState(ids=("g",), rates=(rate,))),
+            model,
+        )
+        for rate in (1, 1.0)
+    ]
+    assert '"balance": 0.0' in traces[0][0] and '"pi": {"g": 1.0}' in traces[0][0]
+    assert traces[0] == traces[1]
+
+
 def test_trace_lines_fixed_point_summary():
     economy, groups, model = uniform_reference()
     start = QualificationState(ids=("a1", "a2"), rates=(0.6, 0.3))
