@@ -7,9 +7,10 @@ tie-break) -> population response -> `step` -> `iterate` ->
 of CASES names its layer, the call and a check on the call's result. The
 scenarios are the `verification` anchors of acceptance criteria 01
 (uniform thresholds), 05 (halfspaces), 07 (a score model) and 10 (two
-valleys); the CLI cases run `find` on tests/golden/uniform.json and on
-tests/golden/score_anchor.json (at grid 101) and check their stdout against
-the golden files.
+valleys); the CLI cases run `find` on tests/golden/uniform.json, on
+tests/golden/score_anchor.json (at grid 101) and, decoupled at grid 11, on
+tests/golden/two_valley.json, and check their stdout against the golden
+files.
 
 The file name keeps it out of the default `test_*.py` collection, so the
 tier-1 run does not time it. Under pytest-benchmark it times every case
@@ -250,6 +251,14 @@ CASES = [
         "score_find", "cli",
         lambda: _cli("find", "--config", str(GOLDEN / "score_anchor.json"), "--grid", "101"),
         lambda r: r == (0, (GOLDEN / "score_anchor.find-grid101.txt").read_text()),
+    ),
+    Case(
+        # a decoupled multi-group scan, then the joint one
+        "decoupled_find", "cli",
+        lambda: _cli(
+            "find", "--config", str(GOLDEN / "two_valley.json"), "--decoupled", "--grid", "11"
+        ),
+        lambda r: r == (0, (GOLDEN / "two_valley.find-decoupled-grid11.txt").read_text()),
     ),
 ]
 

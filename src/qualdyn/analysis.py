@@ -522,18 +522,10 @@ def find_equilibria_scan(
     each start is decided as it would be alone, and the starts that inherit
     are marked in one masked assignment.
 
-    The clustering visits each outcome once, unless a repeat could change
-    the clusters (an inherited run is the outcome of many starts). A
-    repeated LimitCycle outcome is skipped: cycle entries are only
-    appended. A repeated FixedPoint outcome is skipped when no cluster's
-    representative has been replaced since its last visit: the clusters
-    before its cluster still fail the distance test, its cluster holds its
-    own state or a member whose residual it did not beat, and clusters
-    added since sit after it. An outcome that is the one visited just
-    before is skipped first, without its table lookup. That is exact: the
-    visit just before stored the outcome with the replacement count that
-    visit left, which is still the current count, so the rule above would
-    skip it too.
+    The verdicts are clustered once per distinct run, in the order the
+    starts first reach the runs. That differs from clustering every start's
+    verdict only where a cluster's representative is replaced between two
+    starts that share a run.
     """
     groups = normalize_groups(groups)
     if grid is not None and grid < 2:
@@ -745,35 +737,20 @@ def _scan_multi_group(
 ) -> tuple[EquilibriumRecord, ...]:
     fixed: list[tuple[QualificationState, float]] = []
     cycles: list[tuple[QualificationState, tuple[QualificationState, ...], int]] = []
-    # Period and sorted state rates of each stored cycle: a run whose cycle
-    # has both is a duplicate (its mean differs at most in summation order),
-    # so its mean is not taken.
+    # Period and sorted state rates of each stored cycle. A cycle met at
+    # another phase has the same key, but its mean may differ in the last
+    # ulp (summation order), more than 10 * fix_tol when fix_tol is tiny; the
+    # key keeps it one record where the distance test alone would not.
     stored: set[tuple] = set()
     radius = _DEDUP_FACTOR * config.fix_tol
-    # Outcomes already visited, by id, each with the replacement count its
-    # last visit left; the entry holds the outcome, so its id is not reused.
-    seen: dict[int, tuple[object, int]] = {}
-    replaced = 0
-
-    previous = None
-    for outcome in _start_outcomes(
-        economy, groups, model, _multi_starts(len(groups), grid), config
-    ):
-        if outcome is previous:
-            # the visit just before stored this outcome with the current
-            # replaced count, so the seen rule below would skip it too
-            continue
-        previous = outcome
+    _, runs = _start_outcomes(economy, groups, model, _multi_starts(len(groups), grid), config)
+    for outcome in runs:
         v = outcome.verdict
-        last = seen.get(id(outcome))
-        if last is not None and (last[1] == replaced or not isinstance(v, FixedPoint)):
-            continue  # a repeat that cannot change the clusters
         if isinstance(v, FixedPoint):
             for i, (st, res) in enumerate(fixed):
                 if v.state.sup_distance(st) <= radius:
                     if v.residual < res:
                         fixed[i] = (v.state, v.residual)
-                        replaced += 1
                     break
             else:
                 fixed.append((v.state, v.residual))
@@ -787,7 +764,6 @@ def _scan_multi_group(
                 else:
                     cycles.append((avg, v.states, v.period))
                     stored.add(key)
-        seen[id(outcome)] = (outcome, replaced)
 
     records = []
     fixed.sort(key=lambda item: item[0].rates)
@@ -833,13 +809,18 @@ def _debug_log():
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
-def _start_outcomes(economy, groups, model, starts, config: DynamicsConfig):
-    """For each start in order, the outcome whose verdict is the start's: the
-    run from its first image when it may inherit that verdict, else its own
-    run (the rule and its argument are in find_equilibria_scan). Starts with
-    the same rule share one image and one image run, and every run shares
-    one iterate memo. Each rule's starts are tested against its run's trace
-    in one array pass, by QualificationState.sup_distance's arithmetic.
+def _start_outcomes(
+    economy, groups, model, starts, config: DynamicsConfig
+) -> tuple[np.ndarray, list]:
+    """Each start's outcome, the one whose verdict is the start's: the run
+    from its first image when it may inherit that verdict, else its own run
+    (the rule and its argument are in find_equilibria_scan). As a pair
+    (index, runs): start i's outcome is runs[index[i]], and runs holds each
+    distinct run once, in the order starts first reach it; an image run that
+    no start inherits is not in it. Starts with the same rule share one
+    image and one image run, and every run shares one iterate memo. Each
+    rule's starts are tested against its run's trace in one array pass, by
+    QualificationState.sup_distance's arithmetic.
 
     Once every start is resolved, one DEBUG record on the "qualdyn.analysis"
     logger counts the starts, rules, image runs and full runs, and names the
@@ -849,38 +830,45 @@ def _start_outcomes(economy, groups, model, starts, config: DynamicsConfig):
     memo: dict = {}
     index, table = _start_rules(economy, groups, model, starts, config)
     rates = np.array(starts, dtype=float)
-    # the image run each start inherits, by position in runs; -1: a full run
+    # the image run each start inherits, by position in images; -1: a full run
     source = np.full(len(starts), -1)
+    # each start's run, named by the first start that reaches it: the start
+    # itself for a full run
+    head = np.arange(len(starts))
     order = np.argsort(index, kind="stable")
     members = np.split(order, np.flatnonzero(np.diff(index[order])) + 1)
-    runs = []
+    images = []
     for starts_of_rule in sorted(members, key=lambda m: m[0]):  # rules in first-seen order
         image = _population_response(economy, groups, model, table[index[starts_of_rule[0]]])
         run = iterate(economy, groups, model, image, config, memo=memo)
         if len(run.trace) - 1 < config.max_iters - 1:
             visited = np.array([rec.state.rates for rec in run.trace])
             far = np.abs(rates[starts_of_rule][:, None, :] - visited[None, :, :]).max(axis=2)
-            source[starts_of_rule[(far > config.fix_tol).all(axis=1)]] = len(runs)
-        runs.append(run)
-    dropped = []
-    for start, k in zip(starts, source.tolist()):
-        if k >= 0:
-            yield runs[k]
+            inheriting = starts_of_rule[(far > config.fix_tol).all(axis=1)]
+            source[inheriting] = len(images)
+            head[inheriting] = inheriting[:1]  # a rule's starts are in ascending order
+        images.append(run)
+    heads = np.flatnonzero(head == np.arange(len(starts)))
+    runs, dropped = [], []
+    for i in heads.tolist():
+        if source[i] >= 0:
+            runs.append(images[source[i]])
             continue
         run = iterate(
-            economy, groups, model, QualificationState(ids, start), config, memo=memo
+            economy, groups, model, QualificationState(ids, starts[i]), config, memo=memo
         )
         if isinstance(run.verdict, NonConverged):
-            dropped.append(start)
-        yield run
+            dropped.append(starts[i])
+        runs.append(run)
     log = _debug_log()
     if log is not None:
         log.debug(
             "multi-group scan: %d starts, %d distinct rules, %d image runs, %d full runs; "
             "%d starts dropped as NonConverged, first %s",
-            len(starts), len(members), len(runs), int(np.count_nonzero(source < 0)),
+            len(starts), len(members), len(images), int(np.count_nonzero(source < 0)),
             len(dropped), dropped[:5],
         )
+    return np.searchsorted(heads, head), runs
 
 
 def _start_rules(

@@ -821,7 +821,8 @@ def full_run_verdicts(economy, groups, model, starts, config):
 def resolved(economy, groups, model, starts, config):
     """Each start's verdict as the scan resolves it, and whether it ran in
     full (its outcome's trace starts at the start itself)."""
-    outcomes = list(analysis._start_outcomes(economy, groups, model, starts, config))
+    index, runs = analysis._start_outcomes(economy, groups, model, starts, config)
+    outcomes = [runs[k] for k in index]
     return (
         [o.verdict for o in outcomes],
         [o.trace[0].state.rates == s for o, s in zip(outcomes, starts)],
@@ -934,19 +935,13 @@ def reference_clusters(outcomes, radius):
     return sorted(fixed, key=lambda item: item[0].rates)
 
 
-def scripted_scan(monkeypatch, script):
-    """The records _scan_multi_group makes of a scripted outcome sequence on
-    the uniform reference; a callable entry makes a fresh outcome, held by
-    nothing but the scan once it is yielded."""
-
-    def outcomes(*args):
-        for entry in script:
-            yield entry() if callable(entry) else entry
-
-    monkeypatch.setattr(analysis, "_start_outcomes", outcomes)
-    return analysis._scan_multi_group(
-        *verification._uniform_reference(), 2, DynamicsConfig(), 0
+def scripted_scan(monkeypatch, runs, config=DynamicsConfig()):
+    """The records _scan_multi_group makes of a scripted list of distinct
+    runs on the uniform reference."""
+    monkeypatch.setattr(
+        analysis, "_start_outcomes", lambda *args: (np.arange(len(runs)), runs)
     )
+    return analysis._scan_multi_group(*verification._uniform_reference(), 2, config, 0)
 
 
 def fixed_at(rate, residual):
@@ -958,30 +953,51 @@ def fixed_records(records):
     return [(r.state, r.residual) for r in records if r.kind == "FixedPoint"]
 
 
-def test_the_scan_revisits_an_outcome_after_a_replacement(monkeypatch):
+def cycle_of(*rates):
+    states = tuple(QualificationState(("a1", "a2"), (r, 0.3)) for r in rates)
+    return dynamics.DynamicsOutcome(trace=(), verdict=LimitCycle(states, len(states)))
+
+
+def test_the_scan_clusters_each_run_once_in_order(monkeypatch):
     # The cluster radius is 10 fix_tol = 1e-8. A starts its own cluster next
-    # to X's; B then replaces X's representative with a state within 1e-8
-    # of A, so A's second visit falls in X's cluster and, with the smaller
-    # residual, replaces B there. Skipping that visit would keep B.
+    # to X's, and B then replaces X's representative. In the reverse order A
+    # would replace B and X would start a cluster of its own, so the records
+    # pin the order of the visits.
     x, a, b = fixed_at(0.3, 5e-10), fixed_at(0.3 + 1.5e-8, 1e-10), fixed_at(0.3 + 0.8e-8, 3e-10)
     corners = tuple(QualificationState(("a1", "a2"), rates) for rates in ((0.8, 0.0), (0.0, 0.8)))
     cycle = dynamics.DynamicsOutcome(trace=(), verdict=LimitCycle(corners, 2))
-    script = [x, a, cycle, b, a, a, cycle]
-    records = scripted_scan(monkeypatch, script)
-    want = reference_clusters(script, 1e-8)
-    assert want == [(a.verdict.state, 1e-10)] * 2
+    runs = [x, a, cycle, b]
+    records = scripted_scan(monkeypatch, runs)
+    want = reference_clusters(runs, 1e-8)
+    assert want == [(b.verdict.state, 3e-10), (a.verdict.state, 1e-10)]
+    assert want != reference_clusters(runs[::-1], 1e-8)
     assert fixed_records(records) == want
     assert [r.kind for r in records].count("LimitCycle") == 1
 
 
-def test_the_scan_keys_no_freed_outcome(monkeypatch):
-    # Fresh outcome objects, each freed once the scan has read it unless the
-    # scan keeps it: a freed outcome's id can come back for the next one,
-    # which must still be visited.
-    script = [lambda k=k: fixed_at(0.05 * k, 0.0) for k in range(20)]
-    records = scripted_scan(monkeypatch, script)
-    assert fixed_records(records) == reference_clusters([f() for f in script], 1e-8)
-    assert len(records) == 20
+def test_a_cycle_met_at_two_phases_is_one_record(monkeypatch):
+    # The two phases' means differ in the last ulp, far more than the
+    # cluster radius 10 * 2^-70, so the distance test alone would keep two
+    # records; the stored cycle key makes them one.
+    runs = [cycle_of(0.1, 0.2, 0.3), cycle_of(0.2, 0.3, 0.1)]
+    means = [dynamics.cycle_average(run).rates[0] for run in runs]
+    assert means[0] != means[1]
+    records = scripted_scan(monkeypatch, runs, DynamicsConfig(fix_tol=2.0**-70))
+    assert [r.label for r in records] == ["cycle3_1"]
+
+
+def test_the_scan_reaches_each_run_once():
+    # The period-2 halfspace regime at grid 21: 441 starts share a few runs.
+    economy, groups, model = verification._halfspace_scenario(1.0, 2.0)
+    starts = analysis._multi_starts(2, 21)
+    config = DynamicsConfig()
+    index, runs = analysis._start_outcomes(economy, groups, model, starts, config)
+    assert len(index) == len(starts) and len(runs) < len(starts)
+    assert len({id(run) for run in runs}) == len(runs)
+    # runs in the order the starts first reach them
+    assert list(dict.fromkeys(index.tolist())) == list(range(len(runs)))
+    want = full_run_verdicts(economy, groups, model, starts, config)
+    assert [repr(runs[k].verdict) for k in index] == [repr(v) for v in want]
 
 
 def test_a_start_at_a_fixed_point_runs_in_full():
@@ -1149,7 +1165,7 @@ def test_zero_and_negative_zero_rules_get_their_own_images(monkeypatch):
     monkeypatch.setattr(analysis, "_rule", scripted_rule)
     monkeypatch.setattr(analysis, "_population_response", counting_response)
     starts = analysis._multi_starts(2, 5)
-    list(analysis._start_outcomes(economy, groups, model, starts, DynamicsConfig()))
+    analysis._start_outcomes(economy, groups, model, starts, DynamicsConfig())
     assert [math.copysign(1.0, th) for th in images] == [1.0, -1.0]
 
 

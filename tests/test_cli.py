@@ -520,6 +520,7 @@ GOLDEN_FINDS = [
     ("halfspace_pair.json", [], "halfspace_pair.find.txt"),
     ("halfspace_cycle.json", [], "halfspace_cycle.find.txt"),
     ("two_valley.json", ["--grid", "5"], "two_valley.find-grid5.txt"),
+    ("two_valley.json", ["--decoupled", "--grid", "11"], "two_valley.find-decoupled-grid11.txt"),
     ("uniform_three.json", [], "uniform_three.find.txt"),
     ("score_anchor.json", ["--grid", "101"], "score_anchor.find-grid101.txt"),
     ("score_anchor.json", [], "score_anchor.find.txt"),
