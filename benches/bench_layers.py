@@ -20,15 +20,24 @@ tier-1 run does not time it. Under pytest-benchmark it times every case
 
 Run as a script, it runs every case once under the call counters, prints
 the counts as JSON, and exits non-zero if a check fails. The counts do not
-depend on the machine. Three distributions follow the cases' counts: slope
-calls per refinement over 2000 seeded states on the score and two-valley
-anchors; for the one-group scan of the score anchor at grid 101, its Phi
+depend on the machine; `beta_cdf_points` counts the score points the Beta
+CDF is evaluated at, 1 per scalar call and the array's size per array
+call. Four distributions follow the cases' counts: slope calls per
+refinement over 2000 seeded states on the score and two-valley anchors;
+for the one-group scan of the score anchor at grid 101, its Phi
 evaluations, its root searches on Phi and the Phi evaluations in each, and
 its root searches on the theta-curve's h (after the curve's one array pass
-over the grid's interior) and the h evaluations in each; and cost-CDF
-calls per best response at the h_mid states of 200 seeded uniform
-scenarios. Point PYTHONPATH at another checkout's src to count that version
-(a version without the theta-curve makes no curve searches):
+over the grid's interior) and the h evaluations in each; cost-CDF calls
+per best response at the h_mid states of 200 seeded uniform scenarios; and
+over the same 2000 score-anchor states, the grid points whose rates each
+best response read (its strict-MLR window's) and the number that fell
+back to the whole grid's table. The score anchor is strict MLR, so the
+script also exits non-zero if any of those states falls back: a window
+that stops serving then fails the script instead of only slowing it. Point
+PYTHONPATH at another checkout's src to count that version (a version
+without the theta-curve makes no curve searches, and one without the
+window reads the whole grid at every best response, so there the script
+exits non-zero):
 
     PYTHONPATH=src python benches/bench_layers.py
 """
@@ -296,13 +305,14 @@ def _weight(name: str, result) -> int:
 
 
 @contextlib.contextmanager
-def counting(name: str, inner=False, during=None):
+def counting(name: str, inner=False, during=None, points=False):
     """Count the calls of the function `name`, wrapped in every holder that
     has it, while the block runs; yields a one-item list with the count.
     A dotted name, `Class.name`, counts that class of `features` alone.
     With `inner`, the function returns a function, whose calls are counted
     instead; with `during`, a call adds the growth of that other count
-    while it runs."""
+    while it runs; with `points`, a call adds the size of its result, 1 for
+    a scalar and the array's size for an array."""
     owner, _, name = name.rpartition(".")
     holders = (getattr(features, owner),) if owner else HOLDERS
     tally = [0]
@@ -316,7 +326,11 @@ def counting(name: str, inner=False, during=None):
                     tally[0] += 1
                     return _f(*a)
             else:
-                tally[0] += during[0] - before if during else _weight(name, result)
+                tally[0] += (
+                    during[0] - before if during
+                    else np.size(result) if points
+                    else _weight(name, result)
+                )
             return result
 
         return counted
@@ -348,12 +362,18 @@ COUNTS = {
     "sup_distance_calls": "sup_distance",
     "rule_key_calls": "_rule_key",
 }
+# Each count of points in a case's record, and the function whose calls add
+# the size of their result to it.
+POINTS = {"beta_cdf_points": "BetaScore.cdf"}
 
 
 def case_counts(case: Case) -> tuple[object, dict]:
     """The case's result and its counts, over one call."""
     with contextlib.ExitStack() as stack:
         tallies = {key: stack.enter_context(counting(name)) for key, name in COUNTS.items()}
+        tallies.update(
+            (key, stack.enter_context(counting(name, points=True))) for key, name in POINTS.items()
+        )
         result = case.call()
     return result, {"layer": case.layer, **{key: t[0] for key, t in tallies.items()}}
 
@@ -423,6 +443,45 @@ def root_searches(phi):
         analysis._scan_root = real
 
 
+def window_reads(calls) -> tuple[list[int], int]:
+    """Make each call, a score best response, and return the grid points
+    whose rates each one read, and how many fell back to the whole grid's
+    table. A response served by the strict-MLR window reads the window's
+    points; one that calls `features._grid_rates` reads the whole grid and
+    counts as a fallback, as every response of a version without the
+    window does."""
+    real_window = getattr(features, "_mlr_window", None)
+    real_table = features._grid_rates
+    read = []  # (points, fell back) for the call being made
+
+    def window(*args):
+        result = real_window(*args)
+        if result is not None:
+            read.append((len(result[2]), False))
+        return result
+
+    def table(model, grid_size):
+        read.append((grid_size, True))
+        return real_table(model, grid_size)
+
+    reads, fallbacks = [], 0
+    features._grid_rates = table
+    if real_window is not None:
+        features._mlr_window = window
+    try:
+        for call in calls:
+            read.clear()
+            call()
+            points, fell_back = read[-1]
+            reads.append(points)
+            fallbacks += fell_back
+    finally:
+        features._grid_rates = real_table
+        if real_window is not None:
+            features._mlr_window = real_window
+    return reads, fallbacks
+
+
 def distributions() -> dict:
     rng = random.Random(0)
     score = [_at(SCORE, rng.random()) for _ in range(2000)]
@@ -435,6 +494,7 @@ def distributions() -> dict:
         analysis.find_equilibria_scan(*SCORE, grid=101)
     on_phi = [evals for evals, phi_evals in searches if phi_evals]
     on_curve = [evals for evals, phi_evals in searches if not phi_evals]
+    reads, fallbacks = window_reads(slope["score_anchor"])
     return {
         "slope_calls_per_refinement": {
             anchor: _summary(_per_call("_utility_slope", calls, inner=True))
@@ -448,6 +508,10 @@ def distributions() -> dict:
             "curve_evals_per_root": statistics.fmean(on_curve) if on_curve else None,
         },
         "cdf_calls_per_plateau_response": _summary(_per_call("cdf", _plateau_responses())),
+        "score_window": {
+            "points_read_per_best_response": _summary(reads),
+            "full_table_fallbacks": fallbacks,
+        },
     }
 
 
@@ -457,8 +521,12 @@ def main() -> int:
         result, cases[case.name] = case_counts(case)
         if not case.check(result):
             failed.append(case.name)
-    json.dump({"cases": cases, **distributions()}, sys.stdout, indent=1)
+    spread = distributions()
+    json.dump({"cases": cases, **spread}, sys.stdout, indent=1)
     print()
+    if spread["score_window"]["full_table_fallbacks"]:
+        # the score anchor is strict MLR: every one of its states is windowed
+        failed.append("score_window")
     if failed:
         print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0

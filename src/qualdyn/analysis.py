@@ -50,12 +50,12 @@ from .errors import (
     PreconditionError,
 )
 from .features import (
-    BetaScore,
     GaussianHalfspace,
     ScoreModel,
     _check_alignment,
     _halfspace_rule,
     _sign_change,
+    _strict_mlr_beta,
     institution_best_response,
     normalized_angle,
 )
@@ -430,9 +430,10 @@ def find_equilibria_scan(
     One group: the equilibria are the roots of Phi(pi) - pi, where Phi(pi)
     is the population's response to the institution's best response at pi.
     Their candidates come from one of two paths:
-    - The theta-curve serves a ScoreModel whose group's two score classes
-      are both BetaScore with y1.alpha > y0.alpha and y1.beta < y0.beta
-      (a strict monotone likelihood ratio, MLR). There the best response to
+    - The theta-curve serves a ScoreModel whose group's scores pass
+      features._strict_mlr_beta: both classes BetaScore with y1.alpha >
+      y0.alpha and y1.beta < y0.beta (a strict monotone likelihood ratio,
+      MLR). There the best response to
       pi is the root of the first-order condition, which inverts to
       pi_inst(theta) = c f0 / (p f1 + c f0), so Phi(pi) - pi = h(theta) =
       G(w (TPR - FPR)(theta)) - pi_inst(theta) at pi = pi_inst(theta). h is
@@ -645,12 +646,9 @@ def _theta_curve_roots(
     if not isinstance(model, ScoreModel) or grid < 3:
         return None
     scores = model.scores(group.id)
-    y1, y0 = scores.y1, scores.y0
-    if not (
-        isinstance(y1, BetaScore) and isinstance(y0, BetaScore)
-        and y1.alpha > y0.alpha and y1.beta < y0.beta
-    ):
+    if not _strict_mlr_beta(scores):
         return None
+    y1, y0 = scores.y1, scores.y0
     p, c, w = economy.payoff_tp, economy.cost_fp, economy.wage
     f1, f0 = y1.slope, y0.slope
 

@@ -33,8 +33,12 @@ is beta, are h_a beta / w and 1 - (1 - h_a) beta / w.
 ScoreModel is solved on a grid, in order:
 
 * Grid. Utility is evaluated on `grid_size` evenly spaced cut points over
-  [0, 1] (DEFAULT_GRID = 2001, step 5e-4), from the weighted grid table
+  [0, 1] (DEFAULT_GRID = 2001, step 5e-4). For one group with strict-MLR
+  Beta scores (_strict_mlr_beta) it is read on a certified window of that
+  grid (below); otherwise on the whole grid, from the weighted grid table
   (see Caches below). Among equal grid maxima `np.argmax` takes the first.
+  The rules below read the window alone, in window indices; the whole grid
+  is the window that needs no certificate.
 * Reject-all. If no grid point earns a positive utility the answer is 1.0,
   where utility is exactly 0.
 * Plateau. If neighbouring grid points tie the maximum within
@@ -65,6 +69,39 @@ can compute no higher than the grid point and lose the strict-improvement
 test, and a maximum that is positive only between grid points is never
 seen, so the answer is reject-all (tests/test_features.py pins both).
 
+The strict-MLR window. With one group (a joint call on a one-group economy,
+or any decoupled call) whose scores are strict-MLR Beta, f1/f0 rises
+strictly from 0 to infinity, so U'(theta) = n f0 (c (1 - pi) - p pi f1/f0)
+changes sign once, from + to -: the exact U rises to the first-order root
+and falls after it (it is monotone at pi = 0 and pi = 1). The solver:
+
+* Locates. One searchsorted of log(c (1 - pi) / (p pi)) in the model's
+  log(f1 / f0) on the grid gives the index i with the root in
+  [theta_(i-1), theta_i]; pi = 0 takes the top index and pi = 1 the bottom.
+* Reads. The window is the blocks of _BLOCK grid points that hold
+  i - 2 .. i + 1. Each block's rates are read once per model by rates_grid
+  on that slice of the grid's own linspace, so they are the whole table's
+  bits, and the window's utility is formed by core._utility_from_rates,
+  the products and the sum of the whole-grid utility in the same order.
+* Certifies. With u_max and the slack at the window's first argmax, the
+  window stands when each edge is an end of the grid or has utility below
+  u_max - slack - margin, margin = _WINDOW_RTOL * n (p pi + c (1 - pi)).
+  Otherwise the failing sides grow, by 1, 2, 4 and 8 blocks (_WIDENINGS
+  times), and a window that still fails gives way to the whole grid's
+  table.
+
+Why a certified window gives the whole grid's answer: let e bound the
+rounding of a grid utility, a few ulps of the terms n (p pi + c (1 - pi))
+from betainc and the kernel, so e << margin. Say the low edge L is inside
+the grid. If the root lay at or below theta_L, U would fall from theta_L
+on, and as the window's argmax lies above L, the computed u_L would be at
+least u_max - 2 e, not below u_max - margin. So U rises up to theta_L, and
+any point j < L has u_j <= u_L + 2 e < u_max - slack. The high edge is the
+mirror case. So no point outside the window is the first argmax, joins the
+tied run or moves u_max, whose sign decides reject-all, and the tied run,
+the bracket [theta_(i-1), theta_(i+1)], the snap rule and the plateau rule
+read what they would read on the whole grid.
+
 Caches. Rates that never depend on the state are read once per model, and
 a cut's rates once per answer. Each cache is a dict on the frozen model,
 filled on the first solve that needs it (never at construction). The
@@ -77,7 +114,11 @@ answer is the bits the uncached computation gives.
   (TPR, FPR) on it. Beside it, per (grid size, payoff_tp, cost_fp), each
   group's weighted rates (payoff_tp * TPR, cost_fp * FPR), from which the
   grid utility is formed by core._weighted_utility with the products
-  _utility_from_rates would form, in the same order.
+  _utility_from_rates would form, in the same order. A model is given these
+  only when some best response is not served by the strict-MLR window.
+* ScoreModel's window tables, for strict-MLR Beta groups: per (group, grid
+  size) the theta grid and log(f1 / f0) on it, and per (group, grid size,
+  block index) the group's (TPR, FPR) on that block of _BLOCK points.
 * ScoreModel's last-answer memo: tpr_fpr keeps, per group, the last cut
   it computed and that cut's rates, as one (theta, sign of theta, rates)
   tuple. A call with the same float, sign of zero included, is answered
@@ -164,6 +205,15 @@ DEFAULT_GRID = 2001  # step 5e-4 over [0, 1]
 # evaluate with about one ulp of spread across the flat stretch; genuinely
 # sloped utilities clear this by many orders.
 _PLATEAU_RTOL = 1e-15
+
+# The strict-MLR window (module docstring): grid points per block of its rate
+# table; its margin, relative to n (p pi + c (1 - pi)), about 1000 times the
+# rounding of the rates and of the utility kernel; and how often a window is
+# widened (the k-th time by 2^k blocks on each side that fails) before the
+# solver falls back to the whole grid's table.
+_BLOCK = 16
+_WINDOW_RTOL = 1e-12
+_WIDENINGS = 4
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -516,6 +566,19 @@ class GroupScores:
     y0: BetaScore | EmpiricalScore
 
 
+def _strict_mlr_beta(scores: GroupScores) -> bool:
+    """Whether both score classes are BetaScore with y1.alpha > y0.alpha and
+    y1.beta < y0.beta: a strict monotone likelihood ratio (MLR), so f1/f0
+    rises strictly from 0 to infinity across (0, 1). The strict-MLR window
+    of the best response (module docstring) and the one-group scan's
+    theta-curve (analysis.find_equilibria_scan) serve exactly these pairs."""
+    y1, y0 = scores.y1, scores.y0
+    return (
+        isinstance(y1, BetaScore) and isinstance(y0, BetaScore)
+        and y1.alpha > y0.alpha and y1.beta < y0.beta
+    )
+
+
 @dataclass(frozen=True)
 class ScoreModel:
     """Per-group conditional score CDFs; decisions accept scores above theta.
@@ -535,6 +598,8 @@ class ScoreModel:
             raise ParameterError("at least one group is required")
         object.__setattr__(self, "_grid_cache", {})
         object.__setattr__(self, "_weighted_cache", {})
+        object.__setattr__(self, "_llr_cache", {})
+        object.__setattr__(self, "_block_cache", {})
         object.__setattr__(self, "_last", {})
 
     def scores(self, group: str) -> GroupScores:
@@ -606,6 +671,41 @@ def _weighted_grid_rates(model, economy: EconomyConfig, grid_size: int) -> dict:
             weighted[gid] = (p_tpr, c_fpr)
         table = model._weighted_cache.setdefault(key, weighted)
     return table
+
+
+def _llr_grid(model, gid: str, scores: GroupScores, grid_size: int):
+    """The theta grid and log(f1 / f0) on it for a strict-MLR Beta group,
+    (a1 - a0) log(theta) + (b1 - b0) log1p(-theta) + ln B0 - ln B1, which
+    rises from -inf at 0 to +inf at 1; cached on the model per group and
+    grid size."""
+    key = (gid, grid_size)
+    table = model._llr_cache.get(key)
+    if table is None:
+        y1, y0 = scores.y1, scores.y0
+        thetas = np.linspace(0.0, 1.0, grid_size)
+        with np.errstate(divide="ignore"):
+            llr = (
+                (y1.alpha - y0.alpha) * np.log(thetas)
+                + (y1.beta - y0.beta) * np.log1p(-thetas)
+                + (y0._ln_b - y1._ln_b)
+            )
+        thetas.flags.writeable = llr.flags.writeable = False
+        table = model._llr_cache.setdefault(key, (thetas, llr))
+    return table
+
+
+def _rate_block(model, gid: str, thetas: np.ndarray, k: int):
+    """Group gid's (TPR, FPR) on the k-th block of _BLOCK points of the grid
+    thetas, read by rates_grid on that slice of the grid's own linspace, so
+    with the bits of the whole grid's table; cached on the model per group,
+    grid size and k."""
+    key = (gid, len(thetas), k)
+    block = model._block_cache.get(key)
+    if block is None:
+        tpr, fpr = model.rates_grid(gid, thetas[k * _BLOCK:(k + 1) * _BLOCK])
+        tpr.flags.writeable = fpr.flags.writeable = False
+        block = model._block_cache.setdefault(key, (tpr, fpr))
+    return block
 
 
 def _kink_rates(model: UniformThreshold, ids: tuple[str, ...]):
@@ -785,19 +885,76 @@ def _scalar_best_response(
 ) -> float:
     if isinstance(model, UniformThreshold):
         return _uniform_best_response(model, economy, groups, state)
+    window = _mlr_window(model, economy, groups, state, grid_size)
+    if window is None:
+        window = _full_window(model, economy, groups, state, grid_size)
+    return _window_answer(model, economy, groups, state, window)
+
+
+def _peak(economy, groups, state: QualificationState, rates: dict, util):
+    """The first argmax of util, its utility, and the plateau slack there:
+    _PLATEAU_RTOL times the size of its utility terms."""
+    i_best = int(util.argmax())
+    at_best = [(rates[g.id][0][i_best], rates[g.id][1][i_best]) for g in groups]
+    return i_best, float(util[i_best]), _PLATEAU_RTOL * _term_size(
+        economy, groups, at_best, state.rates
+    )
+
+
+def _full_window(model, economy, groups, state: QualificationState, grid_size: int):
+    """The whole grid as the solver's window: (thetas, rates, util, peak),
+    with each group's (TPR, FPR) and the utility on it, from the model's grid
+    tables, and _peak of util."""
     thetas, rates = _grid_rates(model, grid_size)
     weighted = _weighted_grid_rates(model, economy, grid_size)
     util = _weighted_utility(groups, [weighted[g.id] for g in groups], state.rates)
-    i_best = int(np.argmax(util))
-    u_max = float(util[i_best])
+    return thetas, rates, util, _peak(economy, groups, state, rates, util)
+
+
+def _mlr_window(model, economy, groups, state: QualificationState, grid_size: int):
+    """The strict-MLR window (module docstring) in the form of _full_window,
+    or None for a model it does not serve or a state it cannot certify."""
+    if len(groups) != 1:
+        return None
+    (g,), (pi,) = groups, state.rates
+    scores = model.scores(g.id)
+    if not _strict_mlr_beta(scores):
+        return None
+    thetas, llr = _llr_grid(model, g.id, scores, grid_size)
+    p, c = economy.payoff_tp, economy.cost_fp
+    if pi <= 0.0:
+        i = grid_size - 1
+    elif pi >= 1.0:
+        i = 0
+    else:  # the first-order root lies in [theta_(i-1), theta_i]
+        target = math.log(c) + math.log1p(-pi) - math.log(p) - math.log(pi)
+        i = min(int(llr.searchsorted(target)), grid_size - 1)
+    margin = _WINDOW_RTOL * g.proportion * (p * pi + c * (1.0 - pi))
+    last = (grid_size - 1) // _BLOCK
+    k0, k1 = max(i - 2, 0) // _BLOCK, min((i + 1) // _BLOCK, last)
+    for widening in range(_WIDENINGS + 1):
+        blocks = [_rate_block(model, g.id, thetas, k) for k in range(k0, k1 + 1)]
+        rates = {g.id: blocks[0] if k0 == k1 else tuple(map(np.concatenate, zip(*blocks)))}
+        util = _utility_from_rates(economy, groups, rates.values(), state.rates)
+        peak = _peak(economy, groups, state, rates, util)
+        floor = peak[1] - peak[2] - margin
+        low, high = k0 == 0 or util[0] < floor, k1 == last or util[-1] < floor
+        if low and high:
+            return thetas[k0 * _BLOCK:(k1 + 1) * _BLOCK], rates, util, peak
+        k0 = k0 if low else max(k0 - (1 << widening), 0)
+        k1 = k1 if high else min(k1 + (1 << widening), last)
+    return None
+
+
+def _window_answer(model, economy, groups, state: QualificationState, window) -> float:
+    """The score solver's answer (module docstring) from a window of its
+    grid, (thetas, rates, util, peak) as _full_window gives it: reject-all,
+    the tied run, the refinement, the snap rule and the plateau rule."""
+    thetas, rates, util, (i_best, u_max, slack) = window
     if u_max <= 0.0:
         # No cut point earns a positive payoff: reject everyone. theta=1
         # always attains utility exactly 0, so it is inside the argmax set.
         return 1.0
-    slack = _PLATEAU_RTOL * _term_size(
-        economy, groups, [(rates[g.id][0][i_best], rates[g.id][1][i_best]) for g in groups],
-        state.rates,
-    )
     lo_i, hi_i = _tied_run(util, i_best, u_max - slack)
 
     if hi_i == lo_i:
@@ -805,7 +962,7 @@ def _scalar_best_response(
         # neighbours, snapping back to the grid point unless the refined point
         # strictly improves (keeps kink maxima that sit exactly on the grid).
         a = float(thetas[max(i_best - 1, 0)])
-        b = float(thetas[min(i_best + 1, grid_size - 1)])
+        b = float(thetas[min(i_best + 1, len(thetas) - 1)])
         refined = _slope_turn(_utility_slope(model, economy, groups, state), a, b)
         at_refined = [model.tpr_fpr(g.id, refined) for g in groups]
         gain = _utility_from_rates(economy, groups, at_refined, state.rates) - u_max

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -711,6 +711,102 @@ def test_grid_tables_are_per_model_and_per_grid_size():
         ) == institution_best_response(steep_scores(), economy, group, state, grid_size=grid_size)
 
 
+def _one_group_score(scores, payoffs, pi, n=1.0):
+    (a1, b1), (a0, b0) = scores
+    model = ScoreModel((("g", GroupScores(y1=BetaScore(a1, b1), y0=BetaScore(a0, b0))),))
+    economy = EconomyConfig(wage=1.0, payoff_tp=payoffs[0], cost_fp=payoffs[1])
+    groups = (GroupSpec(id="g", proportion=n, cost=Uniform01()),)
+    return model, economy, groups, QualificationState(ids=("g",), rates=(pi,))
+
+
+def _full_table_answer(model, economy, groups, state, grid_size):
+    full = features._full_window(model, economy, groups, state, grid_size)
+    return features._window_answer(model, economy, groups, state, full)
+
+
+# The known grid limits (module docstring of features): both cases of
+# test_score_best_response_near_pi_zero_keeps_its_known_limits, and a snap to
+# the grid point 0.188 where the first-order root is 0.18800001157.
+KNOWN_LIMITS = [
+    (((5.0, 2.0), (2.0, 5.0)), (1.0, 1.0), 1e-9, 0.999),
+    (((5.0, 2.0), (2.0, 5.0)), (1.0, 3.0), 1e-10, 1.0),
+    (((3.66735, 2.97051), (2.32938, 6.42715)), (1.0, 1.0), 0.88531308, 0.188),
+]
+
+
+@pytest.mark.parametrize("scores,payoffs,pi,answer", KNOWN_LIMITS)
+def test_the_window_keeps_the_known_grid_limits(scores, payoffs, pi, answer):
+    model, economy, groups, state = _one_group_score(scores, payoffs, pi)
+    window = features._mlr_window(model, economy, groups, state, features.DEFAULT_GRID)
+    assert window is not None and len(window[0]) < features.DEFAULT_GRID
+    assert features._window_answer(model, economy, groups, state, window) == answer
+    assert institution_best_response(model, economy, groups, state) == answer
+    assert model._grid_cache == {} and model._weighted_cache == {}
+    assert _full_table_answer(model, economy, groups, state, features.DEFAULT_GRID) == answer
+
+
+@st.composite
+def strict_mlr_pairs(draw):
+    gap = st.one_of(st.floats(1e-6, 0.05), st.floats(0.05, 8.0))
+    a0, b1 = draw(st.floats(0.3, 12.0)), draw(st.floats(0.3, 12.0))
+    return (a0 + draw(gap), b1), (a0, b1 + draw(gap))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scores=strict_mlr_pairs(),
+    payoffs=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+    grid_size=st.sampled_from([101, 401, 2001]),
+    pi=st.one_of(
+        st.sampled_from([0.0, 1.0, 1.0 - 1e-9]), st.floats(1e-12, 1e-6), st.floats(0.0, 1.0)
+    ),
+    n=st.sampled_from([1.0, 0.35]),
+)
+@example(scores=KNOWN_LIMITS[0][0], payoffs=(1.0, 1.0), pi=1e-9, grid_size=2001, n=1.0)
+@example(scores=KNOWN_LIMITS[1][0], payoffs=(1.0, 3.0), pi=1e-10, grid_size=2001, n=1.0)
+@example(scores=KNOWN_LIMITS[2][0], payoffs=(1.0, 1.0), pi=0.88531308, grid_size=2001, n=1.0)
+@example(scores=KNOWN_LIMITS[2][0], payoffs=(1.0, 1.0), pi=0.8853125, grid_size=2001, n=1.0)
+def test_strict_mlr_window_answers_the_full_table_bit_for_bit(scores, payoffs, pi, grid_size, n):
+    # A strict-MLR group's best response reads a certified window of the
+    # grid; it must be the answer the whole grid's table gives, bit for bit,
+    # from a joint call on one group of any weight and a decoupled call.
+    model, economy, groups, state = _one_group_score(scores, payoffs, pi, n)
+    window = features._mlr_window(model, economy, groups, state, grid_size)
+    expected = _full_table_answer(model, economy, groups, state, grid_size)
+    if window is not None:
+        assert features._window_answer(model, economy, groups, state, window).hex() == (
+            expected.hex()
+        )
+    got = institution_best_response(model, economy, groups, state, grid_size=grid_size)
+    assert got.hex() == expected.hex()
+    if n == 1.0:
+        decoupled = decoupled_best_response(model, economy, groups[0], pi, grid_size=grid_size)
+        assert decoupled.hex() == expected.hex()
+
+
+def test_the_window_serves_strict_mlr_beta_groups_alone():
+    # One group with strict-MLR Beta scores takes the window; weak MLR,
+    # empirical scores and a joint call on two groups take the whole grid.
+    economy = EconomyConfig(wage=1.0)
+    one = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
+    state = QualificationState(ids=("g",), rates=(0.4,))
+    weak = ScoreModel((("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 2.0))),))
+    for model, windowed in ((steep_scores(), True), (weak, False), (empirical_scores(), False)):
+        assert features._strict_mlr_beta(model.scores("g")) is windowed
+        window = features._mlr_window(model, economy, one, state, 2001)
+        assert (window is not None) is windowed
+        institution_best_response(model, economy, one, state)
+        assert (model._grid_cache == {}) is windowed
+    pair = ScoreModel({g: steep_scores().scores("g") for g in ("a", "b")})
+    two = tuple(GroupSpec(id=g, proportion=0.5, cost=Uniform01()) for g in ("a", "b"))
+    both = QualificationState(ids=("a", "b"), rates=(0.4, 0.6))
+    assert features._mlr_window(pair, economy, two, both, 2001) is None
+    institution_best_response(pair, economy, two, both)
+    assert list(pair._grid_cache) == [2001] and pair._block_cache == {}
+    decoupled_best_response(pair, economy, two[1], 0.6)
+    assert {key[0] for key in pair._block_cache} == {"b"}
+
+
 def test_kink_table_equals_per_call_rates():
     # The uniform solver reads its kinks and their rates from a table built
     # once per group-id tuple, for joint (several ids) and decoupled (one
@@ -1143,8 +1239,10 @@ def test_grid_table_fill_is_safe_under_threads():
     # More threads than cores race on empty caches with a short switch
     # interval; every one must get the single stored table and the same
     # answer, and the last-answer memo, read and replaced by all of them at
-    # cuts of their own, must give each the bits a fresh model gives.
-    model = steep_scores()
+    # cuts of their own, must give each the bits a fresh model gives. A
+    # second fresh strict-MLR model is solved on its window alone: each of
+    # its blocks is stored once, read-only, and every thread gets one theta.
+    model, windowed = steep_scores(), steep_scores()
     uniform = UniformThreshold((("a1", 0.4), ("a2", 0.8)))
     economy = EconomyConfig(wage=1.0, payoff_tp=1.3, cost_fp=0.7)
     group = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
@@ -1152,10 +1250,15 @@ def test_grid_table_fill_is_safe_under_threads():
     cuts = [i / 16 for i in range(17)]
     fresh = {cut: steep_scores().tpr_fpr("g", cut) for cut in cuts}
     tables, weighted, kinks, thetas, wrong = [], [], [], [], []
+    grids, blocks, window_thetas = [], [], []
+    every_block = range(2000 // features._BLOCK + 1)
     barrier = threading.Barrier(8)
 
     def work():
         barrier.wait(timeout=10)
+        window_thetas.append(institution_best_response(windowed, economy, group, state))
+        grids.append(features._llr_grid(windowed, "g", windowed.scores("g"), 2001))
+        blocks.append([features._rate_block(windowed, "g", grids[-1][0], k) for k in every_block])
         tables.append(features._grid_rates(model, 2001)[1])
         weighted.append(features._weighted_grid_rates(model, economy, 2001))
         kinks.append(features._kink_rates(uniform, ("a1", "a2")))
@@ -1183,3 +1286,12 @@ def test_grid_table_fill_is_safe_under_threads():
     assert list(uniform._kink_cache) == [("a1", "a2")]
     assert len(set(thetas)) == 1
     assert wrong == []
+    assert len(grids) == 8 and all(g is grids[0] for g in grids)
+    assert len(blocks) == 8 and all(
+        mine[k] is windowed._block_cache["g", 2001, k] for mine in blocks for k in every_block
+    )
+    assert windowed._grid_cache == {} and windowed._weighted_cache == {}
+    stored = [*windowed._llr_cache.values(), *windowed._block_cache.values()]
+    assert not any(array.flags.writeable for entry in stored for array in entry)
+    full = _full_table_answer(steep_scores(), economy, group, state, 2001)
+    assert len(window_thetas) == 8 and set(window_thetas) == set(thetas) == {full}
