@@ -926,9 +926,8 @@ def _mlr_window(model, economy, groups, state: QualificationState, grid_size: in
         i = grid_size - 1
     elif pi >= 1.0:
         i = 0
-    else:  # the first-order root lies in [theta_(i-1), theta_i]
-        target = math.log(c) + math.log1p(-pi) - math.log(p) - math.log(pi)
-        i = min(int(llr.searchsorted(target)), grid_size - 1)
+    else:  # the first-order root lies in [theta_(i-1), theta_i]; llr ends at +inf
+        i = int(llr.searchsorted(math.log(c) + math.log1p(-pi) - math.log(p) - math.log(pi)))
     margin = _WINDOW_RTOL * g.proportion * (p * pi + c * (1.0 - pi))
     last = (grid_size - 1) // _BLOCK
     k0, k1 = max(i - 2, 0) // _BLOCK, min((i + 1) // _BLOCK, last)
