@@ -79,16 +79,21 @@ and falls after it (it is monotone at pi = 0 and pi = 1). The solver:
   log(f1 / f0) on the grid gives the index i with the root in
   [theta_(i-1), theta_i]; pi = 0 takes the top index and pi = 1 the bottom.
 * Reads. The window is the blocks of _BLOCK grid points that hold
-  i - 2 .. i + 1. Each block's rates are read once per model by rates_grid
-  on that slice of the grid's own linspace, so they are the whole table's
-  bits, and the window's utility is formed by core._utility_from_rates,
-  the products and the sum of the whole-grid utility in the same order.
+  i - 2 .. i + 1; the last block runs on to the grid's end, so the end
+  point is never a block alone. Each block's rates are read once per model
+  by rates_grid on that slice of the grid's own linspace, so they are the
+  whole table's bits, and the window's utility is formed by
+  core._utility_from_rates, the products and the sum of the whole-grid
+  utility in the same order.
 * Certifies. With u_max and the slack at the window's first argmax, the
   window stands when each edge is an end of the grid or has utility below
   u_max - slack - margin, margin = _WINDOW_RTOL * n (p pi + c (1 - pi)).
-  Otherwise the failing sides grow, by 1, 2, 4 and 8 blocks (_WIDENINGS
-  times), and a window that still fails gives way to the whole grid's
-  table.
+  A window that fails gives way to the whole grid's table.
+
+A model that already holds the whole grid's table at that size, as a
+joint call on several groups leaves it, is answered from the table: the
+answer is the same, and reading a built table costs less than filling
+and joining blocks (decoupled sweeps make such calls).
 
 Why a certified window gives the whole grid's answer: let e bound the
 rounding of a grid utility, a few ulps of the terms n (p pi + c (1 - pi))
@@ -115,10 +120,11 @@ answer is the bits the uncached computation gives.
   group's weighted rates (payoff_tp * TPR, cost_fp * FPR), from which the
   grid utility is formed by core._weighted_utility with the products
   _utility_from_rates would form, in the same order. A model is given these
-  only when some best response is not served by the strict-MLR window.
+  only when some best response is not served by the strict-MLR window,
+  and from then on its best responses at that size all read them.
 * ScoreModel's window tables, for strict-MLR Beta groups: per (group, grid
   size) the theta grid and log(f1 / f0) on it, and per (group, grid size,
-  block index) the group's (TPR, FPR) on that block of _BLOCK points.
+  block index) the group's (TPR, FPR) on that block of the grid.
 * ScoreModel's last-answer memo: tpr_fpr keeps, per group, the last cut
   it computed and that cut's rates, as one (theta, sign of theta, rates)
   tuple. A call with the same float, sign of zero included, is answered
@@ -207,13 +213,10 @@ DEFAULT_GRID = 2001  # step 5e-4 over [0, 1]
 _PLATEAU_RTOL = 1e-15
 
 # The strict-MLR window (module docstring): grid points per block of its rate
-# table; its margin, relative to n (p pi + c (1 - pi)), about 1000 times the
-# rounding of the rates and of the utility kernel; and how often a window is
-# widened (the k-th time by 2^k blocks on each side that fails) before the
-# solver falls back to the whole grid's table.
+# table, and its margin, relative to n (p pi + c (1 - pi)), about 1000 times
+# the rounding of the rates and of the utility kernel.
 _BLOCK = 16
 _WINDOW_RTOL = 1e-12
-_WIDENINGS = 4
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -694,15 +697,26 @@ def _llr_grid(model, gid: str, scores: GroupScores, grid_size: int):
     return table
 
 
+def _last_block(grid_size: int) -> int:
+    """The index of the last block of a grid: it takes the grid's end point
+    with it, so no block is that point alone."""
+    return max(grid_size - 2, 0) // _BLOCK
+
+
+def _block_stop(grid_size: int, k: int) -> int:
+    """One past the grid index of block k's last point."""
+    return grid_size if k == _last_block(grid_size) else (k + 1) * _BLOCK
+
+
 def _rate_block(model, gid: str, thetas: np.ndarray, k: int):
-    """Group gid's (TPR, FPR) on the k-th block of _BLOCK points of the grid
-    thetas, read by rates_grid on that slice of the grid's own linspace, so
-    with the bits of the whole grid's table; cached on the model per group,
-    grid size and k."""
+    """Group gid's (TPR, FPR) on the k-th block of the grid thetas (_BLOCK
+    points; the last block runs on to the grid's end), read by rates_grid
+    on that slice of the grid's own linspace, so with the bits of the whole
+    grid's table; cached on the model per group, grid size and k."""
     key = (gid, len(thetas), k)
     block = model._block_cache.get(key)
     if block is None:
-        tpr, fpr = model.rates_grid(gid, thetas[k * _BLOCK:(k + 1) * _BLOCK])
+        tpr, fpr = model.rates_grid(gid, thetas[k * _BLOCK:_block_stop(len(thetas), k)])
         tpr.flags.writeable = fpr.flags.writeable = False
         block = model._block_cache.setdefault(key, (tpr, fpr))
     return block
@@ -885,7 +899,9 @@ def _scalar_best_response(
 ) -> float:
     if isinstance(model, UniformThreshold):
         return _uniform_best_response(model, economy, groups, state)
-    window = _mlr_window(model, economy, groups, state, grid_size)
+    window = None
+    if grid_size not in model._grid_cache:  # a table already built is read
+        window = _mlr_window(model, economy, groups, state, grid_size)
     if window is None:
         window = _full_window(model, economy, groups, state, grid_size)
     return _window_answer(model, economy, groups, state, window)
@@ -929,19 +945,15 @@ def _mlr_window(model, economy, groups, state: QualificationState, grid_size: in
     else:  # the first-order root lies in [theta_(i-1), theta_i]; llr ends at +inf
         i = int(llr.searchsorted(math.log(c) + math.log1p(-pi) - math.log(p) - math.log(pi)))
     margin = _WINDOW_RTOL * g.proportion * (p * pi + c * (1.0 - pi))
-    last = (grid_size - 1) // _BLOCK
+    last = _last_block(grid_size)
     k0, k1 = max(i - 2, 0) // _BLOCK, min((i + 1) // _BLOCK, last)
-    for widening in range(_WIDENINGS + 1):
-        blocks = [_rate_block(model, g.id, thetas, k) for k in range(k0, k1 + 1)]
-        rates = {g.id: blocks[0] if k0 == k1 else tuple(map(np.concatenate, zip(*blocks)))}
-        util = _utility_from_rates(economy, groups, rates.values(), state.rates)
-        peak = _peak(economy, groups, state, rates, util)
-        floor = peak[1] - peak[2] - margin
-        low, high = k0 == 0 or util[0] < floor, k1 == last or util[-1] < floor
-        if low and high:
-            return thetas[k0 * _BLOCK:(k1 + 1) * _BLOCK], rates, util, peak
-        k0 = k0 if low else max(k0 - (1 << widening), 0)
-        k1 = k1 if high else min(k1 + (1 << widening), last)
+    blocks = [_rate_block(model, g.id, thetas, k) for k in range(k0, k1 + 1)]
+    rates = {g.id: blocks[0] if k0 == k1 else tuple(map(np.concatenate, zip(*blocks)))}
+    util = _utility_from_rates(economy, groups, rates.values(), state.rates)
+    peak = _peak(economy, groups, state, rates, util)
+    floor = peak[1] - peak[2] - margin
+    if (k0 == 0 or util[0] < floor) and (k1 == last or util[-1] < floor):
+        return thetas[k0 * _BLOCK:_block_stop(grid_size, k1)], rates, util, peak
     return None
 
 

@@ -745,6 +745,22 @@ def test_the_window_keeps_the_known_grid_limits(scores, payoffs, pi, answer):
     assert _full_table_answer(model, economy, groups, state, features.DEFAULT_GRID) == answer
 
 
+def test_the_window_next_to_the_grid_end_takes_no_table():
+    # Near pi = 0 the argmax sits a few points below theta = 1, where the
+    # utility beyond it is still within the margin of u_max; the last block
+    # runs on to the grid's end point, so the window certifies on its own.
+    # (States like these arise on `run` trajectories that fall towards 0.)
+    scores = ((5.003421812831032, 1.913896489756088), (2.0113250080439307, 4.937536420972038))
+    for pi, answer in ((7.946146392458183e-09, 0.9979897949805356),
+                       (2.143792214748327e-08, 0.9972109461622533)):
+        model, economy, groups, state = _one_group_score(scores, (1.0, 1.0), pi)
+        window = features._mlr_window(model, economy, groups, state, features.DEFAULT_GRID)
+        assert window is not None and (len(window[0]), window[0][0], window[0][-1]) == (17, 0.992, 1.0)
+        assert institution_best_response(model, economy, groups, state) == answer
+        assert model._grid_cache == {}
+        assert _full_table_answer(model, economy, groups, state, features.DEFAULT_GRID) == answer
+
+
 @st.composite
 def strict_mlr_pairs(draw):
     gap = st.one_of(st.floats(1e-6, 0.05), st.floats(0.05, 8.0))
@@ -801,10 +817,16 @@ def test_the_window_serves_strict_mlr_beta_groups_alone():
     two = tuple(GroupSpec(id=g, proportion=0.5, cost=Uniform01()) for g in ("a", "b"))
     both = QualificationState(ids=("a", "b"), rates=(0.4, 0.6))
     assert features._mlr_window(pair, economy, two, both, 2001) is None
+    fresh = ScoreModel(pair.curves)
+    decoupled_best_response(fresh, economy, two[1], 0.6)
+    assert fresh._grid_cache == {} and {key[0] for key in fresh._block_cache} == {"b"}
+    # a model holding the whole grid's table reads it, and fills no block
     institution_best_response(pair, economy, two, both)
     assert list(pair._grid_cache) == [2001] and pair._block_cache == {}
-    decoupled_best_response(pair, economy, two[1], 0.6)
-    assert {key[0] for key in pair._block_cache} == {"b"}
+    assert decoupled_best_response(pair, economy, two[1], 0.6) == (
+        decoupled_best_response(fresh, economy, two[1], 0.6)
+    )
+    assert pair._block_cache == {}
 
 
 def test_kink_table_equals_per_call_rates():
@@ -1251,7 +1273,7 @@ def test_grid_table_fill_is_safe_under_threads():
     fresh = {cut: steep_scores().tpr_fpr("g", cut) for cut in cuts}
     tables, weighted, kinks, thetas, wrong = [], [], [], [], []
     grids, blocks, window_thetas = [], [], []
-    every_block = range(2000 // features._BLOCK + 1)
+    every_block = range(features._last_block(2001) + 1)
     barrier = threading.Barrier(8)
 
     def work():
