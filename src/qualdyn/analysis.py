@@ -56,6 +56,7 @@ from .features import (
     _halfspace_rule,
     _sign_change,
     _strict_mlr_beta,
+    _unit,
     institution_best_response,
     normalized_angle,
 )
@@ -241,6 +242,8 @@ def gaussian_closed_forms(
 ) -> GaussianClosedForms:
     """Closed-form equilibrium table for two equal-size halfspace groups.
 
+    Only the directions of h1 and h2 count, formed as GaussianHalfspace
+    forms its boundaries (`features._unit`), so 2**-600 * h acts as h.
     With payoff_tp > cost_fp: stable equilibria at each group boundary and
     an unstable one at the normalized midpoint. With payoff_tp < cost_fp:
     the midpoint equilibrium plus a period-2 cycle alternating between the
@@ -249,14 +252,7 @@ def gaussian_closed_forms(
     forms do not apply, and so is a wage w other than economy.wage (as in
     uniform_closed_forms).
     """
-    v1 = np.asarray(h1, dtype=float)
-    v2 = np.asarray(h2, dtype=float)
-    for name, v in (("h1", v1), ("h2", v2)):
-        norm = float(np.linalg.norm(v))
-        if norm <= 0.0 or not math.isfinite(norm):
-            raise ParameterError(f"{name} has no direction")
-    v1 = v1 / np.linalg.norm(v1)
-    v2 = v2 / np.linalg.norm(v2)
+    v1, v2 = _unit(h1, "h1"), _unit(h2, "h2")
     ang = normalized_angle(v1, v2)
     if not 0.0 < ang < 1.0:
         raise PreconditionError(
@@ -416,16 +412,16 @@ def find_equilibria_scan(
     economy: EconomyConfig,
     groups: Sequence[GroupSpec],
     model,
-    mode: str = "joint",
     grid: int | None = None,
     *,
-    config: DynamicsConfig | None = None,
+    config: DynamicsConfig = DynamicsConfig(),
     seed: int = 0,
 ) -> tuple[EquilibriumRecord, ...]:
     """Enumerate equilibria by scanning initial conditions.
 
     `grid` is the number of scan points per axis, at least 2; None takes
-    401 for one group and 21 for several.
+    401 for one group and 21 for several. config.mode picks the joint or
+    the decoupled scan; a decoupled one-group scan takes the path of several.
 
     One group: the equilibria are the roots of Phi(pi) - pi, where Phi(pi)
     is the population's response to the institution's best response at pi.
@@ -531,11 +527,7 @@ def find_equilibria_scan(
     groups = normalize_groups(groups)
     if grid is not None and grid < 2:
         raise ParameterError(f"grid must be at least 2, got {grid}")
-    if config is None:
-        config = DynamicsConfig(mode=mode)
-    elif config.mode != mode:
-        raise ConfigurationError(f"config.mode={config.mode!r} conflicts with mode={mode!r}")
-    if len(groups) == 1 and mode == "joint":
+    if len(groups) == 1 and config.mode == "joint":
         return _scan_one_group(economy, groups[0], model, grid or 401, config, seed)
     return _scan_multi_group(economy, groups, model, grid or 21, config, seed)
 
@@ -1023,8 +1015,9 @@ def subsidy_equilibrium_shift(
         for g in groups
     )
 
-    base_eqs = find_equilibria_scan(economy, groups, model, mode=mode, grid=grid)
-    new_eqs = find_equilibria_scan(economy, groups_bar, model, mode=mode, grid=grid)
+    config = DynamicsConfig(mode=mode)
+    base_eqs = find_equilibria_scan(economy, groups, model, grid, config=config)
+    new_eqs = find_equilibria_scan(economy, groups_bar, model, grid, config=config)
 
     improvements = []
     new_fixed = [r for r in new_eqs if r.kind == "FixedPoint"]

@@ -139,12 +139,13 @@ def _group_from_config(obj, path: str) -> GroupSpec:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
-def _subsidy_from_config(obj, group_ids: Sequence[str], path: str) -> SubsidySpec:
+def _subsidy_from_config(obj, groups: Sequence[GroupSpec], path: str) -> SubsidySpec:
     _check_fields(obj, path, _SUBSIDY_FIELDS, _SUBSIDY_FIELDS)
     group = obj["group"]
-    if group not in group_ids:
+    ids = [g.id for g in groups]
+    if group not in ids:
         raise ConfigurationError(
-            f"{path}.group: {group!r} is not one of the declared groups {sorted(group_ids)}"
+            f"{path}.group: {group!r} is not one of the declared groups {sorted(ids)}"
         )
     transform = _check_fields(obj["transform"], f"{path}.transform", ("shift", "scale"))
     if len(transform) != 1:
@@ -153,10 +154,10 @@ def _subsidy_from_config(obj, group_ids: Sequence[str], path: str) -> SubsidySpe
         )
     ((method, amount),) = transform.items()
     amount = _number(amount, f"{path}.transform.{method}")
-    if method == "shift" and amount < 0.0:
-        raise ConfigurationError(f"{path}.transform.shift: must be >= 0, got {amount}")
-    if method == "scale" and amount < 1.0:
-        raise ConfigurationError(f"{path}.transform.scale: must be >= 1, got {amount}")
+    try:
+        subsidize(groups[ids.index(group)].cost, **{method: amount})
+    except ParameterError as exc:
+        raise ConfigurationError(f"{path}.transform.{method}: {exc}") from exc
     return SubsidySpec(group=group, method=method, amount=amount)
 
 
@@ -191,7 +192,7 @@ def scenario_from_config(obj) -> Scenario:
         raise ConfigurationError(f"intervention.decouple: expected a boolean, got {decouple!r}")
     subsidy = None
     if "subsidy" in inter:
-        subsidy = _subsidy_from_config(inter["subsidy"], group_ids, "intervention.subsidy")
+        subsidy = _subsidy_from_config(inter["subsidy"], groups, "intervention.subsidy")
 
     return Scenario(
         economy=economy,
@@ -502,8 +503,7 @@ def cmd_find(args) -> int:
     seed = args.seed if args.seed is not None else scenario.seed
 
     records = find_equilibria_scan(
-        scenario.economy, groups, scenario.model, mode=mode,
-        grid=args.grid, config=config, seed=seed,
+        scenario.economy, groups, scenario.model, args.grid, config=config, seed=seed
     )
     print(f"equilibria ({mode} scan):")
     if not records:

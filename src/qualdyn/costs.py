@@ -203,6 +203,25 @@ class BimodalNormal(CostModel):
         return self.mix * self._c1.cdf(x) + (1.0 - self.mix) * self._c2.cdf(x)
 
 
+def _checked_knots(model, what: str) -> tuple[list[float], list[float]]:
+    """Store model.knots as float pairs, check the knot rules every empirical
+    CDF shares, and return the x and y columns for its endpoint rules."""
+    knots = tuple((float(x), float(y)) for x, y in model.knots)
+    object.__setattr__(model, "knots", knots)
+    if len(knots) < 2:
+        raise ParameterError(f"{what} needs at least 2 knots")
+    if not all(math.isfinite(v) for knot in knots for v in knot):
+        raise ParameterError(f"knots must be finite, got {knots}")
+    xs = [x for x, _ in knots]
+    ys = [y for _, y in knots]
+    for i in range(1, len(knots)):
+        if xs[i] <= xs[i - 1]:
+            raise ParameterError(f"knot x values must strictly increase at index {i}")
+        if ys[i] < ys[i - 1]:
+            raise ParameterError(f"knot CDF values decrease at index {i}")
+    return xs, ys
+
+
 @dataclass(frozen=True)
 class EmpiricalCdf(CostModel):
     """Piecewise-linear CDF through explicit (x, G(x)) knots.
@@ -215,21 +234,9 @@ class EmpiricalCdf(CostModel):
     kind = "empirical"
 
     def __post_init__(self) -> None:
-        knots = tuple((float(x), float(y)) for x, y in self.knots)
-        object.__setattr__(self, "knots", knots)
-        if len(knots) < 2:
-            raise ParameterError("empirical CDF needs at least 2 knots")
-        if not all(math.isfinite(v) for knot in knots for v in knot):
-            raise ParameterError(f"knots must be finite, got {knots}")
-        xs = [x for x, _ in knots]
-        ys = [y for _, y in knots]
+        xs, ys = _checked_knots(self, "empirical CDF")
         if xs[0] < 0.0:
             raise ParameterError(f"cost support must be nonnegative, first knot at {xs[0]}")
-        for i in range(1, len(knots)):
-            if xs[i] <= xs[i - 1]:
-                raise ParameterError(f"knot x values must strictly increase at index {i}")
-            if ys[i] < ys[i - 1]:
-                raise ParameterError(f"knot CDF values decrease at index {i}")
         if not 0.0 <= ys[0]:
             raise ParameterError(f"CDF values must be nonnegative, got {ys[0]}")
         if abs(ys[-1] - 1.0) > 1e-12:
@@ -319,21 +326,12 @@ class Scaled(CostModel):
 def subsidize(
     model: CostModel, *, shift: float | None = None, scale: float | None = None
 ) -> CostModel:
-    """Build the dominating CDF for a subsidy.
-
-    Exactly one of shift (delta >= 0) or scale (factor >= 1) must be given;
-    anything else would break G_bar >= G and is rejected.
-    """
+    """Build the dominating CDF for a subsidy: Shifted(model, shift) or
+    Scaled(model, scale), for exactly one amount, passed on as it is; their
+    bounds (shift >= 0, scale >= 1) keep G_bar >= G."""
     if (shift is None) == (scale is None):
         raise ParameterError("specify exactly one of shift= or scale=")
-    if shift is not None:
-        if shift < 0:
-            raise ParameterError(f"shift delta must be >= 0, got {shift}")
-        return Shifted(model, float(shift))
-    assert scale is not None
-    if scale < 1.0:
-        raise ParameterError(f"scale factor must be >= 1, got {scale}")
-    return Scaled(model, float(scale))
+    return Shifted(model, shift) if scale is None else Scaled(model, scale)
 
 
 def inverse_cdf(model: CostModel, p: float) -> float:

@@ -33,6 +33,7 @@ from .core import (
 from .errors import ConfigurationError, ParameterError, PreconditionError
 from .features import (
     DEFAULT_GRID,
+    MIN_GRID,
     GaussianHalfspace,
     decoupled_best_response,
     institution_best_response,
@@ -71,7 +72,7 @@ class DynamicsConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("joint", "decoupled"):
             raise ParameterError(f"mode must be 'joint' or 'decoupled', got {self.mode!r}")
-        for name, least in (("max_iters", 1), ("cycle_window", 2), ("theta_grid", 3)):
+        for name, least in (("max_iters", 1), ("cycle_window", 2), ("theta_grid", MIN_GRID)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < least:
                 raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -201,10 +201,11 @@ from .core import (
     _weighted_utility,
     response_rate,
 )
-from .costs import _knots_from_config
+from .costs import _checked_knots, _knots_from_config
 from .errors import ConfigurationError, DomainError, ParameterError
 
 DEFAULT_GRID = 2001  # step 5e-4 over [0, 1]
+MIN_GRID = 3  # the fewest cut points a grid argmax and its refinement work on
 
 # Slack under the grid maximum within which utilities count as tied, relative
 # to the size of the winner's utility terms. Exact indifference states
@@ -296,23 +297,11 @@ class EmpiricalScore:
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        knots = tuple((float(x), float(y)) for x, y in self.knots)
-        object.__setattr__(self, "knots", knots)
-        if len(knots) < 2:
-            raise ParameterError("empirical score CDF needs at least 2 knots")
-        if not all(math.isfinite(v) for knot in knots for v in knot):
-            raise ParameterError(f"knots must be finite, got {knots}")
-        xs = [x for x, _ in knots]
-        ys = [y for _, y in knots]
+        xs, ys = _checked_knots(self, "empirical score CDF")
         if abs(xs[0]) > 1e-12 or abs(ys[0]) > 1e-12:
-            raise ParameterError(f"first knot must be (0, 0), got {knots[0]}")
+            raise ParameterError(f"first knot must be (0, 0), got {self.knots[0]}")
         if abs(xs[-1] - 1.0) > 1e-12 or abs(ys[-1] - 1.0) > 1e-12:
-            raise ParameterError(f"last knot must be (1, 1), got {knots[-1]}")
-        for i in range(1, len(knots)):
-            if xs[i] <= xs[i - 1]:
-                raise ParameterError(f"knot x values must strictly increase at index {i}")
-            if ys[i] < ys[i - 1]:
-                raise ParameterError(f"knot CDF values decrease at index {i}")
+            raise ParameterError(f"last knot must be (1, 1), got {self.knots[-1]}")
         object.__setattr__(self, "_xs", tuple(xs))
         object.__setattr__(self, "_ys", tuple(ys))
         object.__setattr__(
@@ -448,10 +437,7 @@ class GaussianHalfspace:
                 raise ParameterError(f"group {gid!r}: vector must be 1-d with >= 2 entries")
             if any(len(unit) != arr.size for unit in units.values()):
                 raise ParameterError("all group vectors must share one dimension")
-            norm = float(np.linalg.norm(arr))
-            if norm <= 0.0 or not math.isfinite(norm):
-                raise ParameterError(f"group {gid!r}: vector has no direction")
-            units[gid] = tuple((arr / norm).tolist())
+            units[gid] = tuple(_unit(arr, f"group {gid!r}: vector").tolist())
             return tuple(arr.tolist())
 
         _group_table(self, "vectors", vector)
@@ -554,6 +540,18 @@ class GaussianHalfspace:
             "variant": "gaussian_halfspace",
             "vectors": {g: list(v) for g, v in self.vectors},
         }
+
+
+def _unit(vec, what: str) -> np.ndarray:
+    """vec / |vec|, or ParameterError naming `what` if vec has no direction.
+    Scaling vec first by a power of two (exact) keeps the squared entries
+    from underflowing or overflowing; elsewhere no bit changes."""
+    arr = np.asarray(vec, dtype=float)
+    top = float(np.abs(arr).max(initial=0.0))
+    if not 0.0 < top < math.inf:
+        raise ParameterError(f"{what} has no direction")
+    arr = np.ldexp(arr, -math.frexp(top)[1])
+    return arr / np.linalg.norm(arr)
 
 
 def normalized_angle(u: np.ndarray, v: np.ndarray) -> float:
@@ -1084,6 +1082,7 @@ def institution_best_response(
     the arc midpoint for the halfspace indifference case. The module docstring
     states the precision contract.
     """
+    _check_grid_size(grid_size)
     _check_alignment(model, groups, state)
     if isinstance(model, GaussianHalfspace):
         return _halfspace_rule(model, economy, groups, state.rates, tie_tol)
@@ -1108,6 +1107,7 @@ def decoupled_best_response(
     positives at a strictly positive angle weight. It is returned as the
     model's read-only table copy of that boundary.
     """
+    _check_grid_size(grid_size)
     if isinstance(model, GaussianHalfspace):
         boundary = model._boundaries.get(group.id)
         if boundary is None:
@@ -1118,6 +1118,11 @@ def decoupled_best_response(
         state = QualificationState(ids=(group.id,), rates=(float(pi),))
         return _scalar_best_response(model, economy, solo, state, grid_size)
     raise ConfigurationError(f"unknown feature model type {type(model).__name__}")
+
+
+def _check_grid_size(grid_size) -> None:
+    if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < MIN_GRID:
+        raise ParameterError(f"grid_size must be an integer >= {MIN_GRID}, got {grid_size!r}")
 
 
 def _check_alignment(model, groups: tuple[GroupSpec, ...], state: QualificationState) -> None:

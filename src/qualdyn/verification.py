@@ -223,7 +223,7 @@ def criterion_realizable() -> list[CheckResult]:
         return worst <= 1e-9, f"25 starts, max |pi - G(w)| = {worst:.3g}"
 
     def shared_scan():
-        records = find_equilibria_scan(economy, shared_groups, shared_model, "joint")
+        records = find_equilibria_scan(economy, shared_groups, shared_model)
         nonzero = [r for r in records if r.nonzero]
         if len(nonzero) != 1:
             return False, f"{len(nonzero)} non-zero equilibria"
@@ -242,7 +242,7 @@ def criterion_realizable() -> list[CheckResult]:
         return worst <= 1e-9, f"4 starts, max |pi - G(w)| = {worst:.3g}"
 
     def separating_scan():
-        records = find_equilibria_scan(economy, sep_groups, sep_model, "joint")
+        records = find_equilibria_scan(economy, sep_groups, sep_model)
         nonzero = [r for r in records if r.nonzero]
         if len(nonzero) != 1:
             return False, f"{len(nonzero)} non-zero equilibria"
@@ -307,7 +307,7 @@ def _halfspace_scenario(payoff_tp: float, cost_fp: float):
 
 def criterion_gaussian_equilibria() -> list[CheckResult]:
     economy, groups, model = _halfspace_scenario(2.0, 1.0)
-    records = find_equilibria_scan(economy, groups, model, "joint")
+    records = find_equilibria_scan(economy, groups, model)
     checks = []
     expected = (
         ((0.8, 0.0), STABLE),
@@ -371,7 +371,7 @@ def criterion_gaussian_cycle() -> list[CheckResult]:
         return spread <= 1e-4, f"directions {labels}, corner rates within {spread:.3g}"
 
     def no_stable_fixed_point():
-        records = find_equilibria_scan(economy, groups, model, "joint")
+        records = find_equilibria_scan(economy, groups, model)
         fixed = [r for r in records if r.kind == "FixedPoint"]
         bad = [r for r in fixed if r.stability == STABLE]
         detail = f"{len(fixed)} fixed points, labels " + (
@@ -413,7 +413,7 @@ def criterion_multiple_equilibria() -> list[CheckResult]:
         return ok, f"beta(0.5)={beta_mid:.6f}, cost quantile {quantile:.6f}"
 
     def scan_two_nonzero():
-        records = find_equilibria_scan(economy, groups, model, "joint")
+        records = find_equilibria_scan(economy, groups, model)
         nonzero = [r for r in records if r.nonzero]
         detail = "; ".join(
             f"{_fmt_rates(r.state)} {r.stability}" for r in nonzero
@@ -429,7 +429,7 @@ def criterion_multiple_equilibria() -> list[CheckResult]:
             psi.append(moved.rate("g") - float(x))
         signs = [s for s in np.sign(psi) if s != 0]
         flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        records = find_equilibria_scan(economy, groups, model, "joint")
+        records = find_equilibria_scan(economy, groups, model)
         nonzero = sum(1 for r in records if r.nonzero)
         ok = flips >= 2 and flips == nonzero
         return ok, f"{flips} sign changes vs {nonzero} non-zero equilibria"
@@ -484,7 +484,7 @@ def criterion_unequal_costs() -> list[CheckResult]:
         return own < bar, f"G1(w)={own:.4f} < rate bar G2(w(1-2a))={bar:.4f}"
 
     def single_corner():
-        records = find_equilibria_scan(economy, groups, model, "joint")
+        records = find_equilibria_scan(economy, groups, model)
         nonzero = [r for r in records if r.nonzero]
         if len(nonzero) != 1:
             return False, f"{len(nonzero)} non-zero equilibria"
@@ -554,7 +554,7 @@ def criterion_decoupling() -> list[CheckResult]:
         return worst <= 1e-9, f"3 starts, max |pi - G(w)| = {worst:.3g}"
 
     def dominates_joint():
-        records = find_equilibria_scan(economy, groups, model, "joint")
+        records = find_equilibria_scan(economy, groups, model)
         margin = min(
             0.6 - rate for rec in records for rate in rec.state.rates
         )

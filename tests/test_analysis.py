@@ -172,6 +172,21 @@ def test_gaussian_closed_forms_refuses_the_knife_edge():
         )
 
 
+@pytest.mark.parametrize("payoff_tp, cost_fp", [(2.0, 1.0), (1.0, 2.0)])
+def test_gaussian_closed_forms_see_only_the_directions(payoff_tp, cost_fp):
+    # 2**-600 * h has entries whose squares underflow to 0; the directions,
+    # and so every record, are those of h itself, bit for bit.
+    economy = EconomyConfig(wage=0.8, payoff_tp=payoff_tp, cost_fp=cost_fp)
+    h1, h2 = np.array([1.0, 0.25]), np.array([0.5, 3.0])
+    want = gaussian_closed_forms(h1, h2, 0.8, Uniform01(), economy)
+    got = gaussian_closed_forms(2.0**-600 * h1, 2.0**-600 * h2, 0.8, Uniform01(), economy)
+    assert (got.angle, got.regime) == (want.angle, want.regime)
+    assert [r.label for r in got.records] == [r.label for r in want.records]
+    for g, w in zip(got.records, want.records):
+        assert np.array_equal(g.theta, w.theta)
+        assert (g.state, g.stability, g.cycle) == (w.state, w.stability, w.cycle)
+
+
 def test_gaussian_closed_forms_refuse_a_wage_mismatch():
     # as uniform_closed_forms does: w and economy.wage are one wage
     economy = EconomyConfig(wage=0.8, payoff_tp=2.0, cost_fp=1.0)
@@ -254,18 +269,6 @@ def test_scan_separating_threshold_equilibria():
     assert full.theta == pytest.approx(0.5, abs=1e-9)
     assert full.stability == "Stable"
     assert full.derivative_stable is True
-
-
-def test_scan_rejects_conflicting_mode():
-    model = UniformThreshold((("a", 0.5),))
-    group = GroupSpec(id="a", proportion=1.0, cost=Uniform01())
-    from qualdyn import DynamicsConfig
-
-    with pytest.raises(ConfigurationError):
-        find_equilibria_scan(
-            EconomyConfig(wage=0.7), (group,), model,
-            mode="joint", config=DynamicsConfig(mode="decoupled"),
-        )
 
 
 def test_near_realizability_bound_value_and_hypotheses():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -180,8 +180,25 @@ def scenario_configs(draw):
     return cfg
 
 
+# A vector whose squared entries underflow, next to another with the same
+# direction: it must load as that direction and be refused as identical.
+_TINY_VECTOR_CONFIG = uniform_scenario(
+    economy={"wage": 1.0, "payoff_tp": 1.0, "cost_fp": 1.0},
+    groups=[
+        {"id": gid, "proportion": 1.0 / 3.0, "cost": {"kind": "uniform01"}} for gid in "abc"
+    ],
+    features={
+        "variant": "gaussian_halfspace",
+        "vectors": {"a": [0.0, 1.0], "b": [0.0, 6.947630497756243e-161], "c": [1.0, 0.0]},
+    },
+    dynamics={},
+    seed=0,
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(scenario_configs())
+@example(_TINY_VECTOR_CONFIG)
 def test_scenario_config_round_trips_over_drawn_configs(cfg):
     try:
         scenario = scenario_from_config(cfg)
@@ -193,6 +210,23 @@ def test_scenario_config_round_trips_over_drawn_configs(cfg):
     again = scenario_from_config(serialized)
     assert again == scenario
     assert scenario_to_config(again) == serialized
+
+
+def test_halfspace_vectors_load_across_the_float_range():
+    def unit(vector):
+        cfg = uniform_scenario(
+            features={"variant": "gaussian_halfspace", "vectors": {"a1": vector, "a2": [1.0, 0.0]}}
+        )
+        return scenario_from_config(cfg).model.vector("a1").tolist()
+
+    # squared entries that underflow, or overflow, leave the direction
+    assert unit([0.0, 6.947630497756243e-161]) == [0.0, 1.0]
+    assert unit([1e200, 1e200]) == unit([1.0, 1.0]) == pytest.approx([0.5**0.5] * 2, rel=1e-15)
+    with pytest.raises(ConfigurationError, match="identical or opposite"):
+        scenario_from_config(_TINY_VECTOR_CONFIG)
+    for vector in ([0.0, 0.0], [-0.0, 0.0]):
+        with pytest.raises(ConfigurationError, match="has no direction"):
+            unit(vector)
 
 
 def test_scenario_error_paths(tmp_path, capsys):

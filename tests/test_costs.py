@@ -64,8 +64,6 @@ def test_empirical_cdf_interpolates_and_validates():
     assert g.cdf(0.75) == pytest.approx(0.9)
     assert g.cdf(-1.0) == 0.0 and g.cdf(2.0) == 1.0
     with pytest.raises(ParameterError):
-        EmpiricalCdf(((0.0, 0.0),))
-    with pytest.raises(ParameterError):
         EmpiricalCdf(((0.0, 0.0), (0.5, 0.9), (1.0, 0.8)))
     with pytest.raises(ParameterError):
         EmpiricalCdf(((0.0, 0.0), (1.0, 0.9)))
@@ -97,6 +95,10 @@ def test_subsidize_requires_exactly_one_transform():
         subsidize(base, shift=-0.2)
     with pytest.raises(ParameterError):
         subsidize(base, scale=0.9)
+    # a bool is not an amount: the transforms refuse it, so subsidize does
+    for kwargs in ({"shift": True}, {"scale": True}):
+        with pytest.raises(ParameterError, match="finite real"):
+            subsidize(base, **kwargs)
 
 
 def test_dominates():

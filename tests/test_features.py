@@ -123,18 +123,28 @@ def test_empirical_score_interpolates_and_validates():
     assert dist.cdf(-1.0) == 0.0
     assert dist.cdf(2.0) == 1.0
     with pytest.raises(ParameterError):
-        EmpiricalScore(knots=((0.0, 0.0),))
-    with pytest.raises(ParameterError):
         EmpiricalScore(knots=((0.1, 0.0), (1.0, 1.0)))  # first knot not (0, 0)
     with pytest.raises(ParameterError):
         EmpiricalScore(knots=((0.0, 0.0), (1.0, 0.9)))  # last knot not (1, 1)
-    with pytest.raises(ParameterError):
-        EmpiricalScore(knots=((0.0, 0.0), (0.5, 0.8), (0.5, 0.9), (1.0, 1.0)))
-    with pytest.raises(ParameterError):
-        EmpiricalScore(knots=((0.0, 0.0), (0.4, 0.7), (0.6, 0.5), (1.0, 1.0)))
-    for bad in ((math.nan, 0.5), (0.5, math.nan), (0.5, math.inf)):
-        with pytest.raises(ParameterError, match="finite"):
-            EmpiricalScore(knots=((0.0, 0.0), bad, (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("cls", [EmpiricalScore, EmpiricalCdf])
+@pytest.mark.parametrize(
+    "knots, message",
+    [
+        (((0.0, 0.0),), "at least 2 knots"),
+        (((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)), "finite"),
+        (((0.0, 0.0), (0.5, math.nan), (1.0, 1.0)), "finite"),
+        (((0.0, 0.0), (0.5, math.inf), (1.0, 1.0)), "finite"),
+        (((0.0, 0.0), (0.5, 0.8), (0.5, 0.9), (1.0, 1.0)), "x values must strictly increase"),
+        (((0.0, 0.0), (0.4, 0.7), (0.6, 0.5), (1.0, 1.0)), "CDF values decrease"),
+    ],
+)
+def test_empirical_knot_rules_are_shared(cls, knots, message):
+    # Every case starts at (0, 0) and ends at (1, 1), which both classes'
+    # endpoint rules accept, so the refusal is the shared knot rule's.
+    with pytest.raises(ParameterError, match=message):
+        cls(knots)
 
 
 def test_halfspace_geometry():
@@ -685,6 +695,23 @@ def test_cached_grid_utility_equals_the_uncached_one_bit_for_bit():
         assert core._utility_from_rates(economy, groups, rates, state.rates) == expected
         theta = halfspace.arc_point(t)
         assert institutional_utility(economy, groups, halfspace, theta, state) == expected
+
+
+def test_best_responses_refuse_a_grid_below_the_minimum():
+    # The floor is DynamicsConfig's theta_grid floor too: a grid argmax and
+    # its refinement need a point on each side of the winner.
+    economy = EconomyConfig(wage=1.0)
+    group = GroupSpec(id="g", proportion=1.0, cost=Uniform01())
+    state = QualificationState(ids=("g",), rates=(0.5,))
+    model = steep_scores()
+    for grid_size in (0, 2, 3.0, True):
+        with pytest.raises(ParameterError, match="grid_size must be an integer >= 3"):
+            institution_best_response(model, economy, (group,), state, grid_size=grid_size)
+        with pytest.raises(ParameterError, match="grid_size must be an integer >= 3"):
+            decoupled_best_response(model, economy, group, 0.5, grid_size=grid_size)
+    with pytest.raises(ParameterError, match="theta_grid must be an integer >= 3"):
+        dynamics.DynamicsConfig(theta_grid=features.MIN_GRID - 1)
+    assert 0.0 <= institution_best_response(model, economy, (group,), state, grid_size=3) <= 1.0
 
 
 def test_grid_tables_are_per_model_and_per_grid_size():
