@@ -29,15 +29,15 @@ evaluations, its root searches on Phi and the Phi evaluations in each, and
 its root searches on the theta-curve's h (after the curve's one array pass
 over the grid's interior) and the h evaluations in each; cost-CDF calls
 per best response at the h_mid states of 200 seeded uniform scenarios; and
-over the same 2000 score-anchor states, the grid points whose rates each
-best response read (its strict-MLR window's) and the number that fell
-back to the whole grid's table. The score anchor is strict MLR, so the
-script also exits non-zero if any of those states falls back: a window
-that stops serving then fails the script instead of only slowing it. Point
-PYTHONPATH at another checkout's src to count that version (a version
-without the theta-curve makes no curve searches, and one without the
-window reads the whole grid at every best response, so there the script
-exits non-zero):
+over the same 2000 score-anchor states, the share of best responses that
+the exact first-order cut answered, the number it left to the grid, and
+the slope calls of each cut. The score anchor is strict MLR and its states
+are interior, so the script also exits non-zero if any of them is left to
+the grid: an exact cut that stops serving then fails the script instead of
+only slowing it. Point PYTHONPATH at another checkout's src to count that
+version (a version without the theta-curve makes no curve searches, and
+one without the exact cut leaves every best response to the grid, so
+there the script exits non-zero):
 
     PYTHONPATH=src python benches/bench_layers.py
 """
@@ -443,43 +443,41 @@ def root_searches(phi):
         analysis._scan_root = real
 
 
-def window_reads(calls) -> tuple[list[int], int]:
-    """Make each call, a score best response, and return the grid points
-    whose rates each one read, and how many fell back to the whole grid's
-    table. A response served by the strict-MLR window reads the window's
-    points; one that calls `features._grid_rates` reads the whole grid and
-    counts as a fallback, as every response of a version without the
-    window does."""
-    real_window = getattr(features, "_mlr_window", None)
-    real_table = features._grid_rates
-    read = []  # (points, fell back) for the call being made
+def exact_cuts(calls) -> dict:
+    """Make each call, a one-group strict-MLR score best response, and count
+    how it was answered: the share that `features._first_order_cut`
+    answered, the calls it left to the grid (its window or its whole table),
+    and the slope calls each of its cuts made. A version without the exact
+    cut leaves every call to the grid."""
+    real = getattr(features, "_first_order_cut", None)
+    answered = []  # whether the call being made took the exact cut
 
-    def window(*args):
-        result = real_window(*args)
-        if result is not None:
-            read.append((len(result[2]), False))
+    def cut(*args):
+        result = real(*args)
+        answered.append(result is not None)
         return result
 
-    def table(model, grid_size):
-        read.append((grid_size, True))
-        return real_table(model, grid_size)
-
-    reads, fallbacks = [], 0
-    features._grid_rates = table
-    if real_window is not None:
-        features._mlr_window = window
-    try:
-        for call in calls:
-            read.clear()
-            call()
-            points, fell_back = read[-1]
-            reads.append(points)
-            fallbacks += fell_back
-    finally:
-        features._grid_rates = real_table
-        if real_window is not None:
-            features._mlr_window = real_window
-    return reads, fallbacks
+    slopes, fallbacks = [], 0
+    with counting("_utility_slope", inner=True) as slope:
+        if real is not None:
+            features._first_order_cut = cut
+        try:
+            for call in calls:
+                answered.clear()
+                before = slope[0]
+                call()
+                if answered and answered[-1]:
+                    slopes.append(slope[0] - before)
+                else:
+                    fallbacks += 1
+        finally:
+            if real is not None:
+                features._first_order_cut = real
+    return {
+        "exact_share": len(slopes) / len(calls),
+        "grid_fallbacks": fallbacks,
+        "slope_calls_per_cut": _summary(slopes) if slopes else None,
+    }
 
 
 def distributions() -> dict:
@@ -494,7 +492,6 @@ def distributions() -> dict:
         analysis.find_equilibria_scan(*SCORE, grid=101)
     on_phi = [evals for evals, phi_evals in searches if phi_evals]
     on_curve = [evals for evals, phi_evals in searches if not phi_evals]
-    reads, fallbacks = window_reads(slope["score_anchor"])
     return {
         "slope_calls_per_refinement": {
             anchor: _summary(_per_call("_utility_slope", calls, inner=True))
@@ -508,10 +505,7 @@ def distributions() -> dict:
             "curve_evals_per_root": statistics.fmean(on_curve) if on_curve else None,
         },
         "cdf_calls_per_plateau_response": _summary(_per_call("cdf", _plateau_responses())),
-        "score_window": {
-            "points_read_per_best_response": _summary(reads),
-            "full_table_fallbacks": fallbacks,
-        },
+        "score_exact_cut": exact_cuts(slope["score_anchor"]),
     }
 
 
@@ -524,9 +518,10 @@ def main() -> int:
     spread = distributions()
     json.dump({"cases": cases, **spread}, sys.stdout, indent=1)
     print()
-    if spread["score_window"]["full_table_fallbacks"]:
-        # the score anchor is strict MLR: every one of its states is windowed
-        failed.append("score_window")
+    if spread["score_exact_cut"]["grid_fallbacks"]:
+        # the score anchor is strict MLR: every one of its interior states
+        # takes the exact cut
+        failed.append("score_exact_cut")
     if failed:
         print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0

@@ -443,8 +443,8 @@ def find_equilibria_scan(
       densities underflow; such models take the Phi grid, as does grid = 2.
       The two end steps of the curve, where the densities vanish, are
       searched on Phi itself over the span of pi they cover, as the Phi grid
-      searches its steps, since near pi = 0 the solver's grid may see no
-      positive utility and reject everyone, off the curve.
+      searches its steps, since there the solver may answer off the curve
+      (see `_theta_curve_roots`).
     - The Phi grid serves every other model (empirical scores, non-MLR or
       weakly MLR Beta pairs, uniform thresholds): Phi(pi) - pi is read at
       `grid` evenly spaced rates, so `grid` counts pi points here, and each
@@ -470,9 +470,11 @@ def find_equilibria_scan(
     there is that root up to the rounding of its first-order condition (see
     `features`). Neither grid sees two roots inside one of its steps, and
     the other may. A record's theta is the solver's answer at its pi, so it
-    agrees within fix_tol too, except near pi = 0, where between states
-    closer than fix_tol the solver may swing from reject-all to an interior
-    cut or snap to its own grid. A near-root whose residual lies between
+    agrees within fix_tol too, except where that answer is not the
+    first-order root (see `features`): at a flat top, which the solver
+    leaves to its grid, and near pi = 0 where U at the root rounds to <= 0.
+    There, between states closer than fix_tol, the solver may swing from
+    reject-all to an interior cut or snap to its own grid. A near-root whose residual lies between
     fix_tol and 1e-6 (a jump of the solver's map) is reported NotAssessed by
     both paths. On the score anchor the two paths print the same records
     but for the residual column.
@@ -633,7 +635,10 @@ def _theta_curve_roots(
     population's response at the root; a point where h is exactly 0 gives
     its own. The end spans, pi from low up to the last point's pi_inst and
     from the first point's up to 1, are searched by _scan_root on psi, with
-    h at the point as that end's value.
+    h at the point as that end's value. They are searched on Phi because
+    there the solver may answer off the curve: near pi = 0 it answers
+    reject-all where U at the root rounds to <= 0, and near pi = 1 a flat
+    top takes the grid's plateau point.
     """
     if not isinstance(model, ScoreModel) or grid < 3:
         return None

@@ -635,7 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
         "theta and no best response is solved for them; any other one-group "
         "model is scanned on rates pi. The two scans' records agree within the "
         "scenario's fix_tol, and every assessed record's one-step residual is "
-        "<= fix_tol",
+        "<= fix_tol; a record's theta agrees within fix_tol too, except at a "
+        "flat top of the utility and near pi = 0 where the utility at the "
+        "first-order cut rounds to <= 0 (see find_equilibria_scan)",
     )
     find_p.add_argument("--seed", type=int, default=None, help="seed for stability probes")
     find_p.add_argument("--decoupled", action="store_true", help="scan decoupled dynamics")

@@ -30,15 +30,18 @@ back as the exact kink. Group a's benefit w (TPR_a - FPR_a) is the tent
 w min(theta / h_a, (1 - theta) / (1 - h_a)), so its cuts, where the benefit
 is beta, are h_a beta / w and 1 - (1 - h_a) beta / w.
 
-ScoreModel is solved on a grid, in order:
+ScoreModel. One group with strict-MLR Beta scores (_strict_mlr_beta) at
+0 < pi < 1 is answered by the exact first-order cut (below), which reads no
+grid rates. Every other score call, and each state that the cut leaves to
+the grid, is solved on a grid, in order:
 
 * Grid. Utility is evaluated on `grid_size` evenly spaced cut points over
   [0, 1] (DEFAULT_GRID = 2001, step 5e-4). For one group with strict-MLR
-  Beta scores (_strict_mlr_beta) it is read on a certified window of that
-  grid (below); otherwise on the whole grid, from the weighted grid table
-  (see Caches below). Among equal grid maxima `np.argmax` takes the first.
-  The rules below read the window alone, in window indices; the whole grid
-  is the window that needs no certificate.
+  Beta scores it is read on a certified window of that grid (below);
+  otherwise on the whole grid, from the weighted grid table (see Caches
+  below). Among equal grid maxima `np.argmax` takes the first. The rules
+  below read the window alone, in window indices; the whole grid is the
+  window that needs no certificate.
 * Reject-all. If no grid point earns a positive utility the answer is 1.0,
   where utility is exactly 0.
 * Plateau. If neighbouring grid points tie the maximum within
@@ -63,21 +66,58 @@ ScoreModel is solved on a grid, in order:
   better refined cut still wins. A kink maximum comes back exactly at the
   kink, and one on the grid comes back as that grid point.
 
-Near pi = 0 these rules leave two known limits, because U (about 1e-14)
-is then within the rates' rounding of its own changes: the first-order root
-can compute no higher than the grid point and lose the strict-improvement
-test, and a maximum that is positive only between grid points is never
-seen, so the answer is reject-all (tests/test_features.py pins both).
+These rules have two known limits, where the refined point and the grid
+point are within rounding of each other in U: a first-order root within
+about 1e-8 of a grid point computes no strict improvement on it, so the
+grid point comes back (the snap), and near pi = 0, where U (about 1e-14)
+is within the rates' rounding of its own changes, a maximum that is
+positive only between grid points is never seen, so the answer is
+reject-all. The exact cut mends both for the strict-MLR Beta groups it
+answers (tests/test_features.py keeps the window's limits and checks the
+mend); they remain where the grid answers.
 
-The strict-MLR window. With one group (a joint call on a one-group economy,
-or any decoupled call) whose scores are strict-MLR Beta, f1/f0 rises
-strictly from 0 to infinity, so U'(theta) = n f0 (c (1 - pi) - p pi f1/f0)
-changes sign once, from + to -: the exact U rises to the first-order root
-and falls after it (it is monotone at pi = 0 and pi = 1). The solver:
+The exact first-order cut. With one group (a joint call on a one-group
+economy, or any decoupled call) whose scores are strict-MLR Beta, f1/f0
+rises strictly from 0 to infinity, so U'(theta) = n f0 (c (1 - pi) -
+p pi f1/f0) changes sign once, from + to -: the exact U rises to the
+first-order root r, where p pi f1 = c (1 - pi) f0 (the likelihood-ratio
+cut of Coate and Loury 1993), and falls after it, so U(r) > U(1) = 0 for
+0 < pi < 1 (at pi = 0 and pi = 1, U is monotone). _first_order_cut:
 
 * Locates. One searchsorted of log(c (1 - pi) / (p pi)) in the model's
   log(f1 / f0) on the grid gives the index i with the root in
-  [theta_(i-1), theta_i]; pi = 0 takes the top index and pi = 1 the bottom.
+  [theta_(i-1), theta_i].
+* Narrows the sign change of dU/dtheta on [theta_(i-2), theta_(i+1)], cut
+  at 0 and 1, to adjacent floats, by the refinement's search above; a step
+  to spare on each side absorbs the rounding of the located index.
+* Answers r, or reject-all (1.0) where U computed at r is <= 0 (its rates
+  are then within their rounding of 0). The rates at r are read last, so
+  the population response finds them in the memo (see Caches below).
+* Leaves to the grid, bit for bit: pi = 0 or 1, a root computed at 0 or
+  1, and a flat top, where U's fall over one grid step h from the root,
+  1/2 |U''| h^2 with U'' = -n c (1 - pi) f0 d(log(f1 / f0))/dtheta at r,
+  is within _FLAT_FACTOR (1e4) plateau slacks at r, or where neither rate
+  moves by more than its rounding, _RATE_ULP, over one step. There grid
+  points may tie within the plateau slack, and the plateau rule keeps its
+  response-preserving answer. Such tops occur near pi = 1 with steep
+  Betas, where f0(r) vanishes, and where the rates near r are steps of one
+  rounding unit. The two grid points around a root near the middle of its
+  step can also tie where U is not flat; the factor leaves that to a
+  chance of at most about 1e-4 per state.
+
+The exact answer keeps to the grid's, as a Hypothesis property in
+tests/test_features.py checks over drawn pairs: at pi = 0 or 1 and wherever
+the grid resolves a tied run by its plateau rule the two are the same bits;
+elsewhere they are equal, a few ulps apart or both sign changes of the
+computed dU/dtheta (two narrowings from different brackets), or the grid's
+answer is one of its limits, and U at the exact answer is never below U at
+the grid's by more than the slack and the rates' rounding.
+
+The strict-MLR window. The states that the exact cut leaves to the grid
+read a certified window of it:
+
+* Locates, as the exact cut does; pi = 0 takes the top index and pi = 1
+  the bottom.
 * Reads. The window is the blocks of _BLOCK grid points that hold
   i - 2 .. i + 1; the last block runs on to the grid's end, so the end
   point is never a block alone. Each block's rates are read once per model
@@ -120,17 +160,19 @@ answer is the bits the uncached computation gives.
   group's weighted rates (payoff_tp * TPR, cost_fp * FPR), from which the
   grid utility is formed by core._weighted_utility with the products
   _utility_from_rates would form, in the same order. A model is given these
-  only when some best response is not served by the strict-MLR window,
-  and from then on its best responses at that size all read them.
-* ScoreModel's window tables, for strict-MLR Beta groups: per (group, grid
-  size) the theta grid and log(f1 / f0) on it, and per (group, grid size,
-  block index) the group's (TPR, FPR) on that block of the grid.
+  only when some best response is served by neither the exact cut nor the
+  strict-MLR window, and from then on the window's states at that size
+  read them.
+* ScoreModel's tables for strict-MLR Beta groups: per (group, grid size)
+  the theta grid and log(f1 / f0) on it, which the exact cut and the window
+  search, and per (group, grid size, block index) the group's (TPR, FPR) on
+  that block of the grid, which the window alone reads.
 * ScoreModel's last-answer memo: tpr_fpr keeps, per group, the last cut
   it computed and that cut's rates, as one (theta, sign of theta, rates)
   tuple. A call with the same float, sign of zero included, is answered
-  from it. So the best response's gain check, the population response, the
-  trace utility and Phi's response, which all read the returned cut, share
-  one pair of score-CDF evaluations.
+  from it. So the exact cut's sign test (or the grid's gain check), the
+  population response, the trace utility and Phi's response, which all read
+  the returned cut, share one pair of score-CDF evaluations.
 * UniformThreshold's kink table, per tuple of group ids (the joint
   groups, or one group for a decoupled call): the sorted kinks {0, h_a, 1}
   and each group's (TPR, FPR) at each of them.
@@ -140,10 +182,11 @@ response (_utility_slope).
 
 The bound the equilibrium scan relies on: at a smooth interior maximum
 the cut point is the first-order root up to the rounding of dU/dtheta, a
-few ulps, so the one-group map Phi(pi) is continuous to rounding error and
-a root of Phi(pi) - pi, narrowed by the same search to adjacent floats,
-has a residual of order 1e-16, well below the default fix_tol = 1e-9 that a
-root must meet before its stability is probed.
+few ulps (for strict-MLR Beta groups, wherever the exact cut answers and U
+at the root is > 0), so the one-group map Phi(pi) is continuous to
+rounding error and a root of Phi(pi) - pi, narrowed by the same search to
+adjacent floats, has a residual of order 1e-16, well below the default
+fix_tol = 1e-9 that a root must meet before its stability is probed.
 
 The plateau rule, the response-preserving tie-break, picks the point of the
 stretch whose induced response is closest to the state in sup norm, so an
@@ -218,6 +261,13 @@ _PLATEAU_RTOL = 1e-15
 # the rounding of the rates and of the utility kernel.
 _BLOCK = 16
 _WINDOW_RTOL = 1e-12
+
+# The exact first-order cut (module docstring) leaves a state to the grid when
+# U's fall over one grid step from its top is within this many plateau slacks,
+# or when neither rate moves by more than its rounding, _RATE_ULP (the spacing
+# of the floats just below 1, where 1 - F is formed), over that step.
+_FLAT_FACTOR = 1e4
+_RATE_ULP = 2.0 ** -53
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -897,12 +947,63 @@ def _scalar_best_response(
 ) -> float:
     if isinstance(model, UniformThreshold):
         return _uniform_best_response(model, economy, groups, state)
+    cut = _first_order_cut(model, economy, groups, state, grid_size)
+    if cut is not None:
+        return cut
     window = None
     if grid_size not in model._grid_cache:  # a table already built is read
         window = _mlr_window(model, economy, groups, state, grid_size)
     if window is None:
         window = _full_window(model, economy, groups, state, grid_size)
     return _window_answer(model, economy, groups, state, window)
+
+
+def _root_step(model, economy, gid: str, scores: GroupScores, pi: float, grid_size: int):
+    """The theta grid of a strict-MLR Beta group and the index i with its
+    first-order root in [theta_(i-1), theta_i], by one searchsorted of
+    log(c (1 - pi) / (p pi)) in its log(f1 / f0), which runs from -inf to
+    +inf; pi = 0 takes the top index and pi = 1 the bottom."""
+    thetas, llr = _llr_grid(model, gid, scores, grid_size)
+    if pi <= 0.0:
+        return thetas, grid_size - 1
+    if pi >= 1.0:
+        return thetas, 0
+    p, c = economy.payoff_tp, economy.cost_fp
+    return thetas, int(
+        llr.searchsorted(math.log(c) + math.log1p(-pi) - math.log(p) - math.log(pi))
+    )
+
+
+def _first_order_cut(model, economy, groups, state: QualificationState, grid_size: int):
+    """The exact answer (module docstring) for one strict-MLR Beta group at
+    0 < pi < 1: the first-order root, or reject-all (1.0) where U there is
+    <= 0. None for every other model and for the states the grid's rules
+    answer: pi at 0 or 1, and a top too flat for the grid to tell apart."""
+    if len(groups) != 1:
+        return None
+    (g,), (pi,) = groups, state.rates
+    scores = model.scores(g.id)
+    if not (0.0 < pi < 1.0 and _strict_mlr_beta(scores)):
+        return None
+    thetas, i = _root_step(model, economy, g.id, scores, pi, grid_size)
+    a, b = float(thetas[max(i - 2, 0)]), float(thetas[min(i + 1, grid_size - 1)])
+    root = _slope_turn(_utility_slope(model, economy, groups, state), a, b)
+    if not 0.0 < root < 1.0:
+        return None
+    y1, y0 = scores.y1, scores.y0
+    n, p, c, h = g.proportion, economy.payoff_tp, economy.cost_fp, 1.0 / (grid_size - 1)
+    d = n * c * (1.0 - pi) * y0.slope(root)  # = n p pi f1 at the root
+    # U's fall over one grid step from its top, 1/2 |U''| h^2, where
+    # U'' = -d d(llr)/dtheta at the root
+    fall = 0.5 * d * h * h * ((y1.alpha - y0.alpha) / root + (y0.beta - y1.beta) / (1.0 - root))
+    rates = model.tpr_fpr(g.id, root)
+    tpr, fpr = rates
+    slack = _PLATEAU_RTOL * n * (p * tpr * pi + c * fpr * (1.0 - pi))
+    # each rate moves by its density times h over a step: f0 = d / (n c (1 - pi))
+    # and f1 = d / (n p pi)
+    if not (fall > _FLAT_FACTOR * slack and d * h > _RATE_ULP * n * min(p * pi, c * (1.0 - pi))):
+        return None
+    return root if _utility_from_rates(economy, groups, (rates,), state.rates) > 0.0 else 1.0
 
 
 def _peak(economy, groups, state: QualificationState, rates: dict, util):
@@ -934,14 +1035,8 @@ def _mlr_window(model, economy, groups, state: QualificationState, grid_size: in
     scores = model.scores(g.id)
     if not _strict_mlr_beta(scores):
         return None
-    thetas, llr = _llr_grid(model, g.id, scores, grid_size)
+    thetas, i = _root_step(model, economy, g.id, scores, pi, grid_size)
     p, c = economy.payoff_tp, economy.cost_fp
-    if pi <= 0.0:
-        i = grid_size - 1
-    elif pi >= 1.0:
-        i = 0
-    else:  # the first-order root lies in [theta_(i-1), theta_i]; llr ends at +inf
-        i = int(llr.searchsorted(math.log(c) + math.log1p(-pi) - math.log(p) - math.log(pi)))
     margin = _WINDOW_RTOL * g.proportion * (p * pi + c * (1.0 - pi))
     last = _last_block(grid_size)
     k0, k1 = max(i - 2, 0) // _BLOCK, min((i + 1) // _BLOCK, last)
@@ -1074,8 +1169,10 @@ def institution_best_response(
     """Utility-maximizing assessment parameter for the current state.
 
     Scalar models return a cut point in [0, 1]: UniformThreshold in closed
-    form from the utility at its kinks, ScoreModel by grid argmax plus a
-    sign-change search on dU/dtheta around the winner. Halfspace models
+    form from the utility at its kinks, ScoreModel by the exact first-order
+    cut for one strict-MLR Beta group at 0 < pi < 1 away from a flat top,
+    and otherwise by grid argmax plus a sign-change search on dU/dtheta
+    around the winner. Halfspace models
     return a unit vector on the geodesic arc between the two group
     boundaries. Ties are broken deterministically: reject-all when nothing
     is profitable, the response-preserving point on interior plateaus, and

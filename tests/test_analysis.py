@@ -4,6 +4,7 @@ import bisect
 import copy
 import logging
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -45,7 +46,7 @@ from qualdyn import (
     subsidy_equilibrium_shift,
     uniform_closed_forms,
 )
-from qualdyn import analysis, dynamics, verification
+from qualdyn import analysis, dynamics, features, verification
 from qualdyn.dynamics import settled_state
 from qualdyn.features import _sign_change
 
@@ -351,6 +352,29 @@ def test_scan_finds_a_root_inside_the_first_grid_step():
     assert roots[2] == pytest.approx(0.88265, abs=1e-4)
 
 
+def test_scan_finds_no_root_in_the_grids_former_reject_all_zone():
+    # Beta(2.5, 1.5)/Beta(1.5, 3) scores, TruncatedNormal(0.375, 0.25) costs
+    # and wage 1. Up to pi ~ 7.2e-6 the 2001-point grid saw no profitable cut
+    # and rejected everyone, where the best response is an interior cut with
+    # U > 0, so Phi had a spurious unstable root at pi = 7.205e-6 and the
+    # stability tests of pi = 0 disagreed. With the exact cut Phi follows the
+    # theta-curve there: Phi(pi) > pi, and the scan reports 0 and the stable
+    # root alone, with no warning.
+    model = ScoreModel((("g", GroupScores(y1=BetaScore(2.5, 1.5), y0=BetaScore(1.5, 3.0))),))
+    group = GroupSpec(id="g", proportion=1.0, cost=TruncatedNormal(mu=0.375, sigma=0.25))
+    economy = EconomyConfig(wage=1.0)
+    phi = analysis._phi_single(economy, group, model, DynamicsConfig().theta_grid)
+    for pi in (1e-6, 3e-6, 7.205e-6):
+        response, theta = phi(pi)
+        assert theta < 1.0 and response > pi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = find_equilibria_scan(economy, (group,), model)
+    assert [r.state.rates[0] for r in records] == [0.0, pytest.approx(0.6221961764, abs=1e-9)]
+    assert [r.stability for r in records] == ["Unstable", "Stable"]
+    assert [r.derivative_stable for r in records] == [False, True]
+
+
 @pytest.mark.parametrize("mu", [0.52, 0.6])
 def test_steep_cost_roots_meet_fix_tol_and_are_assessed(mu):
     model = ScoreModel((("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),))
@@ -475,9 +499,9 @@ def test_theta_curve_records_match_the_phi_grid(scan):
     # path reports must sit in such a step of the other path's grid. Every
     # other record matches: pi within fix_tol, the same stability, and theta,
     # the solver's answer at pi, within fix_tol, or within one step of the
-    # solver's grid when one of the two is a grid point (where the
-    # refinement's gain test flips between states closer than fix_tol). A
-    # trivial record (pi <= 1e-6) has no theta bound: there the solver's
+    # solver's grid when one of the two is a grid point that the grid's rules
+    # answered (a flat top, where the exact cut leaves the state to the grid).
+    # A trivial record (pi <= 1e-6) has no theta bound: there the solver's
     # answer swings from reject-all at pi = 0 to interior cuts within fix_tol
     # of it. A record whose residual exceeds fix_tol is a near-root where the
     # solver's map jumps by less than 1e-6; both paths report it NotAssessed,
@@ -510,8 +534,11 @@ def test_theta_curve_records_match_the_phi_grid(scan):
         i = bisect.bisect_right(points, theta)
         return 1 < i < grid - 1 and h(points[i - 1]) * h(points[i]) > 0.0
 
-    def on_solver_grid(theta):
-        return (theta * (config.theta_grid - 1)).is_integer()
+    def snapped(rec):  # a grid point that the grid's rules answered
+        state = QualificationState(ids=("g",), rates=rec.state.rates)
+        return (rec.theta * (config.theta_grid - 1)).is_integer() and (
+            features._first_order_cut(model, economy, (group,), state, config.theta_grid) is None
+        )
 
     def twin_in(records, rec):
         radius = tol if rec.residual <= tol else analysis._NONZERO_TOL
@@ -529,7 +556,7 @@ def test_theta_curve_records_match_the_phi_grid(scan):
         assert rec.stability == twin.stability, (rec, twin)
         gap = abs(rec.theta - twin.theta)
         assert not rec.nonzero or gap <= tol or (
-            gap <= step_size and (on_solver_grid(rec.theta) or on_solver_grid(twin.theta))
+            gap <= step_size and (snapped(rec) or snapped(twin))
         ), (rec, twin)
     for rec in reference:
         if twin_in(curve, rec) is None:

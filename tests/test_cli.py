@@ -562,12 +562,28 @@ GOLDEN_FINDS = [
 ]
 
 
+def assert_matches_golden(out: str, name: str) -> None:
+    """Compare out with the golden file `name`: line by line first, naming
+    the first line that differs, then byte for byte, which also checks line
+    endings and the final newline. Neither failure prints the whole texts,
+    whose diff pytest can take minutes to render."""
+    expected = (GOLDEN / name).read_text()
+    lines, golden = out.splitlines(), expected.splitlines()
+    for i, (line, want) in enumerate(zip(lines, golden)):
+        if line != want:
+            pytest.fail(f"{name}, line {i + 1} differs:\n  got      {line!r}\n  expected {want!r}")
+    if len(lines) != len(golden):
+        pytest.fail(f"{name}: {len(lines)} lines printed, {len(golden)} expected")
+    if out != expected:
+        pytest.fail(f"{name}: every line matches, but the line endings differ")
+
+
 @pytest.mark.parametrize(
     "scenario, extra, expected", GOLDEN_FINDS, ids=[case[2] for case in GOLDEN_FINDS]
 )
 def test_find_prints_the_golden_output(capsys, scenario, extra, expected):
     assert main(["find", "--config", str(GOLDEN / scenario), *extra]) == 0
-    assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+    assert_matches_golden(capsys.readouterr().out, expected)
 
 
 # `run` on reference scenarios, byte for byte: the JSONL trace, its summary
@@ -585,7 +601,7 @@ GOLDEN_RUNS = [
 )
 def test_run_prints_the_golden_trace(capsys, scenario, extra, expected, code):
     assert main(["run", "--config", str(GOLDEN / scenario), *extra]) == code
-    assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+    assert_matches_golden(capsys.readouterr().out, expected)
 
 
 def test_repeated_main_calls_carry_no_state(capsys):

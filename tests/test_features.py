@@ -293,10 +293,12 @@ def test_best_response_rejects_everyone_without_qualified_mass():
     assert institution_best_response(model, economy, groups, empty) == pytest.approx(1.0)
 
 
-def test_score_best_response_near_pi_zero_keeps_its_known_limits():
+def test_score_best_response_near_pi_zero_takes_the_first_order_cut():
     # Beta(5,2)/Beta(2,5) scores, wage 1, Uniform01 costs. The first-order
     # root solves (theta / (1 - theta))^3 = c (1 - pi) / (p pi). Near pi = 0
-    # U is about 1e-14, and rounding in the rates is about 1e-16 of it.
+    # U is about 1e-14, within the rates' rounding of its changes between
+    # grid points, so the grid snapped to a grid point or saw no profitable
+    # cut at all; the exact cut answers the root wherever U there is > 0.
     model = ScoreModel((("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),))
     groups = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
 
@@ -304,20 +306,36 @@ def test_score_best_response_near_pi_zero_keeps_its_known_limits():
         economy = EconomyConfig(wage=1.0, payoff_tp=payoff_tp, cost_fp=cost_fp)
         state = QualificationState(ids=("g",), rates=(pi,))
         answer = institution_best_response(model, economy, groups, state)
-        return answer, lambda th: institutional_utility(economy, groups, model, th, state)
+        root = coate_loury_threshold(model, economy, state)
+        return answer, root, lambda th: institutional_utility(economy, groups, model, th, state)
 
-    # Payoffs (1, 1), pi = 1e-9: the root 1000/1001 does not compute as a
-    # strict improvement on the grid point, so the grid point comes back.
-    answer, utility = respond(1.0, 1.0, 1e-9)
-    root = 1000.0 / 1001.0
-    assert answer == 0.999 and root == pytest.approx(0.999000999, abs=1e-9)
-    assert utility(root) <= utility(0.999)
+    # Payoffs (1, 1), pi = 1e-9: the grid point 0.999 came back; the root
+    # lies 1e-6 above it.
+    answer, root, utility = respond(1.0, 1.0, 1e-9)
+    assert answer == pytest.approx(root, abs=1e-12) and answer != 0.999
+    assert utility(answer) > 0.0
     # Payoffs (1, 3), pi = 1e-10: U is positive only between the last two
-    # grid points, around 0.99968, so the grid finds no profitable cut and
-    # the answer is reject-all.
-    answer, utility = respond(1.0, 3.0, 1e-10)
-    assert answer == 1.0
-    assert utility(0.99968) > 0.0 >= max(utility(0.9995), utility(1.0))
+    # grid points, around 0.99968, so the grid answered reject-all.
+    answer, root, utility = respond(1.0, 3.0, 1e-10)
+    assert answer == pytest.approx(root, abs=1e-12) and 0.9995 < answer < 1.0
+    assert utility(answer) > 0.0 >= max(utility(0.9995), utility(1.0))
+
+    # Beta(3,2)/Beta(1,3) scores near pi = 1e-6: at the root FPR is below one
+    # rounding unit of 1 - F, so U there rounds to either sign, and where it
+    # rounds to <= 0 the answer is reject-all.
+    model = ScoreModel((("g", GroupScores(y1=BetaScore(3.0, 2.0), y0=BetaScore(1.0, 3.0))),))
+    economy = EconomyConfig(wage=1.0)
+    rejected = set()
+    for pi in np.geomspace(1e-7, 1e-5, 201).tolist():
+        state = QualificationState(ids=("g",), rates=(pi,))
+        root = features._slope_turn(
+            features._utility_slope(model, economy, groups, state), 0.99, 1.0
+        )
+        answer = institution_best_response(model, economy, groups, state)
+        positive = institutional_utility(economy, groups, model, root, state) > 0.0
+        assert answer == (root if positive else 1.0)
+        rejected.add(not positive)
+    assert rejected == {False, True}
 
 
 def test_best_response_checks_group_alignment():
@@ -751,9 +769,11 @@ def _full_table_answer(model, economy, groups, state, grid_size):
     return features._window_answer(model, economy, groups, state, full)
 
 
-# The known grid limits (module docstring of features): both cases of
-# test_score_best_response_near_pi_zero_keeps_its_known_limits, and a snap to
-# the grid point 0.188 where the first-order root is 0.18800001157.
+# The window's known grid limits (module docstring of features): both cases
+# of test_score_best_response_near_pi_zero_takes_the_first_order_cut, where it
+# snaps to the grid point 0.999 and answers reject-all, and a snap to the grid
+# point 0.188 where the first-order root is 0.1879999969. The exact cut
+# answers every one of them.
 KNOWN_LIMITS = [
     (((5.0, 2.0), (2.0, 5.0)), (1.0, 1.0), 1e-9, 0.999),
     (((5.0, 2.0), (2.0, 5.0)), (1.0, 3.0), 1e-10, 1.0),
@@ -767,9 +787,20 @@ def test_the_window_keeps_the_known_grid_limits(scores, payoffs, pi, answer):
     window = features._mlr_window(model, economy, groups, state, features.DEFAULT_GRID)
     assert window is not None and len(window[0]) < features.DEFAULT_GRID
     assert features._window_answer(model, economy, groups, state, window) == answer
-    assert institution_best_response(model, economy, groups, state) == answer
     assert model._grid_cache == {} and model._weighted_cache == {}
     assert _full_table_answer(model, economy, groups, state, features.DEFAULT_GRID) == answer
+
+
+@pytest.mark.parametrize("scores,payoffs,pi,answer", KNOWN_LIMITS)
+def test_the_exact_cut_mends_the_known_grid_limits(scores, payoffs, pi, answer):
+    # The best response is the first-order root, not the window's grid point
+    # or reject-all, and it reads no grid rates at all.
+    model, economy, groups, state = _one_group_score(scores, payoffs, pi)
+    got = institution_best_response(model, economy, groups, state)
+    assert got != answer
+    assert got == pytest.approx(coate_loury_threshold(model, economy, state), abs=1e-12)
+    assert institutional_utility(economy, groups, model, got, state) > 0.0
+    assert model._grid_cache == {} and model._block_cache == {}
 
 
 def test_the_window_next_to_the_grid_end_takes_no_table():
@@ -783,7 +814,7 @@ def test_the_window_next_to_the_grid_end_takes_no_table():
         model, economy, groups, state = _one_group_score(scores, (1.0, 1.0), pi)
         window = features._mlr_window(model, economy, groups, state, features.DEFAULT_GRID)
         assert window is not None and (len(window[0]), window[0][0], window[0][-1]) == (17, 0.992, 1.0)
-        assert institution_best_response(model, economy, groups, state) == answer
+        assert features._window_answer(model, economy, groups, state, window) == answer
         assert model._grid_cache == {}
         assert _full_table_answer(model, economy, groups, state, features.DEFAULT_GRID) == answer
 
@@ -810,9 +841,9 @@ def strict_mlr_pairs(draw):
 @example(scores=KNOWN_LIMITS[2][0], payoffs=(1.0, 1.0), pi=0.88531308, grid_size=2001, n=1.0)
 @example(scores=KNOWN_LIMITS[2][0], payoffs=(1.0, 1.0), pi=0.8853125, grid_size=2001, n=1.0)
 def test_strict_mlr_window_answers_the_full_table_bit_for_bit(scores, payoffs, pi, grid_size, n):
-    # A strict-MLR group's best response reads a certified window of the
-    # grid; it must be the answer the whole grid's table gives, bit for bit,
-    # from a joint call on one group of any weight and a decoupled call.
+    # Where a strict-MLR group's best response is left to the grid, it reads
+    # a certified window of the grid; a window that stands must give the
+    # answer the whole grid's table gives, bit for bit.
     model, economy, groups, state = _one_group_score(scores, payoffs, pi, n)
     window = features._mlr_window(model, economy, groups, state, grid_size)
     expected = _full_table_answer(model, economy, groups, state, grid_size)
@@ -820,11 +851,63 @@ def test_strict_mlr_window_answers_the_full_table_bit_for_bit(scores, payoffs, p
         assert features._window_answer(model, economy, groups, state, window).hex() == (
             expected.hex()
         )
-    got = institution_best_response(model, economy, groups, state, grid_size=grid_size)
-    assert got.hex() == expected.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=strict_mlr_pairs(),
+    payoffs=st.sampled_from([(1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (0.35, 1.0)]),
+    grid_size=st.sampled_from([101, 401, 2001]),
+    pi=st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(1e-12, 1e-3),
+        st.floats(1e-12, 1e-3).map(lambda x: 1.0 - x),
+        st.floats(0.0, 1.0),
+    ),
+    n=st.sampled_from([1.0, 0.35]),
+)
+@example(scores=KNOWN_LIMITS[0][0], payoffs=(1.0, 1.0), pi=1e-9, grid_size=2001, n=1.0)
+@example(scores=KNOWN_LIMITS[1][0], payoffs=(1.0, 3.0), pi=1e-10, grid_size=2001, n=1.0)
+@example(scores=KNOWN_LIMITS[2][0], payoffs=(1.0, 1.0), pi=0.88531308, grid_size=2001, n=1.0)
+def test_the_exact_cut_keeps_the_window_contract(scores, payoffs, pi, grid_size, n):
+    # The exact answer theta_e against the whole grid's answer theta_w. At
+    # pi = 0 or 1, and wherever the grid resolves a tied run by its plateau
+    # rule, theta_e is theta_w bit for bit. Everywhere else they are equal,
+    # or a few ulps apart, or both are sign changes of the computed dU/dtheta
+    # (two narrowings from different brackets, where rounding makes it change
+    # sign more than once), or theta_w is one of the grid's limits: a snap to
+    # a grid point, or reject-all where U at theta_e is > 0. U at theta_e is
+    # never below U at theta_w by more than the plateau slack and the rates'
+    # rounding. Joint calls on one group and decoupled calls agree.
+    model, economy, groups, state = _one_group_score(scores, payoffs, pi, n)
+    full = features._full_window(model, economy, groups, state, grid_size)
+    theta_w = features._window_answer(model, economy, groups, state, full)
+    theta_e = institution_best_response(model, economy, groups, state, grid_size=grid_size)
+    thetas, _, util, (i_best, u_max, slack) = full
+    lo, hi = features._tied_run(util, i_best, u_max - slack)
+    if pi in (0.0, 1.0) or (u_max > 0.0 and hi > lo):
+        assert theta_e.hex() == theta_w.hex()
+
+    def utility(theta):
+        return institutional_utility(economy, groups, model, theta, state)
+
+    p, c = payoffs
+    rounding = 4 * features._RATE_ULP * n * (p * pi + c * (1.0 - pi))
+    assert utility(theta_e) >= utility(theta_w) - slack - rounding
+    slope = features._utility_slope(model, economy, groups, state)
+
+    def turns(theta):
+        return slope(theta) <= 0.0 < slope(math.nextafter(theta, 0.0))
+
+    assert (
+        abs(theta_e - theta_w) <= 4 * math.ulp(theta_w)
+        or (turns(theta_e) and turns(theta_w))
+        or theta_w in thetas[:-1]
+        or (theta_w == 1.0 and (theta_e == 1.0 or utility(theta_e) > 0.0))
+    ), (theta_e, theta_w)
     if n == 1.0:
         decoupled = decoupled_best_response(model, economy, groups[0], pi, grid_size=grid_size)
-        assert decoupled.hex() == expected.hex()
+        assert decoupled.hex() == theta_e.hex()
 
 
 def test_the_window_serves_strict_mlr_beta_groups_alone():
@@ -844,15 +927,21 @@ def test_the_window_serves_strict_mlr_beta_groups_alone():
     two = tuple(GroupSpec(id=g, proportion=0.5, cost=Uniform01()) for g in ("a", "b"))
     both = QualificationState(ids=("a", "b"), rates=(0.4, 0.6))
     assert features._mlr_window(pair, economy, two, both, 2001) is None
+    assert features._first_order_cut(pair, economy, two, both, 2001) is None
+    # a decoupled call takes the exact cut and reads no rates on the grid;
+    # the window fills the blocks of its own group alone
     fresh = ScoreModel(pair.curves)
-    decoupled_best_response(fresh, economy, two[1], 0.6)
+    solo_b = (GroupSpec(id="b", proportion=1.0, cost=Uniform01()),)
+    at_b = QualificationState(ids=("b",), rates=(0.6,))
+    answer = decoupled_best_response(fresh, economy, two[1], 0.6)
+    assert answer == features._first_order_cut(fresh, economy, solo_b, at_b, 2001)
+    assert fresh._grid_cache == {} and fresh._block_cache == {}
+    assert features._mlr_window(fresh, economy, solo_b, at_b, 2001) is not None
     assert fresh._grid_cache == {} and {key[0] for key in fresh._block_cache} == {"b"}
-    # a model holding the whole grid's table reads it, and fills no block
+    # a model holding the whole grid's table answers the same
     institution_best_response(pair, economy, two, both)
     assert list(pair._grid_cache) == [2001] and pair._block_cache == {}
-    assert decoupled_best_response(pair, economy, two[1], 0.6) == (
-        decoupled_best_response(fresh, economy, two[1], 0.6)
-    )
+    assert decoupled_best_response(pair, economy, two[1], 0.6) == answer
     assert pair._block_cache == {}
 
 
