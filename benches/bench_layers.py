@@ -31,13 +31,17 @@ over the grid's interior) and the h evaluations in each; cost-CDF calls
 per best response at the h_mid states of 200 seeded uniform scenarios; and
 over the same 2000 score-anchor states, the share of best responses that
 the exact first-order cut answered, the number it left to the grid, and
-the slope calls of each cut. The score anchor is strict MLR and its states
-are interior, so the script also exits non-zero if any of them is left to
-the grid: an exact cut that stops serving then fails the script instead of
-only slowing it. Point PYTHONPATH at another checkout's src to count that
-version (a version without the theta-curve makes no curve searches, and
-one without the exact cut leaves every best response to the grid, so
-there the script exits non-zero):
+the slope calls of each cut; and the cut-level searches (`_slope_turn`
+calls) made over the 200 uniform plateau responses. The score anchor is
+strict MLR and its states are interior, so the script also exits non-zero
+if any of them is left to the grid; and the plateau responses' costs are
+Uniform01, whose cut level is read in closed form, so it exits non-zero if
+any of them searches for one. A closed form that stops serving then fails
+the script instead of only slowing it. Point PYTHONPATH at another
+checkout's src to count that version (a version without the theta-curve
+makes no curve searches; one without the exact cut leaves every best
+response to the grid, and one without the closed-form cut level searches
+at every plateau response, so on either the script exits non-zero):
 
     PYTHONPATH=src python benches/bench_layers.py
 """
@@ -104,6 +108,7 @@ def _root_bracket():
 
 
 H_MID = _h_mid(*UNIFORM[:2], 0.4, 0.8)
+CORNER = _at(UNIFORM, 0.6, 0.3)
 BOUNDARY, TIE = _at(HALFSPACE, 0.8, 0.0), _at(HALFSPACE, 0.4, 0.4)
 ROOT = _root_bracket()
 STABLE_ROOT, UNSTABLE_ROOT = sorted(
@@ -205,7 +210,7 @@ CASES = [
     ),
     Case(
         "corner_step", "step",
-        lambda: dynamics.step(*UNIFORM, _at(UNIFORM, 0.6, 0.3)),
+        lambda: dynamics.step(*UNIFORM, CORNER),
         lambda r: r[0] == 0.4,
     ),
     Case(
@@ -230,6 +235,13 @@ CASES = [
         "unstable_classify", "classify_stability",
         lambda: dynamics.classify_stability(*SCORE, UNSTABLE_ROOT),
         lambda verdict: verdict == "Unstable",
+    ),
+    Case(
+        # the uniform reference's corner equilibrium: every probe is
+        # answered at a kink, with no plateau, and returns in one step
+        "corner_classify", "classify_stability",
+        lambda: dynamics.classify_stability(*UNIFORM, CORNER),
+        lambda verdict: verdict == "Stable",
     ),
     Case(
         "score_root", "find_equilibria_scan (one group)",
@@ -480,6 +492,17 @@ def exact_cuts(calls) -> dict:
     }
 
 
+def cut_level_searches() -> int:
+    """The `features._slope_turn` searches made over the seeded uniform
+    plateau responses. Their groups' costs are Uniform01, whose cut level is
+    read in closed form, and nothing else on the uniform path runs that
+    search, so the count is 0 unless the closed form has stopped serving."""
+    with counting("_slope_turn") as searches:
+        for call in _plateau_responses():
+            call()
+    return searches[0]
+
+
 def distributions() -> dict:
     rng = random.Random(0)
     score = [_at(SCORE, rng.random()) for _ in range(2000)]
@@ -505,6 +528,7 @@ def distributions() -> dict:
             "curve_evals_per_root": statistics.fmean(on_curve) if on_curve else None,
         },
         "cdf_calls_per_plateau_response": _summary(_per_call("cdf", _plateau_responses())),
+        "cut_level_searches": cut_level_searches(),
         "score_exact_cut": exact_cuts(slope["score_anchor"]),
     }
 
@@ -522,6 +546,9 @@ def main() -> int:
         # the score anchor is strict MLR: every one of its interior states
         # takes the exact cut
         failed.append("score_exact_cut")
+    if spread["cut_level_searches"]:
+        # every group of the seeded plateau responses has Uniform01 costs
+        failed.append("cut_level_searches")
     if failed:
         print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0

@@ -4,7 +4,9 @@ An economy couples an institution (payoffs for true/false positives) with
 one or more population groups. Each group carries a qualification rate:
 the fraction of its members currently holding the positive label. These
 types are plain immutable value objects; every operation on them is a
-pure function, so the whole module is safe to use concurrently.
+pure function, so the whole module is safe to use concurrently
+(normalize_groups keeps a one-slot record of its last answer, which
+changes how fast it answers, never what).
 """
 
 from __future__ import annotations
@@ -138,13 +140,31 @@ class GroupSpec:
             )
 
 
+# The tuple normalize_groups last returned. Only a tuple that passed its
+# checks is stored, and the reference keeps it alive, so its id is never
+# reused while it is stored.
+_last_normalized: tuple[GroupSpec, ...] | None = None
+
+
 def normalize_groups(groups: Iterable[GroupSpec]) -> tuple[GroupSpec, ...]:
     """Sort groups into canonical (lexicographic) order and validate the set.
 
     Canonical ordering is what makes vector states and trace files
     deterministic. Proportions must sum to 1 within PROPORTION_TOL and ids
     must be unique.
+
+    The tuple this returned last, handed back as the same object, is
+    returned as it is, without sorting and summing again: the tuple and its
+    frozen GroupSpecs cannot change, so the checks it passed still hold.
+    So step, iterate and classify_stability, which pass one normalized
+    tuple down to each other, pay for the checks once. Any other argument,
+    an equal list or tuple included, is checked in full and comes back as a
+    new tuple. Only a checked tuple is ever stored, so under threads no
+    caller gets back a tuple that no call checked.
     """
+    global _last_normalized
+    if groups is _last_normalized:
+        return groups
     ordered = tuple(sorted(groups, key=lambda g: g.id))
     if not ordered:
         raise ConfigurationError("at least one group is required")
@@ -156,6 +176,7 @@ def normalize_groups(groups: Iterable[GroupSpec]) -> tuple[GroupSpec, ...]:
         raise ConfigurationError(
             f"group proportions must sum to 1 (tolerance {PROPORTION_TOL}); got {total!r}"
         )
+    _last_normalized = ordered
     return ordered
 
 

@@ -72,6 +72,15 @@ class CostModel:
             return 1.0
         return min(1.0, max(0.0, self._cdf_on_support(x)))
 
+    def cut_level(self, pi: float, top: float) -> float:
+        """The smallest x in [0, top] with G(x) >= pi, to adjacent floats:
+        0.0 when G(0) >= pi already and top when G(top) < pi. The uniform
+        plateau's cuts are placed where a group's benefit is this level,
+        so its response there returns pi."""
+        from .features import _slope_turn  # features imports this module
+
+        return _slope_turn(lambda x: pi - self.cdf(x), 0.0, top)
+
     def to_config(self) -> dict:
         """The scenario-config mapping: `kind` plus every dataclass field,
         with a base model nested as its own mapping and knots as lists."""
@@ -106,6 +115,11 @@ class Uniform01(CostModel):
 
     def _cdf_on_support(self, x: float) -> float:
         return x
+
+    def cut_level(self, pi: float, top: float) -> float:
+        # G(x) = x on [0, 1], so the level is pi itself: the search's bits,
+        # 0.0 (positive zero) for pi <= 0 and top for pi above it included.
+        return 0.0 if pi <= 0.0 else top if pi > top else pi
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ tie-breaking is fixed), so traces are reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
@@ -377,7 +378,16 @@ def classify_stability(
     that amplifies the kick more than 1000 times. With perturb_eps >= 1e-3
     the escape ball holds all of [0, 1]^n, so the escape never fires. The
     one-group scan cross-checks each verdict against the derivative test
-    and warns when they disagree."""
+    and warns when they disagree.
+
+    The probe starts are built from the fixed point's float rates, axis
+    probes first (group order, + before -), then the joint one. Each entry
+    is min(1.0, max(0.0, rate + kick)), and a start equal to the fixed
+    point (a kick clamped away at 0 or 1) is dropped. The joint kick is
+    np.random.default_rng(seed).uniform(-perturb_eps, perturb_eps, n) for
+    n groups; for an int seed it is drawn once per (seed, perturb_eps, n)
+    and kept in a small bounded module cache, so repeated calls make no
+    Generator. Any other seed numpy accepts is drawn afresh each call."""
     groups = normalize_groups(groups)
     _, mapped = step(
         economy, groups, model, fixed_point, config.mode,
@@ -389,19 +399,6 @@ def classify_stability(
         )
 
     eps = config.perturb_eps
-    base = np.array(fixed_point.rates)
-    probes: list[np.ndarray] = []
-    for i in range(len(base)):
-        for sign in (+1.0, -1.0):
-            cand = base.copy()
-            cand[i] = min(1.0, max(0.0, cand[i] + sign * eps))
-            if np.max(np.abs(cand - base)) > 0.0:
-                probes.append(cand)
-    rng = np.random.default_rng(seed)
-    joint = np.clip(base + rng.uniform(-eps, eps, size=base.size), 0.0, 1.0)
-    if np.max(np.abs(joint - base)) > 0.0:
-        probes.append(joint)
-
     return_tol = max(config.fix_tol, 1e-3 * eps)
     escape = 1e3 * eps
 
@@ -410,14 +407,40 @@ def classify_stability(
         return distance <= return_tol or distance > escape
 
     memo: dict = {}
-    for cand in probes:
-        start = QualificationState(ids=fixed_point.ids, rates=tuple(float(x) for x in cand))
+    for rates in _probe_starts(fixed_point.rates, eps, seed):
+        start = QualificationState(ids=fixed_point.ids, rates=rates)
         last = iterate(
             economy, groups, model, start, config, stop=decided, memo=memo
         ).trace[-1].state
         if last.sup_distance(fixed_point) > return_tol:
             return UNSTABLE
     return STABLE
+
+
+def _probe_starts(base: tuple[float, ...], eps: float, seed) -> list[tuple[float, ...]]:
+    """classify_stability's probe starts around the rates `base`: each
+    coordinate moved by +eps and by -eps, then the seeded joint kick, each
+    entry clamped to [0, 1], and a start equal to base dropped."""
+    starts = []
+    for i, rate in enumerate(base):
+        for sign in (+1.0, -1.0):
+            moved = min(1.0, max(0.0, rate + sign * eps))
+            if moved != rate:
+                starts.append(base[:i] + (moved,) + base[i + 1:])
+    draw = _joint_kick if isinstance(seed, int) else _joint_kick.__wrapped__
+    joint = tuple(
+        min(1.0, max(0.0, rate + k)) for rate, k in zip(base, draw(seed, eps, len(base)))
+    )
+    if joint != base:
+        starts.append(joint)
+    return starts
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _joint_kick(seed, eps: float, n: int) -> tuple[float, ...]:
+    """classify_stability's seeded joint kick, uniform on [-eps, eps]^n, as
+    floats: drawn once per (seed, eps, n) while it stays in the cache."""
+    return tuple(np.random.default_rng(seed).uniform(-eps, eps, size=n).tolist())
 
 
 def cycle_average(outcome: DynamicsOutcome) -> QualificationState:

@@ -191,8 +191,11 @@ fix_tol = 1e-9 that a root must meet before its stability is probed.
 The plateau rule, the response-preserving tie-break, picks the point of the
 stretch whose induced response is closest to the state in sup norm, so an
 indifference state maps to itself. Only uniform stretches have cuts: group
-a's beta is the smallest benefit with G_a(beta) >= pi_a (to adjacent floats
-on the cost CDF), so at a cut its response returns pi_a. Of the cuts inside
+a's beta is the smallest benefit with G_a(beta) >= pi_a, its cost model's
+cut_level, so at a cut its response returns pi_a. A cost model finds it by
+_slope_turn's search on the CDF, to adjacent floats; a Uniform01 cost,
+where G(x) = x, reads it in closed form as pi_a clamped to [0, top], with
+the search's bits and no CDF call. Of the cuts inside
 [L, R], then L and R, the closest response wins, the first listed on a tie.
 A state that none reproduces within _PLATEAU_RTOL (absolute) takes the
 closest response over the breakpoints, the cuts, and on each piece between
@@ -223,7 +226,6 @@ and groups them by the table index that pass returns.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -915,7 +917,14 @@ def _plateau_point(model, economy, groups, state: QualificationState, points, cu
     lo_t, hi_t = points[0], points[-1]
     found = [c for c in cuts if lo_t <= c <= hi_t]
     # each theta's residuals are read once, for d and for the crossing stage
-    residuals = functools.cache(lambda th: _residuals(model, economy, groups, state, th))
+    seen: dict = {}
+
+    def residuals(th):
+        res = seen.get(th)
+        if res is None:
+            res = seen[th] = _residuals(model, economy, groups, state, th)
+        return res
+
     d = lambda th: max(map(abs, residuals(th)))
     best = min(found + [lo_t, hi_t], key=d)
     if d(best) <= _PLATEAU_RTOL:
@@ -1113,7 +1122,7 @@ def _uniform_best_response(
     for g, pi in zip(groups, state.rates):
         # G is exactly 1 above its support, so the search need go no higher.
         top = min(w, math.nextafter(g.cost.support[1], math.inf))
-        beta = _slope_turn(lambda x: pi - g.cost.cdf(x), 0.0, top)
+        beta = g.cost.cut_level(pi, top)
         h = model.threshold(g.id)
         cuts += [h * beta / w, 1.0 - (1.0 - h) * beta / w]
     return _plateau_point(model, economy, groups, state, list(kinks[lo_i:hi_i + 1]), cuts)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -99,6 +101,79 @@ def test_normalize_groups_sorts_and_validates():
         )
     with pytest.raises(ConfigurationError):
         normalize_groups([])
+
+
+def _pair(first="a", second="b", share=0.75):
+    return (
+        GroupSpec(id=first, proportion=share, cost=Uniform01()),
+        GroupSpec(id=second, proportion=1.0 - share, cost=Uniform01()),
+    )
+
+
+def test_normalize_groups_hands_back_the_tuple_it_just_returned():
+    a, b = _pair()
+    groups = normalize_groups([b, a])
+    assert normalize_groups(groups) is groups
+    # equal members in another container or order are checked and sorted
+    for again in ([b, a], (b, a), [a, b], (a, b)):
+        fresh = normalize_groups(again)
+        assert fresh == (a, b) and fresh is not groups and fresh is not again
+    assert normalize_groups(fresh) is fresh
+
+
+def test_normalize_groups_still_refuses_bad_sets_after_a_good_call():
+    a, b = _pair()
+    assert normalize_groups((a, b)) == (a, b)
+    for bad in (
+        (a, GroupSpec(id="a", proportion=0.25, cost=Uniform01())),
+        (a, GroupSpec(id="b", proportion=0.5, cost=Uniform01())),
+        (),
+    ):
+        with pytest.raises(ConfigurationError):
+            normalize_groups(bad)
+        good = normalize_groups((b, a))
+        with pytest.raises(ConfigurationError):
+            normalize_groups(bad)
+        assert normalize_groups(good) is good
+
+
+def test_normalize_groups_never_hands_an_unchecked_tuple_to_a_thread():
+    # Threads race good sets, their own answers and bad sets through the
+    # one-slot record, with a short switch interval: a good set always comes
+    # back sorted and checked, and a bad one is always refused.
+    good = [_pair(first, second, share) for first, second, share in
+            (("a", "b", 0.75), ("b", "a", 0.5), ("x", "c", 0.125))]
+    bad = [
+        (GroupSpec(id="a", proportion=0.5, cost=Uniform01()),) * 2,
+        _pair(share=0.75)[:1],
+    ]
+    errors = []
+
+    def worker(k):
+        for i in range(300):
+            groups = good[(i + k) % len(good)]
+            got = normalize_groups(groups)
+            if got != tuple(sorted(groups, key=lambda g: g.id)) or normalize_groups(got) != got:
+                errors.append((groups, got))
+            for refused in bad:
+                try:
+                    normalize_groups(refused)
+                except ConfigurationError:
+                    continue
+                errors.append((refused, "accepted"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_group_spec_validation():

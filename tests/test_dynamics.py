@@ -280,6 +280,70 @@ def test_unstable_probes_stop_once_they_escape(monkeypatch):
     assert len(calls) <= 20
 
 
+def numpy_probe_starts(rates, eps, seed):
+    """The probe starts built with numpy arrays: the reference that
+    dynamics._probe_starts matches bit for bit."""
+    base = np.array(rates)
+    probes = []
+    for i in range(len(base)):
+        for sign in (+1.0, -1.0):
+            cand = base.copy()
+            cand[i] = min(1.0, max(0.0, cand[i] + sign * eps))
+            if np.max(np.abs(cand - base)) > 0.0:
+                probes.append(cand)
+    rng = np.random.default_rng(seed)
+    joint = np.clip(base + rng.uniform(-eps, eps, size=base.size), 0.0, 1.0)
+    if np.max(np.abs(joint - base)) > 0.0:
+        probes.append(joint)
+    return [tuple(float(x) for x in cand) for cand in probes]
+
+
+def float_bits(starts):
+    """Each start's entries as hex strings, which tell -0.0 from 0.0."""
+    return [tuple(x.hex() for x in start) for start in starts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from((0.0, -0.0, 1.0, 5e-324)),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from((1e-12, 1e-4, 0.5, 2.0)),
+    st.integers(min_value=0, max_value=4),
+)
+def test_probe_starts_match_the_numpy_construction_bit_for_bit(rates, eps, seed):
+    rates = tuple(rates)
+    want = numpy_probe_starts(rates, eps, seed)
+    # twice: a kick drawn, then the same kick read from the cache
+    assert float_bits(dynamics._probe_starts(rates, eps, seed)) == float_bits(want)
+    assert float_bits(dynamics._probe_starts(rates, eps, seed)) == float_bits(want)
+    fresh = np.random.default_rng(seed).uniform(-eps, eps, len(rates))
+    assert [k.hex() for k in dynamics._joint_kick(seed, eps, len(rates))] == [
+        float(k).hex() for k in fresh
+    ]
+
+
+def test_a_repeated_probe_draws_no_generator(monkeypatch):
+    economy, groups, model = uniform_reference()
+    corner = QualificationState(ids=("a1", "a2"), rates=(0.6, 0.3))
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or real(seed))
+    dynamics._joint_kick.cache_clear()
+    for _ in range(3):
+        assert classify_stability(economy, groups, model, corner, seed=7) == "Stable"
+    assert made == [7]
+    # a seed that is not an int is drawn afresh, as numpy would draw it
+    for _ in range(2):
+        classify_stability(economy, groups, model, corner, seed=np.int64(7))
+    assert len(made) == 3
+
+
 def memo_cases():
     """(name, economy, groups, model, config, two starts) for each family."""
     criterion_10 = dict(max_iters=300, fix_tol=1e-6, theta_grid=401)

@@ -1336,9 +1336,11 @@ def test_plateau_tie_break_needs_a_tie_beyond_rounding(monkeypatch):
 def test_plateau_cost_inversion_stops_just_above_the_cost_support(monkeypatch):
     # pi = 1 with the wage above the costs' support: G is exactly 1 beyond
     # the support, so beta's search ends there instead of halving a flat
-    # zero up to the wage (112 cdf calls for Uniform01 and wage 1.5). Its
-    # bits are those of the search up to the wage, also for Scaled(.., 49),
-    # whose G rounds to just below 1 at the support's top.
+    # zero up to the wage (92 cdf calls for Scaled(.., 49) and wage 1.5, 58
+    # for Uniform01). A Uniform01 level is read in closed form, with no cdf
+    # call; the calls left are the plateau rule's. Either way beta has the
+    # bits of the search up to the wage, also for Scaled(.., 49), whose G
+    # rounds to just below 1 at the support's top.
     calls = []
     real = costs.CostModel.cdf
     monkeypatch.setattr(costs.CostModel, "cdf", lambda self, x: calls.append(x) or real(self, x))
@@ -1350,6 +1352,48 @@ def test_plateau_cost_inversion_stops_just_above_the_cost_support(monkeypatch):
         assert len(calls) <= most
         beta = features._slope_turn(lambda x: 1.0 - real(cost, x), 0.0, 1.5)
         assert theta.hex() == (0.4 * beta / 1.5).hex()
+
+
+_ABOVE_ONE = math.nextafter(1.0, math.inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from((math.nextafter(1.0, 0.0), 1.0, 1.5)),
+        st.floats(min_value=5e-324, max_value=2.0),
+    ),
+    st.one_of(
+        st.sampled_from(("top", "below top", "above top", 0.0, -0.0, 1.0, 5e-324)),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+)
+def test_uniform_cut_level_is_the_search_bit_for_bit(w, pi):
+    cost = Uniform01()
+    top = min(w, _ABOVE_ONE)
+    edges = {
+        "top": top,
+        "below top": math.nextafter(top, -math.inf),
+        "above top": math.nextafter(top, math.inf),
+    }
+    pi = edges.get(pi, pi)
+    search = features._slope_turn(lambda x: pi - cost.cdf(x), 0.0, top)
+    assert cost.cut_level(pi, top).hex() == search.hex()
+
+
+def test_a_scaled_uniform_cost_still_searches_for_its_cut_level(monkeypatch):
+    cost = Scaled(Uniform01(), 49.0)
+    searches = []
+    real = features._slope_turn
+    monkeypatch.setattr(
+        features, "_slope_turn", lambda *args: searches.append(args) or real(*args)
+    )
+    top = math.nextafter(cost.support[1], math.inf)
+    for pi in (0.0, 0.3, 1.0):
+        want = real(lambda x: pi - cost.cdf(x), 0.0, top)
+        assert cost.cut_level(pi, top).hex() == want.hex()
+    assert len(searches) == 3
+    assert Uniform01().cut_level(0.3, 1.0) == 0.3 and len(searches) == 3
 
 
 def test_plateau_cost_inversion_bisects_where_the_cdf_rounds_to_one():
