@@ -22,7 +22,7 @@ Run as a script, it runs every case once under the call counters, prints
 the counts as JSON, and exits non-zero if a check fails. The counts do not
 depend on the machine; `beta_cdf_points` counts the score points the Beta
 CDF is evaluated at, 1 per scalar call and the array's size per array
-call. Four distributions follow the cases' counts: slope calls per
+call. Distributions follow the cases' counts: slope calls per
 refinement over 2000 seeded states on the score and two-valley anchors;
 for the one-group scan of the score anchor at grid 101, its Phi
 evaluations, its root searches on Phi and the Phi evaluations in each, and
@@ -31,17 +31,23 @@ over the grid's interior) and the h evaluations in each; cost-CDF calls
 per best response at the h_mid states of 200 seeded uniform scenarios; and
 over the same 2000 score-anchor states, the share of best responses that
 the exact first-order cut answered, the number it left to the grid, and
-the slope calls of each cut; and the cut-level searches (`_slope_turn`
-calls) made over the 200 uniform plateau responses. The score anchor is
-strict MLR and its states are interior, so the script also exits non-zero
-if any of them is left to the grid; and the plateau responses' costs are
-Uniform01, whose cut level is read in closed form, so it exits non-zero if
-any of them searches for one. A closed form that stops serving then fails
-the script instead of only slowing it. Point PYTHONPATH at another
-checkout's src to count that version (a version without the theta-curve
-makes no curve searches; one without the exact cut leaves every best
-response to the grid, and one without the closed-form cut level searches
-at every plateau response, so on either the script exits non-zero):
+the slope calls of each cut; the cut-level searches (`_slope_turn`
+calls) made over the 200 uniform plateau responses; and for the halfspace
+scans of criteria 05 and 06, joint and decoupled, the `_start_outcomes`
+calls and the image runs beside the rules in the model's response table.
+The score anchor is strict MLR and its states are interior, so the script
+also exits non-zero if any of them is left to the grid; the plateau
+responses' costs are Uniform01, whose cut level is read in closed form, so
+it exits non-zero if any of them searches for one; and a halfspace scan
+runs from its table's images alone, so it exits non-zero if one calls
+`_start_outcomes` or makes more image runs than its table has rules. A
+closed form or a table scan that stops serving then fails the script
+instead of only slowing it. Point PYTHONPATH at another checkout's src to
+count that version (a version without the theta-curve makes no curve
+searches; one without the exact cut leaves every best response to the
+grid, one without the closed-form cut level searches at every plateau
+response, and one that scans halfspace models on the start mesh calls
+`_start_outcomes`, so on any of those the script exits non-zero):
 
     PYTHONPATH=src python benches/bench_layers.py
 """
@@ -83,6 +89,7 @@ HALFSPACE_CYCLE = verification._halfspace_scenario(1.0, 2.0)
 SCORE = verification._steep_cost_scenario()
 TWO_VALLEY = verification._two_valley_scenario()
 CRITERION_10 = dynamics.DynamicsConfig(max_iters=300, fix_tol=1e-6, theta_grid=401)
+DECOUPLED = dynamics.DynamicsConfig(mode="decoupled")
 
 
 def _at(scenario, *rates) -> QualificationState:
@@ -259,6 +266,13 @@ CASES = [
         lambda records: _stabilities(records) == ["Stable", "Stable", "Unstable"],
     ),
     Case(
+        # each group at its own boundary, whose rates it sets at G(w) = 0.8
+        "halfspace_decoupled_scan", "find_equilibria_scan",
+        lambda: analysis.find_equilibria_scan(*HALFSPACE, grid=21, config=DECOUPLED),
+        lambda records: [(r.state.rates, r.stability) for r in records]
+        == [((0.8, 0.8), "Stable")],
+    ),
+    Case(
         "two_valley_scan", "find_equilibria_scan",
         lambda: analysis.find_equilibria_scan(*TWO_VALLEY, grid=11, config=CRITERION_10),
         lambda records: sorted(r.kind for r in records) == ["FixedPoint", "LimitCycle"],
@@ -298,24 +312,6 @@ HOLDERS = (
 )
 
 
-def _weight(name: str, result) -> int:
-    """What one call adds to a count: 1, except that the array pass of a
-    joint halfspace scan adds the number of start rules it resolves: the
-    length of the index in its (index, table) pair, or of the list of rules
-    that versions before the pair return. A one-state call of that kernel
-    returns one rule vector and adds nothing; any other result is an error,
-    so a new return shape cannot make the count read 0."""
-    if name != "_halfspace_rule":
-        return 1
-    if isinstance(result, np.ndarray):
-        return 0
-    if isinstance(result, tuple):
-        return len(result[0])
-    if isinstance(result, list):
-        return len(result)
-    raise TypeError(f"_halfspace_rule returned a {type(result).__name__}")
-
-
 @contextlib.contextmanager
 def counting(name: str, inner=False, during=None, points=False):
     """Count the calls of the function `name`, wrapped in every holder that
@@ -341,7 +337,7 @@ def counting(name: str, inner=False, during=None, points=False):
                 tally[0] += (
                     during[0] - before if during
                     else np.size(result) if points
-                    else _weight(name, result)
+                    else 1
                 )
             return result
 
@@ -366,7 +362,6 @@ COUNTS = {
     "best_responses": "institution_best_response",
     "decoupled_best_responses": "decoupled_best_response",
     "plateau_point_calls": "_plateau_point",
-    "array_pass_rules": "_halfspace_rule",
     "population_responses": "_population_response",
     "steps": "step",
     "iterate_runs": "iterate",
@@ -503,6 +498,34 @@ def cut_level_searches() -> int:
     return searches[0]
 
 
+# The rules in a two-group halfspace model's response table, by scan mode:
+# the arc's two ends and its midpoint, or the one mapping of each group to
+# its own boundary.
+TABLE_RULES = {"joint": 3, "decoupled": 1}
+
+
+def halfspace_table_scans() -> dict:
+    """For the halfspace scans of both anchors in both modes, the calls of
+    `analysis._start_outcomes` and the image runs, the `iterate` calls that
+    are not a stability probe's, beside the rules in the model's table. A
+    halfspace scan runs from its table's images alone, so a version that
+    scans the start mesh calls `_start_outcomes`."""
+    scans = {}
+    for mode, rules in TABLE_RULES.items():
+        config = dynamics.DynamicsConfig(mode=mode)
+        for anchor, scenario in (("pair", HALFSPACE), ("cycle", HALFSPACE_CYCLE)):
+            with counting("_start_outcomes") as mesh, counting("iterate") as runs, counting(
+                "classify_stability", during=runs
+            ) as probes:
+                analysis.find_equilibria_scan(*scenario, config=config)
+            scans[f"{anchor}_{mode}"] = {
+                "start_outcomes_calls": mesh[0],
+                "image_runs": runs[0] - probes[0],
+                "table_rules": rules,
+            }
+    return scans
+
+
 def distributions() -> dict:
     rng = random.Random(0)
     score = [_at(SCORE, rng.random()) for _ in range(2000)]
@@ -530,6 +553,7 @@ def distributions() -> dict:
         "cdf_calls_per_plateau_response": _summary(_per_call("cdf", _plateau_responses())),
         "cut_level_searches": cut_level_searches(),
         "score_exact_cut": exact_cuts(slope["score_anchor"]),
+        "halfspace_table_scans": halfspace_table_scans(),
     }
 
 
@@ -549,6 +573,12 @@ def main() -> int:
     if spread["cut_level_searches"]:
         # every group of the seeded plateau responses has Uniform01 costs
         failed.append("cut_level_searches")
+    if any(
+        scan["start_outcomes_calls"] or scan["image_runs"] > scan["table_rules"]
+        for scan in spread["halfspace_table_scans"].values()
+    ):
+        # a halfspace scan runs from its table's images, and from no mesh
+        failed.append("halfspace_table_scans")
     if failed:
         print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0

@@ -52,8 +52,6 @@ from .errors import (
 from .features import (
     GaussianHalfspace,
     ScoreModel,
-    _check_alignment,
-    _halfspace_rule,
     _sign_change,
     _strict_mlr_beta,
     _unit,
@@ -484,16 +482,16 @@ def find_equilibria_scan(
     member. Two groups start from the full grid x grid mesh; three or more
     start only from the diagonal and the lines through (0.5, ..., 0.5)
     along each axis, so an equilibrium whose basin misses those lines is
-    not found.
+    not found; a halfspace scan starts from none (see below).
 
     Scan runs start at images. Each start s is resolved from its first
     image x1 = the population's response to the rule theta(s), and starts
     with one rule share one image: the first of them runs iterate from x1,
-    and the others reuse that run. In the uniform and halfspace families the
-    rule takes only a few values, so a grid-21 scan makes a handful of runs,
-    not 441. A start inherits the image run's verdict only when s is
-    farther than fix_tol from every state on that run's trace and the run
-    ended within max_iters - 2 steps; any other start runs in full. The
+    and the others reuse that run. In the uniform family the rule takes
+    only a few values, so a grid-21 scan makes a handful of runs, not 441.
+    A start inherits the image run's verdict only when s is farther than
+    fix_tol from every state on that run's trace and the run ended within
+    max_iters - 2 steps; any other start runs in full. The
     verdict is then the one s's own run would reach, because that run is
     the image run one step later and tests the same states:
     - at t = 1 its fixed-point test compares x1 with s, which the distance
@@ -504,22 +502,23 @@ def find_equilibria_scan(
       so fails too (smallest lag wins, so an earlier match is unchanged);
     - it has one step less budget for the image run's part, which the step
       rule leaves spare.
-    Only verdicts are read, so the records are the ones full runs give.
-    All runs share one iterate memo, so a state that any run has reached is
-    stepped only once.
+    Only verdicts are read, so the records are the ones full runs give. All
+    runs share one memo, so a state that any run has reached is stepped once.
 
-    The starts meet their rules by index: every family takes all the rules
-    first, as a table of distinct rules and each start's index into it, and
-    the starts are grouped by that index with numpy, in first-seen order. A
-    joint halfspace scan takes the pair from one array pass over the start
-    rates, through the kernel that the one-state solver calls
-    (`features._halfspace_rule`), whose index already says which of the
-    model's three table vectors each start gets, bit for bit; the other
-    families build the table through one _rule_key per start. Each rule's
-    starts are tested against its image run's trace in one array pass, with
-    the subtraction, abs and max of QualificationState.sup_distance, so
-    each start is decided as it would be alone, and the starts that inherit
-    are marked in one masked assignment.
+    A GaussianHalfspace scan starts from no grid. Its best response is one
+    of the model's read-only table objects (`features`): the arc's midpoint
+    or ends, or decoupled, the mapping of each group to its boundary. So
+    every orbit is on their at most three images C(v) after one step, and
+    by the argument above a start's verdict is that of its image's run. The
+    scan runs iterate from each C(v) on one memo, the midpoint's first, as
+    the mesh's first start (0, ..., 0) takes it at equal group sizes.
+    Against a mesh scan, an image run's max_iters counts from the image, a
+    step after a start, so it may close a cycle that every start ran out of
+    budget for; a LimitCycle's cycle may begin at another phase; and of two
+    fixed points closer than 10 * fix_tol the other may represent their
+    cluster, as the runs are visited in another order.
+    A DEBUG record on "qualdyn.analysis" counts the table rules and image
+    runs, and names the images whose runs ended NonConverged.
 
     The verdicts are clustered once per distinct run, in the order the
     starts first reach the runs. That differs from clustering every start's
@@ -738,7 +737,11 @@ def _scan_multi_group(
     # key keeps it one record where the distance test alone would not.
     stored: set[tuple] = set()
     radius = _DEDUP_FACTOR * config.fix_tol
-    _, runs = _start_outcomes(economy, groups, model, _multi_starts(len(groups), grid), config)
+    if isinstance(model, GaussianHalfspace):
+        runs = _table_runs(economy, groups, model, config)
+    else:
+        starts = _multi_starts(len(groups), grid)
+        _, runs = _start_outcomes(economy, groups, model, starts, config)
     for outcome in runs:
         v = outcome.verdict
         if isinstance(v, FixedPoint):
@@ -804,6 +807,26 @@ def _debug_log():
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
+def _table_runs(economy, groups, model: GaussianHalfspace, config: DynamicsConfig) -> list:
+    """A halfspace scan's runs (find_equilibria_scan): iterate from each table
+    rule's image on one memo, the midpoint's first. The zero state's rule is
+    solved first, so groups that the model does not fit raise as a step does."""
+    zero = QualificationState(tuple(g.id for g in groups), (0.0,) * len(groups))
+    rule = _rule(economy, groups, model, zero, config.mode, config.theta_grid, config.tie_tol)
+    table = (model._arc[1], *model._arc[0]) if config.mode == "joint" else (rule,)
+    memo: dict = {}
+    images = [_population_response(economy, groups, model, theta) for theta in table]
+    runs = [iterate(economy, groups, model, x, config, memo=memo) for x in images]
+    log = _debug_log()
+    if log is not None:
+        dropped = [x.rates for x, r in zip(images, runs) if isinstance(r.verdict, NonConverged)]
+        log.debug(
+            "halfspace table scan: %d table rules, %d image runs; %d ended NonConverged, from %s",
+            len(table), len(runs), len(dropped), dropped,
+        )
+    return runs
+
+
 def _start_outcomes(
     economy, groups, model, starts, config: DynamicsConfig
 ) -> tuple[np.ndarray, list]:
@@ -812,15 +835,14 @@ def _start_outcomes(
     (the rule and its argument are in find_equilibria_scan). As a pair
     (index, runs): start i's outcome is runs[index[i]], and runs holds each
     distinct run once, in the order starts first reach it; an image run that
-    no start inherits is not in it. Starts with the same rule share one
-    image and one image run, and every run shares one iterate memo. Each
-    rule's starts are tested against its run's trace in one array pass, by
-    QualificationState.sup_distance's arithmetic.
+    no start inherits is not in it. The rules come from _start_rules, and
+    each rule's starts are tested against its run's trace in one array pass,
+    by QualificationState.sup_distance's arithmetic, so each start is
+    decided as it would be alone.
 
-    Once every start is resolved, one DEBUG record on the "qualdyn.analysis"
-    logger counts the starts, rules, image runs and full runs, and names the
-    starts dropped as NonConverged: only full runs can be, since an image
-    run is inherited only when it ended within its budget."""
+    Then one DEBUG record on "qualdyn.analysis" counts the starts, rules,
+    image runs and full runs, and names the starts dropped as NonConverged
+    (only full runs: an image run is inherited only within its budget)."""
     ids = tuple(g.id for g in groups)
     memo: dict = {}
     index, table = _start_rules(economy, groups, model, starts, config)
@@ -869,17 +891,10 @@ def _start_outcomes(
 def _start_rules(
     economy, groups, model, starts, config: DynamicsConfig
 ) -> tuple[np.ndarray, Sequence]:
-    """Each start's rule, as dynamics._rule gives it, as a pair (index,
-    table): start i's rule is table[index[i]]. A joint halfspace scan takes
-    the pair from one array pass over columns of the start rates, and its
-    table is the model's three response vectors. Otherwise each start makes
-    one _rule call, and the table holds each distinct rule (by _rule_key)
-    once, in first-seen order."""
+    """Each start's rule, from one dynamics._rule call, as a pair (index,
+    table): start i's rule is table[index[i]], and the table holds each
+    distinct rule (by _rule_key) once, in first-seen order."""
     ids = tuple(g.id for g in groups)
-    if starts and config.mode == "joint" and isinstance(model, GaussianHalfspace):
-        _check_alignment(model, groups, QualificationState(ids, starts[0]))
-        columns = tuple(np.array(starts, dtype=float).T)
-        return _halfspace_rule(model, economy, groups, columns, config.tie_tol)
     positions: dict = {}  # rule key -> position in table
     table: list = []
     index = []

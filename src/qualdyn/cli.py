@@ -628,16 +628,16 @@ def build_parser() -> argparse.ArgumentParser:
     find_p.add_argument("--config", required=True, help="scenario file (JSON)")
     find_p.add_argument(
         "--grid", type=int, default=None,
-        help="scan points per axis (default 401 for one group, 21 for several). "
-        "One group with strict-MLR Beta scores (features._strict_mlr_beta: y1 "
-        "alpha > y0 alpha and y1 beta < y0 beta) is scanned on the theta-curve, "
-        "where GRID counts cut points "
-        "theta and no best response is solved for them; any other one-group "
-        "model is scanned on rates pi. The two scans' records agree within the "
-        "scenario's fix_tol, and every assessed record's one-step residual is "
-        "<= fix_tol; a record's theta agrees within fix_tol too, except at a "
-        "flat top of the utility and near pi = 0 where the utility at the "
-        "first-order cut rounds to <= 0 (see find_equilibria_scan)",
+        help="scan points per axis (default 401 for one group, 21 for several; "
+        "not used by a halfspace scan, which starts from its response table). "
+        "One group with strict-MLR Beta scores (features._strict_mlr_beta: y1 alpha > "
+        "y0 alpha and y1 beta < y0 beta) is scanned on the theta-curve, where GRID "
+        "counts cut points theta and no best response is solved for them; any other "
+        "one-group model is scanned on rates pi. The two scans' records agree within "
+        "the scenario's fix_tol, and every assessed record's one-step residual is "
+        "<= fix_tol; a record's theta agrees within fix_tol too, except at a flat top "
+        "of the utility and near pi = 0 where the utility at the first-order cut "
+        "rounds to <= 0 (see find_equilibria_scan)",
     )
     find_p.add_argument("--seed", type=int, default=None, help="seed for stability probes")
     find_p.add_argument("--decoupled", action="store_true", help="scan decoupled dynamics")

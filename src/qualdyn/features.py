@@ -214,13 +214,8 @@ arc midpoint; otherwise utility is linear along the arc, the two endpoints
 are compared, and an exact tie goes to the first group's boundary. So a
 joint response is one of three unit vectors, arc_point(0.0), arc_point(1.0)
 or midpoint, and a decoupled one is the group's own boundary. The model
-builds these once, read-only, with each group's (TPR, FPR) at them, and
-the solvers return the table's own array objects: tpr_fpr answers such an
-object from the table, with the bits its checked path gives for a copy.
-The tie test and the endpoint comparison are written once, in
-_halfspace_rule, which takes one state's rates or columns of many states'
-rates, so the multi-group scan resolves all its starts in one array pass
-and groups them by the table index that pass returns.
+builds this table once (see GaussianHalfspace), and the solvers return its
+own read-only array objects.
 """
 
 from __future__ import annotations
@@ -1130,14 +1125,7 @@ def _uniform_best_response(
 
 def _halfspace_rule(model: GaussianHalfspace, economy: EconomyConfig, groups, pis, tie_tol: float):
     """The joint halfspace response (module docstring) to pis, the two
-    groups' rates: floats for one state, or equal-length arrays for many
-    states at once. Returns the model's table vector; for arrays, the pair
-    (index, table), where table holds the three response vectors and state
-    i's response is table[index[i]].
-
-    Every operation is elementwise IEEE arithmetic in one order, so each
-    state gets the same vector whichever form its rates come in.
-    """
+    groups' rates: the model's table vector."""
     if len(groups) != 2:
         raise ConfigurationError(
             "halfspace best response supports exactly two groups; run a scenario "
@@ -1152,7 +1140,7 @@ def _halfspace_rule(model: GaussianHalfspace, economy: EconomyConfig, groups, pi
         # Angle weight per group: n_a * (c_FP + (p_TP - c_FP) * pi_a); always > 0.
         w1 = g1.proportion * (c + (p - c) * pi1)
         w2 = g2.proportion * (c + (p - c) * pi2)
-        tied = abs(w1 - w2) <= tie_tol * np.maximum(np.maximum(1.0, w1), w2)
+        tied = abs(w1 - w2) <= tie_tol * max(1.0, w1, w2)
     ends, midpoint, ang = model._arc
     # Off a tie the objective along the arc is linear in the arc fraction
     # (the angles to the two boundaries are t*ang and (1-t)*ang), so its
@@ -1160,10 +1148,7 @@ def _halfspace_rule(model: GaussianHalfspace, economy: EconomyConfig, groups, pi
     # whole arc is optimal, and the convention is the boundaries' midpoint.
     at_first = _utility_from_rates(economy, groups, ((1.0, 0.0), (1.0 - ang, ang)), pis)
     at_second = _utility_from_rates(economy, groups, ((1.0 - ang, ang), (1.0, 0.0)), pis)
-    first = at_first >= at_second
-    if isinstance(first, np.ndarray):
-        return np.where(tied, 2, np.where(first, 0, 1)), (ends[0], ends[1], midpoint)
-    return midpoint if tied else ends[0] if first else ends[1]
+    return midpoint if tied else ends[0] if at_first >= at_second else ends[1]
 
 
 def institution_best_response(

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qualdyn import (
@@ -837,15 +837,19 @@ def test_uniform_decoupled_rates_never_fall_below_joint_rates(h1, h2, wage, n1, 
 CRITERION_10 = DynamicsConfig(max_iters=300, fix_tol=1e-6, theta_grid=401)
 
 
-def full_run_verdicts(economy, groups, model, starts, config):
+def full_runs(economy, groups, model, starts, config):
     """Reference scan loop without images: every start runs in full, all on
     one shared memo."""
     ids = tuple(g.id for g in groups)
     memo: dict = {}
     return [
-        iterate(economy, groups, model, QualificationState(ids, s), config, memo=memo).verdict
+        iterate(economy, groups, model, QualificationState(ids, s), config, memo=memo)
         for s in starts
     ]
+
+
+def full_run_verdicts(economy, groups, model, starts, config):
+    return [run.verdict for run in full_runs(economy, groups, model, starts, config)]
 
 
 def resolved(economy, groups, model, starts, config):
@@ -1076,22 +1080,15 @@ def test_an_image_run_near_the_budget_is_not_inherited(max_iters, verdict):
     assert got == full_run_verdicts(economy, groups, model, starts, roomy)
 
 
-def start_rules(economy, groups, model, starts, config):
-    """Each start's rule, read from the scan's (index, table) pair."""
-    index, table = analysis._start_rules(economy, groups, model, starts, config)
-    assert len(index) == len(starts)
-    return [table[i] for i in index]
-
-
 def test_the_scan_logs_its_starts_and_the_ones_it_drops(caplog):
-    # Period-2 regime with a budget of 2 steps: no image run may be
-    # inherited, and every start off the cycle's corners runs out of steps.
-    economy, groups, model = verification._halfspace_scenario(1.0, 2.0)
-    config = DynamicsConfig(max_iters=2)
+    # The uniform reference with a budget of 1 step: no image run may be
+    # inherited, and every start but one runs out of steps.
+    economy, groups, model = verification._uniform_reference()
+    config = DynamicsConfig(max_iters=1)
     starts = analysis._multi_starts(2, 5)
     want = full_run_verdicts(economy, groups, model, starts, config)
     dropped = [s for s, v in zip(starts, want) if isinstance(v, NonConverged)]
-    assert len(dropped) == 20
+    assert len(dropped) == 24
     quiet = find_equilibria_scan(economy, groups, model, grid=5, config=config)
     assert not caplog.records  # silent at the default level
     caplog.set_level(logging.DEBUG, logger="qualdyn.analysis")
@@ -1099,72 +1096,172 @@ def test_the_scan_logs_its_starts_and_the_ones_it_drops(caplog):
     (logged,) = caplog.records
     assert logged.name == "qualdyn.analysis" and logged.levelno == logging.DEBUG
     # starts, distinct rules, image runs, full runs, dropped, the first five
-    assert logged.args == (25, 3, 3, 25, 20, dropped[:5])
+    assert logged.args == (25, 3, 3, 25, 24, dropped[:5])
     caplog.clear()
-    assert find_equilibria_scan(*verification._halfspace_scenario(2.0, 1.0), grid=5)
+    assert find_equilibria_scan(economy, groups, model, grid=5)
     (logged,) = caplog.records
-    assert logged.args == (25, 3, 3, 0, 0, [])
+    assert logged.args == (25, 3, 3, 1, 0, [])
+
+
+def test_the_table_scan_logs_its_runs_and_the_ones_that_ran_out(caplog):
+    # Period-2 regime with a budget of 1 step: the midpoint's image is a
+    # fixed point, and the runs from the two ends' images cannot close
+    # their cycle.
+    economy, groups, model = verification._halfspace_scenario(1.0, 2.0)
+    caplog.set_level(logging.DEBUG, logger="qualdyn.analysis")
+    assert find_equilibria_scan(economy, groups, model, config=DynamicsConfig(max_iters=1))
+    (logged,) = caplog.records
+    assert logged.name == "qualdyn.analysis" and logged.levelno == logging.DEBUG
+    ends, _, _ = model._arc
+    images = [dynamics._population_response(economy, groups, model, v).rates for v in ends]
+    # table rules, image runs, runs that ended NonConverged, their images
+    assert logged.args == (3, 3, 2, images)
+    caplog.clear()
+    assert find_equilibria_scan(economy, groups, model, config=DynamicsConfig(mode="decoupled"))
+    (logged,) = caplog.records
+    assert logged.args == (1, 1, 0, [])
 
 
 def test_the_unequal_halfspace_scan_meets_weight_ties():
+    # Starts off the diagonal meet the weight-gap tie and take the midpoint;
+    # the table scan runs the midpoint's image, whatever its grid.
     economy, groups, model = unequal_halfspace()
-    starts = analysis._multi_starts(2, 21)
-    rules = start_rules(economy, groups, model, starts, DynamicsConfig())
-    ties = [s for s, rule in zip(starts, rules) if rule is model._arc[1]]
-    assert (0.5, 0.0) in ties and (0.65, 0.1) in ties
-    assert not any(a == b for a, b in ties)  # weight ties, off the diagonal
+    config = DynamicsConfig()
+    ends, midpoint, _ = model._arc
+    for rates in ((0.5, 0.0), (0.65, 0.1)):
+        state = QualificationState(("g1", "g2"), rates)
+        rule = dynamics._rule(
+            economy, groups, model, state, "joint", config.theta_grid, config.tie_tol
+        )
+        assert rule is midpoint
+    runs = analysis._table_runs(economy, groups, model, config)
+    want = [dynamics._population_response(economy, groups, model, v) for v in (midpoint, *ends)]
+    assert [run.trace[0].state for run in runs] == want
 
 
-_rates = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+def test_the_table_scan_keeps_the_two_group_error():
+    economy, _, _ = verification._halfspace_scenario(2.0, 1.0)
+    groups = tuple(GroupSpec(id=g, proportion=1.0 / 3.0, cost=Uniform01()) for g in "abc")
+    model = GaussianHalfspace({"a": (1.0, 0.0), "b": (0.0, 1.0), "c": (1.0, 1.0)})
+    with pytest.raises(ConfigurationError, match="supports exactly two groups"):
+        find_equilibria_scan(economy, groups, model, grid=3)
+    # a model of other groups fails as a step fails
+    pair = groups[:2] + (GroupSpec(id="d", proportion=1.0 / 3.0, cost=Uniform01()),)
+    for mode, match in (("joint", "do not match economy groups"), ("decoupled", "no boundary")):
+        with pytest.raises(ConfigurationError, match=match):
+            find_equilibria_scan(economy, pair, model, config=DynamicsConfig(mode=mode))
 
 
-@settings(max_examples=60, deadline=None)
+def full_run_records(economy, groups, model, grid, config, first=()):
+    """The records of a scan whose runs are the runs `first`, then the full
+    runs of every _multi_starts start, clustered as the scan clusters; and
+    whether two of those full runs end at distinct fixed points within the
+    cluster radius, so that the order of the visits picks which one
+    represents their cluster."""
+    starts = analysis._multi_starts(len(groups), grid)
+    runs = full_runs(economy, groups, model, starts, config)
+    with mock.patch.object(analysis, "_table_runs", lambda *args: [*first, *runs]):
+        records = find_equilibria_scan(economy, groups, model, grid, config=config)
+    fixed = {run.verdict.state for run in runs if isinstance(run.verdict, FixedPoint)}
+    radius = 10 * config.fix_tol
+    twins = any(a != b and a.sup_distance(b) <= radius for a in fixed for b in fixed)
+    return records, twins
+
+
+def unphased(records):
+    """Each record's fields, its theta as floats and its cycle turned to
+    start at its least rates: the record up to the phase of its cycle."""
+
+    def floats(theta):
+        if isinstance(theta, dict):
+            return tuple((gid, floats(th)) for gid, th in sorted(theta.items()))
+        return None if theta is None else tuple(np.asarray(theta, dtype=float).tolist())
+
+    out = []
+    for r in records:
+        cycle = r.cycle
+        if cycle is not None:
+            k = min(range(len(cycle)), key=lambda i: cycle[i].rates)
+            cycle = cycle[k:] + cycle[:k]
+        out.append(
+            (r.label, r.kind, r.state, floats(r.theta), r.stability, r.residual,
+             r.derivative_stable, cycle, r.period)
+        )
+    return out
+
+
+_costs = st.one_of(
+    st.just(Uniform01()),
+    st.builds(
+        TruncatedNormal, mu=st.floats(min_value=0.2, max_value=0.8),
+        sigma=st.floats(min_value=0.05, max_value=0.5),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     angle=st.floats(min_value=0.05, max_value=0.95),
     wage=st.floats(min_value=0.2, max_value=2.0),
     payoff_tp=st.floats(min_value=0.2, max_value=3.0),
     cost_fp=st.one_of(st.none(), st.floats(min_value=0.2, max_value=3.0)),  # None: = payoff_tp
     n1=st.one_of(st.just(0.5), st.floats(min_value=0.1, max_value=0.9)),
-    starts=st.lists(
-        st.one_of(st.tuples(_rates, _rates), _rates.map(lambda r: (r, r))),  # diagonal: ties
-        min_size=1, max_size=20,
-    ),
+    costs=st.tuples(_costs, _costs),
+    mode=st.sampled_from(["joint", "decoupled"]),
+    grid=st.sampled_from([5, 21]),
+    max_iters=st.integers(min_value=5, max_value=300),
 )
-def test_array_rules_are_the_per_start_rules(angle, wage, payoff_tp, cost_fp, n1, starts):
-    # The scan keys halfspace rules by identity, so the array pass must hand
-    # back the very table vectors a per-start best response returns.
+@example(  # the midpoint's image (1, 1) and an end's image 2.4e-9 from it are fixed points
+    angle=0.1606626806591424, wage=1.309774639681932, payoff_tp=1.1365529283492002,
+    cost_fp=0.7936276699559919, n1=0.5,
+    costs=(TruncatedNormal(0.48222469140832996, 0.06943120528447047),
+           TruncatedNormal(0.3744517074119357, 0.4818198044275199)),
+    mode="joint", grid=21, max_iters=7,
+)
+def test_the_table_scan_gives_the_full_runs_records(
+    angle, wage, payoff_tp, cost_fp, n1, costs, mode, grid, max_iters
+):
+    # The halfspace scan runs from its table rules' images alone; every mesh
+    # start's own full run must give the same records, up to cycle phase.
     cost_fp = payoff_tp if cost_fp is None else cost_fp
     economy = EconomyConfig(wage=wage, payoff_tp=payoff_tp, cost_fp=cost_fp)
     groups = (
-        GroupSpec(id="a", proportion=n1, cost=Uniform01()),
-        GroupSpec(id="b", proportion=1.0 - n1, cost=Uniform01()),
+        GroupSpec(id="a", proportion=n1, cost=costs[0]),
+        GroupSpec(id="b", proportion=1.0 - n1, cost=costs[1]),
     )
     turn = math.pi * angle
     model = GaussianHalfspace((("a", (1.0, 0.0)), ("b", (math.cos(turn), math.sin(turn)))))
-    if payoff_tp != cost_fp:
-        # each start's weight-tie partner: 0 = n1 (c + (p - c) pi_1) - n2 (c + (p - c) pi_2)
-        for pi1, _ in list(starts):
-            pi2 = (n1 * (cost_fp + (payoff_tp - cost_fp) * pi1) / (1.0 - n1) - cost_fp) / (
-                payoff_tp - cost_fp
-            )
-            if 0.0 <= pi2 <= 1.0:
-                starts.append((pi1, pi2))
-    config = DynamicsConfig()
-    rules = start_rules(economy, groups, model, starts, config)
-    for rates, rule in zip(starts, rules):
-        state = QualificationState(ids=("a", "b"), rates=rates)
-        want = dynamics._rule(
-            economy, groups, model, state, "joint", config.theta_grid, config.tie_tol
-        )
-        assert rule is want
+    config = DynamicsConfig(mode=mode, max_iters=max_iters)
+    got = unphased(find_equilibria_scan(economy, groups, model, grid, config=config))
+    want, twins = full_run_records(economy, groups, model, grid, config)
+    if not twins:
+        assert got == unphased(want)
+        return
+    # Twin fixed points: the table's image runs find every record, and the
+    # full runs visited after them add none and replace no representative.
+    table = analysis._table_runs(economy, groups, model, config)
+    both, _ = full_run_records(economy, groups, model, grid, config, first=table)
+    assert got == unphased(both) and len(got) == len(want)
 
 
-def test_array_rules_keep_the_two_group_error():
-    economy, _, _ = verification._halfspace_scenario(2.0, 1.0)
-    groups = tuple(GroupSpec(id=g, proportion=1.0 / 3.0, cost=Uniform01()) for g in "abc")
-    model = GaussianHalfspace({"a": (1.0, 0.0), "b": (0.0, 1.0), "c": (1.0, 1.0)})
-    with pytest.raises(ConfigurationError, match="supports exactly two groups"):
-        find_equilibria_scan(economy, groups, model, grid=3)
+def test_the_table_scan_closes_the_cycle_that_every_start_ran_out_of_budget_for():
+    # Period-2 regime at max_iters = 2: a start's run reaches the second
+    # corner at its last step, but the image run starts at a corner and
+    # closes the cycle there. The midpoint's fixed point is in both.
+    economy, groups, model = verification._halfspace_scenario(1.0, 2.0)
+    config = DynamicsConfig(max_iters=2)
+    got = find_equilibria_scan(economy, groups, model, 5, config=config)
+    want, _ = full_run_records(economy, groups, model, 5, config)
+    assert [r.kind for r in want] == ["FixedPoint"]
+    assert unphased(got[:1]) == unphased(want)
+    (cycle,) = got[1:]
+    assert cycle.kind == "LimitCycle" and cycle.period == 2
+    forms = gaussian_closed_forms(
+        (1.0, 0.0), (0.0, 1.0), economy.wage, Uniform01(), economy, group_ids=("g1", "g2")
+    )
+    assert sorted(s.rates for s in cycle.cycle) == sorted(
+        s.rates for s in forms.records[1].cycle
+    )
 
 
 def test_rule_keys():
