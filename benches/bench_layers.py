@@ -32,22 +32,27 @@ per best response at the h_mid states of 200 seeded uniform scenarios; and
 over the same 2000 score-anchor states, the share of best responses that
 the exact first-order cut answered, the number it left to the grid, and
 the slope calls of each cut; the cut-level searches (`_slope_turn`
-calls) made over the 200 uniform plateau responses; and for the halfspace
-scans of criteria 05 and 06, joint and decoupled, the `_start_outcomes`
-calls and the image runs beside the rules in the model's response table.
+calls) made over the 200 uniform plateau responses; for the halfspace
+scans of criteria 05 and 06, joint and decoupled, the `_multi_starts`
+calls and the image runs beside the rules in the model's response table;
+and for the mesh scans of the uniform and two-valley anchors, joint and
+decoupled, the image runs beside the distinct rules of the mesh's starts.
 The score anchor is strict MLR and its states are interior, so the script
 also exits non-zero if any of them is left to the grid; the plateau
 responses' costs are Uniform01, whose cut level is read in closed form, so
-it exits non-zero if any of them searches for one; and a halfspace scan
-runs from its table's images alone, so it exits non-zero if one calls
-`_start_outcomes` or makes more image runs than its table has rules. A
-closed form or a table scan that stops serving then fails the script
-instead of only slowing it. Point PYTHONPATH at another checkout's src to
-count that version (a version without the theta-curve makes no curve
-searches; one without the exact cut leaves every best response to the
-grid, one without the closed-form cut level searches at every plateau
-response, and one that scans halfspace models on the start mesh calls
-`_start_outcomes`, so on any of those the script exits non-zero):
+it exits non-zero if any of them searches for one; a halfspace scan runs
+from its table's images alone, so it exits non-zero if one calls
+`_multi_starts` or makes more image runs than its table has rules; and a
+mesh scan runs once from each distinct rule's image, so it exits non-zero
+if one makes another number of runs. A closed form or an image scan that
+stops serving then fails the script instead of only slowing it. Point
+PYTHONPATH at another checkout's src to count that version (a version
+without the theta-curve makes no curve searches; one without the exact cut
+leaves every best response to the grid, one without the closed-form cut
+level searches at every plateau response, one that scans halfspace models
+on the start mesh calls `_multi_starts`, and one that runs mesh starts in
+full makes more runs than rules, so on any of those the script exits
+non-zero):
 
     PYTHONPATH=src python benches/bench_layers.py
 """
@@ -58,6 +63,7 @@ import json
 import random
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -506,22 +512,53 @@ TABLE_RULES = {"joint": 3, "decoupled": 1}
 
 def halfspace_table_scans() -> dict:
     """For the halfspace scans of both anchors in both modes, the calls of
-    `analysis._start_outcomes` and the image runs, the `iterate` calls that
+    `analysis._multi_starts` and the image runs, the `iterate` calls that
     are not a stability probe's, beside the rules in the model's table. A
     halfspace scan runs from its table's images alone, so a version that
-    scans the start mesh calls `_start_outcomes`."""
+    scans the start mesh calls `_multi_starts`."""
     scans = {}
     for mode, rules in TABLE_RULES.items():
         config = dynamics.DynamicsConfig(mode=mode)
         for anchor, scenario in (("pair", HALFSPACE), ("cycle", HALFSPACE_CYCLE)):
-            with counting("_start_outcomes") as mesh, counting("iterate") as runs, counting(
+            with counting("_multi_starts") as mesh, counting("iterate") as runs, counting(
                 "classify_stability", during=runs
             ) as probes:
                 analysis.find_equilibria_scan(*scenario, config=config)
             scans[f"{anchor}_{mode}"] = {
-                "start_outcomes_calls": mesh[0],
+                "multi_starts_calls": mesh[0],
                 "image_runs": runs[0] - probes[0],
                 "table_rules": rules,
+            }
+    return scans
+
+
+def mesh_image_runs() -> dict:
+    """For the mesh scans of the uniform anchor at grid 21 and the two-valley
+    anchor at grid 5, joint and decoupled, the image runs, the `iterate`
+    calls that are not a stability probe's, beside the distinct rules (by
+    `analysis._rule_key`) of the mesh's starts."""
+    scans = {}
+    for anchor, scenario, grid, base in (
+        ("uniform", UNIFORM, 21, dynamics.DynamicsConfig()),
+        ("two_valley", TWO_VALLEY, 5, CRITERION_10),
+    ):
+        economy, groups, model = scenario
+        for mode in ("joint", "decoupled"):
+            config = replace(base, mode=mode)
+            rules = {
+                analysis._rule_key(
+                    dynamics._rule(
+                        economy, groups, model, _at(scenario, *start),
+                        mode, config.theta_grid, config.tie_tol,
+                    )
+                )
+                for start in analysis._multi_starts(len(groups), grid)
+            }
+            with counting("iterate") as runs, counting("classify_stability", during=runs) as probes:
+                analysis.find_equilibria_scan(*scenario, grid=grid, config=config)
+            scans[f"{anchor}_{mode}"] = {
+                "image_runs": runs[0] - probes[0],
+                "distinct_rules": len(rules),
             }
     return scans
 
@@ -554,6 +591,7 @@ def distributions() -> dict:
         "cut_level_searches": cut_level_searches(),
         "score_exact_cut": exact_cuts(slope["score_anchor"]),
         "halfspace_table_scans": halfspace_table_scans(),
+        "mesh_image_runs": mesh_image_runs(),
     }
 
 
@@ -574,11 +612,17 @@ def main() -> int:
         # every group of the seeded plateau responses has Uniform01 costs
         failed.append("cut_level_searches")
     if any(
-        scan["start_outcomes_calls"] or scan["image_runs"] > scan["table_rules"]
+        scan["multi_starts_calls"] or scan["image_runs"] > scan["table_rules"]
         for scan in spread["halfspace_table_scans"].values()
     ):
         # a halfspace scan runs from its table's images, and from no mesh
         failed.append("halfspace_table_scans")
+    if any(
+        scan["image_runs"] != scan["distinct_rules"]
+        for scan in spread["mesh_image_runs"].values()
+    ):
+        # a mesh scan runs once from each distinct rule's image
+        failed.append("mesh_image_runs")
     if failed:
         print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0

@@ -477,53 +477,34 @@ def find_equilibria_scan(
     both paths. On the score anchor the two paths print the same records
     but for the residual column.
 
-    Several groups: run the dynamics from every grid start, cluster the
-    verdicts within 10 * fix_tol, and keep each cluster's smallest-residual
-    member. Two groups start from the full grid x grid mesh; three or more
-    start only from the diagonal and the lines through (0.5, ..., 0.5)
-    along each axis, so an equilibrium whose basin misses those lines is
-    not found; a halfspace scan starts from none (see below).
-
-    Scan runs start at images. Each start s is resolved from its first
-    image x1 = the population's response to the rule theta(s), and starts
-    with one rule share one image: the first of them runs iterate from x1,
-    and the others reuse that run. In the uniform family the rule takes
-    only a few values, so a grid-21 scan makes a handful of runs, not 441.
-    A start inherits the image run's verdict only when s is farther than
-    fix_tol from every state on that run's trace and the run ended within
-    max_iters - 2 steps; any other start runs in full. The
-    verdict is then the one s's own run would reach, because that run is
-    the image run one step later and tests the same states:
-    - at t = 1 its fixed-point test compares x1 with s, which the distance
-      rule fails;
-    - after that, its fixed-point tests and cycle verifications are the
-      image run's, and its cycle matcher tries the image run's lags in the
-      same order plus one more, which compares the newest state with s and
-      so fails too (smallest lag wins, so an earlier match is unchanged);
-    - it has one step less budget for the image run's part, which the step
-      rule leaves spare.
-    Only verdicts are read, so the records are the ones full runs give. All
-    runs share one memo, so a state that any run has reached is stepped once.
-
-    A GaussianHalfspace scan starts from no grid. Its best response is one
-    of the model's read-only table objects (`features`): the arc's midpoint
-    or ends, or decoupled, the mapping of each group to its boundary. So
-    every orbit is on their at most three images C(v) after one step, and
-    by the argument above a start's verdict is that of its image's run. The
-    scan runs iterate from each C(v) on one memo, the midpoint's first, as
-    the mesh's first start (0, ..., 0) takes it at equal group sizes.
-    Against a mesh scan, an image run's max_iters counts from the image, a
-    step after a start, so it may close a cycle that every start ran out of
-    budget for; a LimitCycle's cycle may begin at another phase; and of two
-    fixed points closer than 10 * fix_tol the other may represent their
-    cluster, as the runs are visited in another order.
-    A DEBUG record on "qualdyn.analysis" counts the table rules and image
-    runs, and names the images whose runs ended NonConverged.
-
-    The verdicts are clustered once per distinct run, in the order the
-    starts first reach the runs. That differs from clustering every start's
-    verdict only where a cluster's representative is replaced between two
-    starts that share a run.
+    Several groups: run the dynamics from the image of each distinct rule,
+    cluster the verdicts within 10 * fix_tol, and keep each cluster's member
+    of least residual, and of least rates on a residual tie. One step maps a
+    state s to C(theta(s)), the population's response to the institution's
+    rule, which depends on the rule alone, joint or decoupled. So after one
+    step every orbit is on the image C(theta) of some rule theta, and a
+    start's verdict is that of its image's run. The rules come from:
+    - a GaussianHalfspace model's table. Its best response is one of the
+      model's read-only table objects (`features`): the arc's midpoint or
+      ends, or decoupled, the mapping of each group to its boundary. The
+      midpoint's image runs first, as the grid's first start (0, ..., 0)
+      takes it at equal group sizes, and `grid` does not apply;
+    - for any other model, the distinct rules of a grid of starts, in the
+      order the starts first meet them. Two groups start from the full
+      grid x grid mesh; three or more start only from the diagonal and the
+      lines through (0.5, ..., 0.5) along each axis, so an equilibrium
+      whose basin misses those lines is not found. In the uniform family
+      the rule takes only a few values, so a grid-21 scan makes a handful
+      of runs, not 441.
+    All runs share one memo, so a state that any run has reached is stepped
+    once. Against running every start in full, an image run's max_iters
+    counts from the image, a step after a start, so it may close a cycle
+    that every start ran out of budget for; a LimitCycle's cycle may begin
+    at another phase; and of two fixed points, or two cycles, closer than
+    10 * fix_tol another may represent their cluster, as other runs reach
+    them first. A DEBUG record on "qualdyn.analysis" counts the starts (0
+    for a table), the rules and the image runs, and names the images whose
+    runs ended NonConverged.
     """
     groups = normalize_groups(groups)
     if grid is not None and grid < 2:
@@ -737,17 +718,14 @@ def _scan_multi_group(
     # key keeps it one record where the distance test alone would not.
     stored: set[tuple] = set()
     radius = _DEDUP_FACTOR * config.fix_tol
-    if isinstance(model, GaussianHalfspace):
-        runs = _table_runs(economy, groups, model, config)
-    else:
-        starts = _multi_starts(len(groups), grid)
-        _, runs = _start_outcomes(economy, groups, model, starts, config)
-    for outcome in runs:
+    for outcome in _image_runs(economy, groups, model, grid, config):
         v = outcome.verdict
         if isinstance(v, FixedPoint):
             for i, (st, res) in enumerate(fixed):
                 if v.state.sup_distance(st) <= radius:
-                    if v.residual < res:
+                    # least (residual, rates), so a residual tie does not
+                    # depend on the order of the runs
+                    if (v.residual, v.state.rates) < (res, st.rates):
                         fixed[i] = (v.state, v.residual)
                     break
             else:
@@ -807,118 +785,55 @@ def _debug_log():
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
-def _table_runs(economy, groups, model: GaussianHalfspace, config: DynamicsConfig) -> list:
-    """A halfspace scan's runs (find_equilibria_scan): iterate from each table
-    rule's image on one memo, the midpoint's first. The zero state's rule is
-    solved first, so groups that the model does not fit raise as a step does."""
-    zero = QualificationState(tuple(g.id for g in groups), (0.0,) * len(groups))
-    rule = _rule(economy, groups, model, zero, config.mode, config.theta_grid, config.tie_tol)
-    table = (model._arc[1], *model._arc[0]) if config.mode == "joint" else (rule,)
+def _image_runs(economy, groups, model, grid: int, config: DynamicsConfig) -> list:
+    """A multi-group scan's runs (find_equilibria_scan): iterate from the
+    image of each distinct rule on one memo, in order. A halfspace model's
+    rules are its table's, the midpoint first, after the rule at the zero
+    state is solved, so groups that the model does not fit raise as a step
+    does; any other model's are those of its _multi_starts starts. Then one
+    DEBUG record on "qualdyn.analysis" counts the starts, rules and image
+    runs, and names the images whose runs ended NonConverged."""
+    if isinstance(model, GaussianHalfspace):
+        starts = []
+        zero = QualificationState(tuple(g.id for g in groups), (0.0,) * len(groups))
+        rule = _rule(economy, groups, model, zero, config.mode, config.theta_grid, config.tie_tol)
+        rules = (model._arc[1], *model._arc[0]) if config.mode == "joint" else (rule,)
+    else:
+        starts = _multi_starts(len(groups), grid)
+        rules = _start_rules(economy, groups, model, starts, config)
     memo: dict = {}
-    images = [_population_response(economy, groups, model, theta) for theta in table]
+    images = [_population_response(economy, groups, model, theta) for theta in rules]
     runs = [iterate(economy, groups, model, x, config, memo=memo) for x in images]
     log = _debug_log()
     if log is not None:
         dropped = [x.rates for x, r in zip(images, runs) if isinstance(r.verdict, NonConverged)]
         log.debug(
-            "halfspace table scan: %d table rules, %d image runs; %d ended NonConverged, from %s",
-            len(table), len(runs), len(dropped), dropped,
+            "multi-group scan: %d starts, %d rules, %d image runs; "
+            "%d ended NonConverged, from %s",
+            len(starts), len(rules), len(runs), len(dropped), dropped,
         )
     return runs
 
 
-def _start_outcomes(
-    economy, groups, model, starts, config: DynamicsConfig
-) -> tuple[np.ndarray, list]:
-    """Each start's outcome, the one whose verdict is the start's: the run
-    from its first image when it may inherit that verdict, else its own run
-    (the rule and its argument are in find_equilibria_scan). As a pair
-    (index, runs): start i's outcome is runs[index[i]], and runs holds each
-    distinct run once, in the order starts first reach it; an image run that
-    no start inherits is not in it. The rules come from _start_rules, and
-    each rule's starts are tested against its run's trace in one array pass,
-    by QualificationState.sup_distance's arithmetic, so each start is
-    decided as it would be alone.
-
-    Then one DEBUG record on "qualdyn.analysis" counts the starts, rules,
-    image runs and full runs, and names the starts dropped as NonConverged
-    (only full runs: an image run is inherited only within its budget)."""
+def _start_rules(economy, groups, model, starts, config: DynamicsConfig) -> list:
+    """The starts' distinct rules (by _rule_key), from one dynamics._rule call
+    each, in first-seen order."""
     ids = tuple(g.id for g in groups)
-    memo: dict = {}
-    index, table = _start_rules(economy, groups, model, starts, config)
-    rates = np.array(starts, dtype=float)
-    # the image run each start inherits, by position in images; -1: a full run
-    source = np.full(len(starts), -1)
-    # each start's run, named by the first start that reaches it: the start
-    # itself for a full run
-    head = np.arange(len(starts))
-    order = np.argsort(index, kind="stable")
-    members = np.split(order, np.flatnonzero(np.diff(index[order])) + 1)
-    images = []
-    for starts_of_rule in sorted(members, key=lambda m: m[0]):  # rules in first-seen order
-        image = _population_response(economy, groups, model, table[index[starts_of_rule[0]]])
-        run = iterate(economy, groups, model, image, config, memo=memo)
-        if len(run.trace) - 1 < config.max_iters - 1:
-            visited = np.array([rec.state.rates for rec in run.trace])
-            far = np.abs(rates[starts_of_rule][:, None, :] - visited[None, :, :]).max(axis=2)
-            inheriting = starts_of_rule[(far > config.fix_tol).all(axis=1)]
-            source[inheriting] = len(images)
-            head[inheriting] = inheriting[:1]  # a rule's starts are in ascending order
-        images.append(run)
-    heads = np.flatnonzero(head == np.arange(len(starts)))
-    runs, dropped = [], []
-    for i in heads.tolist():
-        if source[i] >= 0:
-            runs.append(images[source[i]])
-            continue
-        run = iterate(
-            economy, groups, model, QualificationState(ids, starts[i]), config, memo=memo
-        )
-        if isinstance(run.verdict, NonConverged):
-            dropped.append(starts[i])
-        runs.append(run)
-    log = _debug_log()
-    if log is not None:
-        log.debug(
-            "multi-group scan: %d starts, %d distinct rules, %d image runs, %d full runs; "
-            "%d starts dropped as NonConverged, first %s",
-            len(starts), len(members), len(images), int(np.count_nonzero(source < 0)),
-            len(dropped), dropped[:5],
-        )
-    return np.searchsorted(heads, head), runs
-
-
-def _start_rules(
-    economy, groups, model, starts, config: DynamicsConfig
-) -> tuple[np.ndarray, Sequence]:
-    """Each start's rule, from one dynamics._rule call, as a pair (index,
-    table): start i's rule is table[index[i]], and the table holds each
-    distinct rule (by _rule_key) once, in first-seen order."""
-    ids = tuple(g.id for g in groups)
-    positions: dict = {}  # rule key -> position in table
-    table: list = []
-    index = []
+    rules: dict = {}
     for rates in starts:
         theta = _rule(
             economy, groups, model, QualificationState(ids, rates),
             config.mode, config.theta_grid, config.tie_tol,
         )
-        k = positions.setdefault(_rule_key(theta), len(table))
-        if k == len(table):
-            table.append(theta)
-        index.append(k)
-    return np.array(index, dtype=int), table
+        rules.setdefault(_rule_key(theta), theta)
+    return list(rules.values())
 
 
 def _rule_key(theta):
-    """Key under which equal rules meet in the scan's rule table: scalars
-    by value and sign, so -0.0 and 0.0 stay apart; halfspace table vectors
-    by identity, which stays unique while the table holds the rule;
-    decoupled mappings by their items in group order."""
+    """Key under which equal rules meet: scalars by value and sign, so -0.0
+    and 0.0 stay apart; decoupled mappings by their items in group order."""
     if isinstance(theta, Mapping):
         return tuple((gid, _rule_key(th)) for gid, th in sorted(theta.items()))
-    if isinstance(theta, np.ndarray):
-        return id(theta)
     return (theta, math.copysign(1.0, theta))
 
 

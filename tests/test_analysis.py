@@ -2,6 +2,7 @@
 
 import bisect
 import copy
+import dataclasses
 import logging
 import math
 import warnings
@@ -831,7 +832,7 @@ def test_uniform_decoupled_rates_never_fall_below_joint_rates(h1, h2, wage, n1, 
 
 
 # ---------------------------------------------------------------------------
-# Multi-group scan: starts resolved from their first image
+# Multi-group scan: runs from the images of the rules
 # ---------------------------------------------------------------------------
 
 CRITERION_10 = DynamicsConfig(max_iters=300, fix_tol=1e-6, theta_grid=401)
@@ -848,19 +849,62 @@ def full_runs(economy, groups, model, starts, config):
     ]
 
 
-def full_run_verdicts(economy, groups, model, starts, config):
-    return [run.verdict for run in full_runs(economy, groups, model, starts, config)]
+def full_run_records(economy, groups, model, grid, config, first=(), budget=0):
+    """The records of a scan whose runs are the runs `first`, then the full
+    runs of every _multi_starts start, clustered as the scan clusters; and
+    whether two of those full runs end at distinct fixed points within the
+    cluster radius, so that the order of the visits may pick which one
+    represents their cluster. The full runs take `budget` more steps than
+    config.max_iters."""
+    starts = analysis._multi_starts(len(groups), grid)
+    runs_config = dataclasses.replace(config, max_iters=config.max_iters + budget)
+    runs = full_runs(economy, groups, model, starts, runs_config)
+    with mock.patch.object(analysis, "_image_runs", lambda *args: [*first, *runs]):
+        records = find_equilibria_scan(economy, groups, model, grid, config=config)
+    fixed = {run.verdict.state for run in runs if isinstance(run.verdict, FixedPoint)}
+    radius = 10 * config.fix_tol
+    twins = any(a != b and a.sup_distance(b) <= radius for a in fixed for b in fixed)
+    return records, twins
 
 
-def resolved(economy, groups, model, starts, config):
-    """Each start's verdict as the scan resolves it, and whether it ran in
-    full (its outcome's trace starts at the start itself)."""
-    index, runs = analysis._start_outcomes(economy, groups, model, starts, config)
-    outcomes = [runs[k] for k in index]
-    return (
-        [o.verdict for o in outcomes],
-        [o.trace[0].state.rates == s for o, s in zip(outcomes, starts)],
-    )
+def unphased(records):
+    """Each record's fields, a halfspace theta as floats and its cycle turned
+    to start at its least rates: the record up to the phase of its cycle."""
+
+    def floats(theta):
+        if isinstance(theta, dict):
+            return tuple((gid, floats(th)) for gid, th in sorted(theta.items()))
+        return tuple(theta.tolist()) if isinstance(theta, np.ndarray) else theta
+
+    out = []
+    for r in records:
+        cycle = r.cycle
+        if cycle is not None:
+            k = min(range(len(cycle)), key=lambda i: cycle[i].rates)
+            cycle = cycle[k:] + cycle[:k]
+        out.append(
+            (r.label, r.kind, r.state, floats(r.theta), r.stability, r.residual,
+             r.derivative_stable, cycle, r.period)
+        )
+    return out
+
+
+def assert_full_run_records(economy, groups, model, grid, config):
+    """The scan's records are those of every _multi_starts start's full run,
+    up to cycle phase. Where two full runs end at distinct fixed points
+    within the cluster radius, the full runs visited after the scan's own
+    image runs add no record and replace no representative. An image run's
+    max_iters counts from the image, a step after its start, so the full
+    runs take one step more."""
+    groups = tuple(sorted(groups, key=lambda g: g.id))
+    got = unphased(find_equilibria_scan(economy, groups, model, grid, config=config))
+    want, twins = full_run_records(economy, groups, model, grid, config, budget=1)
+    if not twins:
+        assert got == unphased(want)
+        return
+    images = analysis._image_runs(economy, groups, model, grid, config)
+    both, _ = full_run_records(economy, groups, model, grid, config, images, budget=1)
+    assert got == unphased(both) and len(got) == len(want)
 
 
 def unequal_halfspace():
@@ -886,70 +930,31 @@ def three_group_uniform():
 
 
 def scan_cases():
-    """(name, scenario, config, grid, edge): with edge, some start at exactly
-    fix_tol from a traced state shares that trace's rule, so the scan meets
-    its guard's boundary. A power-of-two fix_tol makes that distance exact
-    from a nonzero rate, not only from a rate of 0."""
+    """(name, scenario, config, grid): the anchors on which the scan must
+    give the records of every start's full run."""
     uniform = verification._uniform_reference()
     pair = verification._halfspace_scenario(2.0, 1.0)
     cycle = verification._halfspace_scenario(1.0, 2.0)
     exact = DynamicsConfig(fix_tol=2.0**-30)
     return [
-        ("uniform three groups", three_group_uniform(), DynamicsConfig(), 21, False),
-        ("uniform joint", uniform, DynamicsConfig(), 21, False),
-        ("uniform joint, fix_tol 2^-30", uniform, exact, 21, True),
-        ("uniform decoupled", uniform, DynamicsConfig(mode="decoupled"), 21, False),
-        ("halfspace stable pair", pair, DynamicsConfig(), 21, True),
-        ("halfspace period 2", cycle, DynamicsConfig(), 21, True),
-        ("halfspace period 2, fix_tol 2^-30", cycle, exact, 21, True),
-        ("halfspace unequal sizes", unequal_halfspace(), DynamicsConfig(), 21, True),
-        ("two-valley score", verification._two_valley_scenario(), CRITERION_10, 5, True),
+        ("uniform three groups", three_group_uniform(), DynamicsConfig(), 21),
+        ("uniform joint", uniform, DynamicsConfig(), 21),
+        ("uniform joint, fix_tol 2^-30", uniform, exact, 21),
+        ("uniform decoupled", uniform, DynamicsConfig(mode="decoupled"), 21),
+        ("halfspace stable pair", pair, DynamicsConfig(), 21),
+        ("halfspace period 2", cycle, DynamicsConfig(), 21),
+        ("halfspace period 2, fix_tol 2^-30", cycle, exact, 21),
+        ("halfspace unequal sizes", unequal_halfspace(), DynamicsConfig(), 21),
+        ("two-valley score", verification._two_valley_scenario(), CRITERION_10, 5),
     ]
-
-
-def edge_starts(verdicts, fix_tol):
-    """For each fixed point and cycle state t in verdicts, and each rate of t
-    that can move by exactly fix_tol inside [0, 1]: (t, t with that rate
-    moved fix_tol, t with it moved one float farther)."""
-    traced = []
-    for v in verdicts:
-        if isinstance(v, FixedPoint):
-            states = (v.state,)
-        else:
-            states = v.states if isinstance(v, LimitCycle) else ()
-        for state in states:
-            if state.rates not in traced:
-                traced.append(state.rates)
-    edges = []
-    for t in traced:
-        for j, rate in enumerate(t):
-            for sign in (1.0, -1.0):
-                at = rate + sign * fix_tol
-                if 0.0 <= at <= 1.0 and abs(at - rate) == fix_tol:
-                    past = math.nextafter(at, sign * math.inf)
-                    edges.append((t, t[:j] + (at,) + t[j + 1:], t[:j] + (past,) + t[j + 1:]))
-    return edges
 
 
 @pytest.mark.parametrize("case", scan_cases(), ids=lambda case: case[0])
 def test_inherited_verdicts_match_full_runs(case):
-    _, (economy, groups, model), config, grid, edge = case
-    groups = tuple(sorted(groups, key=lambda g: g.id))
-    starts = analysis._multi_starts(len(groups), grid)
-    want = full_run_verdicts(economy, groups, model, starts, config)
-    edges = edge_starts(want, config.fix_tol)
-    extra = [s for triple in edges for s in triple]
-    want += full_run_verdicts(economy, groups, model, extra, config)
-    got, full = resolved(economy, groups, model, starts + extra, config)
-    # repr tells -0.0 from 0.0, so this is a match bit for bit
-    assert [repr(v) for v in got] == [repr(v) for v in want]
-    assert not all(full)  # some starts did inherit
-    met = [full[i:i + 3] for i in range(len(starts), len(full), 3)]
-    assert all(at_trace for at_trace, _, _ in met)  # a traced state runs in full
-    if edge:
-        # the guard tests > fix_tol: the start at fix_tol runs in full, the
-        # one a float farther inherits
-        assert [True, True, False] in met
+    # Each start takes the verdict of its image's run, so the scan's records
+    # are the full runs' records.
+    _, (economy, groups, model), config, grid = case
+    assert_full_run_records(economy, groups, model, grid, config)
 
 
 def reference_clusters(outcomes, radius):
@@ -961,7 +966,7 @@ def reference_clusters(outcomes, radius):
         if isinstance(v, FixedPoint):
             for i, (state, residual) in enumerate(fixed):
                 if v.state.sup_distance(state) <= radius:
-                    if v.residual < residual:
+                    if (v.residual, v.state.rates) < (residual, state.rates):
                         fixed[i] = (v.state, v.residual)
                     break
             else:
@@ -972,9 +977,7 @@ def reference_clusters(outcomes, radius):
 def scripted_scan(monkeypatch, runs, config=DynamicsConfig()):
     """The records _scan_multi_group makes of a scripted list of distinct
     runs on the uniform reference."""
-    monkeypatch.setattr(
-        analysis, "_start_outcomes", lambda *args: (np.arange(len(runs)), runs)
-    )
+    monkeypatch.setattr(analysis, "_image_runs", lambda *args: runs)
     return analysis._scan_multi_group(*verification._uniform_reference(), 2, config, 0)
 
 
@@ -1021,86 +1024,63 @@ def test_a_cycle_met_at_two_phases_is_one_record(monkeypatch):
 
 
 def test_the_scan_reaches_each_run_once():
-    # The period-2 halfspace regime at grid 21: 441 starts share a few runs.
-    economy, groups, model = verification._halfspace_scenario(1.0, 2.0)
-    starts = analysis._multi_starts(2, 21)
-    config = DynamicsConfig()
-    index, runs = analysis._start_outcomes(economy, groups, model, starts, config)
-    assert len(index) == len(starts) and len(runs) < len(starts)
-    assert len({id(run) for run in runs}) == len(runs)
-    # runs in the order the starts first reach them
-    assert list(dict.fromkeys(index.tolist())) == list(range(len(runs)))
-    want = full_run_verdicts(economy, groups, model, starts, config)
-    assert [repr(runs[k].verdict) for k in index] == [repr(v) for v in want]
-
-
-def test_a_start_at_a_fixed_point_runs_in_full():
+    # The uniform reference at grid 21: 441 starts share 5 rules, and the
+    # scan runs once from each rule's image, in the order the starts first
+    # meet the rules.
     economy, groups, model = verification._uniform_reference()
-    starts = [(0.6, 0.3)]  # the h1 corner: its image is itself
-    got, full = resolved(economy, groups, model, starts, DynamicsConfig())
-    assert full == [True]
-    assert got == full_run_verdicts(economy, groups, model, starts, DynamicsConfig())
-    assert isinstance(got[0], FixedPoint)
-
-
-def test_a_start_on_its_images_cycle_runs_in_full():
-    # Period-2 regime: the start is one corner of the cycle, so its image is
-    # the other corner and the image run's trace comes back to the start.
-    # The image run's cycle begins at the wrong corner, so inheriting would
-    # change the verdict.
-    economy, groups, model = verification._halfspace_scenario(1.0, 2.0)
-    corner = (float(Uniform01().cdf(0.8)), 0.0)
     config = DynamicsConfig()
-    got, full = resolved(economy, groups, model, [corner], config)
-    want = full_run_verdicts(economy, groups, model, [corner], config)
-    assert full == [True]
+    rules = analysis._start_rules(
+        economy, groups, model, analysis._multi_starts(2, 21), config
+    )
+    runs = analysis._image_runs(economy, groups, model, 21, config)
+    assert len(rules) == len(runs) == 5
+    images = [dynamics._population_response(economy, groups, model, th) for th in rules]
+    assert [run.trace[0].state for run in runs] == images
+
+
+def test_a_start_at_a_fixed_point_runs_in_full(monkeypatch):
+    # The h1 corner (0.6, 0.3) is its own image, so the run from its image
+    # is its own full run, and both give one record.
+    economy, groups, model = verification._uniform_reference()
+    corner = (0.6, 0.3)
+    monkeypatch.setattr(analysis, "_multi_starts", lambda *args: [corner])
+    (run,) = analysis._image_runs(economy, groups, model, 2, DynamicsConfig())
+    assert run.trace[0].state.rates == corner
+    got = find_equilibria_scan(economy, groups, model, 2)
+    want, _ = full_run_records(economy, groups, model, 2, DynamicsConfig())
     assert got == want
-    assert isinstance(want[0], LimitCycle) and want[0].states[0].rates == corner
-    image = step(economy, groups, model, QualificationState(("g1", "g2"), corner))[1]
-    assert iterate(economy, groups, model, image, config).verdict != want[0]
-
-
-@pytest.mark.parametrize("max_iters, verdict", [(3, LimitCycle), (2, NonConverged)])
-def test_an_image_run_near_the_budget_is_not_inherited(max_iters, verdict):
-    # From (0.7, 0.2) the period-2 map goes to one corner; the run from that
-    # image closes its cycle at t = 2. That is max_iters - 1 steps at
-    # max_iters = 3, and the whole budget at max_iters = 2, where the
-    # start's own run ends NonConverged.
-    economy, groups, model = verification._halfspace_scenario(1.0, 2.0)
-    config = DynamicsConfig(max_iters=max_iters)
-    starts = [(0.7, 0.2)]
-    got, full = resolved(economy, groups, model, starts, config)
-    assert full == [True]
-    assert got == full_run_verdicts(economy, groups, model, starts, config)
-    assert isinstance(got[0], verdict)
-    # one more step of budget and the start inherits
-    roomy = DynamicsConfig(max_iters=max_iters + 2)
-    got, full = resolved(economy, groups, model, starts, roomy)
-    assert full == [False]
-    assert got == full_run_verdicts(economy, groups, model, starts, roomy)
+    assert [(r.kind, r.state.rates) for r in got] == [("FixedPoint", corner)]
 
 
 def test_the_scan_logs_its_starts_and_the_ones_it_drops(caplog):
-    # The uniform reference with a budget of 1 step: no image run may be
-    # inherited, and every start but one runs out of steps.
-    economy, groups, model = verification._uniform_reference()
-    config = DynamicsConfig(max_iters=1)
-    starts = analysis._multi_starts(2, 5)
-    want = full_run_verdicts(economy, groups, model, starts, config)
-    dropped = [s for s, v in zip(starts, want) if isinstance(v, NonConverged)]
-    assert len(dropped) == 24
-    quiet = find_equilibria_scan(economy, groups, model, grid=5, config=config)
+    # The two-valley anchor at grid 2 with a budget of 1 step: its 4 starts
+    # have 4 rules, and the runs from the images that are not fixed points
+    # cannot close.
+    economy, groups, model = verification._two_valley_scenario()
+    config = DynamicsConfig(max_iters=1, fix_tol=1e-6, theta_grid=401)
+    ids = tuple(g.id for g in groups)
+    images = [
+        step(economy, groups, model, QualificationState(ids, s), grid_size=401)[1]
+        for s in analysis._multi_starts(2, 2)
+    ]
+    dropped = [
+        x.rates for x in images
+        if isinstance(iterate(economy, groups, model, x, config).verdict, NonConverged)
+    ]
+    assert len(dropped) == 2
+    quiet = find_equilibria_scan(economy, groups, model, grid=2, config=config)
     assert not caplog.records  # silent at the default level
     caplog.set_level(logging.DEBUG, logger="qualdyn.analysis")
-    assert find_equilibria_scan(economy, groups, model, grid=5, config=config) == quiet
+    assert find_equilibria_scan(economy, groups, model, grid=2, config=config) == quiet
     (logged,) = caplog.records
     assert logged.name == "qualdyn.analysis" and logged.levelno == logging.DEBUG
-    # starts, distinct rules, image runs, full runs, dropped, the first five
-    assert logged.args == (25, 3, 3, 25, 24, dropped[:5])
+    # starts, rules, image runs, runs that ended NonConverged, their images
+    assert logged.args == (4, 4, 4, 2, dropped)
     caplog.clear()
-    assert find_equilibria_scan(economy, groups, model, grid=5)
+    # the uniform reference at grid 5: 25 starts share 3 rules
+    assert find_equilibria_scan(*verification._uniform_reference(), grid=5)
     (logged,) = caplog.records
-    assert logged.args == (25, 3, 3, 1, 0, [])
+    assert logged.args == (25, 3, 3, 0, [])
 
 
 def test_the_table_scan_logs_its_runs_and_the_ones_that_ran_out(caplog):
@@ -1114,12 +1094,12 @@ def test_the_table_scan_logs_its_runs_and_the_ones_that_ran_out(caplog):
     assert logged.name == "qualdyn.analysis" and logged.levelno == logging.DEBUG
     ends, _, _ = model._arc
     images = [dynamics._population_response(economy, groups, model, v).rates for v in ends]
-    # table rules, image runs, runs that ended NonConverged, their images
-    assert logged.args == (3, 3, 2, images)
+    # a table scan has no starts
+    assert logged.args == (0, 3, 3, 2, images)
     caplog.clear()
     assert find_equilibria_scan(economy, groups, model, config=DynamicsConfig(mode="decoupled"))
     (logged,) = caplog.records
-    assert logged.args == (1, 1, 0, [])
+    assert logged.args == (0, 1, 1, 0, [])
 
 
 def test_the_unequal_halfspace_scan_meets_weight_ties():
@@ -1134,7 +1114,7 @@ def test_the_unequal_halfspace_scan_meets_weight_ties():
             economy, groups, model, state, "joint", config.theta_grid, config.tie_tol
         )
         assert rule is midpoint
-    runs = analysis._table_runs(economy, groups, model, config)
+    runs = analysis._image_runs(economy, groups, model, 21, config)
     want = [dynamics._population_response(economy, groups, model, v) for v in (midpoint, *ends)]
     assert [run.trace[0].state for run in runs] == want
 
@@ -1152,44 +1132,6 @@ def test_the_table_scan_keeps_the_two_group_error():
             find_equilibria_scan(economy, pair, model, config=DynamicsConfig(mode=mode))
 
 
-def full_run_records(economy, groups, model, grid, config, first=()):
-    """The records of a scan whose runs are the runs `first`, then the full
-    runs of every _multi_starts start, clustered as the scan clusters; and
-    whether two of those full runs end at distinct fixed points within the
-    cluster radius, so that the order of the visits picks which one
-    represents their cluster."""
-    starts = analysis._multi_starts(len(groups), grid)
-    runs = full_runs(economy, groups, model, starts, config)
-    with mock.patch.object(analysis, "_table_runs", lambda *args: [*first, *runs]):
-        records = find_equilibria_scan(economy, groups, model, grid, config=config)
-    fixed = {run.verdict.state for run in runs if isinstance(run.verdict, FixedPoint)}
-    radius = 10 * config.fix_tol
-    twins = any(a != b and a.sup_distance(b) <= radius for a in fixed for b in fixed)
-    return records, twins
-
-
-def unphased(records):
-    """Each record's fields, its theta as floats and its cycle turned to
-    start at its least rates: the record up to the phase of its cycle."""
-
-    def floats(theta):
-        if isinstance(theta, dict):
-            return tuple((gid, floats(th)) for gid, th in sorted(theta.items()))
-        return None if theta is None else tuple(np.asarray(theta, dtype=float).tolist())
-
-    out = []
-    for r in records:
-        cycle = r.cycle
-        if cycle is not None:
-            k = min(range(len(cycle)), key=lambda i: cycle[i].rates)
-            cycle = cycle[k:] + cycle[:k]
-        out.append(
-            (r.label, r.kind, r.state, floats(r.theta), r.stability, r.residual,
-             r.derivative_stable, cycle, r.period)
-        )
-    return out
-
-
 _costs = st.one_of(
     st.just(Uniform01()),
     st.builds(
@@ -1199,31 +1141,8 @@ _costs = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    angle=st.floats(min_value=0.05, max_value=0.95),
-    wage=st.floats(min_value=0.2, max_value=2.0),
-    payoff_tp=st.floats(min_value=0.2, max_value=3.0),
-    cost_fp=st.one_of(st.none(), st.floats(min_value=0.2, max_value=3.0)),  # None: = payoff_tp
-    n1=st.one_of(st.just(0.5), st.floats(min_value=0.1, max_value=0.9)),
-    costs=st.tuples(_costs, _costs),
-    mode=st.sampled_from(["joint", "decoupled"]),
-    grid=st.sampled_from([5, 21]),
-    max_iters=st.integers(min_value=5, max_value=300),
-)
-@example(  # the midpoint's image (1, 1) and an end's image 2.4e-9 from it are fixed points
-    angle=0.1606626806591424, wage=1.309774639681932, payoff_tp=1.1365529283492002,
-    cost_fp=0.7936276699559919, n1=0.5,
-    costs=(TruncatedNormal(0.48222469140832996, 0.06943120528447047),
-           TruncatedNormal(0.3744517074119357, 0.4818198044275199)),
-    mode="joint", grid=21, max_iters=7,
-)
-def test_the_table_scan_gives_the_full_runs_records(
-    angle, wage, payoff_tp, cost_fp, n1, costs, mode, grid, max_iters
-):
-    # The halfspace scan runs from its table rules' images alone; every mesh
-    # start's own full run must give the same records, up to cycle phase.
-    cost_fp = payoff_tp if cost_fp is None else cost_fp
+def halfspace_scan(angle, wage, payoff_tp, cost_fp, n1, costs, mode, grid, max_iters):
+    """A two-group halfspace scan: (economy, groups, model, grid, config)."""
     economy = EconomyConfig(wage=wage, payoff_tp=payoff_tp, cost_fp=cost_fp)
     groups = (
         GroupSpec(id="a", proportion=n1, cost=costs[0]),
@@ -1231,17 +1150,84 @@ def test_the_table_scan_gives_the_full_runs_records(
     )
     turn = math.pi * angle
     model = GaussianHalfspace((("a", (1.0, 0.0)), ("b", (math.cos(turn), math.sin(turn)))))
+    return economy, groups, model, grid, DynamicsConfig(mode=mode, max_iters=max_iters)
+
+
+# The midpoint's image (1, 1) and an end's image 2.4e-9 from it are both
+# fixed points with residual 0.
+TWIN_FIXED_POINTS = halfspace_scan(
+    angle=0.1606626806591424, wage=1.309774639681932, payoff_tp=1.1365529283492002,
+    cost_fp=0.7936276699559919, n1=0.5,
+    costs=(TruncatedNormal(0.48222469140832996, 0.06943120528447047),
+           TruncatedNormal(0.3744517074119357, 0.4818198044275199)),
+    mode="joint", grid=21, max_iters=7,
+)
+
+
+@st.composite
+def two_group_scans(draw):
+    """A drawn two-group scan, halfspace, uniform or score, joint or
+    decoupled: (economy, groups, model, grid, config)."""
+    family = draw(st.sampled_from(["halfspace", "uniform", "score"]))
+    mode = draw(st.sampled_from(["joint", "decoupled"]))
+    # a score orbit that never settles steps to max_iters, so it gets less
+    max_iters = draw(st.integers(min_value=5, max_value=60 if family == "score" else 300))
+    n1 = draw(st.one_of(st.just(0.5), st.floats(min_value=0.1, max_value=0.9)))
+    if family == "halfspace":
+        payoff_tp = draw(st.floats(min_value=0.2, max_value=3.0))
+        cost_fp = draw(st.one_of(st.just(payoff_tp), st.floats(min_value=0.2, max_value=3.0)))
+        return halfspace_scan(
+            draw(st.floats(min_value=0.05, max_value=0.95)),
+            draw(st.floats(min_value=0.2, max_value=2.0)),
+            payoff_tp, cost_fp, n1, draw(st.tuples(_costs, _costs)), mode,
+            draw(st.sampled_from([5, 21])), max_iters,
+        )
     config = DynamicsConfig(mode=mode, max_iters=max_iters)
-    got = unphased(find_equilibria_scan(economy, groups, model, grid, config=config))
-    want, twins = full_run_records(economy, groups, model, grid, config)
-    if not twins:
-        assert got == unphased(want)
-        return
-    # Twin fixed points: the table's image runs find every record, and the
-    # full runs visited after them add none and replace no representative.
-    table = analysis._table_runs(economy, groups, model, config)
-    both, _ = full_run_records(economy, groups, model, grid, config, first=table)
-    assert got == unphased(both) and len(got) == len(want)
+    if family == "uniform":
+        economy = EconomyConfig(
+            wage=draw(st.floats(min_value=0.3, max_value=1.0)),
+            payoff_tp=draw(st.floats(min_value=0.5, max_value=2.0)),
+            cost_fp=draw(st.floats(min_value=0.5, max_value=2.0)),
+        )
+        costs = draw(st.tuples(_costs, _costs))
+        model = UniformThreshold(
+            (("a", draw(st.floats(min_value=0.3, max_value=0.5))),
+             ("b", draw(st.floats(min_value=0.6, max_value=0.9))))
+        )
+        grid = draw(st.sampled_from([5, 21]))
+    else:
+        # mirrored Beta scores and one steep cost, as in
+        # test_two_group_score_scan_fixed_points_meet_fix_tol
+        economy = EconomyConfig(wage=1.0)
+        cost = TruncatedNormal(mu=draw(st.floats(min_value=0.45, max_value=0.65)), sigma=0.1)
+        costs = (cost, cost)
+        shape = st.tuples(
+            st.floats(min_value=3.5, max_value=5.5), st.floats(min_value=1.5, max_value=2.5)
+        )
+        a, b = draw(shape), draw(shape)
+        model = ScoreModel(
+            {
+                "a": GroupScores(y1=BetaScore(*a), y0=BetaScore(a[1], a[0])),
+                "b": GroupScores(y1=BetaScore(*b), y0=BetaScore(b[1], b[0])),
+            }
+        )
+        config = DynamicsConfig(mode=mode, max_iters=max_iters, fix_tol=1e-6, theta_grid=101)
+        grid = 5
+    groups = (
+        GroupSpec(id="a", proportion=n1, cost=costs[0]),
+        GroupSpec(id="b", proportion=1.0 - n1, cost=costs[1]),
+    )
+    return economy, groups, model, grid, config
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_group_scans())
+@example(TWIN_FIXED_POINTS)
+def test_the_table_scan_gives_the_full_runs_records(scan):
+    # A scan runs from the images of its rules alone, a halfspace model's
+    # table rules or the distinct rules of the start mesh; every mesh
+    # start's own full run must give the same records, up to cycle phase.
+    assert_full_run_records(*scan)
 
 
 def test_the_table_scan_closes_the_cycle_that_every_start_ran_out_of_budget_for():
@@ -1264,17 +1250,32 @@ def test_the_table_scan_closes_the_cycle_that_every_start_ran_out_of_budget_for(
     )
 
 
+def test_twin_fixed_points_print_one_record_in_either_order(monkeypatch):
+    # The midpoint's image (1, 1) and the second end's image tie at residual
+    # 0; the scan prints the one of least rates whichever run comes first.
+    economy, groups, model, grid, config = TWIN_FIXED_POINTS
+    runs = analysis._image_runs(economy, groups, model, grid, config)
+    fixed = [run.verdict for run in runs if isinstance(run.verdict, FixedPoint)]
+    twins = sorted(
+        (a.state.rates, a.residual) for a in fixed
+        if any(a != b and a.state.sup_distance(b.state) <= 10 * config.fix_tol for b in fixed)
+    )
+    assert len(twins) == 2 and twins[0][1] == twins[1][1] == 0.0
+    printed = []
+    for order in (runs, runs[::-1]):
+        monkeypatch.setattr(analysis, "_image_runs", lambda *args, order=order: order)
+        printed.append(find_equilibria_scan(economy, groups, model, grid, config=config))
+    assert printed[0] == printed[1]
+    states = [r.state.rates for r in printed[0] if r.kind == "FixedPoint"]
+    assert twins[0][0] in states and twins[1][0] not in states
+
+
 def test_rule_keys():
     key = analysis._rule_key
     assert key(0.0) != key(-0.0)
     assert key(0.4) == key(0.4)
     assert key({"a": 0.4, "b": 0.8}) == key({"b": 0.8, "a": 0.4})
     assert key({"a": 0.0, "b": 0.8}) != key({"a": -0.0, "b": 0.8})
-    _, _, model = verification._halfspace_scenario(2.0, 1.0)
-    ends, midpoint, _ = model._arc
-    assert key(midpoint) == key(midpoint)
-    assert key(midpoint) != key(midpoint.copy())
-    assert key(ends[0]) != key(ends[1])
 
 
 def test_zero_and_negative_zero_rules_get_their_own_images(monkeypatch):
@@ -1291,8 +1292,7 @@ def test_zero_and_negative_zero_rules_get_their_own_images(monkeypatch):
 
     monkeypatch.setattr(analysis, "_rule", scripted_rule)
     monkeypatch.setattr(analysis, "_population_response", counting_response)
-    starts = analysis._multi_starts(2, 5)
-    analysis._start_outcomes(economy, groups, model, starts, DynamicsConfig())
+    analysis._image_runs(economy, groups, model, 5, DynamicsConfig())
     assert [math.copysign(1.0, th) for th in images] == [1.0, -1.0]
 
 
