@@ -34,24 +34,32 @@ the exact first-order cut answered, the number it left to the grid, and
 the slope calls of each cut; the cut-level searches (`_slope_turn`
 calls) made over the 200 uniform plateau responses; for the halfspace
 scans of criteria 05 and 06, joint and decoupled, the `_multi_starts`
-calls and the image runs beside the rules in the model's response table;
-and for the mesh scans of the uniform and two-valley anchors, joint and
-decoupled, the image runs beside the distinct rules of the mesh's starts.
+calls, the image runs and the images computed (population responses not
+served from the model's image slots) beside the rules in the model's
+response table; and for the mesh scans of the uniform and two-valley
+anchors, joint and decoupled, the image runs beside the distinct rules of
+the mesh's starts.
 The score anchor is strict MLR and its states are interior, so the script
 also exits non-zero if any of them is left to the grid; the plateau
 responses' costs are Uniform01, whose cut level is read in closed form, so
 it exits non-zero if any of them searches for one; a halfspace scan runs
 from its table's images alone, so it exits non-zero if one calls
-`_multi_starts` or makes more image runs than its table has rules; and a
+`_multi_starts` or makes more image runs than its table has rules, or if a
+joint one computes more images than its table has rules (a decoupled rule
+is a new mapping at each step, so its images are computed every time); a
 mesh scan runs once from each distinct rule's image, so it exits non-zero
-if one makes another number of runs. A closed form or an image scan that
-stops serving then fails the script instead of only slowing it. Point
+if one makes another number of runs; and stability probes read no trace
+record, so it exits non-zero if a classify case evaluates the
+institution's utility (`trace_utilities`). A closed form or an image scan
+that stops serving then fails the script instead of only slowing it. Point
 PYTHONPATH at another checkout's src to count that version (a version
 without the theta-curve makes no curve searches; one without the exact cut
 leaves every best response to the grid, one without the closed-form cut
 level searches at every plateau response, one that scans halfspace models
-on the start mesh calls `_multi_starts`, and one that runs mesh starts in
-full makes more runs than rules, so on any of those the script exits
+on the start mesh calls `_multi_starts`, one that runs mesh starts in
+full makes more runs than rules, one without the image slots computes an
+image at every step, and one that builds trace records in every run
+evaluates the utility in its probes, so on any of those the script exits
 non-zero):
 
     PYTHONPATH=src python benches/bench_layers.py
@@ -369,6 +377,7 @@ COUNTS = {
     "decoupled_best_responses": "decoupled_best_response",
     "plateau_point_calls": "_plateau_point",
     "population_responses": "_population_response",
+    "utility_calls": "institutional_utility",
     "steps": "step",
     "iterate_runs": "iterate",
     "stability_probes": "classify_stability",
@@ -512,21 +521,27 @@ TABLE_RULES = {"joint": 3, "decoupled": 1}
 
 def halfspace_table_scans() -> dict:
     """For the halfspace scans of both anchors in both modes, the calls of
-    `analysis._multi_starts` and the image runs, the `iterate` calls that
-    are not a stability probe's, beside the rules in the model's table. A
-    halfspace scan runs from its table's images alone, so a version that
-    scans the start mesh calls `_multi_starts`."""
+    `analysis._multi_starts`, the image runs, the `iterate` calls that are
+    not a stability probe's, and the images computed, the `response_rate`
+    calls made inside population responses per group (a response served
+    from the model's image slot makes none), beside the rules in the
+    model's table. A halfspace scan runs from its table's images alone, so
+    a version that scans the start mesh calls `_multi_starts`."""
     scans = {}
     for mode, rules in TABLE_RULES.items():
         config = dynamics.DynamicsConfig(mode=mode)
         for anchor, scenario in (("pair", HALFSPACE), ("cycle", HALFSPACE_CYCLE)):
-            with counting("_multi_starts") as mesh, counting("iterate") as runs, counting(
-                "classify_stability", during=runs
-            ) as probes:
+            with contextlib.ExitStack() as stack:
+                mesh = stack.enter_context(counting("_multi_starts"))
+                runs = stack.enter_context(counting("iterate"))
+                probes = stack.enter_context(counting("classify_stability", during=runs))
+                rates = stack.enter_context(counting("response_rate"))
+                images = stack.enter_context(counting("_population_response", during=rates))
                 analysis.find_equilibria_scan(*scenario, config=config)
             scans[f"{anchor}_{mode}"] = {
                 "multi_starts_calls": mesh[0],
                 "image_runs": runs[0] - probes[0],
+                "table_images": images[0] // len(scenario[1]),
                 "table_rules": rules,
             }
     return scans
@@ -602,6 +617,12 @@ def main() -> int:
         if not case.check(result):
             failed.append(case.name)
     spread = distributions()
+    # the institution's utility evaluated by each stability probe case; a
+    # probe reads its runs' final states, and no trace record
+    spread["trace_utilities"] = {
+        name: counts["utility_calls"]
+        for name, counts in cases.items() if counts["layer"] == "classify_stability"
+    }
     json.dump({"cases": cases, **spread}, sys.stdout, indent=1)
     print()
     if spread["score_exact_cut"]["grid_fallbacks"]:
@@ -617,6 +638,14 @@ def main() -> int:
     ):
         # a halfspace scan runs from its table's images, and from no mesh
         failed.append("halfspace_table_scans")
+    if any(
+        scan["table_images"] > scan["table_rules"]
+        for name, scan in spread["halfspace_table_scans"].items() if name.endswith("_joint")
+    ):
+        # a joint scan computes each table vector's image once
+        failed.append("table_images")
+    if any(spread["trace_utilities"].values()):
+        failed.append("trace_utilities")
     if any(
         scan["image_runs"] != scan["distinct_rules"]
         for scan in spread["mesh_image_runs"].values()

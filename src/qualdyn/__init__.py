@@ -1,6 +1,8 @@
 """Best-response dynamics between a threshold institution and strategic
 populations deciding whether to invest in qualification."""
 
+import importlib
+
 from .analysis import (
     BetaOfPi,
     EquilibriumRecord,
@@ -75,18 +77,39 @@ from .features import (
     institution_best_response,
     normalized_angle,
 )
-from .ingest import (
-    BetaFit,
-    HistogramSeries,
-    ScoreHistogram,
-    fit_beta,
-    fit_beta_resampled,
-    load_histogram,
-    to_score_model,
-)
-from .verification import CheckResult, run_suite
 
 __version__ = "0.1.0"
+
+# The modules imported on first use (PEP 562), and the names that import
+# them: few callers fit histograms or run the suites, so `import qualdyn`
+# does not pay for them.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ingest",
+            "BetaFit",
+            "HistogramSeries",
+            "ScoreHistogram",
+            "fit_beta",
+            "fit_beta_resampled",
+            "load_histogram",
+            "to_score_model",
+        ),
+        "ingest",
+    ),
+    **dict.fromkeys(("verification", "CheckResult", "run_suite"), "verification"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    submodule = importlib.import_module(f".{module}", __name__)
+    value = submodule if name == module else getattr(submodule, name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AssumptionError",

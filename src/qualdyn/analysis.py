@@ -52,6 +52,7 @@ from .errors import (
 from .features import (
     GaussianHalfspace,
     ScoreModel,
+    _norm,
     _sign_change,
     _strict_mlr_beta,
     _unit,
@@ -267,7 +268,7 @@ def gaussian_closed_forms(
             "whole arc and the closed forms do not apply"
         )
     G = cost.cdf
-    mid = (v1 + v2) / np.linalg.norm(v1 + v2)
+    mid = (v1 + v2) / _norm(v1 + v2)
     g_near, g_far = G(w), G(w * (1.0 - 2.0 * ang))
 
     mid_record = EquilibriumRecord(

@@ -63,7 +63,6 @@ from .errors import (
 )
 from .features import GaussianHalfspace, ScoreModel, UniformThreshold
 from .features import from_config as features_from_config
-from .ingest import fit_beta, fit_beta_resampled, load_histogram, to_score_model
 
 CONFIG_VERSION = 1
 
@@ -533,6 +532,9 @@ def cmd_find(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    # imported here, as verify imports its suites: no other command needs it
+    from .ingest import fit_beta, fit_beta_resampled, load_histogram, to_score_model
+
     _check_seed(args.seed)
     hist = load_histogram(args.histogram)
     fits: dict[str, dict[int, object]] = {}

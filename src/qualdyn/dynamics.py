@@ -138,15 +138,75 @@ class NonConverged:
 Verdict = FixedPoint | LimitCycle | NonConverged
 
 
+class _Trace(Sequence):
+    """An iterate run's trace records, built once, on the first read of any
+    of them (an index, a slice, iteration, equality, hash or repr): the run
+    keeps only each step's (theta, state), so a run whose records are never
+    read, a stability probe's or a scan's, evaluates no utility. len()
+    counts the states and builds nothing."""
+
+    __slots__ = ("_states", "_thetas", "_context", "_records")
+
+    def __init__(self, states: list, thetas: list, context: tuple) -> None:
+        self._states, self._thetas, self._context = states, thetas, context
+        self._records: tuple[TraceRecord, ...] | None = None
+
+    def _built(self) -> tuple[TraceRecord, ...]:
+        records = self._records
+        if records is None:
+            economy, groups, model = self._context
+            first = self._states[0]
+            records = self._records = (
+                TraceRecord(t=0, state=first, theta=None, utility=None, balance=balance(first)),
+                *(
+                    TraceRecord(
+                        t=t,
+                        state=s,
+                        theta=theta,
+                        utility=institutional_utility(economy, groups, model, theta, s),
+                        balance=balance(s),
+                    )
+                    for t, (theta, s) in enumerate(zip(self._thetas, self._states[1:]), 1)
+                ),
+            )
+        return records
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Trace)):
+            return self._built() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 @dataclass(frozen=True)
 class DynamicsOutcome:
-    trace: tuple[TraceRecord, ...]
+    """A run's trace records and verdict. The trace iterate gives builds its
+    records on first read (see _Trace); any sequence of TraceRecords may be
+    given instead."""
+
+    trace: Sequence[TraceRecord]
     verdict: Verdict
     stability: Stability = NOT_ASSESSED
 
     @property
     def final_state(self) -> QualificationState:
-        return self.trace[-1].state
+        """The last record's state, read without building the records."""
+        trace = self.trace
+        return trace._states[-1] if isinstance(trace, _Trace) else trace[-1].state
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +233,26 @@ def individual_best_response(
 def _population_response(
     economy: EconomyConfig, groups: tuple[GroupSpec, ...], model, theta
 ) -> QualificationState:
-    """individual_best_response for groups already in canonical order."""
+    """individual_best_response for groups already in canonical order. The
+    image of a GaussianHalfspace table vector is kept in that vector's slot
+    on the model (features module docstring, Caches) and read from it while
+    economy and groups are the objects it was computed for."""
+    halfspace = isinstance(model, GaussianHalfspace)
+    if halfspace:
+        slot = model._images.get(id(theta))
+        if slot is not None and slot[0] is theta and slot[1] is economy and slot[2] is groups:
+            return slot[3]
     rates = []
     for g in groups:
         th = theta[g.id] if isinstance(theta, Mapping) else theta
         tpr, fpr = model.tpr_fpr(g.id, th)
         rates.append(response_rate(g.cost, economy.wage, tpr, fpr))
-    return QualificationState(ids=tuple(g.id for g in groups), rates=tuple(rates))
+    image = QualificationState(ids=tuple(g.id for g in groups), rates=tuple(rates))
+    if halfspace:
+        table = model._table_rates.get(id(theta))
+        if table is not None and table[0] is theta:
+            model._images[id(theta)] = (theta, economy, groups, image)
+    return image
 
 
 def step(
@@ -249,10 +322,10 @@ def iterate(
     run ends NonConverged at the first state it accepts.
 
     Each distinct state is stepped once: memo maps a state's rates to that
-    step's result, and the trace records and the fixed-point and cycle
-    checks read it. Without a memo the run keeps its own. Callers that run
-    many starts pass one dict to all of them, so a state any run has
-    reached is not stepped again. The contract:
+    step's (theta, next state), and the fixed-point and cycle checks read
+    it. Without a memo the run keeps its own. Callers that run many starts
+    pass one dict to all of them, so a state any run has reached is not
+    stepped again. The contract:
 
     - a memo is valid for one (economy, groups, model, config) only, and
       its entries are private to this module;
@@ -262,50 +335,47 @@ def iterate(
     - thetas, decoupled mappings included, are shared between the trace
       records of every run that reaches the same state, and must not be
       mutated;
-    - it grows by one entry per distinct state stepped: a grid-21 scan of
-      a two-group score model stores about 11300, some 6 MB.
+    - it grows by one entry per distinct state stepped: a grid-21 joint
+      scan of the two-valley score model (criterion 10's config) stores
+      about 10800, some 4.4 MB with the states and thetas they hold.
+
+    The outcome's trace holds the states and thetas; its records, with
+    each step's utility and balance, are built on the first read of one
+    (see DynamicsOutcome), from the same functions, so with the same bits.
     """
     groups = normalize_groups(groups)
     if memo is None:
         memo = {}
 
     def advance(s: QualificationState):
-        """(theta, next state, utility, balance) for one step from s."""
+        """(theta, next state) for one step from s."""
         entry = memo.get(s.rates)
         if entry is None:
-            theta, new_state = step(
+            entry = memo[s.rates] = step(
                 economy, groups, model, s, config.mode,
                 grid_size=config.theta_grid, tie_tol=config.tie_tol,
-            )
-            entry = memo[s.rates] = (
-                theta,
-                new_state,
-                institutional_utility(economy, groups, model, theta, new_state),
-                balance(new_state),
             )
         return entry
 
     state = initial
-    trace: list[TraceRecord] = [
-        TraceRecord(t=0, state=state, theta=None, utility=None, balance=balance(state))
-    ]
     states: list[QualificationState] = [state]
+    thetas: list = []
 
-    for t in range(1, config.max_iters + 1):
-        theta, new_state, utility, bal = advance(state)
-        trace.append(
-            TraceRecord(t=t, state=new_state, theta=theta, utility=utility, balance=bal)
+    def outcome(verdict: Verdict) -> DynamicsOutcome:
+        return DynamicsOutcome(
+            trace=_Trace(states, thetas, (economy, groups, model)), verdict=verdict
         )
+
+    for _ in range(config.max_iters):
+        theta, new_state = advance(state)
+        thetas.append(theta)
+        states.append(new_state)
         if stop is not None and stop(new_state):
-            return DynamicsOutcome(trace=tuple(trace), verdict=NonConverged(last=new_state))
+            return outcome(NonConverged(last=new_state))
         if new_state.sup_distance(state) <= config.fix_tol:
             residual = advance(new_state)[1].sup_distance(new_state)
             if residual <= config.fix_tol:
-                return DynamicsOutcome(
-                    trace=tuple(trace),
-                    verdict=FixedPoint(state=new_state, residual=residual),
-                )
-        states.append(new_state)
+                return outcome(FixedPoint(state=new_state, residual=residual))
         period = _match_cycle(states, config)
         if period is not None:
             cycle = _verify_cycle(advance, new_state, period, config.fix_tol)
@@ -317,21 +387,21 @@ def iterate(
                     # All cycle states coincide at the declared tolerance: a
                     # fixed point the one-step test missed (the map dithers
                     # below fix_tol around a flat utility maximum).
-                    return DynamicsOutcome(
-                        trace=tuple(trace),
-                        verdict=FixedPoint(state=new_state, residual=spread),
-                    )
-                return DynamicsOutcome(trace=tuple(trace), verdict=LimitCycle(cycle, period))
+                    return outcome(FixedPoint(state=new_state, residual=spread))
+                return outcome(LimitCycle(cycle, period))
         state = new_state
 
-    return DynamicsOutcome(trace=tuple(trace), verdict=NonConverged(last=state))
+    return outcome(NonConverged(last=state))
 
 
 def _match_cycle(states: list[QualificationState], config: DynamicsConfig) -> int | None:
-    newest = states[-1]
-    max_lag = min(config.cycle_window, len(states) - 1)
-    for lag in range(2, max_lag + 1):
-        if newest.sup_distance(states[-1 - lag]) <= config.fix_tol:
+    """The smallest lag >= 2 at which the newest state is within fix_tol of
+    an earlier one, by sup_distance's arithmetic on the rates (every state
+    of a run has the same ids), or None."""
+    newest = states[-1].rates
+    tol = config.fix_tol
+    for lag in range(2, min(config.cycle_window, len(states) - 1) + 1):
+        if max(abs(a - b) for a, b in zip(newest, states[-1 - lag].rates)) <= tol:
             return lag
     return None
 
@@ -411,7 +481,7 @@ def classify_stability(
         start = QualificationState(ids=fixed_point.ids, rates=rates)
         last = iterate(
             economy, groups, model, start, config, stop=decided, memo=memo
-        ).trace[-1].state
+        ).final_state
         if last.sup_distance(fixed_point) > return_tol:
             return UNSTABLE
     return STABLE

@@ -30,7 +30,10 @@ back as the exact kink. Group a's benefit w (TPR_a - FPR_a) is the tent
 w min(theta / h_a, (1 - theta) / (1 - h_a)), so its cuts, where the benefit
 is beta, are h_a beta / w and 1 - (1 - h_a) beta / w.
 
-ScoreModel. One group with strict-MLR Beta scores (_strict_mlr_beta) at
+ScoreModel. A state whose rates are all 0, on groups whose unqualified
+scores (y0) are Beta, is answered reject-all (1.0) at once: there U(theta)
+= -c sum_a n_a FPR_a(theta) <= 0, so the grid's rules below answer 1.0
+too. One group with strict-MLR Beta scores (_strict_mlr_beta) at
 0 < pi < 1 is answered by the exact first-order cut (below), which reads no
 grid rates. Every other score call, and each state that the cut leaves to
 the grid, is solved on a grid, in order:
@@ -93,8 +96,9 @@ cut of Coate and Loury 1993), and falls after it, so U(r) > U(1) = 0 for
 * Answers r, or reject-all (1.0) where U computed at r is <= 0 (its rates
   are then within their rounding of 0). The rates at r are read last, so
   the population response finds them in the memo (see Caches below).
-* Leaves to the grid, bit for bit: pi = 0 or 1, a root computed at 0 or
-  1, and a flat top, where U's fall over one grid step h from the root,
+* Leaves to the grid, bit for bit: pi = 1 (pi = 0 is answered reject-all
+  before the cut, as above), a root computed at 0 or 1, and a flat top,
+  where U's fall over one grid step h from the root,
   1/2 |U''| h^2 with U'' = -n c (1 - pi) f0 d(log(f1 / f0))/dtheta at r,
   is within _FLAT_FACTOR (1e4) plateau slacks at r, or where neither rate
   moves by more than its rounding, _RATE_ULP, over one step. There grid
@@ -176,6 +180,13 @@ answer is the bits the uncached computation gives.
 * UniformThreshold's kink table, per tuple of group ids (the joint
   groups, or one group for a decoupled call): the sorted kinks {0, h_a, 1}
   and each group's (TPR, FPR) at each of them.
+* GaussianHalfspace's image slots, one per table vector (keyed by its
+  id()): the population's response to that vector, as one (theta,
+  economy, groups, image) tuple, which dynamics._population_response
+  fills and reads. A call matches the slot when theta, economy and groups
+  are the stored objects (`is`), so no cost model need be hashable; any
+  other call computes the image and replaces the slot. So a scan's table
+  images are computed once, not on every step and probe.
 
 The refinement also binds each group's two score densities once per best
 response (_utility_slope).
@@ -500,9 +511,11 @@ class GaussianHalfspace:
                         f"groups {gi!r} and {gj!r} have identical or "
                         f"opposite boundaries (normalized angle {ang})"
                     )
-        # The response table (see the class docstring). _table_rates is keyed
-        # by id(); the ids stay unique because the table holds its vectors.
+        # The response table (see the class docstring). _table_rates and the
+        # image slots (module docstring, Caches) are keyed by id(); the ids
+        # stay unique because the table holds its vectors.
         object.__setattr__(self, "_table_rates", {})
+        object.__setattr__(self, "_images", {})
         object.__setattr__(
             self, "_boundaries", {gid: self._table_entry(self.vector(gid)) for gid in units}
         )
@@ -538,8 +551,8 @@ class GaussianHalfspace:
         dim = len(self.vectors[0][1])
         if arr.shape != (dim,):
             raise DomainError(f"theta must be a vector of dimension {dim}")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > 1e-6:
+        norm = _norm(arr)
+        if not abs(norm - 1.0) <= 1e-6:  # a NaN norm fails too
             raise DomainError(f"theta must be a unit vector, got norm {norm}")
         return arr / norm
 
@@ -563,7 +576,7 @@ class GaussianHalfspace:
         """Normalized midpoint of the two boundaries (the canonical tie choice)."""
         h1, h2 = self._pair()
         s = h1 + h2
-        return s / np.linalg.norm(s)
+        return s / _norm(s)
 
     def arc_point(self, t: float) -> np.ndarray:
         """Point at arc fraction t on the geodesic from the first group's
@@ -571,10 +584,10 @@ class GaussianHalfspace:
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"arc fraction must lie in [0, 1], got {t}")
         h1, h2 = self._pair()
-        omega = math.acos(float(np.clip(np.dot(h1, h2), -1.0, 1.0)))
+        omega = math.acos(_clamp_unit(float(h1.dot(h2))))
         s = math.sin(omega)
         v = (math.sin((1.0 - t) * omega) * h1 + math.sin(t * omega) * h2) / s
-        return v / np.linalg.norm(v)
+        return v / _norm(v)
 
     def arc_fraction(self, theta) -> float:
         """Inverse of arc_point for points on (or near) the geodesic arc."""
@@ -598,12 +611,24 @@ def _unit(vec, what: str) -> np.ndarray:
     if not 0.0 < top < math.inf:
         raise ParameterError(f"{what} has no direction")
     arr = np.ldexp(arr, -math.frexp(top)[1])
-    return arr / np.linalg.norm(arr)
+    return arr / _norm(arr)
+
+
+def _norm(arr: np.ndarray) -> float:
+    """The Euclidean norm of a 1-d float array, as np.linalg.norm computes
+    it (sqrt(x . x) for real 1-d input), with no numpy scalar in between."""
+    return math.sqrt(float(arr.dot(arr)))
+
+
+def _clamp_unit(x: float) -> float:
+    """x clamped to [-1, 1] with float(np.clip(x, -1.0, 1.0))'s bits: NaN,
+    -0.0 and every value inside come back as they are."""
+    return -1.0 if x < -1.0 else 1.0 if x > 1.0 else x
 
 
 def normalized_angle(u: np.ndarray, v: np.ndarray) -> float:
     """arccos(u . v) / pi for unit vectors: 0 aligned, 1 opposite."""
-    return math.acos(float(np.clip(np.dot(u, v), -1.0, 1.0))) / math.pi
+    return math.acos(_clamp_unit(float(np.dot(u, v)))) / math.pi
 
 
 @dataclass(frozen=True)
@@ -951,6 +976,13 @@ def _scalar_best_response(
 ) -> float:
     if isinstance(model, UniformThreshold):
         return _uniform_best_response(model, economy, groups, state)
+    if not any(state.rates) and all(isinstance(model.scores(g.id).y0, BetaScore) for g in groups):
+        # At pi = 0, U(theta) = -c sum_a n_a FPR_a(theta) <= 0, so every grid
+        # utility is <= 0 and _window_answer answers reject-all, on the window
+        # and the whole grid alike. FPR = 1 - betainc >= 0 holds for Beta
+        # curves; an empirical curve may end up to 1e-12 above 1, and its
+        # interpolation can round above its last knot, so FPR < 0 can occur.
+        return 1.0
     cut = _first_order_cut(model, economy, groups, state, grid_size)
     if cut is not None:
         return cut

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -264,3 +266,16 @@ def test_package_exports_resolve_without_duplicates():
     # A stale entry would break only `from qualdyn import *`.
     assert len(set(qualdyn.__all__)) == len(qualdyn.__all__)
     assert [name for name in qualdyn.__all__ if not hasattr(qualdyn, name)] == []
+
+
+def test_ingest_and_verification_are_imported_on_first_use():
+    code = (
+        "import sys, qualdyn, qualdyn.cli\n"
+        "loaded = [m for m in ('qualdyn.ingest', 'qualdyn.verification') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "assert qualdyn.fit_beta is qualdyn.ingest.fit_beta\n"
+        "assert qualdyn.run_suite is qualdyn.verification.run_suite\n"
+    )
+    # the child imports qualdyn from where this process found it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)

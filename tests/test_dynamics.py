@@ -388,6 +388,57 @@ def theta_bits(theta):
     return np.asarray(theta, dtype=float).tobytes()
 
 
+def record_bits(rec):
+    return (
+        rec.t, [r.hex() for r in rec.state.rates],
+        None if rec.theta is None else theta_bits(rec.theta),
+        None if rec.utility is None else rec.utility.hex(), rec.balance.hex(),
+    )
+
+
+def eager_records(economy, groups, model, start, config, n):
+    """The first n trace records of a run from start, each step's utility and
+    balance evaluated as the step is taken."""
+    records = [dynamics.TraceRecord(0, start, None, None, dynamics.balance(start))]
+    state = start
+    for t in range(1, n):
+        theta, state = step(
+            economy, groups, model, state, config.mode,
+            grid_size=config.theta_grid, tie_tol=config.tie_tol,
+        )
+        utility = dynamics.institutional_utility(economy, groups, model, theta, state)
+        records.append(dynamics.TraceRecord(t, state, theta, utility, dynamics.balance(state)))
+    return records
+
+
+@pytest.mark.parametrize("case", memo_cases(), ids=lambda case: case[0])
+def test_the_trace_is_built_on_read_with_the_eager_records(monkeypatch, case):
+    _, economy, groups, model, config, a, b = case
+    ids = tuple(g.id for g in groups)
+    utilities = []
+    real = dynamics.institutional_utility
+
+    def counted(*args):
+        utilities.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "institutional_utility", counted)
+    for rates in (a, b):
+        start = QualificationState(ids=ids, rates=rates)
+        out = iterate(economy, groups, model, start, config)
+        n = len(out.trace)
+        final = out.final_state
+        assert utilities == []  # len and final_state build no record
+        want = [record_bits(rec) for rec in eager_records(economy, groups, model, start, config, n)]
+        utilities.clear()
+        assert [record_bits(rec) for rec in out.trace] == want
+        assert len(utilities) == n - 1  # built once, on the first read
+        assert record_bits(out.trace[-1]) == want[-1] and out.trace[-1].state is final
+        assert [record_bits(rec) for rec in out.trace[1:3]] == want[1:3]
+        assert len(utilities) == n - 1
+        utilities.clear()
+
+
 @pytest.mark.parametrize("mode", ["joint", "decoupled"])
 @pytest.mark.parametrize("family", ["uniform", "score", "halfspace"])
 def test_step_gives_the_same_bits_at_zero_and_negative_zero(family, mode):

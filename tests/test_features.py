@@ -187,6 +187,63 @@ def test_halfspace_rejects_bad_theta_and_degenerate_pairs():
         GaussianHalfspace((("g1", (1.0, 0.0)),))
 
 
+@pytest.mark.parametrize(
+    "theta", [(math.nan, 0.0), (0.0, math.nan), (math.nan, 1.0), (1.0, math.nan)]
+)
+def test_halfspace_refuses_a_nan_theta(theta):
+    # a NaN norm is neither near 1 nor far from it; it must not pass
+    model = GaussianHalfspace((("g1", (1.0, 0.0)), ("g2", (0.0, 1.0))))
+    with pytest.raises(DomainError):
+        model.tpr_fpr("g1", theta)
+    with pytest.raises(DomainError):
+        model.arc_fraction(theta)
+
+
+def float_bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+_NEAR_EDGES = [
+    y for x in (-1.0, -0.0, 0.0, 1.0)
+    for y in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+]
+
+
+@given(x=st.one_of(st.floats(), st.sampled_from(_NEAR_EDGES + [math.inf, -math.inf, math.nan])))
+def test_the_unit_clamp_has_the_bits_of_np_clip(x):
+    assert float_bits(features._clamp_unit(x)) == float_bits(float(np.clip(x, -1.0, 1.0)))
+
+
+@given(xs=st.lists(st.floats(allow_nan=False), min_size=2, max_size=6))
+def test_the_norm_has_the_bits_of_np_linalg_norm(xs):
+    arr = np.array(xs)
+    with np.errstate(over="ignore"):
+        assert float_bits(features._norm(arr)) == float_bits(float(np.linalg.norm(arr)))
+
+
+def test_a_halfspace_table_image_is_kept_per_economy_and_groups():
+    model = halfspace_at(75.0)
+    theta = model.midpoint  # a fresh copy: the checked path, never stored
+    table = model._arc[1]
+    steep = GroupSpec(id="g2", proportion=0.5, cost=TruncatedNormal(0.3, 0.2))
+    flat = tuple(GroupSpec(id=g, proportion=0.5, cost=Uniform01()) for g in ("g1", "g2"))
+    cases = [
+        (EconomyConfig(wage=0.8), flat),
+        (EconomyConfig(wage=0.5), flat),
+        (EconomyConfig(wage=0.8), (flat[0], steep)),
+    ]
+    images = []
+    for economy, groups in cases + cases:
+        image = dynamics._population_response(economy, groups, model, table)
+        fresh = dynamics._population_response(economy, groups, model, theta)
+        assert image.rates == fresh.rates
+        images.append(image.rates)
+        # the slot answers the same objects again with the stored image
+        assert dynamics._population_response(economy, groups, model, table) is image
+    assert len(set(images)) == 3 and images[:3] == images[3:]
+    assert list(model._images) == [id(table)]
+
+
 def test_score_model_rates_are_survival_functions():
     model = ScoreModel(
         (("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 5.0))),)
@@ -943,6 +1000,64 @@ def test_the_window_serves_strict_mlr_beta_groups_alone():
     assert list(pair._grid_cache) == [2001] and pair._block_cache == {}
     assert decoupled_best_response(pair, economy, two[1], 0.6) == answer
     assert pair._block_cache == {}
+
+
+# An empirical y0 curve may end up to 1e-12 above 1, where FPR < 0 and U > 0
+# at pi = 0: its grid answer there is 0.999, not reject-all.
+_ABOVE_ONE_CURVES = GroupScores(
+    y1=EmpiricalScore(((0.0, 0.0), (1.0, 1.0))),
+    y0=EmpiricalScore(((0.0, 0.0), (0.999, 1.0 + 9e-13), (1.0, 1.0 + 9e-13))),
+)
+
+
+@st.composite
+def zero_state_cases(draw):
+    """A score model on one to three groups, with strict-MLR Beta, other
+    Beta or empirical curves, its economy, an all-zero state's rates (each
+    0.0 or -0.0) and a grid size."""
+    k = draw(st.integers(1, 3))
+    pair = st.tuples(st.floats(0.3, 12.0), st.floats(0.3, 12.0))
+    curves = st.one_of(
+        strict_mlr_pairs().map(lambda s: GroupScores(y1=BetaScore(*s[0]), y0=BetaScore(*s[1]))),
+        st.builds(lambda a, b: GroupScores(y1=BetaScore(*a), y0=BetaScore(*b)), pair, pair),
+        st.sampled_from([empirical_scores().scores("g"), _ABOVE_ONE_CURVES]),
+    )
+    ids = [f"g{i}" for i in range(k)]
+    model = ScoreModel({gid: draw(curves) for gid in ids})
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+    groups = tuple(
+        GroupSpec(id=gid, proportion=w / sum(weights), cost=Uniform01())
+        for gid, w in zip(ids, weights)
+    )
+    economy = EconomyConfig(
+        wage=1.0, payoff_tp=draw(st.floats(0.2, 5.0)), cost_fp=draw(st.floats(0.2, 5.0))
+    )
+    zeros = tuple(draw(st.sampled_from([0.0, -0.0])) for _ in ids)
+    return model, economy, groups, zeros, draw(st.sampled_from([3, 5, 101, 401, 2001]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=zero_state_cases())
+@example(case=(
+    ScoreModel({"g0": _ABOVE_ONE_CURVES}),
+    EconomyConfig(wage=1.0),
+    (GroupSpec(id="g0", proportion=1.0, cost=Uniform01()),),
+    (0.0,),
+    2001,
+))
+def test_an_all_zero_score_state_takes_the_whole_grids_answer(case):
+    # A state with every rate 0 is answered reject-all before the exact cut
+    # and the window where the grid would answer it so; joint and decoupled
+    # calls give the whole grid's answer, bit for bit.
+    model, economy, groups, zeros, grid = case
+    state = QualificationState(ids=tuple(g.id for g in groups), rates=zeros)
+    joint = institution_best_response(model, economy, groups, state, grid_size=grid)
+    assert joint.hex() == _full_table_answer(model, economy, groups, state, grid).hex()
+    for g, pi in zip(groups, zeros):
+        solo = (GroupSpec(id=g.id, proportion=1.0, cost=g.cost),)
+        at = QualificationState(ids=(g.id,), rates=(pi,))
+        got = decoupled_best_response(model, economy, g, pi, grid_size=grid)
+        assert got.hex() == _full_table_answer(model, economy, solo, at, grid).hex()
 
 
 def test_kink_table_equals_per_call_rates():
