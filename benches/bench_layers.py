@@ -38,7 +38,7 @@ calls, the image runs and the images computed (population responses not
 served from the model's image slots) beside the rules in the model's
 response table; and for the mesh scans of the uniform and two-valley
 anchors, joint and decoupled, the image runs beside the distinct rules of
-the mesh's starts.
+the mesh's starts and their distinct images.
 The score anchor is strict MLR and its states are interior, so the script
 also exits non-zero if any of them is left to the grid; the plateau
 responses' costs are Uniform01, whose cut level is read in closed form, so
@@ -47,20 +47,23 @@ from its table's images alone, so it exits non-zero if one calls
 `_multi_starts` or makes more image runs than its table has rules, or if a
 joint one computes more images than its table has rules (a decoupled rule
 is a new mapping at each step, so its images are computed every time); a
-mesh scan runs once from each distinct rule's image, so it exits non-zero
-if one makes another number of runs; and stability probes read no trace
-record, so it exits non-zero if a classify case evaluates the
-institution's utility (`trace_utilities`). A closed form or an image scan
-that stops serving then fails the script instead of only slowing it. Point
-PYTHONPATH at another checkout's src to count that version (a version
-without the theta-curve makes no curve searches; one without the exact cut
-leaves every best response to the grid, one without the closed-form cut
-level searches at every plateau response, one that scans halfspace models
-on the start mesh calls `_multi_starts`, one that runs mesh starts in
-full makes more runs than rules, one without the image slots computes an
-image at every step, and one that builds trace records in every run
-evaluates the utility in its probes, so on any of those the script exits
-non-zero):
+mesh scan runs once from each distinct image of its rules, so it exits
+non-zero if one makes another number of runs; the score anchor's `find`
+takes the exact cut or the strict-MLR window at every state, pi = 1
+included, so it exits non-zero if the `score_find` case reads the whole
+grid (`full_window_calls`); and stability probes read no trace record, so
+it exits non-zero if a classify case evaluates the institution's utility
+(`trace_utilities`). A closed form or an image scan that stops serving
+then fails the script instead of only slowing it. Point PYTHONPATH at
+another checkout's src to count that version (a version without the
+theta-curve makes no curve searches; one without the exact cut leaves
+every best response to the grid, one without the closed-form cut level
+searches at every plateau response, one that scans halfspace models on
+the start mesh calls `_multi_starts`, one that runs mesh starts in full,
+or once per rule, makes more runs than images, one without the image
+slots computes an image at every step, and one that builds trace records
+in every run evaluates the utility in its probes, so on any of those the
+script exits non-zero):
 
     PYTHONPATH=src python benches/bench_layers.py
 """
@@ -383,6 +386,7 @@ COUNTS = {
     "stability_probes": "classify_stability",
     "sup_distance_calls": "sup_distance",
     "rule_key_calls": "_rule_key",
+    "full_window_calls": "_full_window",
 }
 # Each count of points in a case's record, and the function whose calls add
 # the size of their result to it.
@@ -551,7 +555,8 @@ def mesh_image_runs() -> dict:
     """For the mesh scans of the uniform anchor at grid 21 and the two-valley
     anchor at grid 5, joint and decoupled, the image runs, the `iterate`
     calls that are not a stability probe's, beside the distinct rules (by
-    `analysis._rule_key`) of the mesh's starts."""
+    `analysis._rule_key`) of the mesh's starts and their distinct images
+    (population responses)."""
     scans = {}
     for anchor, scenario, grid, base in (
         ("uniform", UNIFORM, 21, dynamics.DynamicsConfig()),
@@ -560,20 +565,23 @@ def mesh_image_runs() -> dict:
         economy, groups, model = scenario
         for mode in ("joint", "decoupled"):
             config = replace(base, mode=mode)
-            rules = {
-                analysis._rule_key(
-                    dynamics._rule(
-                        economy, groups, model, _at(scenario, *start),
-                        mode, config.theta_grid, config.tie_tol,
-                    )
+            rules = {}
+            for start in analysis._multi_starts(len(groups), grid):
+                theta = dynamics._rule(
+                    economy, groups, model, _at(scenario, *start),
+                    mode, config.theta_grid, config.tie_tol,
                 )
-                for start in analysis._multi_starts(len(groups), grid)
+                rules.setdefault(analysis._rule_key(theta), theta)
+            images = {
+                dynamics._population_response(economy, groups, model, theta)
+                for theta in rules.values()
             }
             with counting("iterate") as runs, counting("classify_stability", during=runs) as probes:
                 analysis.find_equilibria_scan(*scenario, grid=grid, config=config)
             scans[f"{anchor}_{mode}"] = {
                 "image_runs": runs[0] - probes[0],
                 "distinct_rules": len(rules),
+                "distinct_images": len(images),
             }
     return scans
 
@@ -647,11 +655,15 @@ def main() -> int:
     if any(spread["trace_utilities"].values()):
         failed.append("trace_utilities")
     if any(
-        scan["image_runs"] != scan["distinct_rules"]
+        scan["image_runs"] != scan["distinct_images"]
         for scan in spread["mesh_image_runs"].values()
     ):
-        # a mesh scan runs once from each distinct rule's image
+        # a mesh scan runs once from each distinct image of its rules
         failed.append("mesh_image_runs")
+    if cases["score_find"]["full_window_calls"]:
+        # the score anchor is strict MLR: its find, psi(1.0) included, reads
+        # the exact cut or the window, never the whole grid's table
+        failed.append("score_find_full_window")
     if failed:
         print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0

@@ -478,13 +478,14 @@ def find_equilibria_scan(
     both paths. On the score anchor the two paths print the same records
     but for the residual column.
 
-    Several groups: run the dynamics from the image of each distinct rule,
-    cluster the verdicts within 10 * fix_tol, and keep each cluster's member
-    of least residual, and of least rates on a residual tie. One step maps a
-    state s to C(theta(s)), the population's response to the institution's
-    rule, which depends on the rule alone, joint or decoupled. So after one
-    step every orbit is on the image C(theta) of some rule theta, and a
-    start's verdict is that of its image's run. The rules come from:
+    Several groups: run the dynamics once from each distinct image of the
+    rules, cluster the verdicts within 10 * fix_tol, and keep each
+    cluster's member of least residual, and of least rates on a residual
+    tie. One step maps a state s to C(theta(s)), the population's response
+    to the institution's rule, which depends on the rule alone, joint or
+    decoupled. So after one step every orbit is on the image C(theta) of
+    some rule theta, and a start's verdict is that of its image's run. The
+    rules come from:
     - a GaussianHalfspace model's table. Its best response is one of the
       model's read-only table objects (`features`): the arc's midpoint or
       ends, or decoupled, the mapping of each group to its boundary. The
@@ -497,13 +498,15 @@ def find_equilibria_scan(
       whose basin misses those lines is not found. In the uniform family
       the rule takes only a few values, so a grid-21 scan makes a handful
       of runs, not 441.
-    All runs share one memo, so a state that any run has reached is stepped
-    once. Against running every start in full, an image run's max_iters
-    counts from the image, a step after a start, so it may close a cycle
-    that every start ran out of budget for; a LimitCycle's cycle may begin
-    at another phase; and of two fixed points, or two cycles, closer than
-    10 * fix_tol another may represent their cluster, as other runs reach
-    them first. A DEBUG record on "qualdyn.analysis" counts the starts (0
+    Rules with equal images (equal states) share one run; images that
+    differ, if only by one ulp, run apart, and their verdicts meet in the
+    clustering. All runs share one memo, so a state that any run has
+    reached is stepped once. Against running every start in full, an image
+    run's max_iters counts from the image, a step after a start, so it may
+    close a cycle that every start ran out of budget for; a LimitCycle's
+    cycle may begin at another phase; and of two fixed points, or two
+    cycles, closer than 10 * fix_tol another may represent their cluster,
+    as other runs reach them first. A DEBUG record on "qualdyn.analysis" counts the starts (0
     for a table), the rules and the image runs, and names the images whose
     runs ended NonConverged.
     """
@@ -787,13 +790,13 @@ def _debug_log():
 
 
 def _image_runs(economy, groups, model, grid: int, config: DynamicsConfig) -> list:
-    """A multi-group scan's runs (find_equilibria_scan): iterate from the
-    image of each distinct rule on one memo, in order. A halfspace model's
-    rules are its table's, the midpoint first, after the rule at the zero
-    state is solved, so groups that the model does not fit raise as a step
-    does; any other model's are those of its _multi_starts starts. Then one
-    DEBUG record on "qualdyn.analysis" counts the starts, rules and image
-    runs, and names the images whose runs ended NonConverged."""
+    """A multi-group scan's runs (find_equilibria_scan): iterate from each
+    distinct image of the distinct rules on one memo, in order. A halfspace
+    model's rules are its table's, the midpoint first, after the rule at the
+    zero state is solved, so groups that the model does not fit raise as a
+    step does; any other model's are those of its _multi_starts starts.
+    Then one DEBUG record on "qualdyn.analysis" counts the starts, rules and
+    image runs, and names the images whose runs ended NonConverged."""
     if isinstance(model, GaussianHalfspace):
         starts = []
         zero = QualificationState(tuple(g.id for g in groups), (0.0,) * len(groups))
@@ -803,7 +806,10 @@ def _image_runs(economy, groups, model, grid: int, config: DynamicsConfig) -> li
         starts = _multi_starts(len(groups), grid)
         rules = _start_rules(economy, groups, model, starts, config)
     memo: dict = {}
+    # equal images give equal runs; response_rate's max(0.0, .) never gives
+    # -0.0, so equal states hold the same floats
     images = [_population_response(economy, groups, model, theta) for theta in rules]
+    images = list(dict.fromkeys(images))
     runs = [iterate(economy, groups, model, x, config, memo=memo) for x in images]
     log = _debug_log()
     if log is not None:

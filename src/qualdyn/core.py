@@ -243,21 +243,16 @@ def _check_group_index(groups: tuple[GroupSpec, ...], state: QualificationState)
 def _utility_from_rates(economy: EconomyConfig, groups, rates, pis):
     """Sum over groups of n_a * (payoff_tp * TPR_a * pi_a - cost_fp * FPR_a * (1 - pi_a)).
 
-    rates holds each group's (TPR, FPR) in group order, as floats or as equal
-    arrays over a grid of parameters; either way the sum starts at 0.0 and adds
-    the terms in group order, so scalar and grid utilities agree bit for bit.
+    The one utility kernel: every best response and institutional_utility
+    form U here. rates holds each group's (TPR, FPR) in group order, as
+    floats or as equal arrays over a grid of parameters; either way the sum
+    starts at 0.0 and adds the terms in group order, so scalar and grid
+    utilities agree bit for bit.
     """
     p, c = economy.payoff_tp, economy.cost_fp
-    return _weighted_utility(groups, [(p * tpr, c * fpr) for tpr, fpr in rates], pis)
-
-
-def _weighted_utility(groups, weighted, pis):
-    """_utility_from_rates from each group's (payoff_tp * TPR, cost_fp * FPR),
-    for callers that keep those products: the same operations in the same
-    order, so the same bits."""
     total = 0.0
-    for g, (p_tpr, c_fpr), pi in zip(groups, weighted, pis):
-        total = total + g.proportion * (p_tpr * pi - c_fpr * (1.0 - pi))
+    for g, (tpr, fpr), pi in zip(groups, rates, pis):
+        total = total + g.proportion * (p * tpr * pi - c * fpr * (1.0 - pi))
     return total
 
 

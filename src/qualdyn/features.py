@@ -30,21 +30,20 @@ back as the exact kink. Group a's benefit w (TPR_a - FPR_a) is the tent
 w min(theta / h_a, (1 - theta) / (1 - h_a)), so its cuts, where the benefit
 is beta, are h_a beta / w and 1 - (1 - h_a) beta / w.
 
-ScoreModel. A state whose rates are all 0, on groups whose unqualified
-scores (y0) are Beta, is answered reject-all (1.0) at once: there U(theta)
-= -c sum_a n_a FPR_a(theta) <= 0, so the grid's rules below answer 1.0
-too. One group with strict-MLR Beta scores (_strict_mlr_beta) at
-0 < pi < 1 is answered by the exact first-order cut (below), which reads no
-grid rates. Every other score call, and each state that the cut leaves to
+ScoreModel. A state whose rates are all 0 is answered reject-all (1.0) at
+once: there U(theta) = -c sum_a n_a FPR_a(theta) <= 0, as every score CDF
+lies in [0, 1], so the grid's rules below answer 1.0 too. One group with
+strict-MLR Beta scores (_strict_mlr_beta) at 0 < pi < 1 is answered by the
+exact first-order cut (below), which reads no grid rates. Every other score call, and each state that the cut leaves to
 the grid, is solved on a grid, in order:
 
 * Grid. Utility is evaluated on `grid_size` evenly spaced cut points over
   [0, 1] (DEFAULT_GRID = 2001, step 5e-4). For one group with strict-MLR
   Beta scores it is read on a certified window of that grid (below);
-  otherwise on the whole grid, from the weighted grid table (see Caches
-  below). Among equal grid maxima `np.argmax` takes the first. The rules
-  below read the window alone, in window indices; the whole grid is the
-  window that needs no certificate.
+  otherwise on the whole grid, from the grid table (see Caches below).
+  Among equal grid maxima `np.argmax` takes the first. The rules below
+  read the window alone, in window indices; the whole grid is the window
+  that needs no certificate.
 * Reject-all. If no grid point earns a positive utility the answer is 1.0,
   where utility is exactly 0.
 * Plateau. If neighbouring grid points tie the maximum within
@@ -122,13 +121,11 @@ read a certified window of it:
 
 * Locates, as the exact cut does; pi = 0 takes the top index and pi = 1
   the bottom.
-* Reads. The window is the blocks of _BLOCK grid points that hold
-  i - 2 .. i + 1; the last block runs on to the grid's end, so the end
-  point is never a block alone. Each block's rates are read once per model
-  by rates_grid on that slice of the grid's own linspace, so they are the
-  whole table's bits, and the window's utility is formed by
-  core._utility_from_rates, the products and the sum of the whole-grid
-  utility in the same order.
+* Reads. The window is the slice of the grid's own linspace that reaches
+  _WINDOW_REACH points on each side of i, cut at the grid's ends, so it
+  holds i - 2 .. i + 1. Its rates are read by rates_grid on that slice, so
+  they are the whole table's bits, and its utility is formed by
+  core._utility_from_rates, as the whole grid's is.
 * Certifies. With u_max and the slack at the window's first argmax, the
   window stands when each edge is an end of the grid or has utility below
   u_max - slack - margin, margin = _WINDOW_RTOL * n (p pi + c (1 - pi)).
@@ -136,8 +133,8 @@ read a certified window of it:
 
 A model that already holds the whole grid's table at that size, as a
 joint call on several groups leaves it, is answered from the table: the
-answer is the same, and reading a built table costs less than filling
-and joining blocks (decoupled sweeps make such calls).
+answer is the same, and reading a built table costs less than evaluating
+the window's rates (decoupled sweeps make such calls).
 
 Why a certified window gives the whole grid's answer: let e bound the
 rounding of a grid utility, a few ulps of the terms n (p pi + c (1 - pi))
@@ -160,17 +157,13 @@ one immutable tuple whole, so a racing thread reads a whole entry. Every
 answer is the bits the uncached computation gives.
 
 * ScoreModel's grid table, per grid size: the theta grid and each group's
-  (TPR, FPR) on it. Beside it, per (grid size, payoff_tp, cost_fp), each
-  group's weighted rates (payoff_tp * TPR, cost_fp * FPR), from which the
-  grid utility is formed by core._weighted_utility with the products
-  _utility_from_rates would form, in the same order. A model is given these
-  only when some best response is served by neither the exact cut nor the
-  strict-MLR window, and from then on the window's states at that size
-  read them.
-* ScoreModel's tables for strict-MLR Beta groups: per (group, grid size)
+  (TPR, FPR) on it. A model is given it only when some best response is
+  served by neither the exact cut nor the strict-MLR window, and from then
+  on the window's states at that size read it.
+* ScoreModel's table for strict-MLR Beta groups, per (group, grid size):
   the theta grid and log(f1 / f0) on it, which the exact cut and the window
-  search, and per (group, grid size, block index) the group's (TPR, FPR) on
-  that block of the grid, which the window alone reads.
+  search. The window's rates are not kept: its states are rare (pi = 1 and
+  flat tops), and each reads a few dozen points.
 * ScoreModel's last-answer memo: tpr_fpr keeps, per group, the last cut
   it computed and that cut's rates, as one (theta, sign of theta, rates)
   tuple. A call with the same float, sign of zero included, is answered
@@ -249,7 +242,6 @@ from .core import (
     _number,
     _numbers,
     _utility_from_rates,
-    _weighted_utility,
     response_rate,
 )
 from .costs import _checked_knots, _knots_from_config
@@ -264,10 +256,10 @@ MIN_GRID = 3  # the fewest cut points a grid argmax and its refinement work on
 # sloped utilities clear this by many orders.
 _PLATEAU_RTOL = 1e-15
 
-# The strict-MLR window (module docstring): grid points per block of its rate
-# table, and its margin, relative to n (p pi + c (1 - pi)), about 1000 times
-# the rounding of the rates and of the utility kernel.
-_BLOCK = 16
+# The strict-MLR window (module docstring): the grid points it reaches on each
+# side of the located index, and its margin, relative to n (p pi + c (1 - pi)),
+# about 1000 times the rounding of the rates and of the utility kernel.
+_WINDOW_REACH = 16
 _WINDOW_RTOL = 1e-12
 
 # The exact first-order cut (module docstring) leaves a state to the grid when
@@ -348,8 +340,10 @@ class BetaScore:
 class EmpiricalScore:
     """Piecewise-linear conditional score CDF with knots spanning [0, 1].
 
-    The first knot must be (0, 0) and the last (1, 1) so the curve is a CDF
-    on the score range. `slope` is the exact slope of the segment holding x.
+    The first knot must be (0, 0) and the last (1, 1), each within 1e-12, so
+    the curve is a CDF on the score range; `cdf` clamps its value to [0, 1],
+    so the rates 1 - F are too. `slope` is the exact slope of the segment
+    holding x.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -369,15 +363,18 @@ class EmpiricalScore:
 
     def cdf(self, x):
         if type(x) is float and 0.0 <= x <= 1.0:
-            # np.interp's arithmetic, step for step, so both paths agree bitwise.
+            # np.interp's arithmetic, step for step, and np.clip's clamp (which
+            # keeps -0.0), so both paths agree bitwise.
             xs, ys = self._xs, self._ys
             j = bisect.bisect_right(xs, x) - 1
             if j < 0:
-                return ys[0]
-            if j == len(xs) - 1 or xs[j] == x:
-                return ys[j]
-            return self._slopes[j] * (x - xs[j]) + ys[j]
-        return np.interp(np.clip(x, 0.0, 1.0), self._xs, self._ys)
+                y = ys[0]
+            elif j == len(xs) - 1 or xs[j] == x:
+                y = ys[j]
+            else:
+                y = self._slopes[j] * (x - xs[j]) + ys[j]
+            return 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
+        return np.clip(np.interp(np.clip(x, 0.0, 1.0), self._xs, self._ys), 0.0, 1.0)
 
     def slope(self, x: float) -> float:
         """dF/dx at a scalar score: the slope of the segment [x_j, x_j+1)
@@ -670,9 +667,7 @@ class ScoreModel:
         if not _group_table(self, "curves", scores):
             raise ParameterError("at least one group is required")
         object.__setattr__(self, "_grid_cache", {})
-        object.__setattr__(self, "_weighted_cache", {})
         object.__setattr__(self, "_llr_cache", {})
-        object.__setattr__(self, "_block_cache", {})
         object.__setattr__(self, "_last", {})
 
     def scores(self, group: str) -> GroupScores:
@@ -731,21 +726,6 @@ def _grid_rates(model, grid_size: int):
     return table
 
 
-def _weighted_grid_rates(model, economy: EconomyConfig, grid_size: int) -> dict:
-    """Each group's (payoff_tp * TPR, cost_fp * FPR) on the grid of
-    _grid_rates, cached on the model per grid size and payoff pair."""
-    key = (grid_size, economy.payoff_tp, economy.cost_fp)
-    table = model._weighted_cache.get(key)
-    if table is None:
-        weighted = {}
-        for gid, (tpr, fpr) in _grid_rates(model, grid_size)[1].items():
-            p_tpr, c_fpr = economy.payoff_tp * tpr, economy.cost_fp * fpr
-            p_tpr.flags.writeable = c_fpr.flags.writeable = False
-            weighted[gid] = (p_tpr, c_fpr)
-        table = model._weighted_cache.setdefault(key, weighted)
-    return table
-
-
 def _llr_grid(model, gid: str, scores: GroupScores, grid_size: int):
     """The theta grid and log(f1 / f0) on it for a strict-MLR Beta group,
     (a1 - a0) log(theta) + (b1 - b0) log1p(-theta) + ln B0 - ln B1, which
@@ -765,31 +745,6 @@ def _llr_grid(model, gid: str, scores: GroupScores, grid_size: int):
         thetas.flags.writeable = llr.flags.writeable = False
         table = model._llr_cache.setdefault(key, (thetas, llr))
     return table
-
-
-def _last_block(grid_size: int) -> int:
-    """The index of the last block of a grid: it takes the grid's end point
-    with it, so no block is that point alone."""
-    return max(grid_size - 2, 0) // _BLOCK
-
-
-def _block_stop(grid_size: int, k: int) -> int:
-    """One past the grid index of block k's last point."""
-    return grid_size if k == _last_block(grid_size) else (k + 1) * _BLOCK
-
-
-def _rate_block(model, gid: str, thetas: np.ndarray, k: int):
-    """Group gid's (TPR, FPR) on the k-th block of the grid thetas (_BLOCK
-    points; the last block runs on to the grid's end), read by rates_grid
-    on that slice of the grid's own linspace, so with the bits of the whole
-    grid's table; cached on the model per group, grid size and k."""
-    key = (gid, len(thetas), k)
-    block = model._block_cache.get(key)
-    if block is None:
-        tpr, fpr = model.rates_grid(gid, thetas[k * _BLOCK:_block_stop(len(thetas), k)])
-        tpr.flags.writeable = fpr.flags.writeable = False
-        block = model._block_cache.setdefault(key, (tpr, fpr))
-    return block
 
 
 def _kink_rates(model: UniformThreshold, ids: tuple[str, ...]):
@@ -976,12 +931,10 @@ def _scalar_best_response(
 ) -> float:
     if isinstance(model, UniformThreshold):
         return _uniform_best_response(model, economy, groups, state)
-    if not any(state.rates) and all(isinstance(model.scores(g.id).y0, BetaScore) for g in groups):
-        # At pi = 0, U(theta) = -c sum_a n_a FPR_a(theta) <= 0, so every grid
-        # utility is <= 0 and _window_answer answers reject-all, on the window
-        # and the whole grid alike. FPR = 1 - betainc >= 0 holds for Beta
-        # curves; an empirical curve may end up to 1e-12 above 1, and its
-        # interpolation can round above its last knot, so FPR < 0 can occur.
+    if not any(state.rates):
+        # At pi = 0, U(theta) = -c sum_a n_a FPR_a(theta) <= 0, as every score
+        # CDF lies in [0, 1], so every grid utility is <= 0 and _window_answer
+        # answers reject-all, on the window and the whole grid alike.
         return 1.0
     cut = _first_order_cut(model, economy, groups, state, grid_size)
     if cut is not None:
@@ -1033,8 +986,7 @@ def _first_order_cut(model, economy, groups, state: QualificationState, grid_siz
     # U'' = -d d(llr)/dtheta at the root
     fall = 0.5 * d * h * h * ((y1.alpha - y0.alpha) / root + (y0.beta - y1.beta) / (1.0 - root))
     rates = model.tpr_fpr(g.id, root)
-    tpr, fpr = rates
-    slack = _PLATEAU_RTOL * n * (p * tpr * pi + c * fpr * (1.0 - pi))
+    slack = _PLATEAU_RTOL * _term_size(economy, groups, (rates,), state.rates)
     # each rate moves by its density times h over a step: f0 = d / (n c (1 - pi))
     # and f1 = d / (n p pi)
     if not (fall > _FLAT_FACTOR * slack and d * h > _RATE_ULP * n * min(p * pi, c * (1.0 - pi))):
@@ -1057,8 +1009,7 @@ def _full_window(model, economy, groups, state: QualificationState, grid_size: i
     with each group's (TPR, FPR) and the utility on it, from the model's grid
     tables, and _peak of util."""
     thetas, rates = _grid_rates(model, grid_size)
-    weighted = _weighted_grid_rates(model, economy, grid_size)
-    util = _weighted_utility(groups, [weighted[g.id] for g in groups], state.rates)
+    util = _utility_from_rates(economy, groups, [rates[g.id] for g in groups], state.rates)
     return thetas, rates, util, _peak(economy, groups, state, rates, util)
 
 
@@ -1074,15 +1025,14 @@ def _mlr_window(model, economy, groups, state: QualificationState, grid_size: in
     thetas, i = _root_step(model, economy, g.id, scores, pi, grid_size)
     p, c = economy.payoff_tp, economy.cost_fp
     margin = _WINDOW_RTOL * g.proportion * (p * pi + c * (1.0 - pi))
-    last = _last_block(grid_size)
-    k0, k1 = max(i - 2, 0) // _BLOCK, min((i + 1) // _BLOCK, last)
-    blocks = [_rate_block(model, g.id, thetas, k) for k in range(k0, k1 + 1)]
-    rates = {g.id: blocks[0] if k0 == k1 else tuple(map(np.concatenate, zip(*blocks)))}
+    lo, hi = max(i - _WINDOW_REACH, 0), min(i + _WINDOW_REACH, grid_size)
+    window = thetas[lo:hi]
+    rates = {g.id: model.rates_grid(g.id, window)}
     util = _utility_from_rates(economy, groups, rates.values(), state.rates)
     peak = _peak(economy, groups, state, rates, util)
     floor = peak[1] - peak[2] - margin
-    if (k0 == 0 or util[0] < floor) and (k1 == last or util[-1] < floor):
-        return thetas[k0 * _BLOCK:_block_stop(grid_size, k1)], rates, util, peak
+    if (lo == 0 or util[0] < floor) and (hi == grid_size or util[-1] < floor):
+        return window, rates, util, peak
     return None
 
 

@@ -1054,8 +1054,9 @@ def test_a_start_at_a_fixed_point_runs_in_full(monkeypatch):
 
 def test_the_scan_logs_its_starts_and_the_ones_it_drops(caplog):
     # The two-valley anchor at grid 2 with a budget of 1 step: its 4 starts
-    # have 4 rules, and the runs from the images that are not fixed points
-    # cannot close.
+    # have 4 rules, and 3 images, as the reject-all and accept-all rules
+    # both map to (0, 0); the runs from the two images that are not fixed
+    # points, one ulp apart, cannot close.
     economy, groups, model = verification._two_valley_scenario()
     config = DynamicsConfig(max_iters=1, fix_tol=1e-6, theta_grid=401)
     ids = tuple(g.id for g in groups)
@@ -1075,7 +1076,7 @@ def test_the_scan_logs_its_starts_and_the_ones_it_drops(caplog):
     (logged,) = caplog.records
     assert logged.name == "qualdyn.analysis" and logged.levelno == logging.DEBUG
     # starts, rules, image runs, runs that ended NonConverged, their images
-    assert logged.args == (4, 4, 4, 2, dropped)
+    assert logged.args == (4, 4, 3, 2, dropped)
     caplog.clear()
     # the uniform reference at grid 5: 25 starts share 3 rules
     assert find_equilibria_scan(*verification._uniform_reference(), grid=5)

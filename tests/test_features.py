@@ -128,6 +128,38 @@ def test_empirical_score_interpolates_and_validates():
         EmpiricalScore(knots=((0.0, 0.0), (1.0, 0.9)))  # last knot not (1, 1)
 
 
+@st.composite
+def near_end_knots(draw):
+    """Knots of an empirical score CDF whose end knots lie anywhere within
+    the constructor's 1e-12 of (0, 0) and (1, 1), with up to three inner
+    knots, some of whose values sit at an end's."""
+    tol = 1e-12
+    near_one = st.floats(1.0 - tol, 1.0 + tol).filter(lambda v: abs(v - 1.0) <= tol)
+    first = (draw(st.floats(-tol, tol)), draw(st.floats(-tol, tol)))
+    last = (draw(near_one), draw(near_one))
+    xs = sorted(set(draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=3))))
+    value = st.one_of(st.floats(first[1], last[1]), st.sampled_from([first[1], last[1]]))
+    ys = sorted(draw(st.lists(value, min_size=len(xs), max_size=len(xs))))
+    return (first, *zip(xs, ys), last)
+
+
+@settings(max_examples=300, deadline=None)
+@given(knots=near_end_knots(), x=st.floats(0.0, 1.0))
+@example(knots=((0.0, 0.0), (0.999, 1.0 + 9e-13), (1.0, 1.0 + 9e-13)), x=0.9995)
+@example(knots=((0.0, -1e-12), (1.0, 1.0)), x=0.0)
+def test_empirical_score_cdf_stays_in_the_unit_interval(knots, x):
+    # The end knots may miss 0 and 1 by up to 1e-12, and interpolation may
+    # round past them; the CDF is clamped, so its scalar and array values
+    # agree bit for bit and lie in [0, 1], and so do a score model's rates.
+    dist = EmpiricalScore(knots)
+    model = ScoreModel((("g", GroupScores(y1=dist, y0=dist)),))
+    for at in (x, *(min(max(k, 0.0), 1.0) for k, _ in knots)):
+        scalar, array = dist.cdf(at), dist.cdf(np.array([at]))[0]
+        assert type(scalar) is float and scalar.hex() == float(array).hex()
+        assert 0.0 <= scalar <= 1.0
+        assert all(0.0 <= rate <= 1.0 for rate in model.tpr_fpr("g", at))
+
+
 @pytest.mark.parametrize("cls", [EmpiricalScore, EmpiricalCdf])
 @pytest.mark.parametrize(
     "knots, message",
@@ -702,11 +734,11 @@ def test_one_group_beta_best_response_matches_likelihood_ratio_condition(payoff_
 
 
 def test_cached_grid_utility_equals_the_uncached_one_bit_for_bit():
-    # One kernel serves the grid, the grid from the model's cached weighted
-    # rates, a scalar theta, a group->theta mapping and the halfspace arc
-    # endpoints, so every path gives the same bits. The second economy's
-    # payoffs are not powers of two, so a weighted product formed in another
-    # order would round differently.
+    # One kernel serves the grid, the grid from the model's cached table, a
+    # scalar theta, a group->theta mapping and the halfspace arc endpoints,
+    # so every path gives the same bits. The second economy's payoffs are not
+    # powers of two, so a product formed in another order would round
+    # differently.
     economy, groups, uniform = uniform_reference()
     cases = [
         (uniform, groups, (0.6, 0.3)),
@@ -735,11 +767,6 @@ def test_cached_grid_utility_equals_the_uncached_one_bit_for_bit():
                     got_thetas, table = features._grid_rates(model, grid_size)
                     util = core._utility_from_rates(
                         econ, grps, [table[g.id] for g in grps], rates
-                    )
-                    weighted = features._weighted_grid_rates(model, econ, grid_size)
-                    assert np.array_equal(
-                        core._weighted_utility(grps, [weighted[g.id] for g in grps], rates),
-                        expected,
                     )
                 assert np.array_equal(got_thetas, thetas)
                 assert np.array_equal(util, expected)
@@ -844,7 +871,7 @@ def test_the_window_keeps_the_known_grid_limits(scores, payoffs, pi, answer):
     window = features._mlr_window(model, economy, groups, state, features.DEFAULT_GRID)
     assert window is not None and len(window[0]) < features.DEFAULT_GRID
     assert features._window_answer(model, economy, groups, state, window) == answer
-    assert model._grid_cache == {} and model._weighted_cache == {}
+    assert model._grid_cache == {}
     assert _full_table_answer(model, economy, groups, state, features.DEFAULT_GRID) == answer
 
 
@@ -857,20 +884,22 @@ def test_the_exact_cut_mends_the_known_grid_limits(scores, payoffs, pi, answer):
     assert got != answer
     assert got == pytest.approx(coate_loury_threshold(model, economy, state), abs=1e-12)
     assert institutional_utility(economy, groups, model, got, state) > 0.0
-    assert model._grid_cache == {} and model._block_cache == {}
+    assert model._grid_cache == {}
 
 
 def test_the_window_next_to_the_grid_end_takes_no_table():
     # Near pi = 0 the argmax sits a few points below theta = 1, where the
-    # utility beyond it is still within the margin of u_max; the last block
-    # runs on to the grid's end point, so the window certifies on its own.
+    # utility beyond it is still within the margin of u_max; the window runs
+    # on to the grid's end point, so it certifies on its own.
     # (States like these arise on `run` trajectories that fall towards 0.)
     scores = ((5.003421812831032, 1.913896489756088), (2.0113250080439307, 4.937536420972038))
-    for pi, answer in ((7.946146392458183e-09, 0.9979897949805356),
-                       (2.143792214748327e-08, 0.9972109461622533)):
+    # each window reaches _WINDOW_REACH (16) points below its located index,
+    # 1996 and 1995
+    for pi, answer, span in ((7.946146392458183e-09, 0.9979897949805356, (21, 0.99, 1.0)),
+                             (2.143792214748327e-08, 0.9972109461622533, (22, 0.9895, 1.0))):
         model, economy, groups, state = _one_group_score(scores, (1.0, 1.0), pi)
         window = features._mlr_window(model, economy, groups, state, features.DEFAULT_GRID)
-        assert window is not None and (len(window[0]), window[0][0], window[0][-1]) == (17, 0.992, 1.0)
+        assert window is not None and (len(window[0]), window[0][0], window[0][-1]) == span
         assert features._window_answer(model, economy, groups, state, window) == answer
         assert model._grid_cache == {}
         assert _full_table_answer(model, economy, groups, state, features.DEFAULT_GRID) == answer
@@ -986,24 +1015,24 @@ def test_the_window_serves_strict_mlr_beta_groups_alone():
     assert features._mlr_window(pair, economy, two, both, 2001) is None
     assert features._first_order_cut(pair, economy, two, both, 2001) is None
     # a decoupled call takes the exact cut and reads no rates on the grid;
-    # the window fills the blocks of its own group alone
+    # the window reads the rates of its own group alone
     fresh = ScoreModel(pair.curves)
     solo_b = (GroupSpec(id="b", proportion=1.0, cost=Uniform01()),)
     at_b = QualificationState(ids=("b",), rates=(0.6,))
     answer = decoupled_best_response(fresh, economy, two[1], 0.6)
     assert answer == features._first_order_cut(fresh, economy, solo_b, at_b, 2001)
-    assert fresh._grid_cache == {} and fresh._block_cache == {}
-    assert features._mlr_window(fresh, economy, solo_b, at_b, 2001) is not None
-    assert fresh._grid_cache == {} and {key[0] for key in fresh._block_cache} == {"b"}
+    assert fresh._grid_cache == {}
+    window = features._mlr_window(fresh, economy, solo_b, at_b, 2001)
+    assert window is not None and list(window[1]) == ["b"]
+    assert fresh._grid_cache == {}
     # a model holding the whole grid's table answers the same
     institution_best_response(pair, economy, two, both)
-    assert list(pair._grid_cache) == [2001] and pair._block_cache == {}
+    assert list(pair._grid_cache) == [2001]
     assert decoupled_best_response(pair, economy, two[1], 0.6) == answer
-    assert pair._block_cache == {}
 
 
-# An empirical y0 curve may end up to 1e-12 above 1, where FPR < 0 and U > 0
-# at pi = 0: its grid answer there is 0.999, not reject-all.
+# An empirical y0 curve may end up to 1e-12 above 1; its CDF is clamped to 1,
+# so FPR is 0 there, not below it, and U <= 0 at pi = 0.
 _ABOVE_ONE_CURVES = GroupScores(
     y1=EmpiricalScore(((0.0, 0.0), (1.0, 1.0))),
     y0=EmpiricalScore(((0.0, 0.0), (0.999, 1.0 + 9e-13), (1.0, 1.0 + 9e-13))),
@@ -1047,12 +1076,13 @@ def zero_state_cases(draw):
 ))
 def test_an_all_zero_score_state_takes_the_whole_grids_answer(case):
     # A state with every rate 0 is answered reject-all before the exact cut
-    # and the window where the grid would answer it so; joint and decoupled
-    # calls give the whole grid's answer, bit for bit.
+    # and the window, for every score model, as the grid answers it; joint
+    # and decoupled calls give the whole grid's answer, bit for bit.
     model, economy, groups, zeros, grid = case
     state = QualificationState(ids=tuple(g.id for g in groups), rates=zeros)
     joint = institution_best_response(model, economy, groups, state, grid_size=grid)
-    assert joint.hex() == _full_table_answer(model, economy, groups, state, grid).hex()
+    full = _full_table_answer(model, economy, groups, state, grid)
+    assert joint.hex() == full.hex() == (1.0).hex()
     for g, pi in zip(groups, zeros):
         solo = (GroupSpec(id=g.id, proportion=1.0, cost=g.cost),)
         at = QualificationState(ids=(g.id,), rates=(pi,))
@@ -1537,8 +1567,9 @@ def test_grid_table_fill_is_safe_under_threads():
     # interval; every one must get the single stored table and the same
     # answer, and the last-answer memo, read and replaced by all of them at
     # cuts of their own, must give each the bits a fresh model gives. A
-    # second fresh strict-MLR model is solved on its window alone: each of
-    # its blocks is stored once, read-only, and every thread gets one theta.
+    # second fresh strict-MLR model is solved on its window alone: its
+    # log-ratio table is stored once, read-only, and every thread gets one
+    # theta.
     model, windowed = steep_scores(), steep_scores()
     uniform = UniformThreshold((("a1", 0.4), ("a2", 0.8)))
     economy = EconomyConfig(wage=1.0, payoff_tp=1.3, cost_fp=0.7)
@@ -1546,18 +1577,15 @@ def test_grid_table_fill_is_safe_under_threads():
     state = QualificationState(ids=("g",), rates=(0.42,))
     cuts = [i / 16 for i in range(17)]
     fresh = {cut: steep_scores().tpr_fpr("g", cut) for cut in cuts}
-    tables, weighted, kinks, thetas, wrong = [], [], [], [], []
-    grids, blocks, window_thetas = [], [], []
-    every_block = range(features._last_block(2001) + 1)
+    tables, kinks, thetas, wrong = [], [], [], []
+    grids, window_thetas = [], []
     barrier = threading.Barrier(8)
 
     def work():
         barrier.wait(timeout=10)
         window_thetas.append(institution_best_response(windowed, economy, group, state))
         grids.append(features._llr_grid(windowed, "g", windowed.scores("g"), 2001))
-        blocks.append([features._rate_block(windowed, "g", grids[-1][0], k) for k in every_block])
         tables.append(features._grid_rates(model, 2001)[1])
-        weighted.append(features._weighted_grid_rates(model, economy, 2001))
         kinks.append(features._kink_rates(uniform, ("a1", "a2")))
         thetas.append(institution_best_response(model, economy, group, state))
         mine = cuts[len(thetas) % 4::4]
@@ -1577,18 +1605,14 @@ def test_grid_table_fill_is_safe_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(tables) == 8 and all(t is tables[0] for t in tables)
-    assert all(w is weighted[0] for w in weighted) and all(k is kinks[0] for k in kinks)
+    assert all(k is kinks[0] for k in kinks)
     assert list(model._grid_cache) == [2001]
-    assert list(model._weighted_cache) == [(2001, 1.3, 0.7)]
     assert list(uniform._kink_cache) == [("a1", "a2")]
     assert len(set(thetas)) == 1
     assert wrong == []
     assert len(grids) == 8 and all(g is grids[0] for g in grids)
-    assert len(blocks) == 8 and all(
-        mine[k] is windowed._block_cache["g", 2001, k] for mine in blocks for k in every_block
-    )
-    assert windowed._grid_cache == {} and windowed._weighted_cache == {}
-    stored = [*windowed._llr_cache.values(), *windowed._block_cache.values()]
+    assert windowed._grid_cache == {}
+    stored = windowed._llr_cache.values()
     assert not any(array.flags.writeable for entry in stored for array in entry)
     full = _full_table_answer(steep_scores(), economy, group, state, 2001)
     assert len(window_thetas) == 8 and set(window_thetas) == set(thetas) == {full}
