@@ -49,10 +49,13 @@ joint one computes more images than its table has rules (a decoupled rule
 is a new mapping at each step, so its images are computed every time); a
 mesh scan runs once from each distinct image of its rules, so it exits
 non-zero if one makes another number of runs; the score anchor's `find`
-takes the exact cut or the strict-MLR window at every state, pi = 1
-included, so it exits non-zero if the `score_find` case reads the whole
-grid (`full_window_calls`); and stability probes read no trace record, so
-it exits non-zero if a classify case evaluates the institution's utility
+takes the exact cut at every interior state and the grid's head at
+pi = 1, so it exits non-zero if the `score_find` case reads the whole
+grid (`full_window_calls`); an all-ones one-group call reads the grid's
+head, so it exits non-zero if such a call on a fresh copy of the score
+anchor's model or of an empirical model builds the grid table
+(`head_tables`); and stability probes read no trace record, so it exits
+non-zero if a classify case evaluates the institution's utility
 (`trace_utilities`). A closed form or an image scan that stops serving
 then fails the script instead of only slowing it. Point PYTHONPATH at
 another checkout's src to count that version (a version without the
@@ -61,9 +64,10 @@ every best response to the grid, one without the closed-form cut level
 searches at every plateau response, one that scans halfspace models on
 the start mesh calls `_multi_starts`, one that runs mesh starts in full,
 or once per rule, makes more runs than images, one without the image
-slots computes an image at every step, and one that builds trace records
-in every run evaluates the utility in its probes, so on any of those the
-script exits non-zero):
+slots computes an image at every step, one that builds trace records in
+every run evaluates the utility in its probes, and one that reads an
+empirical model at pi = 1 on the whole grid builds its table, so on any of
+those the script exits non-zero):
 
     PYTHONPATH=src python benches/bench_layers.py
 """
@@ -472,8 +476,8 @@ def root_searches(phi):
 def exact_cuts(calls) -> dict:
     """Make each call, a one-group strict-MLR score best response, and count
     how it was answered: the share that `features._first_order_cut`
-    answered, the calls it left to the grid (its window or its whole table),
-    and the slope calls each of its cuts made. A version without the exact
+    answered, the calls it left to the grid, and the slope calls each of its
+    cuts made. A version without the exact
     cut leaves every call to the grid."""
     real = getattr(features, "_first_order_cut", None)
     answered = []  # whether the call being made took the exact cut
@@ -504,6 +508,23 @@ def exact_cuts(calls) -> dict:
         "grid_fallbacks": fallbacks,
         "slope_calls_per_cut": _summary(slopes) if slopes else None,
     }
+
+
+def head_tables() -> dict:
+    """The grid tables built by one all-ones best response on a fresh copy
+    of the score anchor's model and of a one-group empirical model (0 for
+    each where the grid's head answers it)."""
+    economy, groups, model = SCORE
+    empirical = features.GroupScores(
+        y1=features.EmpiricalScore(((0, 0), (0.3, 0.05), (0.61, 0.3), (0.85, 0.6), (1, 1))),
+        y0=features.EmpiricalScore(((0, 0), (0.2, 0.4), (0.5, 0.8), (0.8, 0.97), (1, 1))),
+    )
+    built = {}
+    for name, curves in (("score_anchor", model.curves), ("empirical", {"g": empirical})):
+        fresh = features.ScoreModel(curves)
+        _best_response((economy, groups, fresh), _at(SCORE, 1.0))
+        built[name] = len(fresh._grid_cache)
+    return built
 
 
 def cut_level_searches() -> int:
@@ -612,6 +633,7 @@ def distributions() -> dict:
         },
         "cdf_calls_per_plateau_response": _summary(_per_call("cdf", _plateau_responses())),
         "cut_level_searches": cut_level_searches(),
+        "head_tables": head_tables(),
         "score_exact_cut": exact_cuts(slope["score_anchor"]),
         "halfspace_table_scans": halfspace_table_scans(),
         "mesh_image_runs": mesh_image_runs(),
@@ -661,9 +683,12 @@ def main() -> int:
         # a mesh scan runs once from each distinct image of its rules
         failed.append("mesh_image_runs")
     if cases["score_find"]["full_window_calls"]:
-        # the score anchor is strict MLR: its find, psi(1.0) included, reads
-        # the exact cut or the window, never the whole grid's table
+        # the score anchor is strict MLR: its find reads the exact cut, and
+        # the grid's head at psi(1.0), never the whole grid's table
         failed.append("score_find_full_window")
+    if any(spread["head_tables"].values()):
+        # an all-ones one-group call reads the grid's head alone
+        failed.append("head_tables")
     if failed:
         print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0

@@ -23,6 +23,7 @@ from .core import (
     EconomyConfig,
     GroupSpec,
     QualificationState,
+    _check_count,
     normalize_groups,
     response_rate,
 )
@@ -149,14 +150,14 @@ def uniform_closed_forms(
                 f"differs from n_hi*cost_fp={rhs:.6g}"
             )
         group_ids = (groups[0].id, groups[1].id)
-        if abs(economy.wage - w) > 1e-12:
+        if not abs(economy.wage - w) <= 1e-12:  # a NaN w fails too
             raise AssumptionError(f"wage mismatch: economy has {economy.wage}, w={w}")
     if not (0.0 < h1 < h2 < 1.0):
         raise AssumptionError(f"need 0 < h1 < h2 < 1, got h1={h1}, h2={h2}")
     if not h2 > 1.0 - h1:
         raise AssumptionError(f"need h2 > 1 - h1, got h2={h2}, 1-h1={1.0 - h1}")
-    if not w > 0.0:
-        raise AssumptionError(f"need a positive wage, got {w}")
+    if not 0.0 < w < math.inf:
+        raise AssumptionError(f"need a finite positive wage, got {w}")
     if len(set(group_ids)) != 2:
         raise ParameterError(f"group_ids must name two distinct groups, got {group_ids}")
     G = (cost or Uniform01()).cdf
@@ -248,8 +249,8 @@ def gaussian_closed_forms(
     the midpoint equilibrium plus a period-2 cycle alternating between the
     two boundaries. The knife edge payoff_tp = cost_fp is refused; there
     the institution is indifferent along the whole arc and the closed
-    forms do not apply, and so is a wage w other than economy.wage (as in
-    uniform_closed_forms).
+    forms do not apply, and so is a wage w that is not finite and positive
+    or is other than economy.wage (as in uniform_closed_forms).
     """
     v1, v2 = _unit(h1, "h1"), _unit(h2, "h2")
     ang = normalized_angle(v1, v2)
@@ -259,7 +260,9 @@ def gaussian_closed_forms(
         )
     if len(set(group_ids)) != 2:
         raise ParameterError(f"group_ids must name two distinct groups, got {group_ids}")
-    if abs(economy.wage - w) > 1e-12:
+    if not 0.0 < w < math.inf:
+        raise AssumptionError(f"need a finite positive wage, got {w}")
+    if not abs(economy.wage - w) <= 1e-12:
         raise AssumptionError(f"wage mismatch: economy has {economy.wage}, w={w}")
     p, c = economy.payoff_tp, economy.cost_fp
     if p == c:
@@ -360,8 +363,7 @@ def beta_of_pi(
     ids = tuple(model.group_ids)
     if len(ids) != 1:
         raise ConfigurationError(f"beta_of_pi needs a single-group model, got {len(ids)} groups")
-    if grid_size < 11:
-        raise ParameterError(f"grid_size must be at least 11, got {grid_size}")
+    _check_count(grid_size, "grid_size", 11)
     group = GroupSpec(id=ids[0], proportion=1.0, cost=cost or Uniform01())
     pis = np.linspace(0.0, 1.0, grid_size)
     betas = []
@@ -511,8 +513,8 @@ def find_equilibria_scan(
     runs ended NonConverged.
     """
     groups = normalize_groups(groups)
-    if grid is not None and grid < 2:
-        raise ParameterError(f"grid must be at least 2, got {grid}")
+    if grid is not None:
+        _check_count(grid, "grid", 2)
     if len(groups) == 1 and config.mode == "joint":
         return _scan_one_group(economy, groups[0], model, grid or 401, config, seed)
     return _scan_multi_group(economy, groups, model, grid or 21, config, seed)
@@ -584,23 +586,22 @@ def _scan_one_group(
 
 
 def _phi_grid_roots(psi, grid: int, low, top: float) -> list[float]:
-    """The Phi grid's interior candidates: each sign change of psi(pi) =
-    Phi(pi) - pi on the grid narrowed by _scan_root, and the interior grid
-    points where it is exactly 0. low is the grid's first point and psi
-    there, 0 or the probe; top is psi(1)."""
-    xs = np.linspace(0.0, 1.0, grid)
-    xs[0] = low[0]
-    values = np.array([low[1], *(psi(x) for x in xs[1:-1].tolist()), top])
-    roots: list[float] = []
-    for i in range(grid - 1):
-        if values[i] == 0.0 and 0.0 < xs[i] < 1.0:
-            roots.append(float(xs[i]))
-        elif values[i] * values[i + 1] < 0.0:
-            roots.append(
-                _scan_root(
-                    psi, float(xs[i]), float(xs[i + 1]), float(values[i]), float(values[i + 1])
-                )
-            )
+    """The Phi grid's interior candidates: _grid_roots of psi(pi) = Phi(pi)
+    - pi on the grid. low is the grid's first point and psi there, 0 or the
+    probe; top is psi(1)."""
+    xs = [low[0], *np.linspace(0.0, 1.0, grid)[1:].tolist()]
+    return _grid_roots(psi, xs, [low[1], *(psi(x) for x in xs[1:-1]), top])
+
+
+def _grid_roots(f, xs: list[float], values: list[float]) -> list[float]:
+    """The roots of f seen on the grid xs, where values holds f: each point
+    inside (0, 1) where f is exactly 0, then each sign change between
+    neighbours, narrowed on f by _scan_root. The one-group scan's two paths
+    share it; pi = 0 and pi = 1 are tested apart."""
+    roots = [x for x, v in zip(xs, values) if v == 0.0 and 0.0 < x < 1.0]
+    for i in range(len(xs) - 1):
+        if values[i] * values[i + 1] < 0.0:
+            roots.append(_scan_root(f, xs[i], xs[i + 1], values[i], values[i + 1]))
     return roots
 
 
@@ -614,12 +615,12 @@ def _theta_curve_roots(
     and 0.
 
     The curve's points are its grid's interior cuts, those with pi_inst
-    above low, read in one array pass. Each sign change between them is
-    narrowed by _scan_root on the scalar h, and its candidate is the
-    population's response at the root; a point where h is exactly 0 gives
-    its own. The end spans, pi from low up to the last point's pi_inst and
-    from the first point's up to 1, are searched by _scan_root on psi, with
-    h at the point as that end's value. They are searched on Phi because
+    above low, read in one array pass. The roots of the scalar h on them
+    (_grid_roots: its exact zeros and its narrowed sign changes) give the
+    candidates, the population's response at each. The end spans, pi from
+    low up to the last point's pi_inst and from the first point's up to 1,
+    are searched by _scan_root on psi, with h at the point as that end's
+    value. They are searched on Phi because
     there the solver may answer off the curve: near pi = 0 it answers
     reject-all where U at the root rounds to <= 0, and near pi = 1 a flat
     top takes the grid's plateau point.
@@ -654,10 +655,7 @@ def _theta_curve_roots(
         return None  # the whole curve lies below the probe
     thetas, hs, pis = thetas[:n].tolist(), hs[:n].tolist(), pis[:n].tolist()
 
-    roots = [response(t) for t, v in zip(thetas, hs) if v == 0.0]
-    for i in range(n - 1):
-        if hs[i] * hs[i + 1] < 0.0:
-            roots.append(response(_scan_root(h, thetas[i], thetas[i + 1], hs[i], hs[i + 1])))
+    roots = [response(t) for t in _grid_roots(h, thetas, hs)]
     # the end spans, searched on Phi as the Phi grid searches its steps
     for a, fa, b, fb in ((*low, pis[-1], hs[-1]), (pis[0], hs[0], 1.0, top)):
         if a < b and fa * fb < 0.0:

@@ -81,6 +81,12 @@ def _config_fields(cls) -> tuple[set[str], set[str]]:
     return {f.name for f in found}, {f.name for f in found if f.default is MISSING}
 
 
+def _check_count(value, name: str, least: int) -> None:
+    """Refuse a count that is not an int (a bool is not one) or is below least."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _number(value, path: str) -> float:
     """A scenario number as a float; anything but a finite int or float
     (a string, a bool, or a literal that overflowed to inf) is rejected."""

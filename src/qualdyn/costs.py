@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-from .core import _check_fields, _config_fields, _is_finite_real, _number, _numbers
+from .core import _check_count, _check_fields, _config_fields, _is_finite_real, _number, _numbers
 from .errors import ConfigurationError, ParameterError, UnsupportedModelError
 
 _SQRT2 = math.sqrt(2.0)
@@ -380,7 +380,9 @@ def inverse_cdf(model: CostModel, p: float) -> float:
 
 
 def dominates(candidate: CostModel, base: CostModel, points: int = 1001) -> bool:
-    """Probe whether candidate's CDF is pointwise >= base's on a shared grid."""
+    """Probe whether candidate's CDF is pointwise >= base's on a shared grid
+    of `points` points, at least 2."""
+    _check_count(points, "points", 2)
     lo = min(candidate.support[0], base.support[0])
     hi = max(candidate.support[1], base.support[1])
     step = (hi - lo) / (points - 1)

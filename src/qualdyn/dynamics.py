@@ -22,6 +22,7 @@ from .core import (
     GroupSpec,
     QualificationState,
     RATE_TOL,
+    _check_count,
     _check_fields,
     _config_fields,
     _is_finite_real,
@@ -74,9 +75,7 @@ class DynamicsConfig:
         if self.mode not in ("joint", "decoupled"):
             raise ParameterError(f"mode must be 'joint' or 'decoupled', got {self.mode!r}")
         for name, least in (("max_iters", 1), ("cycle_window", 2), ("theta_grid", MIN_GRID)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+            _check_count(getattr(self, name), name, least)
         for name in ("fix_tol", "perturb_eps", "tie_tol"):
             value = getattr(self, name)
             if not (_is_finite_real(value) and value > 0):

@@ -30,20 +30,24 @@ back as the exact kink. Group a's benefit w (TPR_a - FPR_a) is the tent
 w min(theta / h_a, (1 - theta) / (1 - h_a)), so its cuts, where the benefit
 is beta, are h_a beta / w and 1 - (1 - h_a) beta / w.
 
-ScoreModel. A state whose rates are all 0 is answered reject-all (1.0) at
-once: there U(theta) = -c sum_a n_a FPR_a(theta) <= 0, as every score CDF
-lies in [0, 1], so the grid's rules below answer 1.0 too. One group with
-strict-MLR Beta scores (_strict_mlr_beta) at 0 < pi < 1 is answered by the
-exact first-order cut (below), which reads no grid rates. Every other score call, and each state that the cut leaves to
-the grid, is solved on a grid, in order:
+ScoreModel. The solver is one ladder, for any number of groups:
+
+* every rate is 0: reject-all (1.0) at once. There U(theta) = -c sum_a n_a
+  FPR_a(theta) <= 0, as every score CDF lies in [0, 1], so the grid's
+  rules below answer 1.0 too;
+* one group with strict-MLR Beta scores (_strict_mlr_beta) at 0 < pi < 1:
+  the exact first-order cut (below), which reads no grid rates;
+* every rate is 1: the grid's head (below);
+* anything else, and each state that the cut or the head leaves: the
+  whole grid.
+
+The head and the whole grid are solved on a grid, in order:
 
 * Grid. Utility is evaluated on `grid_size` evenly spaced cut points over
-  [0, 1] (DEFAULT_GRID = 2001, step 5e-4). For one group with strict-MLR
-  Beta scores it is read on a certified window of that grid (below);
-  otherwise on the whole grid, from the grid table (see Caches below).
-  Among equal grid maxima `np.argmax` takes the first. The rules below
-  read the window alone, in window indices; the whole grid is the window
-  that needs no certificate.
+  [0, 1] (DEFAULT_GRID = 2001, step 5e-4): on the whole grid, from the
+  grid table (see Caches below), or on the head alone. Among equal grid
+  maxima `np.argmax` takes the first. The rules below read the head alone
+  where it stands, in its own indices.
 * Reject-all. If no grid point earns a positive utility the answer is 1.0,
   where utility is exactly 0.
 * Plateau. If neighbouring grid points tie the maximum within
@@ -52,8 +56,8 @@ the grid, is solved on a grid, in order:
   by the plateau rule below. Since the slack scales with the terms rather
   than with U, a utility that is tiny because pi is tiny (U ~ 1e-16 near
   pi = 0) is not mistaken for a plateau. The breakpoints are the stretch's
-  ends and the tied points where some group's benefit, read from the grid
-  table, turns.
+  ends and the tied points where some group's benefit, read from the grid's
+  rates, turns.
 * Unique winner. Otherwise, with winner theta_i, the bracket is
   [theta_(i-1), theta_(i+1)], cut at 0 and 1. On it the sign change of
   dU/dtheta = sum_a n_a (p pi_a TPR_a' - c (1 - pi_a) FPR_a') is narrowed
@@ -75,8 +79,8 @@ grid point comes back (the snap), and near pi = 0, where U (about 1e-14)
 is within the rates' rounding of its own changes, a maximum that is
 positive only between grid points is never seen, so the answer is
 reject-all. The exact cut mends both for the strict-MLR Beta groups it
-answers (tests/test_features.py keeps the window's limits and checks the
-mend); they remain where the grid answers.
+answers (tests/test_features.py keeps the whole grid's limits and checks
+the mend); they remain where the grid answers.
 
 The exact first-order cut. With one group (a joint call on a one-group
 economy, or any decoupled call) whose scores are strict-MLR Beta, f1/f0
@@ -95,8 +99,7 @@ cut of Coate and Loury 1993), and falls after it, so U(r) > U(1) = 0 for
 * Answers r, or reject-all (1.0) where U computed at r is <= 0 (its rates
   are then within their rounding of 0). The rates at r are read last, so
   the population response finds them in the memo (see Caches below).
-* Leaves to the grid, bit for bit: pi = 1 (pi = 0 is answered reject-all
-  before the cut, as above), a root computed at 0 or 1, and a flat top,
+* Leaves to the whole grid a root computed at 0 or 1 and a flat top,
   where U's fall over one grid step h from the root,
   1/2 |U''| h^2 with U'' = -n c (1 - pi) f0 d(log(f1 / f0))/dtheta at r,
   is within _FLAT_FACTOR (1e4) plateau slacks at r, or where neither rate
@@ -116,37 +119,14 @@ computed dU/dtheta (two narrowings from different brackets), or the grid's
 answer is one of its limits, and U at the exact answer is never below U at
 the grid's by more than the slack and the rates' rounding.
 
-The strict-MLR window. The states that the exact cut leaves to the grid
-read a certified window of it:
-
-* Locates, as the exact cut does; pi = 0 takes the top index and pi = 1
-  the bottom.
-* Reads. The window is the slice of the grid's own linspace that reaches
-  _WINDOW_REACH points on each side of i, cut at the grid's ends, so it
-  holds i - 2 .. i + 1. Its rates are read by rates_grid on that slice, so
-  they are the whole table's bits, and its utility is formed by
-  core._utility_from_rates, as the whole grid's is.
-* Certifies. With u_max and the slack at the window's first argmax, the
-  window stands when each edge is an end of the grid or has utility below
-  u_max - slack - margin, margin = _WINDOW_RTOL * n (p pi + c (1 - pi)).
-  A window that fails gives way to the whole grid's table.
-
-A model that already holds the whole grid's table at that size, as a
-joint call on several groups leaves it, is answered from the table: the
-answer is the same, and reading a built table costs less than evaluating
-the window's rates (decoupled sweeps make such calls).
-
-Why a certified window gives the whole grid's answer: let e bound the
-rounding of a grid utility, a few ulps of the terms n (p pi + c (1 - pi))
-from betainc and the kernel, so e << margin. Say the low edge L is inside
-the grid. If the root lay at or below theta_L, U would fall from theta_L
-on, and as the window's argmax lies above L, the computed u_L would be at
-least u_max - 2 e, not below u_max - margin. So U rises up to theta_L, and
-any point j < L has u_j <= u_L + 2 e < u_max - slack. The high edge is the
-mirror case. So no point outside the window is the first argmax, joins the
-tied run or moves u_max, whose sign decides reject-all, and the tied run,
-the bracket [theta_(i-1), theta_(i+1)], the snap rule and the plateau rule
-read what they would read on the whole grid.
+The head. Where every rate is 1, U = sum_a n_a p TPR_a never rises in
+theta, so the grid's first _WINDOW_REACH (16) points hold the whole grid's
+answer once the last of them lies below u_max - slack - margin, margin =
+_WINDOW_RTOL * sum_a n_a p, far above the rates' rounding: every later point
+is no higher, so none is the first argmax, joins the tied run or moves
+u_max. The head's rates are read by rates_grid on the grid's own linspace,
+so they are the whole table's bits, and a head that does not certify (a
+steep y1 keeps U near u_max past it) gives way to the whole grid.
 
 Caches. Rates that never depend on the state are read once per model, and
 a cut's rates once per answer. Each cache is a dict on the frozen model,
@@ -158,12 +138,11 @@ answer is the bits the uncached computation gives.
 
 * ScoreModel's grid table, per grid size: the theta grid and each group's
   (TPR, FPR) on it. A model is given it only when some best response is
-  served by neither the exact cut nor the strict-MLR window, and from then
-  on the window's states at that size read it.
+  served by neither the exact cut nor the head. No answer depends on
+  whether it is built.
 * ScoreModel's table for strict-MLR Beta groups, per (group, grid size):
-  the theta grid and log(f1 / f0) on it, which the exact cut and the window
-  search. The window's rates are not kept: its states are rare (pi = 1 and
-  flat tops), and each reads a few dozen points.
+  the theta grid and log(f1 / f0) on it, which the exact cut searches. The
+  head's rates are not kept: each head reads 16 points.
 * ScoreModel's last-answer memo: tpr_fpr keeps, per group, the last cut
   it computed and that cut's rates, as one (theta, sign of theta, rates)
   tuple. A call with the same float, sign of zero included, is answered
@@ -236,6 +215,7 @@ from .core import (
     GroupSpec,
     QualificationState,
     RATE_TOL,
+    _check_count,
     _check_fields,
     _check_group_index,
     _is_finite_real,
@@ -256,9 +236,9 @@ MIN_GRID = 3  # the fewest cut points a grid argmax and its refinement work on
 # sloped utilities clear this by many orders.
 _PLATEAU_RTOL = 1e-15
 
-# The strict-MLR window (module docstring): the grid points it reaches on each
-# side of the located index, and its margin, relative to n (p pi + c (1 - pi)),
-# about 1000 times the rounding of the rates and of the utility kernel.
+# The grid's head (module docstring): the grid points it reads, and its margin,
+# relative to sum_a n_a p, about 1000 times the rounding of the rates and of
+# the utility kernel.
 _WINDOW_REACH = 16
 _WINDOW_RTOL = 1e-12
 
@@ -639,8 +619,8 @@ class GroupScores:
 def _strict_mlr_beta(scores: GroupScores) -> bool:
     """Whether both score classes are BetaScore with y1.alpha > y0.alpha and
     y1.beta < y0.beta: a strict monotone likelihood ratio (MLR), so f1/f0
-    rises strictly from 0 to infinity across (0, 1). The strict-MLR window
-    of the best response (module docstring) and the one-group scan's
+    rises strictly from 0 to infinity across (0, 1). The exact first-order
+    cut of the best response (module docstring) and the one-group scan's
     theta-curve (analysis.find_equilibria_scan) serve exactly these pairs."""
     y1, y0 = scores.y1, scores.y0
     return (
@@ -934,33 +914,15 @@ def _scalar_best_response(
     if not any(state.rates):
         # At pi = 0, U(theta) = -c sum_a n_a FPR_a(theta) <= 0, as every score
         # CDF lies in [0, 1], so every grid utility is <= 0 and _window_answer
-        # answers reject-all, on the window and the whole grid alike.
+        # answers reject-all on the whole grid too.
         return 1.0
     cut = _first_order_cut(model, economy, groups, state, grid_size)
     if cut is not None:
         return cut
-    window = None
-    if grid_size not in model._grid_cache:  # a table already built is read
-        window = _mlr_window(model, economy, groups, state, grid_size)
+    window = _head_window(model, economy, groups, state, grid_size)
     if window is None:
         window = _full_window(model, economy, groups, state, grid_size)
     return _window_answer(model, economy, groups, state, window)
-
-
-def _root_step(model, economy, gid: str, scores: GroupScores, pi: float, grid_size: int):
-    """The theta grid of a strict-MLR Beta group and the index i with its
-    first-order root in [theta_(i-1), theta_i], by one searchsorted of
-    log(c (1 - pi) / (p pi)) in its log(f1 / f0), which runs from -inf to
-    +inf; pi = 0 takes the top index and pi = 1 the bottom."""
-    thetas, llr = _llr_grid(model, gid, scores, grid_size)
-    if pi <= 0.0:
-        return thetas, grid_size - 1
-    if pi >= 1.0:
-        return thetas, 0
-    p, c = economy.payoff_tp, economy.cost_fp
-    return thetas, int(
-        llr.searchsorted(math.log(c) + math.log1p(-pi) - math.log(p) - math.log(pi))
-    )
 
 
 def _first_order_cut(model, economy, groups, state: QualificationState, grid_size: int):
@@ -974,13 +936,16 @@ def _first_order_cut(model, economy, groups, state: QualificationState, grid_siz
     scores = model.scores(g.id)
     if not (0.0 < pi < 1.0 and _strict_mlr_beta(scores)):
         return None
-    thetas, i = _root_step(model, economy, g.id, scores, pi, grid_size)
+    n, p, c, h = g.proportion, economy.payoff_tp, economy.cost_fp, 1.0 / (grid_size - 1)
+    # the index i with the root in [theta_(i-1), theta_i]: log(f1 / f0) runs
+    # from -inf to +inf along the grid
+    thetas, llr = _llr_grid(model, g.id, scores, grid_size)
+    i = int(llr.searchsorted(math.log(c) + math.log1p(-pi) - math.log(p) - math.log(pi)))
     a, b = float(thetas[max(i - 2, 0)]), float(thetas[min(i + 1, grid_size - 1)])
     root = _slope_turn(_utility_slope(model, economy, groups, state), a, b)
     if not 0.0 < root < 1.0:
         return None
     y1, y0 = scores.y1, scores.y0
-    n, p, c, h = g.proportion, economy.payoff_tp, economy.cost_fp, 1.0 / (grid_size - 1)
     d = n * c * (1.0 - pi) * y0.slope(root)  # = n p pi f1 at the root
     # U's fall over one grid step from its top, 1/2 |U''| h^2, where
     # U'' = -d d(llr)/dtheta at the root
@@ -1013,26 +978,20 @@ def _full_window(model, economy, groups, state: QualificationState, grid_size: i
     return thetas, rates, util, _peak(economy, groups, state, rates, util)
 
 
-def _mlr_window(model, economy, groups, state: QualificationState, grid_size: int):
-    """The strict-MLR window (module docstring) in the form of _full_window,
-    or None for a model it does not serve or a state it cannot certify."""
-    if len(groups) != 1:
+def _head_window(model, economy, groups, state: QualificationState, grid_size: int):
+    """The grid's head (module docstring) in the form of _full_window, or
+    None where some rate is below 1 or the head cannot certify."""
+    if not all(pi == 1.0 for pi in state.rates):
         return None
-    (g,), (pi,) = groups, state.rates
-    scores = model.scores(g.id)
-    if not _strict_mlr_beta(scores):
-        return None
-    thetas, i = _root_step(model, economy, g.id, scores, pi, grid_size)
-    p, c = economy.payoff_tp, economy.cost_fp
-    margin = _WINDOW_RTOL * g.proportion * (p * pi + c * (1.0 - pi))
-    lo, hi = max(i - _WINDOW_REACH, 0), min(i + _WINDOW_REACH, grid_size)
-    window = thetas[lo:hi]
-    rates = {g.id: model.rates_grid(g.id, window)}
+    thetas = np.linspace(0.0, 1.0, grid_size)[:_WINDOW_REACH]
+    rates = {g.id: model.rates_grid(g.id, thetas) for g in groups}
     util = _utility_from_rates(economy, groups, rates.values(), state.rates)
     peak = _peak(economy, groups, state, rates, util)
-    floor = peak[1] - peak[2] - margin
-    if (lo == 0 or util[0] < floor) and (hi == grid_size or util[-1] < floor):
-        return window, rates, util, peak
+    size = 0.0
+    for g in groups:
+        size += g.proportion * economy.payoff_tp
+    if len(thetas) == grid_size or util[-1] < peak[1] - peak[2] - _WINDOW_RTOL * size:
+        return thetas, rates, util, peak
     return None
 
 
@@ -1147,15 +1106,15 @@ def institution_best_response(
     Scalar models return a cut point in [0, 1]: UniformThreshold in closed
     form from the utility at its kinks, ScoreModel by the exact first-order
     cut for one strict-MLR Beta group at 0 < pi < 1 away from a flat top,
-    and otherwise by grid argmax plus a sign-change search on dU/dtheta
-    around the winner. Halfspace models
+    and otherwise by grid argmax (on the grid's head where every rate is 1)
+    plus a sign-change search on dU/dtheta around the winner. Halfspace models
     return a unit vector on the geodesic arc between the two group
     boundaries. Ties are broken deterministically: reject-all when nothing
     is profitable, the response-preserving point on interior plateaus, and
     the arc midpoint for the halfspace indifference case. The module docstring
     states the precision contract.
     """
-    _check_grid_size(grid_size)
+    _check_count(grid_size, "grid_size", MIN_GRID)
     _check_alignment(model, groups, state)
     if isinstance(model, GaussianHalfspace):
         return _halfspace_rule(model, economy, groups, state.rates, tie_tol)
@@ -1180,7 +1139,7 @@ def decoupled_best_response(
     positives at a strictly positive angle weight. It is returned as the
     model's read-only table copy of that boundary.
     """
-    _check_grid_size(grid_size)
+    _check_count(grid_size, "grid_size", MIN_GRID)
     if isinstance(model, GaussianHalfspace):
         boundary = model._boundaries.get(group.id)
         if boundary is None:
@@ -1191,11 +1150,6 @@ def decoupled_best_response(
         state = QualificationState(ids=(group.id,), rates=(float(pi),))
         return _scalar_best_response(model, economy, solo, state, grid_size)
     raise ConfigurationError(f"unknown feature model type {type(model).__name__}")
-
-
-def _check_grid_size(grid_size) -> None:
-    if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < MIN_GRID:
-        raise ParameterError(f"grid_size must be an integer >= {MIN_GRID}, got {grid_size!r}")
 
 
 def _check_alignment(model, groups: tuple[GroupSpec, ...], state: QualificationState) -> None:

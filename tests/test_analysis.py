@@ -47,7 +47,7 @@ from qualdyn import (
     subsidy_equilibrium_shift,
     uniform_closed_forms,
 )
-from qualdyn import analysis, dynamics, features, verification
+from qualdyn import analysis, costs, dynamics, features, verification
 from qualdyn.dynamics import settled_state
 from qualdyn.features import _sign_change
 
@@ -194,6 +194,61 @@ def test_gaussian_closed_forms_refuse_a_wage_mismatch():
     economy = EconomyConfig(wage=0.8, payoff_tp=2.0, cost_fp=1.0)
     with pytest.raises(AssumptionError, match="wage mismatch"):
         gaussian_closed_forms((1.0, 0.0), (0.0, 1.0), 0.5, Uniform01(), economy)
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [
+        lambda: gaussian_closed_forms(
+            (1.0, 0.0), (0.0, 1.0), math.nan, Uniform01(),
+            EconomyConfig(wage=0.8, payoff_tp=2.0, cost_fp=1.0),
+        ),
+        lambda: gaussian_closed_forms(
+            (1.0, 0.0), (0.0, 1.0), math.inf, Uniform01(),
+            EconomyConfig(wage=0.8, payoff_tp=2.0, cost_fp=1.0),
+        ),
+        lambda: uniform_closed_forms(0.4, 0.8, math.inf),
+        lambda: uniform_closed_forms(0.4, 0.8, math.nan),
+        lambda: uniform_closed_forms(
+            0.4, 0.8, math.nan, economy=EconomyConfig(wage=0.6), groups=_uniform_pair()[1]
+        ),
+    ],
+    ids=["gaussian-nan", "gaussian-inf", "uniform-inf", "uniform-nan", "uniform-nan-economy"],
+)
+def test_closed_forms_refuse_a_wage_that_is_not_finite(forms):
+    # a NaN wage passes a `> 1e-12` mismatch test and inf passes `> 0`
+    with pytest.raises(AssumptionError, match="wage"):
+        forms()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: find_equilibria_scan(*_uniform_pair(), grid=2.5),
+        lambda: find_equilibria_scan(*_uniform_pair(), grid=True),
+        lambda: beta_of_pi(steep_cost_scenario()[2], EconomyConfig(wage=1.0), grid_size=11.5),
+        lambda: beta_of_pi(steep_cost_scenario()[2], EconomyConfig(wage=1.0), grid_size=10),
+        lambda: costs.dominates(Uniform01(), Uniform01(), points=1),
+        lambda: costs.dominates(Uniform01(), Uniform01(), points=0),
+        lambda: costs.dominates(Uniform01(), Uniform01(), points=2.0),
+    ],
+    ids=["scan-2.5", "scan-True", "beta-11.5", "beta-10", "dominates-1", "dominates-0",
+         "dominates-2.0"],
+)
+def test_sizes_that_are_not_integers_of_the_least_size_fail_loudly(call):
+    # an int that is not a bool, at least 2, 11 and 2 respectively, as the
+    # best responses check grid_size; numpy's TypeError, a ZeroDivisionError
+    # and a vacuous True used to come back instead
+    with pytest.raises(ParameterError, match="must be an integer >= "):
+        call()
+
+
+def _uniform_pair():
+    groups = (
+        GroupSpec(id="a1", proportion=0.5, cost=Uniform01()),
+        GroupSpec(id="a2", proportion=0.5, cost=Uniform01()),
+    )
+    return EconomyConfig(wage=0.6), groups, UniformThreshold({"a1": 0.4, "a2": 0.8})
 
 
 def steep_cost_scenario():

@@ -420,7 +420,7 @@ def test_find_rejects_tiny_grid(tmp_path, capsys, grid):
     assert main(["find", "--config", path, "--grid", grid]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: grid must be at least 2, got {grid}\n"
+    assert captured.err == f"error: grid must be an integer >= 2, got {grid}\n"
 
 
 def test_find_and_fit_reject_a_negative_seed(tmp_path, capsys):

@@ -38,7 +38,7 @@ from qualdyn import (
     institutional_utility,
     normalized_angle,
 )
-from qualdyn import core, costs, dynamics, features
+from qualdyn import core, costs, dynamics, features, verification
 from qualdyn.analysis import uniform_closed_forms
 
 
@@ -853,7 +853,7 @@ def _full_table_answer(model, economy, groups, state, grid_size):
     return features._window_answer(model, economy, groups, state, full)
 
 
-# The window's known grid limits (module docstring of features): both cases
+# The whole grid's known limits (module docstring of features): both cases
 # of test_score_best_response_near_pi_zero_takes_the_first_order_cut, where it
 # snaps to the grid point 0.999 and answers reject-all, and a snap to the grid
 # point 0.188 where the first-order root is 0.1879999969. The exact cut
@@ -868,16 +868,12 @@ KNOWN_LIMITS = [
 @pytest.mark.parametrize("scores,payoffs,pi,answer", KNOWN_LIMITS)
 def test_the_window_keeps_the_known_grid_limits(scores, payoffs, pi, answer):
     model, economy, groups, state = _one_group_score(scores, payoffs, pi)
-    window = features._mlr_window(model, economy, groups, state, features.DEFAULT_GRID)
-    assert window is not None and len(window[0]) < features.DEFAULT_GRID
-    assert features._window_answer(model, economy, groups, state, window) == answer
-    assert model._grid_cache == {}
     assert _full_table_answer(model, economy, groups, state, features.DEFAULT_GRID) == answer
 
 
 @pytest.mark.parametrize("scores,payoffs,pi,answer", KNOWN_LIMITS)
 def test_the_exact_cut_mends_the_known_grid_limits(scores, payoffs, pi, answer):
-    # The best response is the first-order root, not the window's grid point
+    # The best response is the first-order root, not the whole grid's point
     # or reject-all, and it reads no grid rates at all.
     model, economy, groups, state = _one_group_score(scores, payoffs, pi)
     got = institution_best_response(model, economy, groups, state)
@@ -887,22 +883,9 @@ def test_the_exact_cut_mends_the_known_grid_limits(scores, payoffs, pi, answer):
     assert model._grid_cache == {}
 
 
-def test_the_window_next_to_the_grid_end_takes_no_table():
-    # Near pi = 0 the argmax sits a few points below theta = 1, where the
-    # utility beyond it is still within the margin of u_max; the window runs
-    # on to the grid's end point, so it certifies on its own.
-    # (States like these arise on `run` trajectories that fall towards 0.)
-    scores = ((5.003421812831032, 1.913896489756088), (2.0113250080439307, 4.937536420972038))
-    # each window reaches _WINDOW_REACH (16) points below its located index,
-    # 1996 and 1995
-    for pi, answer, span in ((7.946146392458183e-09, 0.9979897949805356, (21, 0.99, 1.0)),
-                             (2.143792214748327e-08, 0.9972109461622533, (22, 0.9895, 1.0))):
-        model, economy, groups, state = _one_group_score(scores, (1.0, 1.0), pi)
-        window = features._mlr_window(model, economy, groups, state, features.DEFAULT_GRID)
-        assert window is not None and (len(window[0]), window[0][0], window[0][-1]) == span
-        assert features._window_answer(model, economy, groups, state, window) == answer
-        assert model._grid_cache == {}
-        assert _full_table_answer(model, economy, groups, state, features.DEFAULT_GRID) == answer
+NEAR_GRID_END = (
+    (5.003421812831032, 1.913896489756088), (2.0113250080439307, 4.937536420972038)
+)
 
 
 @st.composite
@@ -910,33 +893,6 @@ def strict_mlr_pairs(draw):
     gap = st.one_of(st.floats(1e-6, 0.05), st.floats(0.05, 8.0))
     a0, b1 = draw(st.floats(0.3, 12.0)), draw(st.floats(0.3, 12.0))
     return (a0 + draw(gap), b1), (a0, b1 + draw(gap))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    scores=strict_mlr_pairs(),
-    payoffs=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
-    grid_size=st.sampled_from([101, 401, 2001]),
-    pi=st.one_of(
-        st.sampled_from([0.0, 1.0, 1.0 - 1e-9]), st.floats(1e-12, 1e-6), st.floats(0.0, 1.0)
-    ),
-    n=st.sampled_from([1.0, 0.35]),
-)
-@example(scores=KNOWN_LIMITS[0][0], payoffs=(1.0, 1.0), pi=1e-9, grid_size=2001, n=1.0)
-@example(scores=KNOWN_LIMITS[1][0], payoffs=(1.0, 3.0), pi=1e-10, grid_size=2001, n=1.0)
-@example(scores=KNOWN_LIMITS[2][0], payoffs=(1.0, 1.0), pi=0.88531308, grid_size=2001, n=1.0)
-@example(scores=KNOWN_LIMITS[2][0], payoffs=(1.0, 1.0), pi=0.8853125, grid_size=2001, n=1.0)
-def test_strict_mlr_window_answers_the_full_table_bit_for_bit(scores, payoffs, pi, grid_size, n):
-    # Where a strict-MLR group's best response is left to the grid, it reads
-    # a certified window of the grid; a window that stands must give the
-    # answer the whole grid's table gives, bit for bit.
-    model, economy, groups, state = _one_group_score(scores, payoffs, pi, n)
-    window = features._mlr_window(model, economy, groups, state, grid_size)
-    expected = _full_table_answer(model, economy, groups, state, grid_size)
-    if window is not None:
-        assert features._window_answer(model, economy, groups, state, window).hex() == (
-            expected.hex()
-        )
 
 
 @settings(max_examples=200, deadline=None)
@@ -955,6 +911,10 @@ def test_strict_mlr_window_answers_the_full_table_bit_for_bit(scores, payoffs, p
 @example(scores=KNOWN_LIMITS[0][0], payoffs=(1.0, 1.0), pi=1e-9, grid_size=2001, n=1.0)
 @example(scores=KNOWN_LIMITS[1][0], payoffs=(1.0, 3.0), pi=1e-10, grid_size=2001, n=1.0)
 @example(scores=KNOWN_LIMITS[2][0], payoffs=(1.0, 1.0), pi=0.88531308, grid_size=2001, n=1.0)
+# states on `run` trajectories that fall towards 0, whose grid argmax sits a
+# few points below theta = 1
+@example(scores=NEAR_GRID_END, payoffs=(1.0, 1.0), pi=7.946146392458183e-09, grid_size=2001, n=1.0)
+@example(scores=NEAR_GRID_END, payoffs=(1.0, 1.0), pi=2.143792214748327e-08, grid_size=2001, n=1.0)
 def test_the_exact_cut_keeps_the_window_contract(scores, payoffs, pi, grid_size, n):
     # The exact answer theta_e against the whole grid's answer theta_w. At
     # pi = 0 or 1, and wherever the grid resolves a tied run by its plateau
@@ -996,34 +956,30 @@ def test_the_exact_cut_keeps_the_window_contract(scores, payoffs, pi, grid_size,
         assert decoupled.hex() == theta_e.hex()
 
 
-def test_the_window_serves_strict_mlr_beta_groups_alone():
-    # One group with strict-MLR Beta scores takes the window; weak MLR,
-    # empirical scores and a joint call on two groups take the whole grid.
+def test_the_exact_cut_serves_strict_mlr_beta_groups_alone():
+    # One group with strict-MLR Beta scores takes the exact cut and reads no
+    # grid table; weak MLR, empirical scores and a joint call on two groups
+    # take the whole grid.
     economy = EconomyConfig(wage=1.0)
     one = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
     state = QualificationState(ids=("g",), rates=(0.4,))
     weak = ScoreModel((("g", GroupScores(y1=BetaScore(5.0, 2.0), y0=BetaScore(2.0, 2.0))),))
-    for model, windowed in ((steep_scores(), True), (weak, False), (empirical_scores(), False)):
-        assert features._strict_mlr_beta(model.scores("g")) is windowed
-        window = features._mlr_window(model, economy, one, state, 2001)
-        assert (window is not None) is windowed
+    for model, strict in ((steep_scores(), True), (weak, False), (empirical_scores(), False)):
+        assert features._strict_mlr_beta(model.scores("g")) is strict
+        cut = features._first_order_cut(model, economy, one, state, 2001)
+        assert (cut is not None) is strict
         institution_best_response(model, economy, one, state)
-        assert (model._grid_cache == {}) is windowed
+        assert (model._grid_cache == {}) is strict
     pair = ScoreModel({g: steep_scores().scores("g") for g in ("a", "b")})
     two = tuple(GroupSpec(id=g, proportion=0.5, cost=Uniform01()) for g in ("a", "b"))
     both = QualificationState(ids=("a", "b"), rates=(0.4, 0.6))
-    assert features._mlr_window(pair, economy, two, both, 2001) is None
     assert features._first_order_cut(pair, economy, two, both, 2001) is None
-    # a decoupled call takes the exact cut and reads no rates on the grid;
-    # the window reads the rates of its own group alone
+    # a decoupled call takes the exact cut and reads no rates on the grid
     fresh = ScoreModel(pair.curves)
     solo_b = (GroupSpec(id="b", proportion=1.0, cost=Uniform01()),)
     at_b = QualificationState(ids=("b",), rates=(0.6,))
     answer = decoupled_best_response(fresh, economy, two[1], 0.6)
     assert answer == features._first_order_cut(fresh, economy, solo_b, at_b, 2001)
-    assert fresh._grid_cache == {}
-    window = features._mlr_window(fresh, economy, solo_b, at_b, 2001)
-    assert window is not None and list(window[1]) == ["b"]
     assert fresh._grid_cache == {}
     # a model holding the whole grid's table answers the same
     institution_best_response(pair, economy, two, both)
@@ -1040,16 +996,35 @@ _ABOVE_ONE_CURVES = GroupScores(
 
 
 @st.composite
-def zero_state_cases(draw):
-    """A score model on one to three groups, with strict-MLR Beta, other
-    Beta or empirical curves, its economy, an all-zero state's rates (each
-    0.0 or -0.0) and a grid size."""
+def empirical_curves(draw):
+    """Empirical y1 and y0 curves, each through (0, 0), one to four drawn
+    knots and (1, 1)."""
+
+    def curve():
+        xs = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4, unique=True))
+        ys = draw(st.lists(st.floats(0.0, 1.0), min_size=len(xs), max_size=len(xs)))
+        return EmpiricalScore(((0.0, 0.0), *zip(sorted(xs), sorted(ys)), (1.0, 1.0)))
+
+    return GroupScores(y1=curve(), y0=curve())
+
+
+@st.composite
+def score_cases(draw, grids):
+    """A score model on one to three groups, with strict-MLR Beta, weak-MLR
+    Beta, Beta pairs in any order or empirical curves, its economy and
+    groups, and a grid size drawn from `grids`."""
     k = draw(st.integers(1, 3))
     pair = st.tuples(st.floats(0.3, 12.0), st.floats(0.3, 12.0))
     curves = st.one_of(
         strict_mlr_pairs().map(lambda s: GroupScores(y1=BetaScore(*s[0]), y0=BetaScore(*s[1]))),
+        # f1 / f0 rises as theta^gap, to a finite top
+        st.builds(
+            lambda ab, gap: GroupScores(y1=BetaScore(ab[0] + gap, ab[1]), y0=BetaScore(*ab)),
+            pair, st.floats(0.01, 8.0),
+        ),
         st.builds(lambda a, b: GroupScores(y1=BetaScore(*a), y0=BetaScore(*b)), pair, pair),
         st.sampled_from([empirical_scores().scores("g"), _ABOVE_ONE_CURVES]),
+        empirical_curves(),
     )
     ids = [f"g{i}" for i in range(k)]
     model = ScoreModel({gid: draw(curves) for gid in ids})
@@ -1061,8 +1036,16 @@ def zero_state_cases(draw):
     economy = EconomyConfig(
         wage=1.0, payoff_tp=draw(st.floats(0.2, 5.0)), cost_fp=draw(st.floats(0.2, 5.0))
     )
-    zeros = tuple(draw(st.sampled_from([0.0, -0.0])) for _ in ids)
-    return model, economy, groups, zeros, draw(st.sampled_from([3, 5, 101, 401, 2001]))
+    return model, economy, groups, draw(grids)
+
+
+@st.composite
+def zero_state_cases(draw):
+    """score_cases at grids of 3 to 2001 points, with an all-zero state's
+    rates (each 0.0 or -0.0)."""
+    model, economy, groups, grid = draw(score_cases(st.sampled_from([3, 5, 101, 401, 2001])))
+    zeros = tuple(draw(st.sampled_from([0.0, -0.0])) for _ in groups)
+    return model, economy, groups, zeros, grid
 
 
 @settings(max_examples=100, deadline=None)
@@ -1076,7 +1059,7 @@ def zero_state_cases(draw):
 ))
 def test_an_all_zero_score_state_takes_the_whole_grids_answer(case):
     # A state with every rate 0 is answered reject-all before the exact cut
-    # and the window, for every score model, as the grid answers it; joint
+    # and the head, for every score model, as the grid answers it; joint
     # and decoupled calls give the whole grid's answer, bit for bit.
     model, economy, groups, zeros, grid = case
     state = QualificationState(ids=tuple(g.id for g in groups), rates=zeros)
@@ -1088,6 +1071,66 @@ def test_an_all_zero_score_state_takes_the_whole_grids_answer(case):
         at = QualificationState(ids=(g.id,), rates=(pi,))
         got = decoupled_best_response(model, economy, g, pi, grid_size=grid)
         assert got.hex() == _full_table_answer(model, economy, solo, at, grid).hex()
+
+
+def _all_ones(groups):
+    return QualificationState(ids=tuple(g.id for g in groups), rates=(1.0,) * len(groups))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=score_cases(st.one_of(st.sampled_from([3, 15, 16, 17, 2001]), st.integers(3, 2001))))
+def test_the_head_answers_the_full_table_bit_for_bit(case):
+    # Where every rate is 1, U never rises in theta: a head that certifies
+    # gives the whole grid's answer, bit for bit, and joint and decoupled
+    # calls give that answer whether or not the model holds the grid's table.
+    model, economy, groups, grid = case
+    state = _all_ones(groups)
+    head = features._head_window(model, economy, groups, state, grid)
+    full = _full_table_answer(model, economy, groups, state, grid)
+    if head is not None:
+        assert features._window_answer(model, economy, groups, state, head).hex() == full.hex()
+    fresh = ScoreModel(model.curves)
+    for solver in (fresh, model):  # without the table, then with it
+        joint = institution_best_response(solver, economy, groups, state, grid_size=grid)
+        assert joint.hex() == full.hex()
+    for g in groups:
+        solo = (GroupSpec(id=g.id, proportion=1.0, cost=g.cost),)
+        expected = _full_table_answer(model, economy, solo, _all_ones(solo), grid)
+        got = decoupled_best_response(ScoreModel(model.curves), economy, g, 1.0, grid_size=grid)
+        assert got.hex() == expected.hex()
+
+
+def test_a_steep_head_gives_way_to_the_whole_grid():
+    # With y1 = Beta(40, 2), TPR rounds to 1 across the head, so its last
+    # point ties u_max: the head does not certify, and the table is read.
+    model = ScoreModel({"g": GroupScores(y1=BetaScore(40.0, 2.0), y0=BetaScore(2.0, 5.0))})
+    economy = EconomyConfig(wage=1.0)
+    one = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
+    assert features._head_window(model, economy, one, _all_ones(one), 2001) is None
+    got = institution_best_response(model, economy, one, _all_ones(one))
+    assert list(model._grid_cache) == [2001]
+    assert got.hex() == _full_table_answer(model, economy, one, _all_ones(one), 2001).hex()
+
+
+def test_every_rate_at_one_is_answered_on_the_head_alone():
+    # The score anchor (acceptance criterion 07), an empirical curve and a
+    # joint call on two groups, each at pi = 1: the head certifies, and no
+    # grid table is built. A decoupled call's head reads its own group alone.
+    economy, anchor_groups, anchor = verification._steep_cost_scenario()
+    pair = ScoreModel({"a": steep_scores().scores("g"), "b": empirical_scores().scores("g")})
+    two = tuple(GroupSpec(id=g, proportion=0.5, cost=Uniform01()) for g in ("a", "b"))
+    for model, groups in ((anchor, anchor_groups), (empirical_scores(), anchor_groups), (pair, two)):
+        state = _all_ones(groups)
+        assert features._head_window(model, economy, groups, state, 2001) is not None
+        got = institution_best_response(model, economy, groups, state)
+        assert model._grid_cache == {}
+        assert got.hex() == _full_table_answer(model, economy, groups, state, 2001).hex()
+    fresh = ScoreModel(pair.curves)
+    solo_b = (GroupSpec(id="b", proportion=1.0, cost=Uniform01()),)
+    head = features._head_window(fresh, economy, solo_b, _all_ones(solo_b), 2001)
+    assert list(head[1]) == ["b"]
+    decoupled_best_response(fresh, economy, two[1], 1.0)
+    assert fresh._grid_cache == {}
 
 
 def test_kink_table_equals_per_call_rates():
@@ -1567,10 +1610,10 @@ def test_grid_table_fill_is_safe_under_threads():
     # interval; every one must get the single stored table and the same
     # answer, and the last-answer memo, read and replaced by all of them at
     # cuts of their own, must give each the bits a fresh model gives. A
-    # second fresh strict-MLR model is solved on its window alone: its
-    # log-ratio table is stored once, read-only, and every thread gets one
-    # theta.
-    model, windowed = steep_scores(), steep_scores()
+    # second fresh strict-MLR model is answered by the exact cut alone: its
+    # log-ratio table is stored once, read-only, it is given no grid table,
+    # and every thread gets one theta.
+    model, exact = steep_scores(), steep_scores()
     uniform = UniformThreshold((("a1", 0.4), ("a2", 0.8)))
     economy = EconomyConfig(wage=1.0, payoff_tp=1.3, cost_fp=0.7)
     group = (GroupSpec(id="g", proportion=1.0, cost=Uniform01()),)
@@ -1578,13 +1621,13 @@ def test_grid_table_fill_is_safe_under_threads():
     cuts = [i / 16 for i in range(17)]
     fresh = {cut: steep_scores().tpr_fpr("g", cut) for cut in cuts}
     tables, kinks, thetas, wrong = [], [], [], []
-    grids, window_thetas = [], []
+    grids, exact_thetas = [], []
     barrier = threading.Barrier(8)
 
     def work():
         barrier.wait(timeout=10)
-        window_thetas.append(institution_best_response(windowed, economy, group, state))
-        grids.append(features._llr_grid(windowed, "g", windowed.scores("g"), 2001))
+        exact_thetas.append(institution_best_response(exact, economy, group, state))
+        grids.append(features._llr_grid(exact, "g", exact.scores("g"), 2001))
         tables.append(features._grid_rates(model, 2001)[1])
         kinks.append(features._kink_rates(uniform, ("a1", "a2")))
         thetas.append(institution_best_response(model, economy, group, state))
@@ -1611,8 +1654,8 @@ def test_grid_table_fill_is_safe_under_threads():
     assert len(set(thetas)) == 1
     assert wrong == []
     assert len(grids) == 8 and all(g is grids[0] for g in grids)
-    assert windowed._grid_cache == {}
-    stored = windowed._llr_cache.values()
+    assert exact._grid_cache == {}
+    stored = exact._llr_cache.values()
     assert not any(array.flags.writeable for entry in stored for array in entry)
     full = _full_table_answer(steep_scores(), economy, group, state, 2001)
-    assert len(window_thetas) == 8 and set(window_thetas) == set(thetas) == {full}
+    assert len(exact_thetas) == 8 and set(exact_thetas) == set(thetas) == {full}
