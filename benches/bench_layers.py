@@ -32,17 +32,21 @@ per best response at the h_mid states of 200 seeded uniform scenarios; and
 over the same 2000 score-anchor states, the share of best responses that
 the exact first-order cut answered, the number it left to the grid, and
 the slope calls of each cut; the cut-level searches (`_slope_turn`
-calls) made over the 200 uniform plateau responses; for the halfspace
-scans of criteria 05 and 06, joint and decoupled, the `_multi_starts`
-calls, the image runs and the images computed (population responses not
-served from the model's image slots) beside the rules in the model's
-response table; and for the mesh scans of the uniform and two-valley
+calls) made over the 200 uniform plateau responses; the
+`GaussianHalfspace._check_theta` calls made in building the halfspace
+models of criteria 05 and 06; for the scans of those anchors, joint and
+decoupled, each on a newly built model, the `_multi_starts` calls, the
+image runs and the images computed (population responses not served from
+the slot of a table vector) beside the rules in the model's response
+table; and for the mesh scans of the uniform and two-valley
 anchors, joint and decoupled, the image runs beside the distinct rules of
 the mesh's starts and their distinct images.
 The score anchor is strict MLR and its states are interior, so the script
 also exits non-zero if any of them is left to the grid; the plateau
 responses' costs are Uniform01, whose cut level is read in closed form, so
-it exits non-zero if any of them searches for one; a halfspace scan runs
+it exits non-zero if any of them searches for one; a halfspace model's
+response table reads no rates, so it exits non-zero if building one checks
+a theta (`halfspace_builds`); a halfspace scan runs
 from its table's images alone, so it exits non-zero if one calls
 `_multi_starts` or makes more image runs than its table has rules, or if a
 joint one computes more images than its table has rules (a decoupled rule
@@ -64,7 +68,8 @@ every best response to the grid, one without the closed-form cut level
 searches at every plateau response, one that scans halfspace models on
 the start mesh calls `_multi_starts`, one that runs mesh starts in full,
 or once per rule, makes more runs than images, one without the image
-slots computes an image at every step, one that builds trace records in
+slots computes an image at every step, one that stores the halfspace
+table's rates checks its vectors on building, one that builds trace records in
 every run evaluates the utility in its probes, and one that reads an
 empirical model at pi = 1 on the whole grid builds its table, so on any of
 those the script exits non-zero):
@@ -107,6 +112,8 @@ GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 UNIFORM = verification._uniform_reference()
 HALFSPACE = verification._halfspace_scenario(2.0, 1.0)
 HALFSPACE_CYCLE = verification._halfspace_scenario(1.0, 2.0)
+# the scan case's own copy, whose image slots no step case has filled
+HALFSPACE_SCAN = verification._halfspace_scenario(2.0, 1.0)
 SCORE = verification._steep_cost_scenario()
 TWO_VALLEY = verification._two_valley_scenario()
 CRITERION_10 = dynamics.DynamicsConfig(max_iters=300, fix_tol=1e-6, theta_grid=401)
@@ -283,7 +290,7 @@ CASES = [
     ),
     Case(
         "halfspace_scan", "find_equilibria_scan",
-        lambda: analysis.find_equilibria_scan(*HALFSPACE, grid=21),
+        lambda: analysis.find_equilibria_scan(*HALFSPACE_SCAN, grid=21),
         lambda records: _stabilities(records) == ["Stable", "Stable", "Unstable"],
     ),
     Case(
@@ -544,18 +551,42 @@ def cut_level_searches() -> int:
 TABLE_RULES = {"joint": 3, "decoupled": 1}
 
 
+HALFSPACE_ANCHORS = {"pair": HALFSPACE, "cycle": HALFSPACE_CYCLE}
+
+
+def _fresh_halfspace(scenario):
+    """The scenario with its model built again, with empty image slots."""
+    economy, groups, model = scenario
+    return economy, groups, features.GaussianHalfspace(model.vectors)
+
+
+def halfspace_builds() -> dict:
+    """The `GaussianHalfspace._check_theta` calls made in building each
+    halfspace anchor's model: none, as its response table reads no rates.
+    A version that stores the table's rates checks each of its vectors for
+    each group."""
+    builds = {}
+    for anchor, scenario in HALFSPACE_ANCHORS.items():
+        with counting("GaussianHalfspace._check_theta") as checks:
+            _fresh_halfspace(scenario)
+        builds[anchor] = checks[0]
+    return builds
+
+
 def halfspace_table_scans() -> dict:
-    """For the halfspace scans of both anchors in both modes, the calls of
-    `analysis._multi_starts`, the image runs, the `iterate` calls that are
-    not a stability probe's, and the images computed, the `response_rate`
-    calls made inside population responses per group (a response served
-    from the model's image slot makes none), beside the rules in the
-    model's table. A halfspace scan runs from its table's images alone, so
-    a version that scans the start mesh calls `_multi_starts`."""
+    """For the halfspace scans of both anchors in both modes, each on a
+    newly built model, the calls of `analysis._multi_starts`, the image
+    runs, the `iterate` calls that are not a stability probe's, and the
+    images computed, the `response_rate` calls made inside population
+    responses per group (a response served from the slot of its table
+    vector makes none), beside the rules in the model's table. A halfspace
+    scan runs from its table's images alone, so a version that scans the
+    start mesh calls `_multi_starts`."""
     scans = {}
     for mode, rules in TABLE_RULES.items():
         config = dynamics.DynamicsConfig(mode=mode)
-        for anchor, scenario in (("pair", HALFSPACE), ("cycle", HALFSPACE_CYCLE)):
+        for anchor, scenario in HALFSPACE_ANCHORS.items():
+            scenario = _fresh_halfspace(scenario)
             with contextlib.ExitStack() as stack:
                 mesh = stack.enter_context(counting("_multi_starts"))
                 runs = stack.enter_context(counting("iterate"))
@@ -635,6 +666,7 @@ def distributions() -> dict:
         "cut_level_searches": cut_level_searches(),
         "head_tables": head_tables(),
         "score_exact_cut": exact_cuts(slope["score_anchor"]),
+        "halfspace_builds": halfspace_builds(),
         "halfspace_table_scans": halfspace_table_scans(),
         "mesh_image_runs": mesh_image_runs(),
     }
@@ -674,6 +706,9 @@ def main() -> int:
     ):
         # a joint scan computes each table vector's image once
         failed.append("table_images")
+    if any(spread["halfspace_builds"].values()):
+        # building a halfspace model's response table reads no rates
+        failed.append("halfspace_builds")
     if any(spread["trace_utilities"].values()):
         failed.append("trace_utilities")
     if any(

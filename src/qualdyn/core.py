@@ -163,10 +163,12 @@ def normalize_groups(groups: Iterable[GroupSpec]) -> tuple[GroupSpec, ...]:
     returned as it is, without sorting and summing again: the tuple and its
     frozen GroupSpecs cannot change, so the checks it passed still hold.
     So step, iterate and classify_stability, which pass one normalized
-    tuple down to each other, pay for the checks once. Any other argument,
-    an equal list or tuple included, is checked in full and comes back as a
-    new tuple. Only a checked tuple is ever stored, so under threads no
-    caller gets back a tuple that no call checked.
+    tuple down to each other, pay for the checks once. Any other argument
+    is checked in full; a tuple already in canonical order comes back as
+    itself (so a caller that keeps passing one tuple, such as a scenario's
+    groups, is checked once), anything else as a new tuple. Only a checked
+    tuple is ever stored, so under threads no caller gets back a tuple that
+    no call checked.
     """
     global _last_normalized
     if groups is _last_normalized:
@@ -182,6 +184,8 @@ def normalize_groups(groups: Iterable[GroupSpec]) -> tuple[GroupSpec, ...]:
         raise ConfigurationError(
             f"group proportions must sum to 1 (tolerance {PROPORTION_TOL}); got {total!r}"
         )
+    if type(groups) is tuple and ordered == groups:
+        ordered = groups
     _last_normalized = ordered
     return ordered
 

@@ -233,9 +233,11 @@ def _population_response(
     economy: EconomyConfig, groups: tuple[GroupSpec, ...], model, theta
 ) -> QualificationState:
     """individual_best_response for groups already in canonical order. The
-    image of a GaussianHalfspace table vector is kept in that vector's slot
-    on the model (features module docstring, Caches) and read from it while
-    economy and groups are the objects it was computed for."""
+    image of a GaussianHalfspace table vector is stored in the slot the model
+    keys by that vector's id() (features module docstring, Caches) and read
+    from it while theta, economy and groups are the objects it was computed
+    for; the slot holds theta, so a reused id is never served another
+    vector's image."""
     halfspace = isinstance(model, GaussianHalfspace)
     if halfspace:
         slot = model._images.get(id(theta))
@@ -247,10 +249,8 @@ def _population_response(
         tpr, fpr = model.tpr_fpr(g.id, th)
         rates.append(response_rate(g.cost, economy.wage, tpr, fpr))
     image = QualificationState(ids=tuple(g.id for g in groups), rates=tuple(rates))
-    if halfspace:
-        table = model._table_rates.get(id(theta))
-        if table is not None and table[0] is theta:
-            model._images[id(theta)] = (theta, economy, groups, image)
+    if halfspace and id(theta) in model._images:
+        model._images[id(theta)] = (theta, economy, groups, image)
     return image
 
 

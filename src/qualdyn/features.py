@@ -130,11 +130,12 @@ steep y1 keeps U near u_max past it) gives way to the whole grid.
 
 Caches. Rates that never depend on the state are read once per model, and
 a cut's rates once per answer. Each cache is a dict on the frozen model,
-filled on the first solve that needs it (never at construction). The
-tables are filled with `setdefault`, so threads that race on one all read
-the one stored entry, and their arrays are read-only; the memo replaces
-one immutable tuple whole, so a racing thread reads a whole entry. Every
-answer is the bits the uncached computation gives.
+filled on the first solve that needs it (never at construction, where a
+halfspace model only keys its empty image slots). The tables are filled
+with `setdefault`, so threads that race on one all read the one stored
+entry, and their arrays are read-only; the memo and the slots replace one
+immutable tuple whole, so a racing thread reads a whole entry. Every answer
+is the bits the uncached computation gives.
 
 * ScoreModel's grid table, per grid size: the theta grid and each group's
   (TPR, FPR) on it. A model is given it only when some best response is
@@ -152,13 +153,16 @@ answer is the bits the uncached computation gives.
 * UniformThreshold's kink table, per tuple of group ids (the joint
   groups, or one group for a decoupled call): the sorted kinks {0, h_a, 1}
   and each group's (TPR, FPR) at each of them.
-* GaussianHalfspace's image slots, one per table vector (keyed by its
-  id()): the population's response to that vector, as one (theta,
-  economy, groups, image) tuple, which dynamics._population_response
-  fills and reads. A call matches the slot when theta, economy and groups
-  are the stored objects (`is`), so no cost model need be hashable; any
-  other call computes the image and replaces the slot. So a scan's table
-  images are computed once, not on every step and probe.
+* GaussianHalfspace's image slots, one per table vector, keyed by its id()
+  at construction and empty until dynamics._population_response stores
+  the population's response to that vector in it, as one (theta, economy,
+  groups, image) tuple; no other theta gets a slot. A call matches the
+  slot when theta, economy and groups are the stored objects (`is`), so no
+  cost model need be hashable and a reused id (a deep-copied or unpickled
+  model keeps the original's keys) is never served another vector's image;
+  any other call for a table vector computes the image and replaces the
+  slot. So a scan's table images are computed once, not on every step and
+  probe.
 
 The refinement also binds each group's two score densities once per best
 response (_utility_slope).
@@ -447,23 +451,24 @@ class GaussianHalfspace:
     TPR = 1 - angle, FPR = angle, with angle = arccos(theta . h_a) / pi.
 
     `vectors` keeps the caller's vectors, as floats, so that `to_config` and a
-    reload give the same model; the unit boundaries are computed from them
-    once, on construction (normalizing a computed unit vector again can move
-    its last bits).
+    reload give the same model; each group's unit boundary is computed from
+    its vector once, on construction (normalizing a computed unit vector
+    again can move its last bits), and stored once, as a read-only array.
 
-    Construction also builds the response table: each group's boundary, as
-    vector() gives it, and for two groups arc_point(0.0), arc_point(1.0),
-    midpoint and pair_angle, each computed once by those methods. The
-    table's vectors are read-only arrays, stored with every group's
-    (TPR, FPR) at them. The best responses return these very objects, and
-    tpr_fpr answers a theta that `is` one of them from the table, the same
-    floats its checked path gives for an equal copy; any other theta takes
-    the checked path.
+    Construction also builds the response table: each group's boundary, and
+    for two groups arc_point(0.0), arc_point(1.0), midpoint and pair_angle,
+    each computed once by those methods. The table's vectors are read-only
+    arrays, each with an image slot (module docstring, Caches), and the best
+    responses return these very objects.
     """
 
     vectors: tuple[tuple[str, tuple[float, ...]], ...]
 
     def __post_init__(self) -> None:
+        # The response table (see the class docstring). The image slots are
+        # keyed by id(); the ids stay unique because the table holds its
+        # vectors.
+        object.__setattr__(self, "_images", {})
         units = {}
 
         def vector(gid, vec):
@@ -472,30 +477,22 @@ class GaussianHalfspace:
                 raise ParameterError(f"group {gid!r}: vector must be 1-d with >= 2 entries")
             if any(len(unit) != arr.size for unit in units.values()):
                 raise ParameterError("all group vectors must share one dimension")
-            units[gid] = tuple(_unit(arr, f"group {gid!r}: vector").tolist())
+            units[gid] = self._table_entry(_unit(arr, f"group {gid!r}: vector"))
             return tuple(arr.tolist())
 
         _group_table(self, "vectors", vector)
-        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_boundaries", units)
         if len(units) < 2:
             raise ParameterError("halfspace model needs at least 2 groups")
         pairs = list(units.items())
         for i, (gi, ui) in enumerate(pairs):
             for gj, uj in pairs[i + 1:]:
-                ang = normalized_angle(np.array(ui), np.array(uj))
+                ang = normalized_angle(ui, uj)
                 if not 0.0 < ang < 1.0:
                     raise ParameterError(
                         f"groups {gi!r} and {gj!r} have identical or "
                         f"opposite boundaries (normalized angle {ang})"
                     )
-        # The response table (see the class docstring). _table_rates and the
-        # image slots (module docstring, Caches) are keyed by id(); the ids
-        # stay unique because the table holds its vectors.
-        object.__setattr__(self, "_table_rates", {})
-        object.__setattr__(self, "_images", {})
-        object.__setattr__(
-            self, "_boundaries", {gid: self._table_entry(self.vector(gid)) for gid in units}
-        )
         arc = None
         if len(units) == 2:
             ends = (self._table_entry(self.arc_point(0.0)), self._table_entry(self.arc_point(1.0)))
@@ -503,24 +500,17 @@ class GaussianHalfspace:
         object.__setattr__(self, "_arc", arc)
 
     def _table_entry(self, theta: np.ndarray) -> np.ndarray:
-        """Make theta read-only and store it with each group's checked rates."""
+        """Make theta read-only and give it an empty image slot."""
         theta.flags.writeable = False
-        rates = {gid: self._checked_tpr_fpr(gid, theta) for gid in self.group_ids}
-        self._table_rates[id(theta)] = (theta, rates)
+        self._images[id(theta)] = None
         return theta
 
     def vector(self, group: str) -> np.ndarray:
-        return np.array(_lookup(self._units, group, "boundary vector"))
+        return _lookup(self._boundaries, group, "boundary vector").copy()
 
     def tpr_fpr(self, group: str, theta) -> tuple[float, float]:
-        hit = self._table_rates.get(id(theta))
-        if hit is not None and hit[0] is theta and group in hit[1]:
-            return hit[1][group]
-        return self._checked_tpr_fpr(group, theta)
-
-    def _checked_tpr_fpr(self, group: str, theta) -> tuple[float, float]:
         theta = self._check_theta(theta)
-        ang = normalized_angle(theta, self.vector(group))
+        ang = normalized_angle(theta, _lookup(self._boundaries, group, "boundary vector"))
         return 1.0 - ang, ang
 
     def _check_theta(self, theta) -> np.ndarray:
@@ -539,7 +529,7 @@ class GaussianHalfspace:
                 "geodesic-arc operations support exactly two groups; "
                 f"model has {len(self.vectors)}"
             )
-        return tuple(np.array(unit) for unit in self._units.values())
+        return tuple(self._boundaries.values())
 
     @property
     def pair_angle(self) -> float:
@@ -841,12 +831,6 @@ def _residuals(model, economy, groups, state: QualificationState, theta: float) 
     ]
 
 
-def _response_distance(model, economy, groups, state: QualificationState, theta: float) -> float:
-    """Sup-norm gap between the population's response to theta and the state
-    (`_plateau_point` takes it from its cached residuals; tests use this)."""
-    return max(map(abs, _residuals(model, economy, groups, state, theta)))
-
-
 def _term_size(economy, groups, rates, pis):
     """sum_a n_a (p TPR_a pi_a + c FPR_a (1 - pi_a)): the size of the utility's
     terms, which its rounding is relative to (U itself may be far smaller)."""
@@ -1137,14 +1121,11 @@ def decoupled_best_response(
     halfspace model the per-group optimum is always the group's own
     boundary: any other hyperplane trades true positives for false
     positives at a strictly positive angle weight. It is returned as the
-    model's read-only table copy of that boundary.
+    model's stored read-only boundary array.
     """
     _check_count(grid_size, "grid_size", MIN_GRID)
     if isinstance(model, GaussianHalfspace):
-        boundary = model._boundaries.get(group.id)
-        if boundary is None:
-            raise ConfigurationError(f"no boundary vector for group {group.id!r}")
-        return boundary
+        return _lookup(model._boundaries, group.id, "boundary vector")
     if isinstance(model, ScalarModel):
         solo = (GroupSpec(id=group.id, proportion=1.0, cost=group.cost),)
         state = QualificationState(ids=(group.id,), rates=(float(pi),))

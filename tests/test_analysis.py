@@ -1354,7 +1354,8 @@ def test_zero_and_negative_zero_rules_get_their_own_images(monkeypatch):
 
 def test_a_deep_copied_halfspace_model_scans_to_the_same_records():
     # The copy's table vectors are new objects, so its rules key apart from
-    # the original's and its rates take the checked path.
+    # the original's and fill none of the image slots keyed by the
+    # original's ids.
     for payoff_tp, cost_fp in ((2.0, 1.0), (1.0, 2.0)):
         economy, groups, model = verification._halfspace_scenario(payoff_tp, cost_fp)
         twin = copy.deepcopy(model)

@@ -117,9 +117,12 @@ def test_normalize_groups_hands_back_the_tuple_it_just_returned():
     groups = normalize_groups([b, a])
     assert normalize_groups(groups) is groups
     # equal members in another container or order are checked and sorted
-    for again in ([b, a], (b, a), [a, b], (a, b)):
+    for again in ([b, a], (b, a), [a, b]):
         fresh = normalize_groups(again)
         assert fresh == (a, b) and fresh is not groups and fresh is not again
+    # a tuple already in canonical order is checked and comes back as itself
+    again = (a, b)
+    assert normalize_groups(again) is again
     assert normalize_groups(fresh) is fresh
 
 

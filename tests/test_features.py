@@ -255,7 +255,7 @@ def test_the_norm_has_the_bits_of_np_linalg_norm(xs):
 
 def test_a_halfspace_table_image_is_kept_per_economy_and_groups():
     model = halfspace_at(75.0)
-    theta = model.midpoint  # a fresh copy: the checked path, never stored
+    theta = model.midpoint  # a fresh copy, which has no slot
     table = model._arc[1]
     steep = GroupSpec(id="g2", proportion=0.5, cost=TruncatedNormal(0.3, 0.2))
     flat = tuple(GroupSpec(id=g, proportion=0.5, cost=Uniform01()) for g in ("g1", "g2"))
@@ -273,7 +273,27 @@ def test_a_halfspace_table_image_is_kept_per_economy_and_groups():
         # the slot answers the same objects again with the stored image
         assert dynamics._population_response(economy, groups, model, table) is image
     assert len(set(images)) == 3 and images[:3] == images[3:]
-    assert list(model._images) == [id(table)]
+    # a slot for each of the five table vectors, and only the midpoint's filled
+    vectors = [vector for vector, _ in halfspace_table(model)]
+    assert sorted(model._images) == sorted(map(id, vectors))
+    assert [key for key, slot in model._images.items() if slot is not None] == [id(table)]
+
+
+def test_a_deep_copied_halfspace_table_fills_no_slot():
+    model = halfspace_at(75.0)
+    twin = copy.deepcopy(model)  # it keeps the original's keys, not its vectors
+    economy = EconomyConfig(wage=0.8)
+    groups = tuple(GroupSpec(id=g, proportion=0.5, cost=Uniform01()) for g in ("g1", "g2"))
+    for (theta, _), (copied, _) in zip(halfspace_table(model), halfspace_table(twin)):
+        assert copied is not theta and copied.tobytes() == theta.tobytes()
+        image = dynamics._population_response(economy, groups, model, theta)
+        again = dynamics._population_response(economy, groups, twin, copied)
+        assert [x.hex() for x in again.rates] == [x.hex() for x in image.rates]
+        for g in ("g1", "g2"):
+            got = [x.hex() for x in twin.tpr_fpr(g, copied)]
+            assert got == [x.hex() for x in model.tpr_fpr(g, theta)]
+    assert twin._images.keys() == model._images.keys()
+    assert all(model._images.values()) and not any(twin._images.values())
 
 
 def test_score_model_rates_are_survival_functions():
@@ -513,9 +533,9 @@ def test_halfspace_responses_are_read_only_table_entries(angle_deg):
 
 
 @pytest.mark.parametrize("angle_deg", [60.0, 73.0, 90.0, 117.5])
-def test_halfspace_table_rates_are_the_checked_rates(angle_deg):
+def test_halfspace_rates_agree_on_table_vectors_copies_and_twins(angle_deg):
     model = halfspace_at(angle_deg)
-    twin = copy.deepcopy(model)  # its table holds copies, so it takes the checked path
+    twin = copy.deepcopy(model)  # its table holds copies of the model's vectors
     for theta, _ in halfspace_table(model) + halfspace_table(twin):
         for g in ("g1", "g2"):
             got = [x.hex() for x in model.tpr_fpr(g, theta)]
@@ -1363,6 +1383,12 @@ def _flat_stretch(model, economy, groups, state):
     return (points[lo], points[hi]) if util[i] > 0.0 and lo < hi else None
 
 
+def _response_distance(model, economy, groups, state, theta):
+    """Sup-norm gap between the population's response to theta and the state
+    (`_plateau_point` takes it from its cached residuals)."""
+    return max(map(abs, features._residuals(model, economy, groups, state, theta)))
+
+
 @st.composite
 def uniform_plateau_states(draw):
     """Uniform states on a flat stretch, with 1-3 groups. 'corners' puts
@@ -1464,10 +1490,10 @@ def test_plateau_point_is_the_closest_response_on_the_stretch(case):
     theta = institution_best_response(model, economy, groups, state)
     assert lo <= theta <= hi
     reference = min(
-        features._response_distance(model, economy, groups, state, th)
+        _response_distance(model, economy, groups, state, th)
         for th in np.linspace(lo, hi, 1025).tolist()
     )
-    got = features._response_distance(model, economy, groups, state, theta)
+    got = _response_distance(model, economy, groups, state, theta)
     assert got <= reference + 1e-15
 
 
@@ -1491,7 +1517,7 @@ def test_score_indifference_state_with_an_inner_cut_maps_to_itself(cost, wage):
         assert lo == pytest.approx(0.3) and hi == pytest.approx(0.7)
         theta = institution_best_response(model, economy, group, state)
         assert 0.3 < theta < 0.7
-        distance = features._response_distance(model, economy, group, state, theta)
+        distance = _response_distance(model, economy, group, state, theta)
         assert distance <= features._PLATEAU_RTOL
 
 
